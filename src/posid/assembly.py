@@ -1,21 +1,31 @@
 """Finite-dimensional matrix assembly for the constrained estimator.
 
-Everything here reduces kernel convolutions against the input to exact
-finite sums: the input vanishes before its declared support start, so the
-convolution weight of lag ``s`` at time ``t`` is ``u[t - s]`` and is zero
-for ``s > t - t_start``.  The internal horizon is always taken large
-enough to cover every nonzero weight, with one extra step of headroom, so
-no truncation error enters any entry.
+Two kinds of blocks make up every QP.  :func:`assemble_core` builds the
+kernel blocks at a constraint horizon ``m``; a :class:`DominantBasis`
+describes the dominant part once per fit: its input-convolved modes, a
+sampler for the mode values, the floor, equality and penalty rows, and
+the mode that caps the horizon.  :func:`assemble_polynomial_blocks`
+gives the simple or repeated pole, :func:`assemble_oscillation_blocks`
+the poles at unit-root phases.
+
+Every kernel convolution against the input is an exact finite sum: the
+input vanishes before its declared support start, so the convolution
+weight of lag ``s`` at time ``t`` is ``u[t - s]`` and is zero for
+``s > t - t_start``.  The internal horizon is always taken large enough
+to cover every nonzero weight, with one extra step of headroom, so no
+truncation error enters any entry.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError
 from .kernels import KernelSpec, gram
-from .signals import ImpulseResponse, TimeSeriesData, convolve
+from .signals import TimeSeriesData
 
 # Extra horizon steps beyond the last nonzero convolution weight.
 _HEADROOM = 1
@@ -23,21 +33,17 @@ _HEADROOM = 1
 
 @dataclass(frozen=True)
 class QPDataMatrices:
-    """Data matrices of the finite-dimensional problem at horizon ``m``.
+    """Kernel data matrices of the finite-dimensional problem at horizon ``m``.
 
     ``O[i, j]`` is the kernel convolved with the input in both arguments
     at times ``(t_i, t_j)``; ``L[i, s]`` convolves only the first argument
-    (lag ``s = 0 .. m``); ``K`` is the plain kernel Gram on ``[0, m]^2``;
-    ``b`` is the input-convolved dominant mode and ``c`` its samples
-    ``rho**s``.
+    (lag ``s = 0 .. m``); ``K`` is the plain kernel Gram on ``[0, m]^2``.
     """
 
     O: np.ndarray = field(repr=False)
     L: np.ndarray = field(repr=False)
     K: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
-    b: np.ndarray = field(repr=False)
-    c: np.ndarray = field(repr=False)
     m: int
 
     @property
@@ -52,24 +58,29 @@ class QPDataMatrices:
 
 
 @dataclass(frozen=True)
-class ExtensionMatrices:
-    """Mode blocks for the multiple-pole and oscillating variants.
+class DominantBasis:
+    """Dominant part ``sum_j coeffs[j] * mode_j(t)`` as the QP sees it.
 
-    Polynomial variant fills ``B`` (input-convolved modes) and ``C``
-    (mode samples on the constraint rows).  Oscillating variant fills
-    ``Br``/``Bi`` (input-convolved cosine/sine modes) plus the phase
-    tables ``Vr``/``Vi``, decay diagonal ``D`` and penalty selector ``E``.
+    ``modes(horizon)`` samples the ``p`` modes on ``t < horizon``: its
+    first ``m + 1`` rows are the positivity constraint rows and its full
+    length gives the dominant part of a reconstruction.  ``B`` convolves
+    the same modes with the input at the sample times.  Each ``floor``
+    row of the coefficients is bounded below by ``a_min``; each ``eq``
+    row, if any, is held at zero.  ``penalty`` is the mode-coefficient
+    penalty, already scaled by epsilon.  Column ``cap`` is the mode whose
+    best single-mode misfit ``c0`` sets the horizon cap ``m0``.
     """
 
-    B: np.ndarray | None = field(default=None, repr=False)
-    C: np.ndarray | None = field(default=None, repr=False)
-    Br: np.ndarray | None = field(default=None, repr=False)
-    Bi: np.ndarray | None = field(default=None, repr=False)
-    Vr: np.ndarray | None = field(default=None, repr=False)
-    Vi: np.ndarray | None = field(default=None, repr=False)
-    D: np.ndarray | None = field(default=None, repr=False)
-    E: np.ndarray | None = field(default=None, repr=False)
-    n: int = 1
+    B: np.ndarray = field(repr=False)
+    modes: Callable[[int], np.ndarray] = field(repr=False)
+    floor: np.ndarray = field(repr=False)
+    penalty: np.ndarray = field(repr=False)
+    cap: int
+    eq: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def size(self) -> int:
+        return int(self.B.shape[1])
 
 
 def input_weight_matrix(data: TimeSeriesData, width: int) -> np.ndarray:
@@ -95,9 +106,9 @@ def required_width(data: TimeSeriesData) -> int:
     return data.t_last - data.t_start + 1
 
 
-def assemble_core(kernel: KernelSpec, data: TimeSeriesData, rho: float,
+def assemble_core(kernel: KernelSpec, data: TimeSeriesData,
                   m: int) -> QPDataMatrices:
-    """Assemble all data matrices for constraint horizon ``m``.
+    """Assemble the kernel data matrices for constraint horizon ``m``.
 
     The joint Gram is formed as ``W K_N W'`` with ``W`` stacking the input
     weights over the section selectors, which keeps it symmetric positive
@@ -105,8 +116,6 @@ def assemble_core(kernel: KernelSpec, data: TimeSeriesData, rho: float,
     """
     if m < 0:
         raise ConfigError(f"constraint horizon must be nonnegative, got {m}")
-    if not 0.0 < rho < 1.0:
-        raise ConfigError(f"rho must lie in (0, 1), got {rho}")
     width = required_width(data)
     n_big = max(width, m + 1) + _HEADROOM
     phi = input_weight_matrix(data, n_big)
@@ -116,45 +125,18 @@ def assemble_core(kernel: KernelSpec, data: TimeSeriesData, rho: float,
     O = 0.5 * (O + O.T)
     L = half[:, :m + 1]
     K = k_big[:m + 1, :m + 1]
-    b = phi @ (rho ** np.arange(n_big, dtype=float))
-    c = rho ** np.arange(m + 1, dtype=float)
-    return QPDataMatrices(O=O, L=L, K=K, y=data.outputs.copy(), b=b, c=c,
-                          m=int(m))
+    return QPDataMatrices(O=O, L=L, K=K, y=data.outputs.copy(), m=int(m))
 
 
-def assemble_core_definitional(kernel: KernelSpec, data: TimeSeriesData,
-                               rho: float, m: int) -> QPDataMatrices:
-    """Entry-by-entry assembly through explicit convolution calls.
+def _check_pole(rho: float) -> None:
+    if not 0.0 < rho < 1.0:
+        raise ConfigError(f"rho must lie in (0, 1), got {rho}")
 
-    Slow reference path used to validate :func:`assemble_core`.
-    """
-    if m < 0:
-        raise ConfigError(f"constraint horizon must be nonnegative, got {m}")
+
+def _input_convolved(data: TimeSeriesData, modes) -> np.ndarray:
+    """Modes convolved with the input at every sample time."""
     width = required_width(data)
-    times = data.sample_times
-    n = times.size
-    O = np.zeros((n, n))
-    L = np.zeros((n, m + 1))
-    b = np.zeros(n)
-    mode = ImpulseResponse(rho ** np.arange(width, dtype=float))
-    # Kernel convolved once per sample time: row i holds the function
-    # s -> sum_r u[t_i - r] k(r, s), enough to build both O and L.
-    section = gram(kernel, np.arange(width), np.arange(max(width, m + 1)))
-    half_rows = []
-    for i, t in enumerate(times):
-        window = data.input_window(int(t))
-        row = window @ section[:window.size]
-        half_rows.append(row)
-        L[i] = row[:m + 1]
-        b[i] = convolve(mode, data, int(t))
-    for i in range(n):
-        half_fn = ImpulseResponse(half_rows[i][:width])
-        for j, t2 in enumerate(times):
-            O[i, j] = convolve(half_fn, data, int(t2))
-    K = gram(kernel, np.arange(m + 1), np.arange(m + 1))
-    c = rho ** np.arange(m + 1, dtype=float)
-    return QPDataMatrices(O=O, L=L, K=K, y=data.outputs.copy(), b=b, c=c,
-                          m=int(m))
+    return input_weight_matrix(data, width) @ modes(width)
 
 
 def polynomial_modes(rho: float, degrees: int, horizon: int) -> np.ndarray:
@@ -170,31 +152,30 @@ def polynomial_modes(rho: float, degrees: int, horizon: int) -> np.ndarray:
 
 
 def assemble_polynomial_blocks(data: TimeSeriesData, rho: float, n: int,
-                               m: int) -> ExtensionMatrices:
-    """Mode blocks for a dominant pole of multiplicity ``n``.
+                               epsilon: float = 0.0) -> DominantBasis:
+    """Basis of a dominant pole of multiplicity ``n``.
 
-    ``B[i, j]`` convolves mode ``t**j * rho**t`` with the input at time
-    ``t_i``; ``C[t, j]`` samples the same modes on ``t = 0 .. m``.
+    The modes are ``t**j * rho**t`` for ``j < n``; the top-degree
+    coefficient is floored at ``a_min`` and sets the horizon cap, and
+    ``epsilon`` penalises the lower-degree ones.  ``n = 1`` is the simple
+    pole of the base estimator.
     """
     if n < 1:
         raise ConfigError(f"pole multiplicity must be >= 1, got {n}")
-    if m < 0:
-        raise ConfigError(f"constraint horizon must be nonnegative, got {m}")
-    width = required_width(data)
-    phi = input_weight_matrix(data, width)
-    B = phi @ polynomial_modes(rho, n, width)
-    C = polynomial_modes(rho, n, m + 1)
-    return ExtensionMatrices(B=B, C=C, n=int(n))
+    _check_pole(rho)
+    modes = partial(polynomial_modes, rho, n)
+    penalty = epsilon * np.diag(np.r_[np.ones(n - 1), 0.0])
+    return DominantBasis(B=_input_convolved(data, modes), modes=modes,
+                         floor=np.eye(n)[n - 1:], penalty=penalty,
+                         cap=n - 1)
 
 
-def oscillation_tables(rho: float, n: int, rows: int):
+def oscillation_tables(n: int, rows: int):
     """Root-of-unity phase tables for period ``n``.
 
-    Returns ``(Vr, Vi, D, E)``: the real and imaginary parts of
+    Returns ``(Vr, Vi)``: the real and imaginary parts of
     ``omega**(t * k)`` with ``omega = exp(2 pi i / n)`` on
-    ``t < rows, k < n``; ``D = diag(rho**t)`` over the same rows; and the
-    selector ``E = diag(0, 1, ..., 1)`` of size ``n`` that excludes the
-    constant phase from penalties.
+    ``t < rows, k < n``.
     """
     if n < 1:
         raise ConfigError(f"period must be >= 1, got {n}")
@@ -203,27 +184,35 @@ def oscillation_tables(rho: float, n: int, rows: int):
     t = np.arange(rows)
     k = np.arange(n)
     angles = 2.0 * np.pi * np.outer(t, k) / n
-    Vr = np.cos(angles)
-    Vi = np.sin(angles)
-    D = np.diag(rho ** np.arange(rows, dtype=float))
-    E = np.diag(np.concatenate([[0.0], np.ones(n - 1)]))
-    return Vr, Vi, D, E
+    return np.cos(angles), np.sin(angles)
+
+
+def phase_modes(rho: float, n: int, rows: int) -> np.ndarray:
+    """Columns ``rho**t cos(2 pi k t / n)`` then ``-rho**t sin(2 pi k t / n)``.
+
+    With coefficients ``(a_r, a_i)`` they give the real part of
+    ``rho**t sum_k (a_r[k] + i a_i[k]) omega**(t k)``.
+    """
+    Vr, Vi = oscillation_tables(n, rows)
+    decay = (rho ** np.arange(rows, dtype=float))[:, None]
+    return np.hstack([decay * Vr, -(decay * Vi)])
 
 
 def assemble_oscillation_blocks(data: TimeSeriesData, rho: float, n: int,
-                                m: int) -> ExtensionMatrices:
-    """Mode blocks for an oscillating dominant part of period ``n``.
+                                epsilon: float = 0.0) -> DominantBasis:
+    """Basis of ``n`` simple dominant poles at the unit-root phases.
 
-    ``Br``/``Bi`` stack the input-convolved cosine and sine modes
-    ``rho**t cos(2 pi k t / n)`` and ``rho**t sin(2 pi k t / n)``; the
-    phase tables over the constraint rows come from
-    :func:`oscillation_tables` with ``rows = m + 1``.
+    Coefficients are the real phase parts ``a_r`` then the imaginary
+    parts ``a_i``.  Over one period the equality rows hold the implied
+    imaginary part at zero and the floor rows bound the phase values
+    below; ``epsilon`` penalises every phase but the constant one, and
+    the constant cosine mode sets the horizon cap.
     """
-    width = required_width(data)
-    phi = input_weight_matrix(data, width)
-    vr_w, vi_w, _, _ = oscillation_tables(rho, n, width)
-    decay = (rho ** np.arange(width, dtype=float))[:, None]
-    Br = phi @ (decay * vr_w)
-    Bi = phi @ (decay * vi_w)
-    Vr, Vi, D, E = oscillation_tables(rho, n, m + 1)
-    return ExtensionMatrices(Br=Br, Bi=Bi, Vr=Vr, Vi=Vi, D=D, E=E, n=int(n))
+    _check_pole(rho)
+    modes = partial(phase_modes, rho, n)
+    Vr, Vi = oscillation_tables(n, n)
+    penalised = np.tile(np.r_[0.0, np.ones(n - 1)], 2)
+    return DominantBasis(B=_input_convolved(data, modes), modes=modes,
+                         floor=np.hstack([Vr, Vi]),
+                         penalty=epsilon * np.diag(penalised),
+                         cap=0, eq=np.hstack([Vi, Vr]))

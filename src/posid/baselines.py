@@ -84,22 +84,18 @@ def nonneg_ls(data: TimeSeriesData, n_g: int) -> ImpulseResponse:
 
 def ridge_clip(data: TimeSeriesData, n_g: int, lam: float,
                kernel: KernelSpec) -> ImpulseResponse:
-    """Kernel ridge regression, clipped at zero.
-
-    Uses the identity ``g = K U' (U K U' + lam I)^{-1} y`` so the kernel
-    matrix is never inverted directly.
-    """
-    U = regression_matrix(data, n_g)
-    K = gram(kernel, np.arange(n_g), np.arange(n_g))
-    inner = U @ K @ U.T + lam * np.eye(U.shape[0])
-    coeffs = np.linalg.solve(inner, data.outputs)
-    g = K @ (U.T @ coeffs)
+    """Kernel ridge regression, clipped at zero."""
+    g = ridge_pre_clip(data, n_g, lam, kernel).values
     return ImpulseResponse(np.maximum(g, 0.0))
 
 
 def ridge_pre_clip(data: TimeSeriesData, n_g: int, lam: float,
                    kernel: KernelSpec) -> ImpulseResponse:
-    """Ridge solution before clipping (exposed for validation)."""
+    """Ridge solution before clipping.
+
+    Uses the identity ``g = K U' (U K U' + lam I)^{-1} y`` so the kernel
+    matrix is never inverted directly.
+    """
     U = regression_matrix(data, n_g)
     K = gram(kernel, np.arange(n_g), np.arange(n_g))
     inner = U @ K @ U.T + lam * np.eye(U.shape[0])

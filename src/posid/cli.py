@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from .assembly import assemble_core
+from .assembly import assemble_core, assemble_polynomial_blocks
 from .baselines import BaselineKind, run_baseline
 from .errors import ConfigError, PosidError
 from .estimator import (PositiveIdConfig, build_qp,
@@ -115,8 +115,9 @@ def _identify_cmd(args) -> int:
         config = _base_config(args, _kernel_from_args(args))
         if args.dump_qp:
             m_init = initial_constraint_horizon(data)
-            mats = assemble_core(config.kernel, data, config.rho, m_init)
-            dump_qp(build_qp(config, data, mats), args.dump_qp)
+            mats = assemble_core(config.kernel, data, m_init)
+            basis = assemble_polynomial_blocks(data, config.rho, 1)
+            dump_qp(build_qp(config, mats, basis), args.dump_qp)
         model = identify(config, data)
         g = model.g
         meta.update({"a": float(model.a), "rho": args.rho,

@@ -1,14 +1,20 @@
 """Impulse response estimation with internal-positivity side-information.
 
-The estimated response is split as ``g[t] = a * rho**t + h[t]`` with a
-known dominant pole ``rho``, an amplitude ``a >= a_min`` and a residual
-``h`` living in the RKHS of a stable kernel whose decay is strictly
-faster than ``rho``.  The infinite-dimensional regularised least-squares
-problem reduces exactly to a convex QP over ``(a, x)`` where ``x``
-collects the representer coefficients; nonnegativity of ``g`` is imposed
-on a finite constraint horizon ``m`` that a certified bound ``m_0`` makes
-sufficient, and the identification loop grows ``m`` until the
-reconstructed response is nonnegative below ``m_0``.
+The estimated response is split as ``g[t] = (dominant part)[t] + h[t]``:
+a finite combination of known modes plus a residual ``h`` living in the
+RKHS of a stable kernel whose decay is strictly faster than the dominant
+pole ``rho``.  The base estimator's dominant part is ``a * rho**t`` with
+``a >= a_min``; the variants in :mod:`posid.extensions` swap in a
+repeated pole or poles at unit-root phases.  Each is described by one
+:class:`~posid.assembly.DominantBasis`, and all of them run the same
+horizon loop here.
+
+The infinite-dimensional regularised least-squares problem reduces
+exactly to a convex QP over the mode coefficients and the representer
+coefficients ``x``.  Nonnegativity of ``g`` is imposed on a finite
+constraint horizon ``m`` that a certified bound ``m_0`` makes
+sufficient, and the loop grows ``m`` until the reconstructed response is
+nonnegative below ``m_0``.
 """
 from __future__ import annotations
 
@@ -19,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qp
-from .assembly import (QPDataMatrices, assemble_core, input_weight_matrix,
+from .assembly import (DominantBasis, QPDataMatrices, assemble_core,
+                       assemble_polynomial_blocks, input_weight_matrix,
                        required_width)
 from .errors import ConfigError, SolverError
 from .kernels import KernelSpec, decay_compatible, domination_bound, gram
@@ -32,6 +39,9 @@ _NEG_TOL_SCALE = 1e-8
 # Iteration guard: the loop is finite by construction (m is capped by the
 # certified bound) but a defensive cap keeps bugs from spinning.
 _MAX_LOOPS = 1000
+# Default inner solve options, tighter than the library defaults: the
+# nonnegativity acceptance test must sit clearly above solver noise.
+_IDENTIFY_OPTIONS = qp.SolveOptions(tol_feas=1e-10, tol_gap=1e-9)
 
 
 @dataclass(frozen=True)
@@ -145,32 +155,35 @@ def initial_constraint_horizon(data: TimeSeriesData) -> int:
     return required_width(data)
 
 
-def build_qp(config: PositiveIdConfig, data: TimeSeriesData,
-             mats: QPDataMatrices) -> qp.ConvexQP:
-    """Finite-dimensional QP over ``z = (a, x)``.
+def build_qp(config: PositiveIdConfig, mats: QPDataMatrices,
+             basis: DominantBasis) -> qp.ConvexQP:
+    """Finite-dimensional QP over ``z = (mode coefficients, x)``.
 
-    Cost: squared output misfit of ``a * (convolved mode) + (convolved
-    residual)`` plus ``lam`` times the RKHS norm of the residual.
-    Constraints: the response sampled on ``0 .. m`` is nonnegative, and
-    ``a >= a_min``.
+    Cost: squared output misfit of ``B @ coeffs + (convolved residual)``
+    plus ``lam`` times the RKHS norm of the residual plus the basis mode
+    penalty.  Constraints: the response sampled on ``0 .. m`` is
+    nonnegative, every basis floor row is at least ``a_min`` and every
+    basis equality row is zero.
     """
-    n = mats.n_samples
+    p = basis.size
     m = mats.m
-    d = 1 + n + m + 1
-    theta = np.hstack([mats.O, mats.L])
-    M = np.hstack([mats.b[:, None], theta])
-    gamma = mats.gamma()
+    M = np.hstack([basis.B, mats.O, mats.L])
     P = 2.0 * (M.T @ M)
-    P[1:, 1:] += 2.0 * config.lam * gamma
+    P[p:, p:] += 2.0 * config.lam * mats.gamma()
+    P[:p, :p] += 2.0 * basis.penalty
     q = -2.0 * (M.T @ mats.y)
-    # Positivity rows sample g on 0 .. m; the last row bounds a.
-    G = np.zeros((m + 2, d))
-    G[:m + 1, 0] = mats.c
-    G[:m + 1, 1:] = np.hstack([mats.L.T, mats.K])
-    G[m + 1, 0] = 1.0
-    l = np.zeros(m + 2)
-    l[m + 1] = config.a_min
-    return qp.ConvexQP(P=P, q=q, G=G, l=l)
+    n_floor = basis.floor.shape[0]
+    G = np.zeros((m + 1 + n_floor, M.shape[1]))
+    G[:m + 1, :p] = basis.modes(m + 1)
+    G[:m + 1, p:] = np.hstack([mats.L.T, mats.K])
+    G[m + 1:, :p] = basis.floor
+    l = np.zeros(m + 1 + n_floor)
+    l[m + 1:] = config.a_min
+    if basis.eq is None:
+        return qp.ConvexQP(P=P, q=q, G=G, l=l)
+    A = np.zeros((basis.eq.shape[0], M.shape[1]))
+    A[:, :p] = basis.eq
+    return qp.ConvexQP(P=P, q=q, G=G, l=l, A=A, r=np.zeros(A.shape[0]))
 
 
 def reconstruct_h(x: np.ndarray, kernel: KernelSpec, data: TimeSeriesData,
@@ -221,9 +234,7 @@ def compute_m0(config: PositiveIdConfig, data: TimeSeriesData,
     if support is not None:
         return int(support)
     if b is None:
-        width = required_width(data)
-        phi = input_weight_matrix(data, width)
-        b = phi @ (config.rho ** np.arange(width, dtype=float))
+        b = assemble_polynomial_blocks(data, config.rho, 1).B[:, 0]
     c0 = _best_single_mode_misfit(data.outputs, b, config.a_min)
     bound = domination_bound(config.kernel)
     return _m0_from_constants(c0, bound.c, bound.rho_d, config.rho,
@@ -258,70 +269,66 @@ def _solve_or_raise(problem: qp.ConvexQP,
     return sol
 
 
-def _identify_options(config: PositiveIdConfig) -> qp.SolveOptions:
-    if config.solve_options is not None:
-        return config.solve_options
-    # Tighter than the library defaults: the nonnegativity acceptance
-    # test must sit clearly above solver noise.
-    return qp.SolveOptions(tol_feas=1e-10, tol_gap=1e-9)
+def _fit_basis(config: PositiveIdConfig, data: TimeSeriesData,
+               basis: DominantBasis) -> tuple[np.ndarray, dict]:
+    """The constraint-horizon loop shared by every dominant basis.
+
+    Grows ``m`` from the data span in steps of ``delta_m`` until the
+    reconstructed response is nonnegative (to a small
+    coefficient-relative tolerance) on every index below the certified
+    bound ``m_0`` of the basis cap mode; at ``m = m_0`` acceptance is
+    forced and any residual negativity is reported in the diagnostics.
+    Returns the mode coefficients and the model fields every variant
+    shares.
+    """
+    options = config.solve_options or _IDENTIFY_OPTIONS
+    horizon = config.horizon or default_horizon(data)
+    cap_mode = basis.B[:, basis.cap]
+    m0 = compute_m0(config, data, cap_mode)
+    m = initial_constraint_horizon(data)
+    p = basis.size
+    for iterations in range(1, _MAX_LOOPS + 1):
+        mats = assemble_core(config.kernel, data, m)
+        sol = _solve_or_raise(build_qp(config, mats, basis), options)
+        coeffs, x = sol.z[:p], sol.z[p:]
+        check_len = max(m0, horizon, m + 1)
+        h = reconstruct_h(x, config.kernel, data, m, check_len)
+        g_vals = h.values + basis.modes(check_len) @ coeffs
+        neg_tol = _NEG_TOL_SCALE * (1.0 + float(np.max(np.abs(coeffs))))
+        min_head = float(g_vals[:m0].min(initial=0.0))
+        accepted = min_head >= -neg_tol
+        if not accepted and m < m0:
+            logger.info("negativity %.3e below index %d at m=%d; growing m",
+                        min_head, m0, m)
+            m = min(m + config.delta_m, m0)
+            continue
+        if not accepted:
+            logger.warning(
+                "accepting at the certified horizon m=%d with residual "
+                "negativity %.3e", m, min_head)
+        h_norm = float(np.sqrt(max(x @ mats.gamma() @ x, 0.0)))
+        diag = IdentifyDiagnostics(
+            m0=m0, iterations=iterations, qp_status=sol.status,
+            qp_primal=sol.primal_residual, qp_dual=sol.dual_residual,
+            qp_gap=sol.gap, objective=sol.objective + float(mats.y @ mats.y),
+            c0=_best_single_mode_misfit(mats.y, cap_mode, config.a_min),
+            h_norm=h_norm, min_g=float(g_vals.min(initial=0.0)),
+            neg_tol=neg_tol, forced_accept=not accepted)
+        return coeffs, dict(x=x, m=m, h=ImpulseResponse(h.values[:horizon]),
+                            g=ImpulseResponse(g_vals[:horizon]),
+                            diagnostics=diag)
+    raise SolverError("constraint-horizon loop failed to terminate")
 
 
 def identify(config: PositiveIdConfig, data: TimeSeriesData) -> PositiveIdModel:
     """Identify a model with a simple dominant pole.
 
-    Grows the constraint horizon ``m`` from the data span in steps of
-    ``delta_m`` until the reconstructed response is nonnegative (to a
-    small amplitude-relative tolerance) on every index below the
-    certified bound ``m_0``; at ``m = m_0`` acceptance is forced and any
-    residual negativity is reported in the diagnostics.
+    Runs the shared horizon loop on the one-mode basis ``rho**t``.
     """
-    options = _identify_options(config)
-    horizon = config.horizon or default_horizon(data)
-    m0 = compute_m0(config, data)
-    m = initial_constraint_horizon(data)
-    iterations = 0
-    while True:
-        iterations += 1
-        if iterations > _MAX_LOOPS:
-            raise SolverError("constraint-horizon loop failed to terminate")
-        mats = assemble_core(config.kernel, data, config.rho, m)
-        problem = build_qp(config, data, mats)
-        sol = _solve_or_raise(problem, options)
-        a = float(sol.z[0])
-        x = sol.z[1:]
-        check_len = max(m0, horizon, m + 1)
-        h = reconstruct_h(x, config.kernel, data, m, check_len)
-        g_vals = h.values + a * config.rho ** np.arange(check_len,
-                                                        dtype=float)
-        neg_tol = _NEG_TOL_SCALE * (1.0 + a)
-        head = g_vals[:m0] if m0 > 0 else g_vals[:0]
-        min_head = float(head.min(initial=0.0))
-        accepted = min_head >= -neg_tol
-        forced = not accepted and m >= m0
-        if accepted or forced:
-            if forced:
-                logger.warning(
-                    "accepting at the certified horizon m=%d with residual "
-                    "negativity %.3e", m, min_head)
-            gamma = mats.gamma()
-            h_norm = float(np.sqrt(max(x @ gamma @ x, 0.0)))
-            c0 = _best_single_mode_misfit(mats.y, mats.b, config.a_min)
-            diag = IdentifyDiagnostics(
-                m0=m0, iterations=iterations, qp_status=sol.status,
-                qp_primal=sol.primal_residual, qp_dual=sol.dual_residual,
-                qp_gap=sol.gap,
-                objective=sol.objective + float(mats.y @ mats.y),
-                c0=c0, h_norm=h_norm,
-                min_g=float(g_vals.min(initial=0.0)), neg_tol=neg_tol,
-                forced_accept=forced)
-            return PositiveIdModel(
-                a=a, rho=config.rho, x=x, m=m,
-                h=ImpulseResponse(h.values[:horizon]),
-                g=ImpulseResponse(g_vals[:horizon]),
-                diagnostics=diag, config=config, data=data)
-        logger.info("negativity %.3e below index %d at m=%d; growing m",
-                    min_head, m0, m)
-        m = min(m + config.delta_m, m0)
+    basis = assemble_polynomial_blocks(data, config.rho, 1)
+    coeffs, fields = _fit_basis(config, data, basis)
+    return PositiveIdModel(a=float(coeffs[0]), rho=config.rho, config=config,
+                           data=data, **fields)
 
 
 def predict(model: PositiveIdModel, data: TimeSeriesData, times) -> np.ndarray:

@@ -1,7 +1,5 @@
 """Estimator variants for richer dominant-pole structure.
 
-Three variants share the machinery of the base estimator:
-
 * repeated pole: dominant part ``rho**t`` times a degree ``n - 1``
   polynomial whose top coefficient is bounded below;
 * oscillating poles: ``n`` simple poles of modulus ``rho`` at the complex
@@ -9,12 +7,14 @@ Three variants share the machinery of the base estimator:
 * finite response: zero spectral radius, i.e. the response is supported
   on ``[0, n_g)`` and estimated with a finite-support kernel alone.
 
-Each solves one convex QP per constraint horizon, growing the horizon
-with the base method's certified bound as a heuristic cap.
+The two pole variants only build their
+:class:`~posid.assembly.DominantBasis` and run the base estimator's
+horizon loop on it, so they share its QP, acceptance test, certified
+cap ``m0`` (taken from the basis cap mode) and diagnostics.  The finite
+response needs no loop: one QP covers its whole support.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,19 +22,14 @@ import numpy as np
 from . import qp
 from .assembly import (assemble_core, assemble_oscillation_blocks,
                        assemble_polynomial_blocks, oscillation_tables,
-                       polynomial_modes)
+                       phase_modes, polynomial_modes)
 from .errors import ConfigError
-from .estimator import (PositiveIdConfig, IdentifyDiagnostics,
-                        _best_single_mode_misfit, _identify_options,
-                        _m0_from_constants, _solve_or_raise, default_horizon,
-                        initial_constraint_horizon, reconstruct_h)
-from .kernels import KernelSpec, KIND_FINITE, domination_bound
+from .estimator import (_IDENTIFY_OPTIONS, PositiveIdConfig,
+                        IdentifyDiagnostics, _fit_basis, _solve_or_raise,
+                        reconstruct_h)
+from .kernels import KernelSpec, KIND_FINITE
 from .signals import ImpulseResponse, TimeSeriesData
 
-logger = logging.getLogger(__name__)
-
-_NEG_TOL_SCALE = 1e-8
-_MAX_LOOPS = 1000
 # Default mode-coefficient penalty as a fraction of lambda.
 _EPSILON_FRACTION = 1e-4
 
@@ -156,12 +151,11 @@ class OscillatingPoleModel:
     data: TimeSeriesData = field(repr=False)
 
     def dominant_values(self, horizon: int) -> np.ndarray:
-        vr, vi, _, _ = oscillation_tables(self.rho, self.n, horizon)
-        decay = self.rho ** np.arange(horizon, dtype=float)
-        return decay * (vr @ self.a_r - vi @ self.a_i)
+        modes = phase_modes(self.rho, self.n, horizon)
+        return modes @ np.concatenate([self.a_r, self.a_i])
 
     def dominant_imag_values(self, horizon: int) -> np.ndarray:
-        vr, vi, _, _ = oscillation_tables(self.rho, self.n, horizon)
+        vr, vi = oscillation_tables(self.n, horizon)
         decay = self.rho ** np.arange(horizon, dtype=float)
         return decay * (vr @ self.a_i + vi @ self.a_r)
 
@@ -180,59 +174,13 @@ def identify_repeated_pole(config: RepeatedPoleConfig,
     sampled modes on the constraint rows.
     """
     base = config.base
-    n = config.n
-    eps = _resolved_epsilon(config.epsilon, base.lam)
-    options = _identify_options(base)
-    horizon = base.horizon or default_horizon(data)
-    m = initial_constraint_horizon(data)
-    m0 = _heuristic_cap(base, data, None)
-    iterations = 0
-    while True:
-        iterations += 1
-        if iterations > _MAX_LOOPS:
-            raise ConfigError("constraint-horizon loop failed to terminate")
-        mats = assemble_core(base.kernel, data, base.rho, m)
-        ext = assemble_polynomial_blocks(data, base.rho, n, m)
-        if iterations == 1:
-            m0 = _heuristic_cap(base, data, ext.B[:, n - 1])
-        n_x = data.n_samples + m + 1
-        M = np.hstack([ext.B, mats.O, mats.L])
-        P = 2.0 * (M.T @ M)
-        P[n:, n:] += 2.0 * base.lam * mats.gamma()
-        if n > 1:
-            P[:n - 1, :n - 1] += 2.0 * eps * np.eye(n - 1)
-        q = -2.0 * (M.T @ mats.y)
-        G = np.zeros((m + 2, n + n_x))
-        G[:m + 1, :n] = ext.C
-        G[:m + 1, n:] = np.hstack([mats.L.T, mats.K])
-        G[m + 1, n - 1] = 1.0
-        l = np.zeros(m + 2)
-        l[m + 1] = base.a_min
-        sol = _solve_or_raise(qp.ConvexQP(P=P, q=q, G=G, l=l), options)
-        coeffs = sol.z[:n]
-        x = sol.z[n:]
-        a = float(coeffs[-1])
-        check_len = max(m0, horizon, m + 1)
-        h = reconstruct_h(x, base.kernel, data, m, check_len)
-        modes = polynomial_modes(base.rho, n, check_len)
-        g_vals = h.values + modes @ coeffs
-        neg_tol = _NEG_TOL_SCALE * (1.0 + float(np.max(np.abs(coeffs))))
-        min_head = float(g_vals[:m0].min(initial=0.0))
-        accepted = min_head >= -neg_tol
-        forced = not accepted and m >= m0
-        if accepted or forced:
-            if forced:
-                logger.warning(
-                    "repeated-pole loop accepting at heuristic cap m=%d "
-                    "with residual negativity %.3e", m, min_head)
-            diag = _diagnostics(sol, mats, x, m0, iterations, g_vals,
-                                neg_tol, forced, base.a_min)
-            return RepeatedPoleModel(
-                a=a, a_poly=coeffs[:-1].copy(), rho=base.rho, n=n, x=x, m=m,
-                h=ImpulseResponse(h.values[:horizon]),
-                g=ImpulseResponse(g_vals[:horizon]),
-                diagnostics=diag, config=config, data=data)
-        m = min(m + base.delta_m, m0)
+    basis = assemble_polynomial_blocks(
+        data, base.rho, config.n,
+        _resolved_epsilon(config.epsilon, base.lam))
+    coeffs, fields = _fit_basis(base, data, basis)
+    return RepeatedPoleModel(a=float(coeffs[-1]), a_poly=coeffs[:-1].copy(),
+                             rho=base.rho, n=config.n, config=config,
+                             data=data, **fields)
 
 
 def identify_oscillating_poles(config: OscillatingPoleConfig,
@@ -247,71 +195,13 @@ def identify_oscillating_poles(config: OscillatingPoleConfig,
     """
     base = config.base
     n = config.n
-    eps = _resolved_epsilon(config.epsilon, base.lam)
-    options = _identify_options(base)
-    horizon = base.horizon or default_horizon(data)
-    m = initial_constraint_horizon(data)
-    m0 = 0
-    iterations = 0
-    while True:
-        iterations += 1
-        if iterations > _MAX_LOOPS:
-            raise ConfigError("constraint-horizon loop failed to terminate")
-        mats = assemble_core(base.kernel, data, base.rho, m)
-        ext = assemble_oscillation_blocks(data, base.rho, n, m)
-        if iterations == 1:
-            m0 = _heuristic_cap(base, data, ext.Br[:, 0])
-        n_x = data.n_samples + m + 1
-        M = np.hstack([ext.Br, ext.Bi, mats.O, mats.L])
-        P = 2.0 * (M.T @ M)
-        P[2 * n:, 2 * n:] += 2.0 * base.lam * mats.gamma()
-        P[:n, :n] += 2.0 * eps * ext.E
-        P[n:2 * n, n:2 * n] += 2.0 * eps * ext.E
-        q = -2.0 * (M.T @ mats.y)
-        vr_n, vi_n, _, _ = oscillation_tables(base.rho, n, n)
-        G = np.zeros((m + 1 + n, 2 * n + n_x))
-        G[:m + 1, :n] = ext.D @ ext.Vr
-        G[:m + 1, n:2 * n] = -(ext.D @ ext.Vi)
-        G[:m + 1, 2 * n:] = np.hstack([mats.L.T, mats.K])
-        G[m + 1:, :n] = vr_n
-        G[m + 1:, n:2 * n] = vi_n
-        l = np.zeros(m + 1 + n)
-        l[m + 1:] = base.a_min
-        A = np.zeros((n, 2 * n + n_x))
-        A[:, :n] = vi_n
-        A[:, n:2 * n] = vr_n
-        r = np.zeros(n)
-        sol = _solve_or_raise(qp.ConvexQP(P=P, q=q, G=G, l=l, A=A, r=r),
-                              options)
-        a_r = sol.z[:n]
-        a_i = sol.z[n:2 * n]
-        x = sol.z[2 * n:]
-        check_len = max(m0, horizon, m + 1)
-        h = reconstruct_h(x, base.kernel, data, m, check_len)
-        vr, vi, _, _ = oscillation_tables(base.rho, n, check_len)
-        decay = base.rho ** np.arange(check_len, dtype=float)
-        g_vals = h.values + decay * (vr @ a_r - vi @ a_i)
-        scale = float(np.max(np.abs(np.concatenate([a_r, a_i])), initial=0.0))
-        neg_tol = _NEG_TOL_SCALE * (1.0 + scale)
-        min_head = float(g_vals[:m0].min(initial=0.0))
-        accepted = min_head >= -neg_tol
-        forced = not accepted and m >= m0
-        if accepted or forced:
-            if forced:
-                logger.warning(
-                    "oscillating-pole loop accepting at heuristic cap m=%d "
-                    "with residual negativity %.3e", m, min_head)
-            eq_res = float(np.max(np.abs(vi_n @ a_r + vr_n @ a_i),
-                                  initial=0.0))
-            diag = _diagnostics(sol, mats, x, m0, iterations, g_vals,
-                                neg_tol, forced, base.a_min)
-            return OscillatingPoleModel(
-                a_r=a_r.copy(), a_i=a_i.copy(), rho=base.rho, n=n, x=x, m=m,
-                h=ImpulseResponse(h.values[:horizon]),
-                g=ImpulseResponse(g_vals[:horizon]),
-                diagnostics=diag, equality_residual=eq_res,
-                config=config, data=data)
-        m = min(m + base.delta_m, m0)
+    basis = assemble_oscillation_blocks(
+        data, base.rho, n, _resolved_epsilon(config.epsilon, base.lam))
+    coeffs, fields = _fit_basis(base, data, basis)
+    eq_res = float(np.max(np.abs(basis.eq @ coeffs), initial=0.0))
+    return OscillatingPoleModel(a_r=coeffs[:n].copy(), a_i=coeffs[n:].copy(),
+                                rho=base.rho, n=n, equality_residual=eq_res,
+                                config=config, data=data, **fields)
 
 
 def identify_finite_response(config: FiniteResponseConfig,
@@ -329,43 +219,15 @@ def identify_finite_response(config: FiniteResponseConfig,
     """
     n_g = config.n_g
     m = n_g - 1
-    mats = assemble_core(config.kernel, data, 0.5, m)
+    mats = assemble_core(config.kernel, data, m)
     # L = (input weights) @ K, so L w is the predicted output and
     # w' K w the squared kernel norm.
     P = 2.0 * (mats.L.T @ mats.L + config.lam * mats.K)
     q = -2.0 * (mats.L.T @ mats.y)
     G = mats.K.copy()
     l = np.zeros(n_g)
-    options = config.solve_options or qp.SolveOptions(tol_feas=1e-10,
-                                                      tol_gap=1e-9)
-    sol = _solve_or_raise(qp.ConvexQP(P=P, q=q, G=G, l=l), options)
+    sol = _solve_or_raise(qp.ConvexQP(P=P, q=q, G=G, l=l),
+                          config.solve_options or _IDENTIFY_OPTIONS)
     x = np.concatenate([np.zeros(mats.n_samples), sol.z])
     g = reconstruct_h(x, config.kernel, data, m, n_g)
     return g
-
-
-def _heuristic_cap(base: PositiveIdConfig, data: TimeSeriesData,
-                   b_eff: np.ndarray | None) -> int:
-    """Base-method certified bound reused as a heuristic horizon cap."""
-    support = base.kernel.support
-    if support is not None:
-        return int(support)
-    if b_eff is None:
-        return 0
-    c0 = _best_single_mode_misfit(data.outputs, b_eff, base.a_min)
-    bound = domination_bound(base.kernel)
-    return _m0_from_constants(c0, bound.c, bound.rho_d, base.rho,
-                              base.a_min, base.lam)
-
-
-def _diagnostics(sol, mats, x, m0, iterations, g_vals, neg_tol, forced,
-                 a_min) -> IdentifyDiagnostics:
-    gamma = mats.gamma()
-    h_norm = float(np.sqrt(max(x @ gamma @ x, 0.0)))
-    return IdentifyDiagnostics(
-        m0=m0, iterations=iterations, qp_status=sol.status,
-        qp_primal=sol.primal_residual, qp_dual=sol.dual_residual,
-        qp_gap=sol.gap, objective=sol.objective + float(mats.y @ mats.y),
-        c0=float("nan"), h_norm=h_norm,
-        min_g=float(g_vals.min(initial=0.0)), neg_tol=neg_tol,
-        forced_accept=forced)

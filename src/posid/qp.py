@@ -397,9 +397,13 @@ def _solve_interior_point(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
             def kkt_solve(rhs_z, rhs_e):
                 return scipy.linalg.cho_solve(cho, rhs_z), np.zeros(0)
 
-        # Affine scaling direction.
+        # Affine scaling direction.  A numerically singular KKT matrix
+        # can factor without error and still give a non-finite
+        # direction; that goes to the rescue path like a failed factor.
         rhs_z = -rd - Gs.T @ (lam + w * rp)
         dz, dnu = kkt_solve(rhs_z, -re)
+        if not (np.isfinite(dz).all() and np.isfinite(dnu).all()):
+            break
         ds = Gs @ dz + rp
         dlam = -lam - w * ds
         alpha_aff = min(_max_step(s, ds), _max_step(lam, dlam))
@@ -410,6 +414,8 @@ def _solve_interior_point(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
         center = (sigma * mu - ds * dlam) / s
         rhs_z = -rd - Gs.T @ (lam + w * rp - center)
         dz, dnu = kkt_solve(rhs_z, -re)
+        if not (np.isfinite(dz).all() and np.isfinite(dnu).all()):
+            break
         ds = Gs @ dz + rp
         dlam = -lam - w * ds + center
         alpha = opt.step_fraction * min(_max_step(s, ds),

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from posid.assembly import assemble_core
+from posid.assembly import assemble_core, assemble_polynomial_blocks
 from posid.estimator import PositiveIdConfig, build_qp, identify, \
     reconstruct_h
 from posid.experiments import (HeatingConfig, McConfig, McProtocol,
@@ -74,10 +74,11 @@ def test_criterion_02_constraint_horizon_stability():
         data, sigma2 = _mc_instance(100, 100 + seed)
         config = PositiveIdConfig(kernel=KernelSpec.tc(0.9), rho=0.98,
                                   lam=10.0 * sigma2)
+        basis = assemble_polynomial_blocks(data, config.rho, 1)
         solutions = []
         for m in (100, 150):
-            mats = assemble_core(config.kernel, data, config.rho, m)
-            sol = solve(build_qp(config, data, mats), opts)
+            mats = assemble_core(config.kernel, data, m)
+            sol = solve(build_qp(config, mats, basis), opts)
             assert sol.status == "optimal"
             h = reconstruct_h(sol.z[1:], config.kernel, data, m, 300)
             g = sol.z[0] * config.rho ** np.arange(300) + h.values
@@ -137,12 +138,13 @@ def test_criterion_04_unconstrained_normal_equations():
         config = PositiveIdConfig(kernel=KernelSpec.tc(0.6), rho=0.9,
                                   lam=0.5)
         m = 12
-        mats = assemble_core(config.kernel, data, config.rho, m)
-        problem = build_qp(config, data, mats)
+        mats = assemble_core(config.kernel, data, m)
+        basis = assemble_polynomial_blocks(data, config.rho, 1)
+        problem = build_qp(config, mats, basis)
         free = solve(ConvexQP(P=problem.P, q=problem.q),
                      SolveOptions(tol_feas=1e-12, tol_gap=1e-12))
         assert free.status == "optimal"
-        M = np.hstack([mats.b[:, None], mats.O, mats.L])
+        M = np.hstack([basis.B, mats.O, mats.L])
         reg = np.zeros((M.shape[1], M.shape[1]))
         reg[1:, 1:] = mats.gamma()
         oracle, *_ = np.linalg.lstsq(M.T @ M + config.lam * reg,

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from posid.assembly import assemble_core
+from posid.assembly import assemble_core, assemble_polynomial_blocks
 from posid.errors import ConfigError
 from posid.estimator import (PositiveIdConfig, _m0_from_constants, build_qp,
                              compute_m0, default_horizon, identify,
@@ -69,8 +69,9 @@ def test_minimal_horizon_has_two_inequality_rows():
     u[0] = 1.0
     data = TimeSeriesData.at_rest(u, 0.9 ** np.arange(10, dtype=float))
     config = PositiveIdConfig(kernel=KernelSpec.tc(0.5), rho=0.9, lam=1.0)
-    mats = assemble_core(config.kernel, data, config.rho, m=0)
-    problem = build_qp(config, data, mats)
+    mats = assemble_core(config.kernel, data, m=0)
+    basis = assemble_polynomial_blocks(data, config.rho, 1)
+    problem = build_qp(config, mats, basis)
     assert problem.G.shape[0] == 2
     assert problem.l[1] == config.a_min
 
@@ -90,11 +91,12 @@ def test_unconstrained_minimizer_is_normal_equations():
     noisy = TimeSeriesData.at_rest(
         data.inputs, data.outputs + 0.1 * rng.standard_normal(25))
     config = PositiveIdConfig(kernel=KernelSpec.tc(0.6), rho=0.9, lam=0.5)
-    mats = assemble_core(config.kernel, noisy, config.rho, m=10)
-    problem = build_qp(config, noisy, mats)
+    mats = assemble_core(config.kernel, noisy, m=10)
+    basis = assemble_polynomial_blocks(noisy, config.rho, 1)
+    problem = build_qp(config, mats, basis)
     free = solve(ConvexQP(P=problem.P, q=problem.q))
     # closed-form: (M'M + lam * blkdiag(0, Gamma)) z = M' y, min-norm
-    M = np.hstack([mats.b[:, None], mats.O, mats.L])
+    M = np.hstack([basis.B, mats.O, mats.L])
     reg = np.zeros((M.shape[1], M.shape[1]))
     reg[1:, 1:] = mats.gamma()
     oracle, *_ = np.linalg.lstsq(M.T @ M + config.lam * reg,
@@ -155,8 +157,9 @@ def test_m_stability_of_solution():
     config = PositiveIdConfig(kernel=KernelSpec.tc(0.5), rho=0.8, lam=0.1)
     model = identify(config, data)
     # same QP with 50 extra constraint rows, solved at the same tolerances
-    mats = assemble_core(config.kernel, data, config.rho, model.m + 50)
-    sol = solve(build_qp(config, data, mats),
+    mats = assemble_core(config.kernel, data, model.m + 50)
+    basis = assemble_polynomial_blocks(data, config.rho, 1)
+    sol = solve(build_qp(config, mats, basis),
                 SolveOptions(tol_feas=1e-10, tol_gap=1e-9))
     a2 = float(sol.z[0])
     h2 = reconstruct_h(sol.z[1:], config.kernel, data, model.m + 50,
@@ -188,7 +191,7 @@ def test_reconstruct_h_matches_constraint_rows():
     data = _single_mode_data(rng, 12)
     kernel = KernelSpec.dc(0.7, 0.4)
     m = 6
-    mats = assemble_core(kernel, data, 0.9, m)
+    mats = assemble_core(kernel, data, m)
     x = rng.standard_normal(12 + m + 1)
     h = reconstruct_h(x, kernel, data, m, m + 1)
     rows = np.hstack([mats.L.T, mats.K])
@@ -204,8 +207,9 @@ def test_predict_training_consistency():
     data = TimeSeriesData.at_rest(u, y)
     config = PositiveIdConfig(kernel=KernelSpec.tc(0.6), rho=0.85, lam=0.2)
     model = identify(config, data)
-    mats = assemble_core(config.kernel, data, config.rho, model.m)
-    oracle = mats.b * model.a + np.hstack([mats.O, mats.L]) @ model.x
+    mats = assemble_core(config.kernel, data, model.m)
+    b = assemble_polynomial_blocks(data, config.rho, 1).B[:, 0]
+    oracle = b * model.a + np.hstack([mats.O, mats.L]) @ model.x
     got = predict(model, data, data.sample_times)
     np.testing.assert_allclose(got, oracle, atol=1e-8)
 

@@ -4,8 +4,9 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from posid.errors import ConfigError
-from posid.estimator import PositiveIdConfig, identify
+from posid import estimator
+from posid.errors import ConfigError, SolverError
+from posid.estimator import PositiveIdConfig, identify, predict
 from posid.extensions import (FiniteResponseConfig, OscillatingPoleConfig,
                               RepeatedPoleConfig, identify_finite_response,
                               identify_oscillating_poles,
@@ -31,18 +32,36 @@ def _data_from_response(rng, n, g):
     return TimeSeriesData.at_rest(u, y)
 
 
-def test_repeated_pole_n1_matches_single_pole_estimator():
+# Kernels whose decay is strictly faster than the 0.9 pole of the
+# single-mode comparisons below.
+N1_KERNELS = {"tc": KernelSpec.tc(0.5), "dc": KernelSpec.dc(0.5, 0.5),
+              "ss": KernelSpec.ss(0.8)}
+
+
+def _same_loop(model, plain):
+    # one basis loop: same horizon path, and the same cap mode up to the
+    # rounding of convolving it alongside other modes
+    assert (model.m, model.diagnostics.m0, model.diagnostics.iterations) \
+        == (plain.m, plain.diagnostics.m0, plain.diagnostics.iterations)
+    assert model.diagnostics.c0 == pytest.approx(plain.diagnostics.c0,
+                                                 rel=1e-9, abs=1e-20)
+
+
+@pytest.mark.parametrize("kernel", sorted(N1_KERNELS))
+@pytest.mark.parametrize("seed", [0, 3, 5])
+def test_repeated_pole_n1_matches_single_pole_estimator(seed, kernel):
     # multiplicity one is the plain estimator: same modes, same QP.
     # Tight solve tolerances on both sides, otherwise each solver stops
     # at a slightly different point of the same flat valley.
-    rng = np.random.default_rng(0)
+    rng = np.random.default_rng(seed)
     t = np.arange(40, dtype=float)
     data = _data_from_response(rng, 40, 0.9 ** t)
-    base = PositiveIdConfig(kernel=KernelSpec.tc(0.5), rho=0.9, lam=1e-3,
+    base = PositiveIdConfig(kernel=N1_KERNELS[kernel], rho=0.9, lam=1e-3,
                             solve_options=SolveOptions(1e-12, 1e-12))
     plain = identify(base, data)
     rep = identify_repeated_pole(
         RepeatedPoleConfig(base=base, n=1, epsilon=1e-10), data)
+    _same_loop(rep, plain)
     assert rep.a == pytest.approx(plain.a, abs=1e-7)
     assert rep.a_poly.size == 0
     np.testing.assert_allclose(rep.g.values, plain.g.values, atol=1e-7)
@@ -88,21 +107,57 @@ def test_oscillating_period_two_recovery():
                                model.g.values, atol=1e-10)
 
 
-def test_oscillating_n1_matches_single_pole_estimator():
+def test_oscillating_period_three_recovery():
+    # a sine part tells the sign convention apart: the fitted outputs and
+    # the returned response must use the same real part
+    def g_true(horizon):
+        phase = 2.0 * np.pi * np.arange(horizon) / 3.0
+        return 0.9 ** np.arange(horizon) * (1.0 + np.cos(phase)
+                                            + 0.5 * np.sin(phase))
+
+    data = _data_from_response(np.random.default_rng(2), 80, g_true(80))
+    base = PositiveIdConfig(kernel=KernelSpec.tc(0.6), rho=0.9, lam=1e-3)
+    model = identify_oscillating_poles(OscillatingPoleConfig(base=base, n=3),
+                                       data)
+    assert _fit(model.g.values, g_true(model.g.horizon)) >= 99.0
+    np.testing.assert_allclose(predict(model, data, data.sample_times),
+                               data.outputs, atol=1e-3)
+
+
+@pytest.mark.parametrize("kernel", sorted(N1_KERNELS))
+@pytest.mark.parametrize("seed", [0, 3, 5])
+def test_oscillating_n1_matches_single_pole_estimator(seed, kernel):
     # the mode direction is nearly flat against the kernel part, so both
     # solves get tight tolerances before comparing
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng(seed)
     t = np.arange(40, dtype=float)
     data = _data_from_response(rng, 40, 0.9 ** t)
-    base = PositiveIdConfig(kernel=KernelSpec.tc(0.5), rho=0.9, lam=1e-3,
+    base = PositiveIdConfig(kernel=N1_KERNELS[kernel], rho=0.9, lam=1e-3,
                             solve_options=SolveOptions(tol_feas=1e-12,
                                                        tol_gap=1e-12))
     plain = identify(base, data)
     osc = identify_oscillating_poles(OscillatingPoleConfig(base=base, n=1),
                                      data)
+    _same_loop(osc, plain)
     assert osc.a_r[0] == pytest.approx(plain.a, abs=1e-6)
     assert abs(osc.a_i[0]) <= 1e-8, "single pole has no imaginary part"
     np.testing.assert_allclose(osc.g.values, plain.g.values, atol=1e-6)
+
+
+@pytest.mark.parametrize("fit", [
+    identify,
+    lambda base, data: identify_repeated_pole(RepeatedPoleConfig(base, 2),
+                                              data),
+    lambda base, data: identify_oscillating_poles(
+        OscillatingPoleConfig(base, 2), data),
+], ids=["identify", "repeated", "oscillating"])
+def test_loop_overrun_raises_solver_error(fit, monkeypatch):
+    monkeypatch.setattr(estimator, "_MAX_LOOPS", 0)
+    rng = np.random.default_rng(7)
+    data = _data_from_response(rng, 30, 0.9 ** np.arange(30, dtype=float))
+    base = PositiveIdConfig(kernel=KernelSpec.tc(0.5), rho=0.9, lam=1e-2)
+    with pytest.raises(SolverError, match="failed to terminate"):
+        fit(base, data)
 
 
 def test_finite_response_matches_nonneg_ls_oracle():

@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from posid.errors import ConfigError
 from posid.qp import (ConvexQP, SolveOptions, dump_qp, kkt_certificate,
@@ -93,6 +94,29 @@ def test_enumeration_with_equalities():
         sol = solve(problem, tight)
         assert sol.status == "optimal"
         np.testing.assert_allclose(sol.z, z_star, atol=1e-7)
+
+
+def test_nonfinite_kkt_direction_goes_to_rescue(monkeypatch):
+    # a numerically singular KKT matrix can factor without error and still
+    # give a non-finite Newton direction; the solve must then fall back to
+    # the rescue path instead of passing NaN on to the next linear solve
+    rng = np.random.default_rng(9)
+    problem = _random_strictly_convex(rng, 4, 3, n_eq=1)
+    real_lu_solve = scipy.linalg.lu_solve
+    calls = []
+
+    def first_call_nan(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            return np.full(problem.dim + problem.n_eq, np.nan)
+        return real_lu_solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_solve", first_call_nan)
+    sol = solve(problem, SolveOptions(tol_feas=1e-10, tol_gap=1e-10))
+    assert calls, "the equality-constrained Newton path was not taken"
+    z_star, _ = _active_set_oracle(problem)
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.z, z_star, atol=1e-7)
 
 
 def test_kkt_certificate_small_residuals():
