@@ -8,12 +8,14 @@ the mode that caps the horizon.  :func:`assemble_polynomial_blocks`
 gives the simple or repeated pole, :func:`assemble_oscillation_blocks`
 the poles at unit-root phases.
 
-Every kernel convolution against the input is an exact finite sum: the
-input vanishes before its declared support start, so the convolution
-weight of lag ``s`` at time ``t`` is ``u[t - s]`` and is zero for
-``s > t - t_start``.  The internal horizon is always taken large enough
-to cover every nonzero weight, with one extra step of headroom, so no
-truncation error enters any entry.
+The residual is parameterised by its section coefficients
+``h = sum_s w[s] k(., s)`` over ``s < N = max(width, m + 1)``: every
+functional of the problem (an input-convolved sample, which reaches lags
+``< width``, or a positivity row ``0 .. m``) evaluates ``h`` through
+these sections, so by the representer theorem the parameterisation is
+exact.  Every convolution against the input is an exact finite sum: the
+input vanishes before its declared support start, so the weight of lag
+``s`` at time ``t`` is ``u[t - s]`` and is zero for ``s > t - t_start``.
 """
 from __future__ import annotations
 
@@ -27,34 +29,21 @@ from .errors import ConfigError
 from .kernels import KernelSpec, gram
 from .signals import TimeSeriesData
 
-# Extra horizon steps beyond the last nonzero convolution weight.
-_HEADROOM = 1
-
 
 @dataclass(frozen=True)
 class QPDataMatrices:
     """Kernel data matrices of the finite-dimensional problem at horizon ``m``.
 
-    ``O[i, j]`` is the kernel convolved with the input in both arguments
-    at times ``(t_i, t_j)``; ``L[i, s]`` convolves only the first argument
-    (lag ``s = 0 .. m``); ``K`` is the plain kernel Gram on ``[0, m]^2``.
+    ``K`` is the kernel Gram on the sections ``[0, N)^2``; ``L = W K``
+    convolves it with the input at the sample times, so ``L w`` is the
+    residual's contribution to the outputs, ``K[:m + 1] w`` its values
+    on the constraint rows and ``w' K w`` its squared RKHS norm.
     """
 
-    O: np.ndarray = field(repr=False)
     L: np.ndarray = field(repr=False)
     K: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
     m: int
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.O.shape[0])
-
-    def gamma(self) -> np.ndarray:
-        """Joint Gram ``[[O, L], [L', K]]`` of the representer basis."""
-        top = np.hstack([self.O, self.L])
-        bottom = np.hstack([self.L.T, self.K])
-        return np.vstack([top, bottom])
 
 
 @dataclass(frozen=True)
@@ -110,22 +99,17 @@ def assemble_core(kernel: KernelSpec, data: TimeSeriesData,
                   m: int) -> QPDataMatrices:
     """Assemble the kernel data matrices for constraint horizon ``m``.
 
-    The joint Gram is formed as ``W K_N W'`` with ``W`` stacking the input
-    weights over the section selectors, which keeps it symmetric positive
-    semidefinite up to roundoff.
+    The sections run over ``N = max(width, m + 1)`` lags, capped at a
+    finite kernel's support: sections past it are the zero function.
     """
     if m < 0:
         raise ConfigError(f"constraint horizon must be nonnegative, got {m}")
-    width = required_width(data)
-    n_big = max(width, m + 1) + _HEADROOM
-    phi = input_weight_matrix(data, n_big)
-    k_big = gram(kernel, np.arange(n_big), np.arange(n_big))
-    half = phi @ k_big
-    O = half @ phi.T
-    O = 0.5 * (O + O.T)
-    L = half[:, :m + 1]
-    K = k_big[:m + 1, :m + 1]
-    return QPDataMatrices(O=O, L=L, K=K, y=data.outputs.copy(), m=int(m))
+    n_sec = max(required_width(data), m + 1)
+    if kernel.support is not None:
+        n_sec = min(n_sec, kernel.support)
+    K = gram(kernel, np.arange(n_sec), np.arange(n_sec))
+    L = input_weight_matrix(data, n_sec) @ K
+    return QPDataMatrices(L=L, K=K, y=data.outputs.copy(), m=int(m))
 
 
 def _check_pole(rho: float) -> None:

@@ -10,8 +10,9 @@ repeated pole or poles at unit-root phases.  Each is described by one
 horizon loop here.
 
 The infinite-dimensional regularised least-squares problem reduces
-exactly to a convex QP over the mode coefficients and the representer
-coefficients ``x``.  Nonnegativity of ``g`` is imposed on a finite
+exactly to a convex QP over the mode coefficients and the section
+coefficients ``w`` of the residual, ``h = sum_s w[s] k(., s)`` (see
+:mod:`posid.assembly`).  Nonnegativity of ``g`` is imposed on a finite
 constraint horizon ``m`` that a certified bound ``m_0`` makes
 sufficient, and the loop grows ``m`` until the reconstructed response is
 nonnegative below ``m_0``.
@@ -26,8 +27,7 @@ import numpy as np
 
 from . import qp
 from .assembly import (DominantBasis, QPDataMatrices, assemble_core,
-                       assemble_polynomial_blocks, input_weight_matrix,
-                       required_width)
+                       assemble_polynomial_blocks, required_width)
 from .errors import ConfigError, SolverError
 from .kernels import KernelSpec, decay_compatible, domination_bound, gram
 from .signals import ImpulseResponse, TimeSeriesData, convolve
@@ -118,30 +118,27 @@ class IdentifyDiagnostics:
 class PositiveIdModel:
     """Identified model ``g[t] = a * rho**t + h[t]``.
 
-    ``x`` holds the representer coefficients (sample functionals first,
-    then kernel sections ``0 .. m``); ``h`` and ``g`` are reconstructions
-    over the configured horizon.  The config and training data are kept so
-    predictions can extend the reconstruction exactly instead of relying
-    on the truncated ``g``.
+    ``w`` holds the section coefficients of the residual,
+    ``h = sum_s w[s] k(., s)``; ``h`` and ``g`` are reconstructions over
+    the configured horizon.  The config is kept so predictions can extend
+    the reconstruction exactly instead of relying on the truncated ``g``.
     """
 
     a: float
     rho: float
-    x: np.ndarray = field(repr=False)
+    w: np.ndarray = field(repr=False)
     m: int
     h: ImpulseResponse
     g: ImpulseResponse
     diagnostics: IdentifyDiagnostics
     config: PositiveIdConfig = field(repr=False)
-    data: TimeSeriesData = field(repr=False)
 
     def dominant_values(self, horizon: int) -> np.ndarray:
         return self.a * self.rho ** np.arange(horizon, dtype=float)
 
     def reconstruct(self, horizon: int) -> ImpulseResponse:
-        """Response on ``t < horizon`` from the exact representer form."""
-        h = reconstruct_h(self.x, self.config.kernel, self.data, self.m,
-                          horizon)
+        """Response on ``t < horizon`` from the exact section form."""
+        h = reconstruct_h(self.w, self.config.kernel, horizon)
         return ImpulseResponse(h.values + self.dominant_values(horizon))
 
 
@@ -157,25 +154,27 @@ def initial_constraint_horizon(data: TimeSeriesData) -> int:
 
 def build_qp(config: PositiveIdConfig, mats: QPDataMatrices,
              basis: DominantBasis) -> qp.ConvexQP:
-    """Finite-dimensional QP over ``z = (mode coefficients, x)``.
+    """Finite-dimensional QP over ``z = (mode coefficients, w)``.
 
-    Cost: squared output misfit of ``B @ coeffs + (convolved residual)``
-    plus ``lam`` times the RKHS norm of the residual plus the basis mode
-    penalty.  Constraints: the response sampled on ``0 .. m`` is
+    Cost: squared output misfit of ``B @ coeffs + L @ w`` plus ``lam``
+    times the RKHS norm ``w' K w`` of the residual plus the basis mode
+    penalty.  Constraints: the response sampled on ``0 .. m`` (modes plus
+    ``K[:m + 1] @ w``, zero past a finite kernel's support) is
     nonnegative, every basis floor row is at least ``a_min`` and every
     basis equality row is zero.
     """
     p = basis.size
     m = mats.m
-    M = np.hstack([basis.B, mats.O, mats.L])
+    M = np.hstack([basis.B, mats.L])
     P = 2.0 * (M.T @ M)
-    P[p:, p:] += 2.0 * config.lam * mats.gamma()
+    P[p:, p:] += 2.0 * config.lam * mats.K
     P[:p, :p] += 2.0 * basis.penalty
     q = -2.0 * (M.T @ mats.y)
     n_floor = basis.floor.shape[0]
     G = np.zeros((m + 1 + n_floor, M.shape[1]))
     G[:m + 1, :p] = basis.modes(m + 1)
-    G[:m + 1, p:] = np.hstack([mats.L.T, mats.K])
+    rows = mats.K[:m + 1]
+    G[:rows.shape[0], p:] = rows
     G[m + 1:, :p] = basis.floor
     l = np.zeros(m + 1 + n_floor)
     l[m + 1:] = config.a_min
@@ -186,24 +185,15 @@ def build_qp(config: PositiveIdConfig, mats: QPDataMatrices,
     return qp.ConvexQP(P=P, q=q, G=G, l=l, A=A, r=np.zeros(A.shape[0]))
 
 
-def reconstruct_h(x: np.ndarray, kernel: KernelSpec, data: TimeSeriesData,
-                  m: int, horizon: int) -> ImpulseResponse:
-    """Residual impulse response from representer coefficients.
+def reconstruct_h(w: np.ndarray, kernel: KernelSpec,
+                  horizon: int) -> ImpulseResponse:
+    """Residual ``h[t] = sum_s w[s] k(t, s)`` on ``t < horizon``.
 
-    ``h[t]`` sums the input-convolved kernel sections weighted by the
-    first block of ``x`` and the plain sections ``0 .. m`` weighted by the
-    second block.  All sums are finite and exact.
+    The sum runs over the ``w.size`` sections and is exact.
     """
-    x = np.asarray(x, dtype=float)
-    n = data.n_samples
-    if x.size != n + m + 1:
-        raise ConfigError(
-            f"coefficient vector has {x.size} entries, expected {n + m + 1}")
-    width = required_width(data)
-    phi = input_weight_matrix(data, width)
-    k_cols = gram(kernel, np.arange(max(width, m + 1)), np.arange(horizon))
-    h = x[:n] @ (phi @ k_cols[:width]) + x[n:] @ k_cols[:m + 1]
-    return ImpulseResponse(h)
+    w = np.asarray(w, dtype=float)
+    k_cols = gram(kernel, np.arange(horizon), np.arange(w.size))
+    return ImpulseResponse(k_cols @ w)
 
 
 def _m0_from_constants(c0: float, c: float, rho_d: float, rho: float,
@@ -290,9 +280,9 @@ def _fit_basis(config: PositiveIdConfig, data: TimeSeriesData,
     for iterations in range(1, _MAX_LOOPS + 1):
         mats = assemble_core(config.kernel, data, m)
         sol = _solve_or_raise(build_qp(config, mats, basis), options)
-        coeffs, x = sol.z[:p], sol.z[p:]
+        coeffs, w = sol.z[:p], sol.z[p:]
         check_len = max(m0, horizon, m + 1)
-        h = reconstruct_h(x, config.kernel, data, m, check_len)
+        h = reconstruct_h(w, config.kernel, check_len)
         g_vals = h.values + basis.modes(check_len) @ coeffs
         neg_tol = _NEG_TOL_SCALE * (1.0 + float(np.max(np.abs(coeffs))))
         min_head = float(g_vals[:m0].min(initial=0.0))
@@ -306,7 +296,7 @@ def _fit_basis(config: PositiveIdConfig, data: TimeSeriesData,
             logger.warning(
                 "accepting at the certified horizon m=%d with residual "
                 "negativity %.3e", m, min_head)
-        h_norm = float(np.sqrt(max(x @ mats.gamma() @ x, 0.0)))
+        h_norm = float(np.sqrt(max(w @ mats.K @ w, 0.0)))
         diag = IdentifyDiagnostics(
             m0=m0, iterations=iterations, qp_status=sol.status,
             qp_primal=sol.primal_residual, qp_dual=sol.dual_residual,
@@ -314,7 +304,7 @@ def _fit_basis(config: PositiveIdConfig, data: TimeSeriesData,
             c0=_best_single_mode_misfit(mats.y, cap_mode, config.a_min),
             h_norm=h_norm, min_g=float(g_vals.min(initial=0.0)),
             neg_tol=neg_tol, forced_accept=not accepted)
-        return coeffs, dict(x=x, m=m, h=ImpulseResponse(h.values[:horizon]),
+        return coeffs, dict(w=w, m=m, h=ImpulseResponse(h.values[:horizon]),
                             g=ImpulseResponse(g_vals[:horizon]),
                             diagnostics=diag)
     raise SolverError("constraint-horizon loop failed to terminate")
@@ -328,7 +318,7 @@ def identify(config: PositiveIdConfig, data: TimeSeriesData) -> PositiveIdModel:
     basis = assemble_polynomial_blocks(data, config.rho, 1)
     coeffs, fields = _fit_basis(config, data, basis)
     return PositiveIdModel(a=float(coeffs[0]), rho=config.rho, config=config,
-                           data=data, **fields)
+                           **fields)
 
 
 def predict(model: PositiveIdModel, data: TimeSeriesData, times) -> np.ndarray:

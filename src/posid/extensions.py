@@ -9,9 +9,11 @@
 
 The two pole variants only build their
 :class:`~posid.assembly.DominantBasis` and run the base estimator's
-horizon loop on it, so they share its QP, acceptance test, certified
-cap ``m0`` (taken from the basis cap mode) and diagnostics.  The finite
-response needs no loop: one QP covers its whole support.
+horizon loop on it, so they share its QP over the mode and section
+coefficients ``(coeffs, w)``, acceptance test, certified cap ``m0``
+(taken from the basis cap mode) and diagnostics.  The finite response
+has no dominant part and needs no loop: one QP over ``w`` alone covers
+its whole support.
 """
 from __future__ import annotations
 
@@ -102,19 +104,22 @@ class FiniteResponseConfig:
 
 @dataclass
 class RepeatedPoleModel:
-    """Identified model ``g[t] = rho**t (a t**(n-1) + sum_j a_poly[j] t**j) + h[t]``."""
+    """Identified model ``g[t] = rho**t (a t**(n-1) + sum_j a_poly[j] t**j) + h[t]``.
+
+    ``w`` holds the section coefficients of the residual,
+    ``h = sum_s w[s] k(., s)``.
+    """
 
     a: float
     a_poly: np.ndarray = field(repr=False)
     rho: float
     n: int
-    x: np.ndarray = field(repr=False)
+    w: np.ndarray = field(repr=False)
     m: int
     h: ImpulseResponse
     g: ImpulseResponse
     diagnostics: IdentifyDiagnostics
     config: RepeatedPoleConfig = field(repr=False)
-    data: TimeSeriesData = field(repr=False)
 
     def dominant_values(self, horizon: int) -> np.ndarray:
         modes = polynomial_modes(self.rho, self.n, horizon)
@@ -122,8 +127,7 @@ class RepeatedPoleModel:
         return modes @ coeffs
 
     def reconstruct(self, horizon: int) -> ImpulseResponse:
-        h = reconstruct_h(self.x, self.config.base.kernel, self.data,
-                          self.m, horizon)
+        h = reconstruct_h(self.w, self.config.base.kernel, horizon)
         return ImpulseResponse(h.values + self.dominant_values(horizon))
 
 
@@ -134,21 +138,21 @@ class OscillatingPoleModel:
     ``g[t] = rho**t * sum_k (a_r[k] cos(2 pi k t / n)
     - a_i[k] sin(2 pi k t / n)) + h[t]``; the phase equality constraint
     keeps the implied imaginary part identically zero, with its residual
-    reported in ``equality_residual``.
+    reported in ``equality_residual``.  ``w`` holds the section
+    coefficients of the residual ``h``.
     """
 
     a_r: np.ndarray = field(repr=False)
     a_i: np.ndarray = field(repr=False)
     rho: float
     n: int
-    x: np.ndarray = field(repr=False)
+    w: np.ndarray = field(repr=False)
     m: int
     h: ImpulseResponse
     g: ImpulseResponse
     diagnostics: IdentifyDiagnostics
     equality_residual: float
     config: OscillatingPoleConfig = field(repr=False)
-    data: TimeSeriesData = field(repr=False)
 
     def dominant_values(self, horizon: int) -> np.ndarray:
         modes = phase_modes(self.rho, self.n, horizon)
@@ -160,8 +164,7 @@ class OscillatingPoleModel:
         return decay * (vr @ self.a_i + vi @ self.a_r)
 
     def reconstruct(self, horizon: int) -> ImpulseResponse:
-        h = reconstruct_h(self.x, self.config.base.kernel, self.data,
-                          self.m, horizon)
+        h = reconstruct_h(self.w, self.config.base.kernel, horizon)
         return ImpulseResponse(h.values + self.dominant_values(horizon))
 
 
@@ -170,7 +173,7 @@ def identify_repeated_pole(config: RepeatedPoleConfig,
     """Identification with a dominant pole of multiplicity ``n``.
 
     Variables are the mode coefficients ``(a_poly, a)`` followed by the
-    representer coefficients; nonnegativity couples them through the
+    section coefficients ``w``; nonnegativity couples them through the
     sampled modes on the constraint rows.
     """
     base = config.base
@@ -180,7 +183,7 @@ def identify_repeated_pole(config: RepeatedPoleConfig,
     coeffs, fields = _fit_basis(base, data, basis)
     return RepeatedPoleModel(a=float(coeffs[-1]), a_poly=coeffs[:-1].copy(),
                              rho=base.rho, n=config.n, config=config,
-                             data=data, **fields)
+                             **fields)
 
 
 def identify_oscillating_poles(config: OscillatingPoleConfig,
@@ -188,7 +191,7 @@ def identify_oscillating_poles(config: OscillatingPoleConfig,
     """Identification with ``n`` simple dominant poles at unit-root phases.
 
     Variables are the real phase coefficients, the imaginary ones, then
-    the representer coefficients.  The phase tables tie the three blocks
+    the section coefficients ``w``.  The phase tables tie the three blocks
     together: sampled nonnegativity on the constraint rows, a zero
     imaginary part (equality over one period) and the amplitude floor on
     the phase values.
@@ -201,33 +204,21 @@ def identify_oscillating_poles(config: OscillatingPoleConfig,
     eq_res = float(np.max(np.abs(basis.eq @ coeffs), initial=0.0))
     return OscillatingPoleModel(a_r=coeffs[:n].copy(), a_i=coeffs[n:].copy(),
                                 rho=base.rho, n=n, equality_residual=eq_res,
-                                config=config, data=data, **fields)
+                                config=config, **fields)
 
 
 def identify_finite_response(config: FiniteResponseConfig,
                              data: TimeSeriesData) -> ImpulseResponse:
     """Nonnegative finitely supported response estimate.
 
-    One QP with nonnegativity on every lag of the support; the response
-    is identically zero beyond it, so no horizon loop is needed.
-
-    The representer coefficients on the sampled functionals are
-    redundant here: every term factors through the section coefficients
-    w with g = K w on the support, so the problem is solved over w
-    alone.  That keeps the cost matrix full rank; the raw coefficient
-    space is rank-deficient by construction and stalls the solver.
+    One QP over the section coefficients ``w`` with nonnegativity of
+    ``g = K w`` on every lag of the support; the response is identically
+    zero beyond it, so no horizon loop is needed.
     """
     n_g = config.n_g
-    m = n_g - 1
-    mats = assemble_core(config.kernel, data, m)
-    # L = (input weights) @ K, so L w is the predicted output and
-    # w' K w the squared kernel norm.
+    mats = assemble_core(config.kernel, data, n_g - 1)
     P = 2.0 * (mats.L.T @ mats.L + config.lam * mats.K)
     q = -2.0 * (mats.L.T @ mats.y)
-    G = mats.K.copy()
-    l = np.zeros(n_g)
-    sol = _solve_or_raise(qp.ConvexQP(P=P, q=q, G=G, l=l),
+    sol = _solve_or_raise(qp.ConvexQP(P=P, q=q, G=mats.K, l=np.zeros(n_g)),
                           config.solve_options or _IDENTIFY_OPTIONS)
-    x = np.concatenate([np.zeros(mats.n_samples), sol.z])
-    g = reconstruct_h(x, config.kernel, data, m, n_g)
-    return g
+    return reconstruct_h(sol.z, config.kernel, n_g)

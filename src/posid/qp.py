@@ -245,8 +245,6 @@ def _solve_equality_only(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
             z = scipy.linalg.solve(P, -q, assume_a="pos")
         except np.linalg.LinAlgError:
             z = np.linalg.lstsq(P, -q, rcond=None)[0]
-        except scipy.linalg.LinAlgError:
-            z = np.linalg.lstsq(P, -q, rcond=None)[0]
         return _finish(problem, opt, z, None, None, iterations=0)
     kkt = np.zeros((d + e, d + e))
     kkt[:d, :d] = P
@@ -255,7 +253,7 @@ def _solve_equality_only(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
     rhs = np.concatenate([-q, problem.r])
     try:
         sol = scipy.linalg.solve(kkt, rhs)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+    except np.linalg.LinAlgError:
         sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
     if not np.all(np.isfinite(sol)):
         sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
@@ -330,7 +328,7 @@ def _solve_interior_point(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
     rhs0 = np.concatenate([-qs, rs])
     try:
         start = scipy.linalg.solve(init, rhs0)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+    except np.linalg.LinAlgError:
         start = np.linalg.lstsq(init, rhs0, rcond=None)[0]
     z = start[:d]
     nu = start[d:]
@@ -384,7 +382,7 @@ def _solve_interior_point(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
             kkt[d:, d:] = -reg * np.eye(e)
             try:
                 lu = scipy.linalg.lu_factor(kkt)
-            except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+            except np.linalg.LinAlgError:
                 break
             def kkt_solve(rhs_z, rhs_e):
                 out = scipy.linalg.lu_solve(lu, np.concatenate([rhs_z, rhs_e]))
@@ -392,7 +390,7 @@ def _solve_interior_point(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
         else:
             try:
                 cho = scipy.linalg.cho_factor(h)
-            except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+            except np.linalg.LinAlgError:
                 break
             def kkt_solve(rhs_z, rhs_e):
                 return scipy.linalg.cho_solve(cho, rhs_z), np.zeros(0)
@@ -504,7 +502,7 @@ def _admm_rescue(problem, Ps, qs, Gs, ls, As, rs, cost_scale, col,
     lhs = Ps + sigma * np.eye(d) + rho * (M.T @ M)
     try:
         cho = scipy.linalg.cho_factor(lhs)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+    except np.linalg.LinAlgError:
         return None
     z = np.zeros(d)
     wv = M @ z

@@ -29,6 +29,7 @@ from posid.qp import ConvexQP, SolveOptions, solve
 from posid.signals import (ImpulseResponse, TimeSeriesData,
                            hankel_numerical_rank)
 
+from test_estimator import representer_normal_equations
 from test_qp import _active_set_oracle
 
 from posid.cli import main as cli_main
@@ -80,7 +81,7 @@ def test_criterion_02_constraint_horizon_stability():
             mats = assemble_core(config.kernel, data, m)
             sol = solve(build_qp(config, mats, basis), opts)
             assert sol.status == "optimal"
-            h = reconstruct_h(sol.z[1:], config.kernel, data, m, 300)
+            h = reconstruct_h(sol.z[1:], config.kernel, 300)
             g = sol.z[0] * config.rho ** np.arange(300) + h.values
             solutions.append(np.concatenate([[sol.z[0]], g]))
         diff = float(np.max(np.abs(solutions[0] - solutions[1])))
@@ -123,10 +124,11 @@ def test_criterion_03_solver_matches_enumeration():
 
 
 def test_criterion_04_unconstrained_normal_equations():
-    # representer coefficients are never unique (the kernel sections are
-    # rank deficient in sample space), so the equivalence is stated on
-    # the identifiable quantities: amplitude, fitted outputs, response
-    # samples, objective value
+    # the QP runs over the section coefficients; the oracle is the
+    # paper's representer form, whose coefficients are never unique (the
+    # kernel sections are rank deficient in sample space), so the
+    # equivalence is stated on the identifiable quantities: amplitude,
+    # fitted outputs, response samples, objective value
     worst = 0.0
     for seed in (0, 1, 2):
         rng = np.random.default_rng(seed)
@@ -144,22 +146,19 @@ def test_criterion_04_unconstrained_normal_equations():
         free = solve(ConvexQP(P=problem.P, q=problem.q),
                      SolveOptions(tol_feas=1e-12, tol_gap=1e-12))
         assert free.status == "optimal"
-        M = np.hstack([basis.B, mats.O, mats.L])
-        reg = np.zeros((M.shape[1], M.shape[1]))
-        reg[1:, 1:] = mats.gamma()
-        oracle, *_ = np.linalg.lstsq(M.T @ M + config.lam * reg,
-                                     M.T @ y, rcond=None)
+        oracle, fitted, obj_star = representer_normal_equations(
+            config, data, basis, m)
+        M = np.hstack([basis.B, mats.L])
 
         def rel(got, ref):
             got, ref = np.atleast_1d(got), np.atleast_1d(ref)
             return float(np.max(np.abs(got - ref))
                          / max(1.0, float(np.max(np.abs(ref)))))
 
-        h_free = reconstruct_h(free.z[1:], config.kernel, data, m, 40)
-        h_star = reconstruct_h(oracle[1:], config.kernel, data, m, 40)
+        h_free = reconstruct_h(free.z[1:], config.kernel, 40)
+        h_star = reconstruct_h(oracle[1:], config.kernel, 40)
         obj_free = 0.5 * free.z @ problem.P @ free.z + problem.q @ free.z
-        obj_star = 0.5 * oracle @ problem.P @ oracle + problem.q @ oracle
-        errs = [rel(free.z[0], oracle[0]), rel(M @ free.z, M @ oracle),
+        errs = [rel(free.z[0], oracle[0]), rel(M @ free.z, fitted),
                 rel(h_free.values, h_star.values), rel(obj_free, obj_star)]
         worst = max(worst, *errs)
         assert max(errs) <= 1e-8, f"seed {seed}: relative error {errs}"

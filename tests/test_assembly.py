@@ -8,7 +8,7 @@ from posid.assembly import (QPDataMatrices, assemble_core,
                             oscillation_tables, polynomial_modes,
                             required_width)
 from posid.errors import ConfigError
-from posid.kernels import KernelSpec, gram
+from posid.kernels import KernelSpec, gram, window_kernel
 from posid.signals import (ImpulseResponse, TimeSeriesData, convolve,
                            toeplitz_operator)
 
@@ -22,32 +22,28 @@ def _random_at_rest(rng, n):
 def assemble_core_definitional(kernel, data, rho, m):
     """Entry-by-entry assembly through explicit convolution calls.
 
-    Slow reference for :func:`assemble_core`; also returns the simple-pole
-    mode ``rho**t`` convolved with the input at every sample time.
+    Slow reference for :func:`assemble_core`: ``L[i, s]`` is the kernel
+    section ``k(., s)`` convolved with the input at sample time ``t_i``
+    for every section ``s < max(width, m + 1)``.  Also returns the
+    simple-pole mode ``rho**t`` convolved with the input at every sample
+    time.
     """
     width = required_width(data)
     times = data.sample_times
-    n = times.size
-    O = np.zeros((n, n))
-    L = np.zeros((n, m + 1))
-    b = np.zeros(n)
+    n_sec = max(width, m + 1)
+    L = np.zeros((times.size, n_sec))
+    b = np.zeros(times.size)
     mode = ImpulseResponse(rho ** np.arange(width, dtype=float))
-    # Kernel convolved once per sample time: row i holds the function
-    # s -> sum_r u[t_i - r] k(r, s), enough to build both O and L.
-    section = gram(kernel, np.arange(width), np.arange(max(width, m + 1)))
-    half_rows = []
+    for s in range(n_sec):
+        section = ImpulseResponse(
+            np.array([kernel.eval(r, s) for r in range(width)]))
+        for i, t in enumerate(times):
+            L[i, s] = convolve(section, data, int(t))
     for i, t in enumerate(times):
-        window = data.input_window(int(t))
-        row = window @ section[:window.size]
-        half_rows.append(row)
-        L[i] = row[:m + 1]
         b[i] = convolve(mode, data, int(t))
-    for i in range(n):
-        half_fn = ImpulseResponse(half_rows[i][:width])
-        for j, t2 in enumerate(times):
-            O[i, j] = convolve(half_fn, data, int(t2))
-    K = gram(kernel, np.arange(m + 1), np.arange(m + 1))
-    mats = QPDataMatrices(O=O, L=L, K=K, y=data.outputs.copy(), m=int(m))
+    K = np.array([[kernel.eval(r, s) for s in range(n_sec)]
+                  for r in range(n_sec)])
+    mats = QPDataMatrices(L=L, K=K, y=data.outputs.copy(), m=int(m))
     return mats, b
 
 
@@ -73,16 +69,17 @@ def test_core_matches_definitional_assembly():
     u = rng.standard_normal(12)
     data = TimeSeriesData(np.array([2, 3, 7, 11]), rng.standard_normal(4),
                           u, t_start=0)
+    basis = assemble_polynomial_blocks(data, 0.6, n=1)
     for kernel in (KernelSpec.tc(0.8), KernelSpec.dc(0.7, -0.3)):
-        fast = assemble_core(kernel, data, m=5)
-        basis = assemble_polynomial_blocks(data, 0.6, n=1)
-        slow, b = assemble_core_definitional(kernel, data, 0.6, m=5)
-        np.testing.assert_allclose(fast.O, slow.O, atol=1e-10)
-        np.testing.assert_allclose(fast.L, slow.L, atol=1e-10)
-        np.testing.assert_allclose(fast.K, slow.K, atol=1e-12)
-        np.testing.assert_allclose(basis.B[:, 0], b, atol=1e-12)
-        np.testing.assert_allclose(basis.modes(6)[:, 0], 0.6 ** np.arange(6),
-                                   atol=1e-14)
+        # m = 5 keeps the sections at the data width, m = 14 extends them
+        for m in (5, 14):
+            fast = assemble_core(kernel, data, m=m)
+            slow, b = assemble_core_definitional(kernel, data, 0.6, m=m)
+            np.testing.assert_allclose(fast.L, slow.L, atol=1e-10)
+            np.testing.assert_allclose(fast.K, slow.K, atol=1e-12)
+            np.testing.assert_allclose(basis.B[:, 0], b, atol=1e-12)
+    np.testing.assert_allclose(basis.modes(6)[:, 0], 0.6 ** np.arange(6),
+                               atol=1e-14)
 
 
 def test_impulse_input_gives_plain_grams():
@@ -94,9 +91,8 @@ def test_impulse_input_gives_plain_grams():
     kernel = KernelSpec.tc(0.9)
     mats = assemble_core(kernel, data, m=4)
     idx = np.arange(n)
-    np.testing.assert_allclose(mats.O, gram(kernel, idx, idx), atol=1e-12)
-    np.testing.assert_allclose(mats.L, gram(kernel, idx, np.arange(5)),
-                               atol=1e-12)
+    np.testing.assert_allclose(mats.L, gram(kernel, idx, idx), atol=1e-12)
+    np.testing.assert_allclose(mats.K, gram(kernel, idx, idx), atol=1e-12)
 
 
 def test_mode_output_vector_constant_input():
@@ -109,23 +105,39 @@ def test_mode_output_vector_constant_input():
     assert b[0] == 1.0
 
 
-def test_at_rest_O_is_congruent_gram():
+def test_at_rest_L_is_toeplitz_times_gram():
     rng = np.random.default_rng(2)
     data = _random_at_rest(rng, 10)
     kernel = KernelSpec.tc(0.85)
     mats = assemble_core(kernel, data, m=3)
     T = toeplitz_operator(data, 10)
     idx = np.arange(10)
-    oracle = T @ gram(kernel, idx, idx) @ T.T
-    np.testing.assert_allclose(mats.O, oracle, atol=1e-10)
+    np.testing.assert_allclose(mats.K, gram(kernel, idx, idx), atol=1e-12)
+    np.testing.assert_allclose(mats.L, T @ gram(kernel, idx, idx),
+                               atol=1e-10)
 
 
-def test_joint_gram_psd():
+def test_section_gram_psd():
     rng = np.random.default_rng(3)
     data = _random_at_rest(rng, 8)
     mats = assemble_core(KernelSpec.dc(0.8, 0.4), data, m=6)
-    eigs = np.linalg.eigvalsh(mats.gamma())
+    eigs = np.linalg.eigvalsh(mats.K)
     assert eigs.min() >= -1e-10 * max(eigs.max(), 1.0)
+
+
+def test_finite_kernel_caps_sections_at_support():
+    # sections past the support are the zero function, so they are left
+    # out whichever of the width and m + 1 is larger
+    rng = np.random.default_rng(8)
+    data = _random_at_rest(rng, 10)
+    kernel = window_kernel(KernelSpec.tc(0.7), 4)
+    for m in (2, 12):
+        mats = assemble_core(kernel, data, m=m)
+        assert mats.K.shape == (4, 4)
+        np.testing.assert_allclose(mats.K, kernel.table, atol=1e-14)
+        np.testing.assert_allclose(
+            mats.L, toeplitz_operator(data, 10)[:, :4] @ kernel.table,
+            atol=1e-12)
 
 
 def test_mode_vectors():

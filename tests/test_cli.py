@@ -62,8 +62,8 @@ def test_identify_dump_qp(tmp_path):
                  "--out-dir", str(out)])
     assert code == 0
     problem = load_qp_dump(dump)
-    # 1 amplitude + 30 sample representers + m_init + 1 sections
-    assert problem.P.shape == (62, 62)
+    # 1 amplitude + max(width 30, m_init + 1 = 31) section coefficients
+    assert problem.P.shape == (32, 32)
     assert problem.G.shape[0] == 32
     code = main(["identify", "--data", str(data_path), "--method", "b",
                  "--dump-qp", str(dump), "--out-dir", str(out)])

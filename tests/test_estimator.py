@@ -2,15 +2,16 @@
 import numpy as np
 import pytest
 
-from posid.assembly import assemble_core, assemble_polynomial_blocks
+from posid.assembly import (assemble_core, assemble_polynomial_blocks,
+                            input_weight_matrix, required_width)
 from posid.errors import ConfigError
 from posid.estimator import (PositiveIdConfig, _m0_from_constants, build_qp,
                              compute_m0, default_horizon, identify,
                              initial_constraint_horizon, predict,
                              reconstruct_h)
-from posid.kernels import KernelSpec
+from posid.kernels import KernelSpec, gram
 from posid.qp import ConvexQP, SolveOptions, solve
-from posid.signals import ImpulseResponse, TimeSeriesData
+from posid.signals import ImpulseResponse, TimeSeriesData, convolve
 
 
 def _prbs(rng, n):
@@ -22,6 +23,38 @@ def _single_mode_data(rng, n, a=1.0, rho=0.9):
     g = a * rho ** np.arange(n, dtype=float)
     y = np.convolve(u, g)[:n]
     return TimeSeriesData.at_rest(u, y)
+
+
+def representer_normal_equations(config, data, basis, m):
+    """Unconstrained minimiser in the paper's representer form.
+
+    The representer coefficients ``x`` weight the input-convolved sample
+    functionals, with Gram ``O``, and the kernel sections ``0 .. m``,
+    with Gram ``K``; ``L`` pairs the two.  The normal equations
+    ``(M'M + blkdiag(penalty, lam Gamma)) z = M' y`` with
+    ``M = [B, O, L]`` and ``Gamma = [[O, L], [L', K]]`` are solved in the
+    min-norm sense.  Returns ``(z, fitted, objective)``: the solution
+    mapped to ``(mode coefficients, w)`` through ``w = W' x_s + x_k``,
+    the fitted outputs ``M z`` and the objective without the ``y'y``
+    constant, all computed in the representer form.
+    """
+    p = basis.size
+    n_sec = max(required_width(data), m + 1)
+    W = input_weight_matrix(data, n_sec)
+    K_all = gram(config.kernel, np.arange(n_sec), np.arange(n_sec))
+    O = W @ K_all @ W.T
+    L = W @ K_all[:, :m + 1]
+    K = K_all[:m + 1, :m + 1]
+    M = np.hstack([basis.B, O, L])
+    H = M.T @ M
+    H[:p, :p] += basis.penalty
+    H[p:, p:] += config.lam * np.block([[O, L], [L.T, K]])
+    x, *_ = np.linalg.lstsq(H, M.T @ data.outputs, rcond=None)
+    objective = float(x @ H @ x - 2.0 * data.outputs @ M @ x)
+    n = W.shape[0]
+    w = W.T @ x[p:p + n]
+    w[:m + 1] += x[p + n:]
+    return np.concatenate([x[:p], w]), M @ x, objective
 
 
 def _fit(est, truth):
@@ -83,9 +116,10 @@ def test_incompatible_decay_rejected():
 
 
 def test_unconstrained_minimizer_is_normal_equations():
-    # The coefficient vector is not unique (the representers outnumber
-    # the samples), so the comparison runs on the identifiable
-    # quantities: amplitude, fitted outputs, response samples, objective.
+    # The representer-form coefficients are not unique (the representers
+    # outnumber the samples), so the comparison with the section-form QP
+    # runs on the identifiable quantities: amplitude, fitted outputs,
+    # response samples, objective.
     rng = np.random.default_rng(2)
     data = _single_mode_data(rng, 25)
     noisy = TimeSeriesData.at_rest(
@@ -95,18 +129,14 @@ def test_unconstrained_minimizer_is_normal_equations():
     basis = assemble_polynomial_blocks(noisy, config.rho, 1)
     problem = build_qp(config, mats, basis)
     free = solve(ConvexQP(P=problem.P, q=problem.q))
-    # closed-form: (M'M + lam * blkdiag(0, Gamma)) z = M' y, min-norm
-    M = np.hstack([basis.B, mats.O, mats.L])
-    reg = np.zeros((M.shape[1], M.shape[1]))
-    reg[1:, 1:] = mats.gamma()
-    oracle, *_ = np.linalg.lstsq(M.T @ M + config.lam * reg,
-                                 M.T @ noisy.outputs, rcond=None)
+    oracle, fitted, obj_ne = representer_normal_equations(config, noisy,
+                                                          basis, 10)
+    M = np.hstack([basis.B, mats.L])
     assert free.z[0] == pytest.approx(oracle[0], abs=1e-8)
-    np.testing.assert_allclose(M @ free.z, M @ oracle, atol=1e-8)
-    h_free = reconstruct_h(free.z[1:], config.kernel, noisy, 10, 30)
-    h_ne = reconstruct_h(oracle[1:], config.kernel, noisy, 10, 30)
+    np.testing.assert_allclose(M @ free.z, fitted, atol=1e-8)
+    h_free = reconstruct_h(free.z[1:], config.kernel, 30)
+    h_ne = reconstruct_h(oracle[1:], config.kernel, 30)
     np.testing.assert_allclose(h_free.values, h_ne.values, atol=1e-8)
-    obj_ne = 0.5 * oracle @ problem.P @ oracle + problem.q @ oracle
     assert free.objective == pytest.approx(obj_ne, abs=1e-8)
 
 
@@ -116,7 +146,7 @@ def test_pure_mode_data_recovers_amplitude():
     config = PositiveIdConfig(kernel=KernelSpec.tc(0.36), rho=0.8, lam=1e-8)
     model = identify(config, data)
     assert abs(model.a - 1.0) <= 1e-3
-    assert np.linalg.norm(model.x) <= 1e-3
+    assert np.linalg.norm(model.w) <= 1e-3
 
 
 def test_noiseless_recovery_tc():
@@ -162,8 +192,7 @@ def test_m_stability_of_solution():
     sol = solve(build_qp(config, mats, basis),
                 SolveOptions(tol_feas=1e-10, tol_gap=1e-9))
     a2 = float(sol.z[0])
-    h2 = reconstruct_h(sol.z[1:], config.kernel, data, model.m + 50,
-                       model.g.horizon)
+    h2 = reconstruct_h(sol.z[1:], config.kernel, model.g.horizon)
     g2 = h2.values + a2 * config.rho ** np.arange(model.g.horizon,
                                                   dtype=float)
     assert abs(a2 - model.a) <= 1e-6
@@ -171,31 +200,32 @@ def test_m_stability_of_solution():
 
 
 def test_reconstruct_h_trivial_coefficients():
-    rng = np.random.default_rng(7)
-    data = _single_mode_data(rng, 8)
     kernel = KernelSpec.tc(0.7)
-    m = 5
-    zero = reconstruct_h(np.zeros(8 + m + 1), kernel, data, m, 12)
+    zero = reconstruct_h(np.zeros(6), kernel, 12)
     np.testing.assert_array_equal(zero.values, np.zeros(12))
-    # single kernel-section coefficient selects that section
-    x = np.zeros(8 + m + 1)
-    x[8] = 1.0  # first section coefficient, lag 0
-    h = reconstruct_h(x, kernel, data, m, 12)
+    # a single section coefficient selects that section
+    w = np.zeros(6)
+    w[2] = 1.0
+    h = reconstruct_h(w, kernel, 12)
     np.testing.assert_allclose(h.values,
-                               kernel.eval(np.zeros(12, dtype=int),
-                                           np.arange(12)), atol=1e-14)
+                               kernel.eval(np.full(12, 2), np.arange(12)),
+                               atol=1e-14)
 
 
 def test_reconstruct_h_matches_constraint_rows():
+    # the constraint rows sample h = sum_s w[s] k(., s), and L convolves
+    # the same h with the input at the sample times
     rng = np.random.default_rng(8)
     data = _single_mode_data(rng, 12)
     kernel = KernelSpec.dc(0.7, 0.4)
     m = 6
     mats = assemble_core(kernel, data, m)
-    x = rng.standard_normal(12 + m + 1)
-    h = reconstruct_h(x, kernel, data, m, m + 1)
-    rows = np.hstack([mats.L.T, mats.K])
-    np.testing.assert_allclose(h.values, rows @ x, atol=1e-10)
+    w = rng.standard_normal(mats.K.shape[0])
+    h = reconstruct_h(w, kernel, m + 1)
+    np.testing.assert_allclose(h.values, mats.K[:m + 1] @ w, atol=1e-10)
+    h_full = reconstruct_h(w, kernel, required_width(data))
+    outputs = [convolve(h_full, data, int(t)) for t in data.sample_times]
+    np.testing.assert_allclose(mats.L @ w, outputs, atol=1e-10)
 
 
 def test_predict_training_consistency():
@@ -209,7 +239,7 @@ def test_predict_training_consistency():
     model = identify(config, data)
     mats = assemble_core(config.kernel, data, model.m)
     b = assemble_polynomial_blocks(data, config.rho, 1).B[:, 0]
-    oracle = b * model.a + np.hstack([mats.O, mats.L]) @ model.x
+    oracle = b * model.a + mats.L @ model.w
     got = predict(model, data, data.sample_times)
     np.testing.assert_allclose(got, oracle, atol=1e-8)
 
@@ -256,6 +286,29 @@ def test_identified_g_nonnegative():
     g = model.g.values
     assert g.min() >= -1e-6 * max(g.max(), 1e-12)
     assert model.a >= config.a_min - 1e-12
+
+
+def test_short_noisy_mis_specified_record_converges():
+    # n = 50 at 10 dB from a system whose pole (0.8) is not the assumed
+    # 0.98; the inner QP used to stall short of the identify tolerances
+    rng = np.random.default_rng(12)
+    n = 50
+    t = np.arange(n, dtype=float)
+    g_true = 0.8 ** t * (1.0 + 0.9 ** t * np.cos(2.0 * np.pi
+                                                  * (np.pi ** 2 / 10.0) * t))
+    u = rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
+    clean = np.convolve(u, g_true)[:n]
+    sigma2 = float(clean @ clean) / n / 10.0
+    y = clean + rng.normal(0.0, np.sqrt(sigma2), size=n)
+    data = TimeSeriesData.at_rest(u, y)
+    config = PositiveIdConfig(kernel=KernelSpec.ss(0.97), rho=0.98,
+                              lam=10.0 * sigma2)
+    model = identify(config, data)
+    diag = model.diagnostics
+    assert diag.qp_status == "optimal"
+    assert not diag.forced_accept
+    head = model.reconstruct(max(diag.m0, model.g.horizon)).values
+    assert head[:diag.m0].min() >= -diag.neg_tol
 
 
 def test_default_horizon_and_initial_m():

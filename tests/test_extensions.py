@@ -144,6 +144,52 @@ def test_oscillating_n1_matches_single_pole_estimator(seed, kernel):
     np.testing.assert_allclose(osc.g.values, plain.g.values, atol=1e-6)
 
 
+def test_oscillating_n1_two_mode_record_at_tight_tolerances():
+    # a second, faster mode in the record leaves the pole mode a misfit
+    # to trade against the kernel part; the phase basis used to stall on
+    # it short of the 1e-12 tolerances that identify meets
+    rng = np.random.default_rng(5)
+    t = np.arange(40, dtype=float)
+    data = _data_from_response(rng, 40, 0.9 ** t + 0.5 * 0.5 ** t)
+    base = PositiveIdConfig(kernel=KernelSpec.tc(0.5), rho=0.9, lam=1e-3,
+                            solve_options=SolveOptions(1e-12, 1e-12))
+    plain = identify(base, data)
+    osc = identify_oscillating_poles(OscillatingPoleConfig(base=base, n=1),
+                                     data)
+    _same_loop(osc, plain)
+    assert osc.diagnostics.qp_status == "optimal"
+    assert osc.a_r[0] == pytest.approx(plain.a, abs=1e-6)
+    np.testing.assert_allclose(osc.g.values, plain.g.values, atol=1e-6)
+
+
+@pytest.mark.parametrize("fit", [
+    identify,
+    lambda base, data: identify_oscillating_poles(
+        OscillatingPoleConfig(base, 2), data),
+], ids=["identify", "oscillating"])
+def test_finite_support_kernel_with_dominant_pole(fit):
+    # the kernel support (12) is shorter than the data width (40), so the
+    # sections stop at the support while the positivity rows run to m;
+    # past the support the response is the dominant part alone
+    rng = np.random.default_rng(0)
+    t = np.arange(40, dtype=float)
+    g_true = 0.9 ** t * (1.0 + 0.5 * np.cos(np.pi * t)) + 0.3 * 0.6 ** t
+    u = _prbs(rng, 40)
+    y = np.convolve(u, g_true)[:40] + 0.01 * rng.standard_normal(40)
+    data = TimeSeriesData.at_rest(u, y)
+    base = PositiveIdConfig(kernel=window_kernel(KernelSpec.tc(0.7), 12),
+                            rho=0.9, lam=1e-2)
+    model = fit(base, data)
+    horizon = model.g.horizon
+    assert model.diagnostics.qp_status == "optimal"
+    assert model.m >= 12 and model.w.size == 12
+    np.testing.assert_allclose(model.reconstruct(horizon).values,
+                               model.g.values, atol=1e-10)
+    np.testing.assert_allclose(model.g.values[12:],
+                               model.dominant_values(horizon)[12:],
+                               atol=1e-12)
+
+
 @pytest.mark.parametrize("fit", [
     identify,
     lambda base, data: identify_repeated_pole(RepeatedPoleConfig(base, 2),
