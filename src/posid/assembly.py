@@ -3,10 +3,10 @@
 Two kinds of blocks make up every QP.  :func:`assemble_core` builds the
 kernel blocks at a constraint horizon ``m``; a :class:`DominantBasis`
 describes the dominant part once per fit: its input-convolved modes, a
-sampler for the mode values, the floor, equality and penalty rows, and
-the mode that caps the horizon.  :func:`assemble_polynomial_blocks`
+sampler for the mode values, the floor and penalty rows, and the mode
+combination that caps the horizon.  :func:`assemble_polynomial_blocks`
 gives the simple or repeated pole, :func:`assemble_oscillation_blocks`
-the poles at unit-root phases.
+the poles at unit-root phases, fitted over one real period.
 
 The residual is parameterised by its section coefficients
 ``h = sum_s w[s] k(., s)`` over ``s < N = max(width, m + 1)``: every
@@ -54,18 +54,17 @@ class DominantBasis:
     first ``m + 1`` rows are the positivity constraint rows and its full
     length gives the dominant part of a reconstruction.  ``B`` convolves
     the same modes with the input at the sample times.  Each ``floor``
-    row of the coefficients is bounded below by ``a_min``; each ``eq``
-    row, if any, is held at zero.  ``penalty`` is the mode-coefficient
-    penalty, already scaled by epsilon.  Column ``cap`` is the mode whose
-    best single-mode misfit ``c0`` sets the horizon cap ``m0``.
+    row of the coefficients is bounded below by ``a_min``.  ``penalty``
+    is the mode-coefficient penalty, already scaled by epsilon.  ``cap``
+    holds the coefficients of the mode ``B @ cap`` whose best
+    single-mode misfit ``c0`` sets the horizon cap ``m0``.
     """
 
     B: np.ndarray = field(repr=False)
     modes: Callable[[int], np.ndarray] = field(repr=False)
     floor: np.ndarray = field(repr=False)
     penalty: np.ndarray = field(repr=False)
-    cap: int
-    eq: np.ndarray | None = field(default=None, repr=False)
+    cap: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -151,7 +150,7 @@ def assemble_polynomial_blocks(data: TimeSeriesData, rho: float, n: int,
     penalty = epsilon * np.diag(np.r_[np.ones(n - 1), 0.0])
     return DominantBasis(B=_input_convolved(data, modes), modes=modes,
                          floor=np.eye(n)[n - 1:], penalty=penalty,
-                         cap=n - 1)
+                         cap=np.eye(n)[n - 1])
 
 
 def oscillation_tables(n: int, rows: int):
@@ -171,32 +170,33 @@ def oscillation_tables(n: int, rows: int):
     return np.cos(angles), np.sin(angles)
 
 
-def phase_modes(rho: float, n: int, rows: int) -> np.ndarray:
-    """Columns ``rho**t cos(2 pi k t / n)`` then ``-rho**t sin(2 pi k t / n)``.
+def periodic_modes(rho: float, n: int, horizon: int) -> np.ndarray:
+    """Columns ``rho**t * [t mod n == j]`` for ``j < n`` on ``t < horizon``.
 
-    With coefficients ``(a_r, a_i)`` they give the real part of
-    ``rho**t sum_k (a_r[k] + i a_i[k]) omega**(t k)``.
+    With the real period ``x`` as coefficients they give
+    ``rho**t * x[t mod n]``.
     """
-    Vr, Vi = oscillation_tables(n, rows)
-    decay = (rho ** np.arange(rows, dtype=float))[:, None]
-    return np.hstack([decay * Vr, -(decay * Vi)])
+    t = np.arange(horizon)
+    decay = rho ** t.astype(float)
+    return decay[:, None] * (t[:, None] % n == np.arange(n))
 
 
 def assemble_oscillation_blocks(data: TimeSeriesData, rho: float, n: int,
                                 epsilon: float = 0.0) -> DominantBasis:
     """Basis of ``n`` simple dominant poles at the unit-root phases.
 
-    Coefficients are the real phase parts ``a_r`` then the imaginary
-    parts ``a_i``.  Over one period the equality rows hold the implied
-    imaginary part at zero and the floor rows bound the phase values
-    below; ``epsilon`` penalises every phase but the constant one, and
-    the constant cosine mode sets the horizon cap.
+    Poles ``rho * omega**k`` with real combined response are
+    ``rho**t * x[t mod n]`` for one real period ``x``, the coefficients
+    here; the phase coefficients are ``fft(x) / n``.  Every period value
+    is floored at ``a_min``, and ``epsilon`` penalises every phase but
+    the constant one, which by Parseval is ``epsilon`` times the spread
+    ``x'x / n - (sum x)**2 / n**2``.  The constant phase, the mode
+    ``rho**t`` itself, sets the horizon cap.
     """
     _check_pole(rho)
-    modes = partial(phase_modes, rho, n)
-    Vr, Vi = oscillation_tables(n, n)
-    penalised = np.tile(np.r_[0.0, np.ones(n - 1)], 2)
+    if n < 1:
+        raise ConfigError(f"period must be >= 1, got {n}")
+    modes = partial(periodic_modes, rho, n)
+    penalty = epsilon * (np.eye(n) / n - np.full((n, n), 1.0 / n ** 2))
     return DominantBasis(B=_input_convolved(data, modes), modes=modes,
-                         floor=np.hstack([Vr, Vi]),
-                         penalty=epsilon * np.diag(penalised),
-                         cap=0, eq=np.hstack([Vi, Vr]))
+                         floor=np.eye(n), penalty=penalty, cap=np.ones(n))

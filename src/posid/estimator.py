@@ -160,8 +160,7 @@ def build_qp(config: PositiveIdConfig, mats: QPDataMatrices,
     times the RKHS norm ``w' K w`` of the residual plus the basis mode
     penalty.  Constraints: the response sampled on ``0 .. m`` (modes plus
     ``K[:m + 1] @ w``, zero past a finite kernel's support) is
-    nonnegative, every basis floor row is at least ``a_min`` and every
-    basis equality row is zero.
+    nonnegative and every basis floor row is at least ``a_min``.
     """
     p = basis.size
     m = mats.m
@@ -178,11 +177,7 @@ def build_qp(config: PositiveIdConfig, mats: QPDataMatrices,
     G[m + 1:, :p] = basis.floor
     l = np.zeros(m + 1 + n_floor)
     l[m + 1:] = config.a_min
-    if basis.eq is None:
-        return qp.ConvexQP(P=P, q=q, G=G, l=l)
-    A = np.zeros((basis.eq.shape[0], M.shape[1]))
-    A[:, :p] = basis.eq
-    return qp.ConvexQP(P=P, q=q, G=G, l=l, A=A, r=np.zeros(A.shape[0]))
+    return qp.ConvexQP(P=P, q=q, G=G, l=l)
 
 
 def reconstruct_h(w: np.ndarray, kernel: KernelSpec,
@@ -273,7 +268,7 @@ def _fit_basis(config: PositiveIdConfig, data: TimeSeriesData,
     """
     options = config.solve_options or _IDENTIFY_OPTIONS
     horizon = config.horizon or default_horizon(data)
-    cap_mode = basis.B[:, basis.cap]
+    cap_mode = basis.B @ basis.cap
     m0 = compute_m0(config, data, cap_mode)
     m = initial_constraint_horizon(data)
     p = basis.size

@@ -3,7 +3,8 @@
 * repeated pole: dominant part ``rho**t`` times a degree ``n - 1``
   polynomial whose top coefficient is bounded below;
 * oscillating poles: ``n`` simple poles of modulus ``rho`` at the complex
-  roots of unity, parameterised by real/imaginary phase coefficients;
+  roots of unity, whose real combined response is ``rho**t x[t mod n]``
+  for one real period ``x``; the model reports its phase coefficients;
 * finite response: zero spectral radius, i.e. the response is supported
   on ``[0, n_g)`` and estimated with a finite-support kernel alone.
 
@@ -24,7 +25,7 @@ import numpy as np
 from . import qp
 from .assembly import (assemble_core, assemble_oscillation_blocks,
                        assemble_polynomial_blocks, oscillation_tables,
-                       phase_modes, polynomial_modes)
+                       polynomial_modes)
 from .errors import ConfigError
 from .estimator import (_IDENTIFY_OPTIONS, PositiveIdConfig,
                         IdentifyDiagnostics, _fit_basis, _solve_or_raise,
@@ -136,10 +137,11 @@ class OscillatingPoleModel:
     """Identified model with oscillating dominant part of period ``n``.
 
     ``g[t] = rho**t * sum_k (a_r[k] cos(2 pi k t / n)
-    - a_i[k] sin(2 pi k t / n)) + h[t]``; the phase equality constraint
-    keeps the implied imaginary part identically zero, with its residual
-    reported in ``equality_residual``.  ``w`` holds the section
-    coefficients of the residual ``h``.
+    - a_i[k] sin(2 pi k t / n)) + h[t]``.  The phase coefficients
+    ``a_r + i a_i = fft(x) / n`` come from the fitted real period ``x``,
+    so the implied imaginary part is zero up to rounding; its largest
+    value over one period is reported in ``equality_residual``.  ``w``
+    holds the section coefficients of the residual ``h``.
     """
 
     a_r: np.ndarray = field(repr=False)
@@ -154,14 +156,17 @@ class OscillatingPoleModel:
     equality_residual: float
     config: OscillatingPoleConfig = field(repr=False)
 
-    def dominant_values(self, horizon: int) -> np.ndarray:
-        modes = phase_modes(self.rho, self.n, horizon)
-        return modes @ np.concatenate([self.a_r, self.a_i])
-
-    def dominant_imag_values(self, horizon: int) -> np.ndarray:
+    def _phase_sum(self, horizon: int) -> np.ndarray:
+        """Phase sum ``rho**t sum_k (a_r[k] + i a_i[k]) omega**(t k)``."""
         vr, vi = oscillation_tables(self.n, horizon)
         decay = self.rho ** np.arange(horizon, dtype=float)
-        return decay * (vr @ self.a_i + vi @ self.a_r)
+        return decay * ((vr + 1j * vi) @ (self.a_r + 1j * self.a_i))
+
+    def dominant_values(self, horizon: int) -> np.ndarray:
+        return self._phase_sum(horizon).real
+
+    def dominant_imag_values(self, horizon: int) -> np.ndarray:
+        return self._phase_sum(horizon).imag
 
     def reconstruct(self, horizon: int) -> ImpulseResponse:
         h = reconstruct_h(self.w, self.config.base.kernel, horizon)
@@ -190,21 +195,24 @@ def identify_oscillating_poles(config: OscillatingPoleConfig,
                                data: TimeSeriesData) -> OscillatingPoleModel:
     """Identification with ``n`` simple dominant poles at unit-root phases.
 
-    Variables are the real phase coefficients, the imaginary ones, then
-    the section coefficients ``w``.  The phase tables tie the three blocks
-    together: sampled nonnegativity on the constraint rows, a zero
-    imaginary part (equality over one period) and the amplitude floor on
-    the phase values.
+    Variables are the real period ``x`` of the dominant part
+    ``rho**t x[t mod n]``, then the section coefficients ``w``;
+    nonnegativity is sampled on the constraint rows and every period
+    value is floored at ``a_min``.  The model reports the phase
+    coefficients ``fft(x) / n``.
     """
     base = config.base
     n = config.n
     basis = assemble_oscillation_blocks(
         data, base.rho, n, _resolved_epsilon(config.epsilon, base.lam))
-    coeffs, fields = _fit_basis(base, data, basis)
-    eq_res = float(np.max(np.abs(basis.eq @ coeffs), initial=0.0))
-    return OscillatingPoleModel(a_r=coeffs[:n].copy(), a_i=coeffs[n:].copy(),
-                                rho=base.rho, n=n, equality_residual=eq_res,
-                                config=config, **fields)
+    period, fields = _fit_basis(base, data, basis)
+    phases = np.fft.fft(period) / n
+    a_r, a_i = phases.real.copy(), phases.imag.copy()
+    vr, vi = oscillation_tables(n, n)
+    eq_res = float(np.max(np.abs(vi @ a_r + vr @ a_i), initial=0.0))
+    return OscillatingPoleModel(a_r=a_r, a_i=a_i, rho=base.rho, n=n,
+                                equality_residual=eq_res, config=config,
+                                **fields)
 
 
 def identify_finite_response(config: FiniteResponseConfig,

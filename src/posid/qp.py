@@ -3,7 +3,7 @@
 Solves
 
     minimize    0.5 * z' P z + q' z
-    subject to  G z >= l,   A z = r
+    subject to  G z >= l
 
 with a primal-dual interior-point method (Mehrotra predictor-corrector on
 the slack/multiplier pair).  Problems the interior-point loop cannot finish
@@ -29,6 +29,10 @@ INFEASIBLE = "infeasible"
 _PSD_RTOL = 1e-8
 # Diagonal ridge applied when roundoff produced tiny negative curvature.
 _RIDGE_FRACTION = 1e-12
+# Multiples of the Newton regularisation tried in turn until the Newton
+# matrix factors: near the optimum the active rows carry weights of 1e12
+# and more, and roundoff can leave the matrix numerically indefinite.
+_REG_BUMPS = (1.0, 1e2, 1e4, 1e6)
 
 
 @dataclass(frozen=True)
@@ -68,8 +72,6 @@ class ConvexQP:
     q: np.ndarray
     G: np.ndarray | None = None
     l: np.ndarray | None = None
-    A: np.ndarray | None = None
-    r: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         P = np.asarray(self.P, dtype=float)
@@ -91,8 +93,6 @@ class ConvexQP:
         self.q = q
         if (self.G is None) != (self.l is None):
             raise ConfigError("G and l must be given together")
-        if (self.A is None) != (self.r is None):
-            raise ConfigError("A and r must be given together")
         if self.G is not None:
             G = np.atleast_2d(np.asarray(self.G, dtype=float))
             l = np.asarray(self.l, dtype=float).ravel()
@@ -101,14 +101,6 @@ class ConvexQP:
                     f"G shape {G.shape} incompatible with {l.size} bounds "
                     f"and {q.size} variables")
             self.G, self.l = G, l
-        if self.A is not None:
-            A = np.atleast_2d(np.asarray(self.A, dtype=float))
-            r = np.asarray(self.r, dtype=float).ravel()
-            if A.shape != (r.size, q.size):
-                raise ConfigError(
-                    f"A shape {A.shape} incompatible with {r.size} targets "
-                    f"and {q.size} variables")
-            self.A, self.r = A, r
 
     @property
     def dim(self) -> int:
@@ -117,10 +109,6 @@ class ConvexQP:
     @property
     def n_ineq(self) -> int:
         return 0 if self.G is None else int(self.G.shape[0])
-
-    @property
-    def n_eq(self) -> int:
-        return 0 if self.A is None else int(self.A.shape[0])
 
     def objective(self, z) -> float:
         z = np.asarray(z, dtype=float)
@@ -133,7 +121,7 @@ class QPSolution:
 
     ``gap`` is the complementarity gap normalised by ``1 + |objective|``;
     ``lam`` are the inequality multipliers (nonnegative, one per row of
-    ``G``), ``nu`` the equality multipliers.
+    ``G``).
     """
 
     z: np.ndarray
@@ -143,7 +131,6 @@ class QPSolution:
     dual_residual: float
     gap: float
     lam: np.ndarray = field(default=None, repr=False)
-    nu: np.ndarray = field(default=None, repr=False)
     iterations: int = 0
 
 
@@ -162,8 +149,6 @@ def kkt_certificate(problem: ConvexQP, solution: QPSolution) -> KktReport:
     z = np.asarray(solution.z, dtype=float)
     lam = (np.zeros(problem.n_ineq) if solution.lam is None
            else np.asarray(solution.lam, dtype=float))
-    nu = (np.zeros(problem.n_eq) if solution.nu is None
-          else np.asarray(solution.nu, dtype=float))
     grad = problem.P @ z + problem.q
     primal = 0.0
     comp = 0.0
@@ -171,14 +156,9 @@ def kkt_certificate(problem: ConvexQP, solution: QPSolution) -> KktReport:
     if problem.n_ineq:
         slack = problem.G @ z - problem.l
         grad = grad - problem.G.T @ lam
-        primal = max(primal, float(np.max(-slack, initial=0.0)))
+        primal = float(np.max(-slack, initial=0.0))
         comp = float(np.max(np.abs(lam * slack), initial=0.0))
         dual_feas = float(np.max(-lam, initial=0.0))
-    if problem.n_eq:
-        grad = grad + problem.A.T @ nu
-        primal = max(primal,
-                     float(np.max(np.abs(problem.A @ z - problem.r),
-                                  initial=0.0)))
     return KktReport(stationarity=float(np.max(np.abs(grad), initial=0.0)),
                      primal=primal, complementarity=comp,
                      dual_feasibility=dual_feas)
@@ -194,16 +174,15 @@ def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
     """
     opt = options or SolveOptions()
     if problem.n_ineq == 0:
-        return _solve_equality_only(problem, opt)
+        return _solve_unconstrained(problem, opt)
     return _solve_interior_point(problem, opt)
 
 
-def _finish(problem: ConvexQP, opt: SolveOptions, z, lam, nu,
-            iterations: int, force_status: str | None = None) -> QPSolution:
+def _finish(problem: ConvexQP, opt: SolveOptions, z, lam, iterations: int,
+            force_status: str | None = None) -> QPSolution:
     """Assemble a solution record with residuals in original units."""
     z = np.asarray(z, dtype=float)
     lam = np.zeros(problem.n_ineq) if lam is None else np.maximum(lam, 0.0)
-    nu = np.zeros(problem.n_eq) if nu is None else np.asarray(nu, dtype=float)
     obj = problem.objective(z)
     grad = problem.P @ z + problem.q
     primal = 0.0
@@ -212,14 +191,9 @@ def _finish(problem: ConvexQP, opt: SolveOptions, z, lam, nu,
     if problem.n_ineq:
         slack = problem.G @ z - problem.l
         grad = grad - problem.G.T @ lam
-        primal = max(primal, float(np.max(-slack, initial=0.0)))
+        primal = float(np.max(-slack, initial=0.0))
         gap_abs = float(np.abs(lam) @ np.abs(slack))
         l_scale += float(np.max(np.abs(problem.l), initial=0.0))
-    if problem.n_eq:
-        grad = grad + problem.A.T @ nu
-        primal = max(primal, float(np.max(np.abs(problem.A @ z - problem.r),
-                                          initial=0.0)))
-        l_scale += float(np.max(np.abs(problem.r), initial=0.0))
     dual = float(np.max(np.abs(grad), initial=0.0))
     gap = gap_abs / (1.0 + abs(obj))
     q_scale = 1.0 + float(np.max(np.abs(problem.q), initial=0.0))
@@ -233,48 +207,29 @@ def _finish(problem: ConvexQP, opt: SolveOptions, z, lam, nu,
         status = MAX_ITERATIONS
     return QPSolution(z=z, objective=obj, status=status,
                       primal_residual=primal, dual_residual=dual, gap=gap,
-                      lam=lam, nu=nu, iterations=iterations)
+                      lam=lam, iterations=iterations)
 
 
-def _solve_equality_only(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
+def _solve_unconstrained(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
     P, q = problem.P, problem.q
-    d = problem.dim
-    e = problem.n_eq
-    if e == 0:
-        try:
-            z = scipy.linalg.solve(P, -q, assume_a="pos")
-        except np.linalg.LinAlgError:
-            z = np.linalg.lstsq(P, -q, rcond=None)[0]
-        return _finish(problem, opt, z, None, None, iterations=0)
-    kkt = np.zeros((d + e, d + e))
-    kkt[:d, :d] = P
-    kkt[:d, d:] = problem.A.T
-    kkt[d:, :d] = problem.A
-    rhs = np.concatenate([-q, problem.r])
     try:
-        sol = scipy.linalg.solve(kkt, rhs)
+        z = scipy.linalg.solve(P, -q, assume_a="pos")
     except np.linalg.LinAlgError:
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    if not np.all(np.isfinite(sol)):
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    return _finish(problem, opt, sol[:d], None, sol[d:], iterations=0)
+        z = np.linalg.lstsq(P, -q, rcond=None)[0]
+    return _finish(problem, opt, z, None, iterations=0)
 
 
-def _row_scale(mat: np.ndarray, vec: np.ndarray, zero_bad: str):
-    """Normalise constraint rows to unit sup-norm.
+def _row_scale(mat: np.ndarray, vec: np.ndarray):
+    """Normalise inequality rows to unit sup-norm.
 
-    Zero rows with an unsatisfiable right-hand side mark the whole problem
+    A zero row with a positive lower bound marks the whole problem
     infeasible; trivially satisfied zero rows are kept (harmless after
     scaling by 1).
     """
     norms = np.max(np.abs(mat), axis=1)
     zero = norms <= 0.0
-    if zero_bad == "ineq":
-        if np.any(zero & (vec > 0.0)):
-            return None
-    else:
-        if np.any(zero & (vec != 0.0)):
-            return None
+    if np.any(zero & (vec > 0.0)):
+        return None
     norms = np.where(zero, 1.0, norms)
     return mat / norms[:, None], vec / norms, norms
 
@@ -282,7 +237,6 @@ def _row_scale(mat: np.ndarray, vec: np.ndarray, zero_bad: str):
 def _solve_interior_point(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
     d = problem.dim
     k = problem.n_ineq
-    e = problem.n_eq
 
     # Jacobi column scaling: kernel-section curvature can span dozens of
     # orders of magnitude along the diagonal, which stalls the Newton
@@ -294,21 +248,11 @@ def _solve_interior_point(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
     Pc = problem.P * (col[:, None] * col[None, :])
     qc = problem.q * col
 
-    scaled_g = _row_scale(problem.G * col[None, :], problem.l, "ineq")
+    scaled_g = _row_scale(problem.G * col[None, :], problem.l)
     if scaled_g is None:
-        return _finish(problem, opt, np.zeros(d), None, None, 0,
+        return _finish(problem, opt, np.zeros(d), None, 0,
                        force_status=INFEASIBLE)
     Gs, ls, g_norms = scaled_g
-    if e:
-        scaled_a = _row_scale(problem.A * col[None, :], problem.r, "eq")
-        if scaled_a is None:
-            return _finish(problem, opt, np.zeros(d), None, None, 0,
-                           force_status=INFEASIBLE)
-        As, rs, a_norms = scaled_a
-    else:
-        As = np.zeros((0, d))
-        rs = np.zeros(0)
-        a_norms = np.ones(0)
 
     cost_scale = max(1.0, float(np.max(np.abs(Pc), initial=0.0)),
                      float(np.max(np.abs(qc), initial=0.0)))
@@ -317,21 +261,13 @@ def _solve_interior_point(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
 
     reg = 1e-12 * (1.0 + float(np.trace(Ps)) / d)
 
-    # Starting point: regularised equality-constrained minimiser, slacks
-    # clipped away from the boundary, unit multipliers.
-    init = np.zeros((d + e, d + e))
-    init[:d, :d] = Ps + np.eye(d)
-    if e:
-        init[:d, d:] = As.T
-        init[d:, :d] = As
-        init[d:, d:] = -reg * np.eye(e)
-    rhs0 = np.concatenate([-qs, rs])
+    # Starting point: regularised unconstrained minimiser, slacks clipped
+    # away from the boundary, unit multipliers.
+    init = Ps + np.eye(d)
     try:
-        start = scipy.linalg.solve(init, rhs0)
+        z = scipy.linalg.solve(init, -qs)
     except np.linalg.LinAlgError:
-        start = np.linalg.lstsq(init, rhs0, rcond=None)[0]
-    z = start[:d]
-    nu = start[d:]
+        z = np.linalg.lstsq(init, -qs, rcond=None)[0]
     s = np.maximum(Gs @ z - ls, 1.0)
     lam = np.ones(k)
 
@@ -340,7 +276,6 @@ def _solve_interior_point(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
     iterations = 0
     for iterations in range(1, opt.max_iter + 1):
         sol = _finish(problem, opt, col * z, cost_scale * lam / g_norms,
-                      cost_scale * nu / a_norms if e else None,
                       iterations)
         score = max(sol.primal_residual, sol.dual_residual, sol.gap)
         if score < best_score:
@@ -358,9 +293,8 @@ def _solve_interior_point(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
                     return polished
             return sol
 
-        rd = Ps @ z + qs - Gs.T @ lam + (As.T @ nu if e else 0.0)
+        rd = Ps @ z + qs - Gs.T @ lam
         rp = Gs @ z - s - ls
-        re = As @ z - rs if e else np.zeros(0)
         mu = float(s @ lam) / k
 
         # Divergence heuristic: multipliers exploding while the primal
@@ -368,39 +302,20 @@ def _solve_interior_point(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
         if (np.max(lam) > 1e13
                 and sol.primal_residual > 1e3 * opt.tol_feas
                 and mu < 1e-10):
-            return _finish(problem, opt, col * z, None, None, iterations,
+            return _finish(problem, opt, col * z, None, iterations,
                            force_status=INFEASIBLE)
 
         w = lam / s
-        h = Ps + (Gs.T * w) @ Gs
-        h[np.diag_indices_from(h)] += reg
-        if e:
-            kkt = np.zeros((d + e, d + e))
-            kkt[:d, :d] = h
-            kkt[:d, d:] = As.T
-            kkt[d:, :d] = As
-            kkt[d:, d:] = -reg * np.eye(e)
-            try:
-                lu = scipy.linalg.lu_factor(kkt)
-            except np.linalg.LinAlgError:
-                break
-            def kkt_solve(rhs_z, rhs_e):
-                out = scipy.linalg.lu_solve(lu, np.concatenate([rhs_z, rhs_e]))
-                return out[:d], out[d:]
-        else:
-            try:
-                cho = scipy.linalg.cho_factor(h)
-            except np.linalg.LinAlgError:
-                break
-            def kkt_solve(rhs_z, rhs_e):
-                return scipy.linalg.cho_solve(cho, rhs_z), np.zeros(0)
+        cho = _regularised_cholesky(Ps + (Gs.T * w) @ Gs, reg)
+        if cho is None:
+            break
 
-        # Affine scaling direction.  A numerically singular KKT matrix
+        # Affine scaling direction.  A numerically singular Newton matrix
         # can factor without error and still give a non-finite
         # direction; that goes to the rescue path like a failed factor.
         rhs_z = -rd - Gs.T @ (lam + w * rp)
-        dz, dnu = kkt_solve(rhs_z, -re)
-        if not (np.isfinite(dz).all() and np.isfinite(dnu).all()):
+        dz = scipy.linalg.cho_solve(cho, rhs_z)
+        if not np.isfinite(dz).all():
             break
         ds = Gs @ dz + rp
         dlam = -lam - w * ds
@@ -411,8 +326,8 @@ def _solve_interior_point(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
         # Corrected direction reusing the same factorisation.
         center = (sigma * mu - ds * dlam) / s
         rhs_z = -rd - Gs.T @ (lam + w * rp - center)
-        dz, dnu = kkt_solve(rhs_z, -re)
-        if not (np.isfinite(dz).all() and np.isfinite(dnu).all()):
+        dz = scipy.linalg.cho_solve(cho, rhs_z)
+        if not np.isfinite(dz).all():
             break
         ds = Gs @ dz + rp
         dlam = -lam - w * ds + center
@@ -424,13 +339,12 @@ def _solve_interior_point(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
         z = z + alpha * dz
         s = s + alpha * ds
         lam = lam + alpha * dlam
-        nu = nu + alpha * dnu if e else nu
 
     # Rescue path: operator splitting to get near the solution, then an
     # active-set polish; fall back to the best interior-point iterate.
     candidates = [best]
-    admm = _admm_rescue(problem, Ps, qs, Gs, ls, As, rs, cost_scale,
-                        col, g_norms, a_norms, opt, iterations)
+    admm = _admm_rescue(problem, Ps, qs, Gs, ls, cost_scale, col, g_norms,
+                        opt, iterations)
     if admm is not None:
         candidates.append(admm)
     for cand in list(candidates):
@@ -442,6 +356,20 @@ def _solve_interior_point(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
             return cand
     return min((c for c in candidates if c is not None),
                key=lambda c: max(c.primal_residual, c.dual_residual, c.gap))
+
+
+def _regularised_cholesky(h: np.ndarray, reg: float):
+    """Cholesky factor of ``h + bump * reg * I`` for the first bump in
+    ``_REG_BUMPS`` that factors, or ``None`` if none does."""
+    diag = np.diag_indices_from(h)
+    base = h[diag].copy()
+    for bump in _REG_BUMPS:
+        h[diag] = base + bump * reg
+        try:
+            return scipy.linalg.cho_factor(h)
+        except np.linalg.LinAlgError:
+            pass
+    return None
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
@@ -466,62 +394,46 @@ def _polish(problem: ConvexQP, opt: SolveOptions,
         z, *_ = np.linalg.lstsq(problem.P, -problem.q, rcond=None)
         if not np.all(np.isfinite(z)):
             return None
-        return _finish(problem, opt, z, None, None, iterations)
+        return _finish(problem, opt, z, None, iterations)
     Ga = problem.G[active]
     la = problem.l[active]
     d = problem.dim
     ka = Ga.shape[0]
-    e = problem.n_eq
-    kkt = np.zeros((d + ka + e, d + ka + e))
+    kkt = np.zeros((d + ka, d + ka))
     kkt[:d, :d] = problem.P
-    kkt[:d, d:d + ka] = -Ga.T
-    kkt[d:d + ka, :d] = Ga
-    rhs = np.concatenate([-problem.q, la, problem.r if e else np.zeros(0)])
-    if e:
-        kkt[:d, d + ka:] = problem.A.T
-        kkt[d + ka:, :d] = problem.A
+    kkt[:d, d:] = -Ga.T
+    kkt[d:, :d] = Ga
+    rhs = np.concatenate([-problem.q, la])
     sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
     if not np.all(np.isfinite(sol)):
         return None
-    z = sol[:d]
     lam_full = np.zeros(problem.n_ineq)
-    lam_full[active] = np.maximum(sol[d:d + ka], 0.0)
-    nu = sol[d + ka:] if e else None
-    return _finish(problem, opt, z, lam_full, nu, iterations)
+    lam_full[active] = np.maximum(sol[d:], 0.0)
+    return _finish(problem, opt, sol[:d], lam_full, iterations)
 
 
-def _admm_rescue(problem, Ps, qs, Gs, ls, As, rs, cost_scale, col,
-                 g_norms, a_norms, opt, iterations) -> QPSolution | None:
+def _admm_rescue(problem, Ps, qs, Gs, ls, cost_scale, col, g_norms, opt,
+                 iterations) -> QPSolution | None:
     """Operator-splitting pass used when the interior-point loop stalls."""
     d = problem.dim
-    e = problem.n_eq
-    M = np.vstack([Gs, As]) if e else Gs
-    k_total = M.shape[0]
     sigma = 1e-6
     rho = 1.0
-    lhs = Ps + sigma * np.eye(d) + rho * (M.T @ M)
+    lhs = Ps + sigma * np.eye(d) + rho * (Gs.T @ Gs)
     try:
         cho = scipy.linalg.cho_factor(lhs)
     except np.linalg.LinAlgError:
         return None
     z = np.zeros(d)
-    wv = M @ z
-    u = np.zeros(k_total)
+    wv = Gs @ z
+    u = np.zeros(Gs.shape[0])
     for _ in range(4000):
-        rhs = -qs + sigma * z + rho * M.T @ (wv - u)
+        rhs = -qs + sigma * z + rho * Gs.T @ (wv - u)
         z = scipy.linalg.cho_solve(cho, rhs)
-        mz = M @ z
-        wv = mz + u
-        wv[:Gs.shape[0]] = np.maximum(wv[:Gs.shape[0]], ls)
-        if e:
-            wv[Gs.shape[0]:] = rs
+        mz = Gs @ z
+        wv = np.maximum(mz + u, ls)
         u = u + mz - wv
-    y = rho * u
-    lam = np.maximum(-y[:Gs.shape[0]], 0.0)
-    nu = y[Gs.shape[0]:] if e else None
-    return _finish(problem, opt,
-                   col * z, cost_scale * lam / g_norms,
-                   cost_scale * nu / a_norms if e else None,
+    lam = np.maximum(-rho * u, 0.0)
+    return _finish(problem, opt, col * z, cost_scale * lam / g_norms,
                    iterations)
 
 
@@ -530,8 +442,6 @@ def dump_qp(problem: ConvexQP, path) -> None:
     blocks = [("P", problem.P), ("q", problem.q)]
     if problem.n_ineq:
         blocks += [("G", problem.G), ("l", problem.l)]
-    if problem.n_eq:
-        blocks += [("A", problem.A), ("r", problem.r)]
     buf = io.StringIO()
     for name, arr in blocks:
         arr = np.atleast_2d(np.asarray(arr, dtype=float))
@@ -545,22 +455,39 @@ def dump_qp(problem: ConvexQP, path) -> None:
 
 
 def load_qp_dump(path) -> ConvexQP:
-    """Rebuild a QP from a :func:`dump_qp` file."""
+    """Rebuild a QP from a :func:`dump_qp` file.
+
+    Raises :class:`ConfigError` on a malformed or truncated block, on a
+    block other than ``P``, ``q``, ``G`` and ``l`` (or one given twice),
+    and when ``P`` or ``q`` is missing, so a file never loads as a
+    different problem.
+    """
     blocks: dict[str, np.ndarray] = {}
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh]
     i = 0
     while i < len(lines):
-        if not lines[i].startswith("%%MatrixMarket"):
+        header = lines[i:i + 3]
+        if (len(header) < 3 or not header[0].startswith("%%MatrixMarket")
+                or not header[1].startswith("%block ")):
             raise ConfigError(f"{path}: bad dump header at line {i + 1}")
-        name = lines[i + 1].removeprefix("%block ").strip()
-        rows, cols = (int(x) for x in lines[i + 2].split())
-        count = rows * cols
-        vals = np.array([float(x) for x in lines[i + 3:i + 3 + count]])
-        blocks[name] = vals.reshape((cols, rows)).T
+        name = header[1].removeprefix("%block ").strip()
+        if name not in ("P", "q", "G", "l") or name in blocks:
+            raise ConfigError(
+                f"{path}: unexpected block {name!r} at line {i + 2}")
+        try:
+            rows, cols = (int(x) for x in header[2].split())
+            if rows < 0 or cols < 0:
+                raise ValueError(f"negative shape {rows} x {cols}")
+            count = rows * cols
+            vals = np.array([float(x) for x in lines[i + 3:i + 3 + count]])
+            blocks[name] = vals.reshape((cols, rows)).T
+        except ValueError as exc:
+            raise ConfigError(
+                f"{path}: bad block {name!r} at line {i + 1}: {exc}") from exc
         i += 3 + count
-    def vec(name):
-        return blocks[name].ravel() if name in blocks else None
-    return ConvexQP(P=blocks["P"], q=vec("q"),
-                    G=blocks.get("G"), l=vec("l"),
-                    A=blocks.get("A"), r=vec("r"))
+    missing = [name for name in ("P", "q") if name not in blocks]
+    if missing:
+        raise ConfigError(f"{path}: missing block(s) {', '.join(missing)}")
+    return ConvexQP(P=blocks["P"], q=blocks["q"].ravel(), G=blocks.get("G"),
+                    l=blocks["l"].ravel() if "l" in blocks else None)

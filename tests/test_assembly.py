@@ -5,8 +5,8 @@ import pytest
 from posid.assembly import (QPDataMatrices, assemble_core,
                             assemble_oscillation_blocks,
                             assemble_polynomial_blocks, input_weight_matrix,
-                            oscillation_tables, polynomial_modes,
-                            required_width)
+                            oscillation_tables, periodic_modes,
+                            polynomial_modes, required_width)
 from posid.errors import ConfigError
 from posid.kernels import KernelSpec, gram, window_kernel
 from posid.signals import (ImpulseResponse, TimeSeriesData, convolve,
@@ -45,6 +45,29 @@ def assemble_core_definitional(kernel, data, rho, m):
                   for r in range(n_sec)])
     mats = QPDataMatrices(L=L, K=K, y=data.outputs.copy(), m=int(m))
     return mats, b
+
+
+def phase_basis(data, rho, n, epsilon):
+    """The oscillating poles over complex phase coefficients ``(a_r, a_i)``.
+
+    Reference for the real-period basis: columns ``rho**t cos(2 pi k t / n)``
+    then ``-rho**t sin(2 pi k t / n)`` give the real part of
+    ``rho**t sum_k (a_r[k] + i a_i[k]) omega**(t k)``.  Over one period
+    the ``eq`` rows are its imaginary part, which must vanish, and the
+    ``floor`` rows its values; ``epsilon`` penalises every phase but the
+    constant one.  Returns ``(B, modes, floor, eq, penalty)``.
+    """
+    def modes(rows):
+        Vr, Vi = oscillation_tables(n, rows)
+        decay = (rho ** np.arange(rows, dtype=float))[:, None]
+        return np.hstack([decay * Vr, -(decay * Vi)])
+
+    width = required_width(data)
+    B = input_weight_matrix(data, width) @ modes(width)
+    Vr, Vi = oscillation_tables(n, n)
+    penalised = np.tile(np.r_[0.0, np.ones(n - 1)], 2)
+    return (B, modes, np.hstack([Vr, Vi]), np.hstack([Vi, Vr]),
+            epsilon * np.diag(penalised))
 
 
 def test_input_weight_matrix_is_toeplitz_at_rest():
@@ -152,7 +175,14 @@ def test_mode_vectors():
     # one mode, floored at a_min, no penalty, caps the horizon itself
     np.testing.assert_array_equal(basis.floor, [[1.0]])
     np.testing.assert_array_equal(basis.penalty, [[0.0]])
-    assert basis.cap == 0 and basis.eq is None
+    np.testing.assert_array_equal(basis.cap, [1.0])
+    # a one-value period is the same basis, value for value
+    period = assemble_oscillation_blocks(data, rho, n=1, epsilon=0.5)
+    np.testing.assert_array_equal(period.B, basis.B)
+    np.testing.assert_array_equal(period.modes(4), basis.modes(4))
+    np.testing.assert_array_equal(period.floor, basis.floor)
+    np.testing.assert_array_equal(period.penalty, basis.penalty)
+    np.testing.assert_array_equal(period.cap, basis.cap)
 
 
 def test_polynomial_modes_values():
@@ -183,7 +213,7 @@ def test_polynomial_block_matches_convolution():
     # penalised
     np.testing.assert_array_equal(blocks.floor, [[0.0, 0.0, 1.0]])
     np.testing.assert_array_equal(np.diag(blocks.penalty), [0.5, 0.5, 0.0])
-    assert blocks.cap == 2 and blocks.eq is None
+    np.testing.assert_array_equal(blocks.cap, [0.0, 0.0, 1.0])
 
 
 def test_oscillation_tables_structure():
@@ -194,6 +224,12 @@ def test_oscillation_tables_structure():
     # period n: row t=4 equals row t=0
     np.testing.assert_allclose(Vr[4], Vr[0], atol=1e-12)
     np.testing.assert_allclose(Vi[4], Vi[0], atol=1e-12)
+    # the period modes pick one phase of the decay each and sum to it
+    modes = periodic_modes(0.5, 4, 6)
+    decay = 0.5 ** np.arange(6.0)
+    np.testing.assert_array_equal(modes.sum(axis=1), decay)
+    np.testing.assert_array_equal(modes[[1, 5], 1], decay[[1, 5]])
+    np.testing.assert_array_equal(np.count_nonzero(modes, axis=1), 1)
 
 
 def test_oscillation_block_matches_convolution():
@@ -204,23 +240,45 @@ def test_oscillation_block_matches_convolution():
     rho, period = 0.85, 3
     blocks = assemble_oscillation_blocks(data, rho, n=period, epsilon=0.5)
     t = np.arange(n, dtype=float)
-    for k in range(period):
-        cos_mode = rho ** t * np.cos(2 * np.pi * k * t / period)
-        sin_mode = rho ** t * np.sin(2 * np.pi * k * t / period)
-        np.testing.assert_allclose(blocks.B[:, k],
-                                   np.convolve(u, cos_mode)[:n], atol=1e-12)
-        # the imaginary coefficients enter the real part with a minus
-        np.testing.assert_allclose(blocks.B[:, period + k],
-                                   -np.convolve(u, sin_mode)[:n], atol=1e-12)
-    np.testing.assert_allclose(blocks.modes(n)[:, 1],
-                               rho ** t * np.cos(2 * np.pi * t / period))
-    Vr, Vi = oscillation_tables(period, period)
-    np.testing.assert_array_equal(blocks.floor, np.hstack([Vr, Vi]))
-    np.testing.assert_array_equal(blocks.eq, np.hstack([Vi, Vr]))
-    # every phase but the constant one is penalised, real and imaginary
-    np.testing.assert_array_equal(blocks.penalty,
-                                  np.diag([0.0, 0.5, 0.5, 0.0, 0.5, 0.5]))
-    assert blocks.cap == 0
+    for j in range(period):
+        mode = np.where(t % period == j, rho ** t, 0.0)
+        np.testing.assert_allclose(blocks.B[:, j],
+                                   np.convolve(u, mode)[:n], atol=1e-12)
+        np.testing.assert_array_equal(blocks.modes(n)[:, j], mode)
+    # every period value is floored; the cap is the constant phase rho**t
+    np.testing.assert_array_equal(blocks.floor, np.eye(period))
+    np.testing.assert_array_equal(blocks.cap, np.ones(period))
+    np.testing.assert_allclose(blocks.B @ blocks.cap,
+                               np.convolve(u, rho ** t)[:n], atol=1e-12)
+    # the spread about the mean is penalised
+    np.testing.assert_allclose(blocks.penalty,
+                               0.5 * (np.eye(3) / 3 - np.ones((3, 3)) / 9),
+                               atol=1e-15)
+
+
+@pytest.mark.parametrize("period", [1, 2, 3, 4, 7])
+def test_period_basis_is_the_phase_basis(period):
+    # with c = fft(x) / n the phase coefficients describe the same
+    # response, satisfy the phase equalities, pay the same penalty and
+    # meet the same floor, so both bases pose the same problem
+    rng = np.random.default_rng(period)
+    data = _random_at_rest(rng, 12)
+    rho, eps = 0.8, 0.3
+    new = assemble_oscillation_blocks(data, rho, period, epsilon=eps)
+    B, modes, floor, eq, penalty = phase_basis(data, rho, period, eps)
+    for _ in range(5):
+        x = rng.standard_normal(period)
+        c = np.fft.fft(x) / period
+        coeffs = np.concatenate([c.real, c.imag])
+        np.testing.assert_allclose(B @ coeffs, new.B @ x, atol=1e-12)
+        np.testing.assert_allclose(modes(15) @ coeffs, new.modes(15) @ x,
+                                   atol=1e-13)
+        np.testing.assert_allclose(eq @ coeffs, 0.0, atol=1e-13)
+        assert coeffs @ penalty @ coeffs == pytest.approx(
+            x @ new.penalty @ x, rel=1e-12, abs=1e-15)
+        np.testing.assert_allclose(floor @ coeffs,
+                                   x[-np.arange(period) % period],
+                                   atol=1e-13)
 
 
 def test_assembly_validation():

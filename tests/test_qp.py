@@ -5,54 +5,51 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from posid import qp
 from posid.errors import ConfigError
 from posid.qp import (ConvexQP, SolveOptions, dump_qp, kkt_certificate,
                       load_qp_dump, solve)
 
 
-def _random_strictly_convex(rng, d, n_ineq, n_eq=0):
+def _random_strictly_convex(rng, d, n_ineq):
     root = rng.standard_normal((d, d))
     P = root.T @ root + d * np.eye(d)
     q = rng.standard_normal(d)
     G = rng.standard_normal((n_ineq, d)) if n_ineq else None
     l = rng.standard_normal(n_ineq) if n_ineq else None
-    A = rng.standard_normal((n_eq, d)) if n_eq else None
-    r = rng.standard_normal(n_eq) if n_eq else None
-    return ConvexQP(P=P, q=q, G=G, l=l, A=A, r=r)
+    return ConvexQP(P=P, q=q, G=G, l=l)
 
 
 def _active_set_oracle(problem):
     """Exhaustive KKT enumeration for small strictly convex QPs.
 
     Tries every subset of inequality rows as the active set, solves the
-    equality-constrained KKT system, and keeps the best candidate that is
-    primal feasible with nonnegative multipliers on the active rows.
+    KKT system with the active rows held as equalities, and keeps the best
+    candidate that is primal feasible with nonnegative multipliers on the
+    active rows.
     """
     P, q = problem.P, problem.q
     G = problem.G if problem.G is not None else np.zeros((0, P.shape[0]))
     l = problem.l if problem.l is not None else np.zeros(0)
-    A = problem.A if problem.A is not None else np.zeros((0, P.shape[0]))
-    r = problem.r if problem.r is not None else np.zeros(0)
     d = P.shape[0]
     best = None
     for active in itertools.chain.from_iterable(
             itertools.combinations(range(G.shape[0]), k)
             for k in range(G.shape[0] + 1)):
-        rows = np.vstack([A, G[list(active)]]) if active or A.size else A
-        rhs = np.concatenate([r, l[list(active)]]) if active or A.size else r
-        n_c = rows.shape[0] if rows.size else 0
-        # stationarity P z + q - rows' mult = 0, feasibility rows z = rhs
+        rows = G[list(active)]
+        n_c = len(active)
+        # stationarity P z + q - rows' mult = 0, feasibility rows z = l
         kkt = np.zeros((d + n_c, d + n_c))
         kkt[:d, :d] = P
-        if n_c:
-            kkt[:d, d:] = -rows.T
-            kkt[d:, :d] = rows
+        kkt[:d, d:] = -rows.T
+        kkt[d:, :d] = rows
         try:
-            sol = np.linalg.solve(kkt, np.concatenate([-q, rhs]))
+            sol = np.linalg.solve(
+                kkt, np.concatenate([-q, l[list(active)]]))
         except np.linalg.LinAlgError:
             continue
         z = sol[:d]
-        mults = sol[d + A.shape[0]:]
+        mults = sol[d:]
         if np.any(G @ z < l - 1e-9):
             continue
         if np.any(mults < -1e-9):
@@ -85,35 +82,52 @@ def test_matches_active_set_enumeration():
         assert sol.objective == pytest.approx(obj_star, abs=1e-7)
 
 
-def test_enumeration_with_equalities():
-    rng = np.random.default_rng(8)
-    tight = SolveOptions(tol_feas=1e-11, tol_gap=1e-11)
-    for _ in range(10):
-        problem = _random_strictly_convex(rng, 5, 2, n_eq=1)
-        z_star, _ = _active_set_oracle(problem)
-        sol = solve(problem, tight)
-        assert sol.status == "optimal"
-        np.testing.assert_allclose(sol.z, z_star, atol=1e-7)
-
-
 def test_nonfinite_kkt_direction_goes_to_rescue(monkeypatch):
     # a numerically singular KKT matrix can factor without error and still
     # give a non-finite Newton direction; the solve must then fall back to
     # the rescue path instead of passing NaN on to the next linear solve
     rng = np.random.default_rng(9)
-    problem = _random_strictly_convex(rng, 4, 3, n_eq=1)
-    real_lu_solve = scipy.linalg.lu_solve
+    problem = _random_strictly_convex(rng, 4, 3)
+    real_cho_solve = scipy.linalg.cho_solve
     calls = []
 
     def first_call_nan(*args, **kwargs):
         calls.append(1)
         if len(calls) == 1:
-            return np.full(problem.dim + problem.n_eq, np.nan)
-        return real_lu_solve(*args, **kwargs)
+            return np.full(problem.dim, np.nan)
+        return real_cho_solve(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "lu_solve", first_call_nan)
+    monkeypatch.setattr(scipy.linalg, "cho_solve", first_call_nan)
     sol = solve(problem, SolveOptions(tol_feas=1e-10, tol_gap=1e-10))
-    assert calls, "the equality-constrained Newton path was not taken"
+    assert calls, "the Newton direction was not computed"
+    z_star, _ = _active_set_oracle(problem)
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.z, z_star, atol=1e-7)
+
+
+def test_failed_newton_factor_retries_with_a_larger_shift(monkeypatch):
+    # near the optimum roundoff can leave the Newton matrix numerically
+    # indefinite; the solve then raises its diagonal shift and goes on
+    # instead of leaving the interior-point loop for the rescue path
+    rng = np.random.default_rng(9)
+    problem = _random_strictly_convex(rng, 4, 3)
+    real_cho_factor = scipy.linalg.cho_factor
+    diagonals = []
+
+    def fail_twice(a, *args, **kwargs):
+        diagonals.append(np.diag(a).copy())
+        if len(diagonals) <= 2:
+            raise np.linalg.LinAlgError("not positive definite")
+        return real_cho_factor(a, *args, **kwargs)
+
+    def no_rescue(*args, **kwargs):
+        pytest.fail("the rescue path was taken")
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", fail_twice)
+    monkeypatch.setattr(qp, "_admm_rescue", no_rescue)
+    sol = solve(problem, SolveOptions(tol_feas=1e-10, tol_gap=1e-10))
+    assert np.all(diagonals[1] > diagonals[0])
+    assert np.all(diagonals[2] > diagonals[1])
     z_star, _ = _active_set_oracle(problem)
     assert sol.status == "optimal"
     np.testing.assert_allclose(sol.z, z_star, atol=1e-7)
@@ -136,21 +150,10 @@ def test_perturbed_point_fails_certificate():
     sol = solve(problem)
     bumped = type(sol)(z=sol.z + 1e-3, objective=sol.objective,
                        status=sol.status, primal_residual=0.0,
-                       dual_residual=0.0, gap=0.0, lam=sol.lam, nu=sol.nu,
+                       dual_residual=0.0, gap=0.0, lam=sol.lam,
                        iterations=sol.iterations)
     report = kkt_certificate(problem, bumped)
     assert report.stationarity > 1e-4
-
-
-def test_equality_constrained_least_squares():
-    # min ||z - c||^2 s.t. sum(z) = 0 has closed form z = c - mean(c)
-    rng = np.random.default_rng(11)
-    c = rng.standard_normal(7)
-    problem = ConvexQP(P=2.0 * np.eye(7), q=-2.0 * c,
-                       A=np.ones((1, 7)), r=np.zeros(1))
-    sol = solve(problem)
-    assert sol.status == "optimal"
-    np.testing.assert_allclose(sol.z, c - c.mean(), atol=1e-9)
 
 
 def test_scaling_equivariance():
@@ -187,7 +190,7 @@ def test_scalar_active_bound_value_and_objective():
 
 def test_dump_load_roundtrip(tmp_path):
     rng = np.random.default_rng(13)
-    problem = _random_strictly_convex(rng, 4, 2, n_eq=1)
+    problem = _random_strictly_convex(rng, 4, 2)
     path = tmp_path / "problem.npz"
     dump_qp(problem, path)
     back = load_qp_dump(path)
@@ -195,9 +198,44 @@ def test_dump_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.q, problem.q)
     np.testing.assert_array_equal(back.G, problem.G)
     np.testing.assert_array_equal(back.l, problem.l)
-    np.testing.assert_array_equal(back.A, problem.A)
-    np.testing.assert_array_equal(back.r, problem.r)
     np.testing.assert_allclose(solve(back).z, solve(problem).z, atol=1e-10)
+
+
+def _dump_lines(tmp_path):
+    path = tmp_path / "problem.txt"
+    dump_qp(_random_strictly_convex(np.random.default_rng(14), 3, 2), path)
+    return path, path.read_text().splitlines(keepends=True)
+
+
+def _block_start(lines, name):
+    return lines.index(f"%block {name}\n") - 1
+
+
+def test_load_dump_rejects_missing_block(tmp_path):
+    path, lines = _dump_lines(tmp_path)
+    path.write_text("".join(lines[_block_start(lines, "q"):]))
+    with pytest.raises(ConfigError, match="missing block.*P"):
+        load_qp_dump(path)
+
+
+def test_load_dump_rejects_truncated_block(tmp_path):
+    path, lines = _dump_lines(tmp_path)
+    # values cut short, then the header cut short
+    for cut in (len(lines) - 1, _block_start(lines, "l") + 2):
+        path.write_text("".join(lines[:cut]))
+        with pytest.raises(ConfigError):
+            load_qp_dump(path)
+
+
+def test_load_dump_rejects_unknown_block(tmp_path):
+    # an equality block would otherwise be dropped and the file would
+    # load as a different problem
+    path, lines = _dump_lines(tmp_path)
+    extra = ["%%MatrixMarket matrix array real general\n", "%block A\n",
+             "1 3\n", "1.0\n", "0.0\n", "0.0\n"]
+    path.write_text("".join(lines + extra))
+    with pytest.raises(ConfigError, match="'A'"):
+        load_qp_dump(path)
 
 
 def test_validation_errors():
