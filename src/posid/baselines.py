@@ -20,6 +20,7 @@ import numpy as np
 from . import qp
 from .assembly import input_weight_matrix, required_width
 from .errors import ConfigError
+from .estimator import _solve_or_raise
 from .extensions import FiniteResponseConfig, identify_finite_response
 from .kernels import KernelSpec, gram, window_kernel
 from .signals import ImpulseResponse, TimeSeriesData
@@ -74,11 +75,14 @@ def ls_clip(data: TimeSeriesData, n_g: int) -> ImpulseResponse:
 
 
 def nonneg_ls(data: TimeSeriesData, n_g: int) -> ImpulseResponse:
-    """Least squares over the nonnegative orthant."""
+    """Least squares over the nonnegative orthant.
+
+    Raises :class:`SolverError` when the QP does not reach optimality.
+    """
     U = regression_matrix(data, n_g)
     problem = qp.ConvexQP(P=2.0 * (U.T @ U), q=-2.0 * (U.T @ data.outputs),
                           G=np.eye(n_g), l=np.zeros(n_g))
-    sol = qp.solve(problem)
+    sol = _solve_or_raise(problem, qp.SolveOptions())
     return ImpulseResponse(np.maximum(sol.z, 0.0))
 
 

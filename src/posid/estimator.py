@@ -241,11 +241,6 @@ def _best_single_mode_misfit(y: np.ndarray, b: np.ndarray,
 def _solve_or_raise(problem: qp.ConvexQP,
                     options: qp.SolveOptions) -> qp.QPSolution:
     sol = qp.solve(problem, options)
-    if sol.status == qp.INFEASIBLE:
-        raise SolverError(
-            "inner QP reported infeasible constraints; this indicates an "
-            "assembly bug since the feasible set always contains "
-            "(a_min, 0)")
     if sol.status != qp.OPTIMAL:
         raise SolverError(
             f"inner QP did not converge: status {sol.status}, primal "

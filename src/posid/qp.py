@@ -6,15 +6,18 @@ Solves
     subject to  G z >= l
 
 with a primal-dual interior-point method (Mehrotra predictor-corrector on
-the slack/multiplier pair).  Problems the interior-point loop cannot finish
-are handed to an operator-splitting fallback and an active-set polish; the
-returned status reflects the final certified residuals, which can also be
-recomputed independently through :func:`kkt_certificate`.
+the slack/multiplier pair).  Every solve leaves through one exit: the
+best interior-point iterate, plus an operator-splitting iterate when the
+interior-point loop stalls, is each followed by an active-set polish, and
+the lowest-residual certified candidate is returned (OSQP's rule: keep a
+polish only when it certifies better).  The returned status reflects the
+final certified residuals, which :func:`kkt_certificate` recomputes from
+the same residual builder.
 """
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -33,6 +36,10 @@ _RIDGE_FRACTION = 1e-12
 # matrix factors: near the optimum the active rows carry weights of 1e12
 # and more, and roundoff can leave the matrix numerically indefinite.
 _REG_BUMPS = (1.0, 1e2, 1e4, 1e6)
+# Interior-point iteration cap, and the fraction of the step to the
+# boundary of the positive orthant taken by each iteration.
+_MAX_ITER = 200
+_STEP_FRACTION = 0.99
 
 
 @dataclass(frozen=True)
@@ -41,28 +48,24 @@ class SolveOptions:
 
     ``tol_feas`` bounds the primal and dual residuals (scaled by
     ``1 + |l|_inf`` and ``1 + |q|_inf`` respectively), ``tol_gap`` bounds
-    the complementarity gap normalised by ``1 + |objective|``.
+    the complementarity gap normalised by ``1 + |objective|``.  A solution
+    is ``optimal`` only when all three bounds hold.
     """
 
     tol_feas: float = 1e-8
     tol_gap: float = 1e-7
-    max_iter: int = 200
-    step_fraction: float = 0.99
 
     def __post_init__(self) -> None:
         if self.tol_feas <= 0 or self.tol_gap <= 0:
             raise ConfigError("solver tolerances must be positive")
-        if self.max_iter <= 0:
-            raise ConfigError("max_iter must be positive")
-        if not 0.0 < self.step_fraction < 1.0:
-            raise ConfigError("step_fraction must lie in (0, 1)")
 
 
 @dataclass
 class ConvexQP:
     """One convex QP instance.
 
-    ``P`` is symmetrised on construction; eigenvalues below
+    Every entry of ``P``, ``q``, ``G`` and ``l`` must be finite.  ``P`` is
+    symmetrised on construction; eigenvalues below
     ``-1e-8 * max_eig`` raise, while tiny negative ones (roundoff from
     Gram assembly) are absorbed by adding the ridge
     ``1e-12 * trace(P) / d`` to the diagonal.
@@ -80,6 +83,8 @@ class ConvexQP:
             raise ConfigError("P must be a square matrix")
         if q.ndim != 1 or q.size != P.shape[0]:
             raise ConfigError("q must be a vector matching P")
+        if not (np.isfinite(P).all() and np.isfinite(q).all()):
+            raise ConfigError("P and q must be finite")
         P = 0.5 * (P + P.T)
         eigs = np.linalg.eigvalsh(P)
         top = max(float(eigs[-1]), 0.0)
@@ -100,6 +105,8 @@ class ConvexQP:
                 raise ConfigError(
                     f"G shape {G.shape} incompatible with {l.size} bounds "
                     f"and {q.size} variables")
+            if not (np.isfinite(G).all() and np.isfinite(l).all()):
+                raise ConfigError("G and l must be finite")
             self.G, self.l = G, l
 
     @property
@@ -149,19 +156,12 @@ def kkt_certificate(problem: ConvexQP, solution: QPSolution) -> KktReport:
     z = np.asarray(solution.z, dtype=float)
     lam = (np.zeros(problem.n_ineq) if solution.lam is None
            else np.asarray(solution.lam, dtype=float))
-    grad = problem.P @ z + problem.q
-    primal = 0.0
-    comp = 0.0
-    dual_feas = 0.0
-    if problem.n_ineq:
-        slack = problem.G @ z - problem.l
-        grad = grad - problem.G.T @ lam
-        primal = float(np.max(-slack, initial=0.0))
-        comp = float(np.max(np.abs(lam * slack), initial=0.0))
-        dual_feas = float(np.max(-lam, initial=0.0))
-    return KktReport(stationarity=float(np.max(np.abs(grad), initial=0.0)),
-                     primal=primal, complementarity=comp,
-                     dual_feasibility=dual_feas)
+    grad, slack = _residuals(problem, z, lam)
+    return KktReport(
+        stationarity=float(np.max(np.abs(grad), initial=0.0)),
+        primal=float(np.max(-slack, initial=0.0)),
+        complementarity=float(np.max(np.abs(lam * slack), initial=0.0)),
+        dual_feasibility=float(np.max(-lam, initial=0.0)))
 
 
 def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
@@ -169,8 +169,10 @@ def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
 
     Returns a :class:`QPSolution` whose status is ``optimal`` only when
     the certified residuals meet the requested tolerances, ``infeasible``
-    when the constraints admit no point, and ``max_iterations`` otherwise
-    (best iterate returned).
+    when a constraint row is zero and its bound positive, and
+    ``max_iterations`` otherwise, with the lowest-residual candidate.
+    Constraints that contradict each other through nonzero rows are not
+    detected: such a solve ends in ``max_iterations``.
     """
     opt = options or SolveOptions()
     if problem.n_ineq == 0:
@@ -178,34 +180,37 @@ def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
     return _solve_interior_point(problem, opt)
 
 
-def _finish(problem: ConvexQP, opt: SolveOptions, z, lam, iterations: int,
-            force_status: str | None = None) -> QPSolution:
+def _residuals(problem: ConvexQP, z: np.ndarray, lam: np.ndarray):
+    """Lagrangian gradient ``P z + q - G' lam`` and slack ``G z - l``."""
+    grad = problem.P @ z + problem.q
+    if not problem.n_ineq:
+        return grad, np.zeros(0)
+    slack = problem.G @ z - problem.l
+    return grad - problem.G.T @ lam, slack
+
+
+def _score(sol: QPSolution) -> float:
+    return max(sol.primal_residual, sol.dual_residual, sol.gap)
+
+
+def _finish(problem: ConvexQP, opt: SolveOptions, z, lam,
+            iterations: int) -> QPSolution:
     """Assemble a solution record with residuals in original units."""
     z = np.asarray(z, dtype=float)
     lam = np.zeros(problem.n_ineq) if lam is None else np.maximum(lam, 0.0)
     obj = problem.objective(z)
-    grad = problem.P @ z + problem.q
-    primal = 0.0
-    gap_abs = 0.0
-    l_scale = 1.0
-    if problem.n_ineq:
-        slack = problem.G @ z - problem.l
-        grad = grad - problem.G.T @ lam
-        primal = float(np.max(-slack, initial=0.0))
-        gap_abs = float(np.abs(lam) @ np.abs(slack))
-        l_scale += float(np.max(np.abs(problem.l), initial=0.0))
+    grad, slack = _residuals(problem, z, lam)
+    primal = float(np.max(-slack, initial=0.0))
     dual = float(np.max(np.abs(grad), initial=0.0))
-    gap = gap_abs / (1.0 + abs(obj))
+    gap = float(np.abs(lam) @ np.abs(slack)) / (1.0 + abs(obj))
+    l_scale = (1.0 + float(np.max(np.abs(problem.l), initial=0.0))
+               if problem.n_ineq else 1.0)
     q_scale = 1.0 + float(np.max(np.abs(problem.q), initial=0.0))
-    if force_status is not None:
-        status = force_status
-    elif (primal <= opt.tol_feas * l_scale
-          and dual <= opt.tol_feas * q_scale
-          and gap <= opt.tol_gap):
-        status = OPTIMAL
-    else:
-        status = MAX_ITERATIONS
-    return QPSolution(z=z, objective=obj, status=status,
+    certified = (primal <= opt.tol_feas * l_scale
+                 and dual <= opt.tol_feas * q_scale
+                 and gap <= opt.tol_gap)
+    return QPSolution(z=z, objective=obj,
+                      status=OPTIMAL if certified else MAX_ITERATIONS,
                       primal_residual=primal, dual_residual=dual, gap=gap,
                       lam=lam, iterations=iterations)
 
@@ -250,8 +255,8 @@ def _solve_interior_point(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
 
     scaled_g = _row_scale(problem.G * col[None, :], problem.l)
     if scaled_g is None:
-        return _finish(problem, opt, np.zeros(d), None, 0,
-                       force_status=INFEASIBLE)
+        return replace(_finish(problem, opt, np.zeros(d), None, 0),
+                       status=INFEASIBLE)
     Gs, ls, g_norms = scaled_g
 
     cost_scale = max(1.0, float(np.max(np.abs(Pc), initial=0.0)),
@@ -263,48 +268,25 @@ def _solve_interior_point(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
 
     # Starting point: regularised unconstrained minimiser, slacks clipped
     # away from the boundary, unit multipliers.
-    init = Ps + np.eye(d)
-    try:
-        z = scipy.linalg.solve(init, -qs)
-    except np.linalg.LinAlgError:
-        z = np.linalg.lstsq(init, -qs, rcond=None)[0]
+    z = scipy.linalg.solve(Ps + np.eye(d), -qs)
     s = np.maximum(Gs @ z - ls, 1.0)
     lam = np.ones(k)
 
     best = None
     best_score = np.inf
-    iterations = 0
-    for iterations in range(1, opt.max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         sol = _finish(problem, opt, col * z, cost_scale * lam / g_norms,
                       iterations)
-        score = max(sol.primal_residual, sol.dual_residual, sol.gap)
+        if sol.status == OPTIMAL:
+            best = sol
+            break
+        score = _score(sol)
         if score < best_score:
             best, best_score = sol, score
-        if sol.status == OPTIMAL:
-            # One active-set polish step: on flat valleys the barrier
-            # stops inside the tolerance ball, while the equality solve
-            # lands on the exact face.  Keep it only when it certifies
-            # strictly better.
-            polished = _polish(problem, opt, sol, iterations)
-            if polished is not None and polished.status == OPTIMAL:
-                p_score = max(polished.primal_residual,
-                              polished.dual_residual, polished.gap)
-                if p_score < score:
-                    return polished
-            return sol
 
         rd = Ps @ z + qs - Gs.T @ lam
         rp = Gs @ z - s - ls
         mu = float(s @ lam) / k
-
-        # Divergence heuristic: multipliers exploding while the primal
-        # residual stalls indicates an infeasible constraint set.
-        if (np.max(lam) > 1e13
-                and sol.primal_residual > 1e3 * opt.tol_feas
-                and mu < 1e-10):
-            return _finish(problem, opt, col * z, None, iterations,
-                           force_status=INFEASIBLE)
-
         w = lam / s
         cho = _regularised_cholesky(Ps + (Gs.T * w) @ Gs, reg)
         if cho is None:
@@ -331,8 +313,8 @@ def _solve_interior_point(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
             break
         ds = Gs @ dz + rp
         dlam = -lam - w * ds + center
-        alpha = opt.step_fraction * min(_max_step(s, ds),
-                                        _max_step(lam, dlam))
+        alpha = _STEP_FRACTION * min(_max_step(s, ds),
+                                     _max_step(lam, dlam))
         alpha = min(1.0, alpha)
         if alpha < 1e-10:
             break
@@ -340,22 +322,23 @@ def _solve_interior_point(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
         s = s + alpha * ds
         lam = lam + alpha * dlam
 
-    # Rescue path: operator splitting to get near the solution, then an
-    # active-set polish; fall back to the best interior-point iterate.
+    # One exit.  A stalled loop adds an operator-splitting iterate; every
+    # candidate then gets one active-set polish, because on flat valleys
+    # the barrier stops inside the tolerance ball while the equality solve
+    # lands on the exact face.  The lowest-residual certified candidate
+    # wins, the earlier one on ties, so a polish is kept only when it
+    # certifies strictly better.
     candidates = [best]
-    admm = _admm_rescue(problem, Ps, qs, Gs, ls, cost_scale, col, g_norms,
-                        opt, iterations)
-    if admm is not None:
-        candidates.append(admm)
-    for cand in list(candidates):
-        polished = _polish(problem, opt, cand, iterations)
-        if polished is not None:
-            candidates.append(polished)
-    for cand in candidates:
-        if cand is not None and cand.status == OPTIMAL:
-            return cand
-    return min((c for c in candidates if c is not None),
-               key=lambda c: max(c.primal_residual, c.dual_residual, c.gap))
+    if best.status != OPTIMAL:
+        admm = _admm_rescue(problem, Ps, qs, Gs, ls, cost_scale, col,
+                            g_norms, opt, iterations)
+        if admm is not None:
+            candidates.append(admm)
+    polished = [_polish(problem, opt, cand, iterations)
+                for cand in candidates]
+    candidates += [p for p in polished if p is not None]
+    optimal = [c for c in candidates if c.status == OPTIMAL]
+    return min(optimal or candidates, key=_score)
 
 
 def _regularised_cholesky(h: np.ndarray, reg: float):
@@ -379,22 +362,19 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return float(min(1.0, np.min(-v[neg] / dv[neg])))
 
 
-def _polish(problem: ConvexQP, opt: SolveOptions,
-            guess: QPSolution | None, iterations: int) -> QPSolution | None:
-    """Equality-KKT solve on the active set guessed from a near-solution."""
-    if guess is None or problem.n_ineq == 0:
-        return None
+def _polish(problem: ConvexQP, opt: SolveOptions, guess: QPSolution,
+            iterations: int) -> QPSolution | None:
+    """Equality-KKT solve on the active set guessed from a near-solution.
+
+    Rows that are (nearly) tight or carry a multiplier larger than their
+    slack are held as equalities.  The KKT system is solved by minimum-norm
+    least squares, because ``P`` from Gram assembly can be numerically
+    singular; with no active row that is ``lstsq(P, -q)``.  Returns
+    ``None`` when the solve is not finite.
+    """
     slack = problem.G @ guess.z - problem.l
-    lam = guess.lam if guess.lam is not None else np.zeros(problem.n_ineq)
     scale = 1.0 + float(np.max(np.abs(problem.l), initial=0.0))
-    active = (slack <= 1e-7 * scale) | (lam > np.maximum(slack, 0.0))
-    if not np.any(active):
-        # Min-norm solve: P from Gram assembly can be numerically
-        # singular, and a Cholesky solution would inflate the nullspace.
-        z, *_ = np.linalg.lstsq(problem.P, -problem.q, rcond=None)
-        if not np.all(np.isfinite(z)):
-            return None
-        return _finish(problem, opt, z, None, iterations)
+    active = (slack <= 1e-7 * scale) | (guess.lam > np.maximum(slack, 0.0))
     Ga = problem.G[active]
     la = problem.l[active]
     d = problem.dim

@@ -91,15 +91,6 @@ class TimeSeriesData:
                 and self.sample_times[0] == 0
                 and self.n_samples == self.t_last + 1)
 
-    def input_at(self, t: int) -> float:
-        """u_t, with the zero extension before ``t_start``."""
-        if t < self.t_start:
-            return 0.0
-        idx = int(t) - self.t_start
-        if idx >= self.inputs.size:
-            raise DataError(f"input not available at time {t}")
-        return float(self.inputs[idx])
-
     def input_window(self, t: int) -> np.ndarray:
         """Weights ``u[t - s]`` for lags ``s = 0 .. t - t_start``.
 
@@ -172,15 +163,6 @@ def toeplitz_operator(data: TimeSeriesData, n: int) -> np.ndarray:
         raise DataError(
             f"toeplitz order {n} exceeds the {data.inputs.size} known inputs")
     return scipy.linalg.toeplitz(data.inputs[:n], np.zeros(n))
-
-
-def dominant_mode(rho: float, horizon: int) -> ImpulseResponse:
-    """Geometric mode ``rho**t`` on ``t = 0 .. horizon - 1``."""
-    if not 0.0 < rho < 1.0:
-        raise ConfigError(f"rho must lie in (0, 1), got {rho}")
-    if horizon <= 0:
-        raise ConfigError(f"horizon must be positive, got {horizon}")
-    return ImpulseResponse(rho ** np.arange(horizon, dtype=float))
 
 
 def hankel_numerical_rank(g: ImpulseResponse, size: int,

@@ -1,12 +1,15 @@
 """Baseline estimator tests against closed-form least-squares oracles."""
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from posid import qp
 from posid.baselines import (BaselineKind, ls_clip, nonneg_ls,
                              regression_matrix, ridge_clip, ridge_pre_clip,
                              run_baseline)
-from posid.errors import ConfigError
+from posid.errors import ConfigError, SolverError
 from posid.extensions import FiniteResponseConfig, identify_finite_response
 from posid.kernels import KernelSpec, gram, window_kernel
 from posid.signals import TimeSeriesData
@@ -57,6 +60,22 @@ def test_nonneg_ls_objective_never_worse_than_clipping():
     obj_c = np.sum((U @ c.values - data.outputs) ** 2)
     assert obj_c <= obj_b + 1e-10
     assert c.values.min() >= -1e-12
+
+
+def test_nonneg_ls_raises_when_the_qp_does_not_converge(monkeypatch):
+    # an unconverged iterate must not be clipped and returned as an
+    # estimate
+    rng = np.random.default_rng(2)
+    data = _fir_data(rng, 50, np.array([0.8, 0.4, 0.1]), noise=0.5)
+    real_solve = qp.solve
+
+    def stalled(problem, options=None):
+        return dataclasses.replace(real_solve(problem, options),
+                                   status=qp.MAX_ITERATIONS)
+
+    monkeypatch.setattr(qp, "solve", stalled)
+    with pytest.raises(SolverError, match="max_iterations"):
+        nonneg_ls(data, 3)
 
 
 def test_ridge_matches_normal_equations():

@@ -82,22 +82,28 @@ def test_matches_active_set_enumeration():
         assert sol.objective == pytest.approx(obj_star, abs=1e-7)
 
 
-def test_nonfinite_kkt_direction_goes_to_rescue(monkeypatch):
-    # a numerically singular KKT matrix can factor without error and still
-    # give a non-finite Newton direction; the solve must then fall back to
-    # the rescue path instead of passing NaN on to the next linear solve
-    rng = np.random.default_rng(9)
-    problem = _random_strictly_convex(rng, 4, 3)
+def _first_direction_nan(monkeypatch, dim):
+    """Make the first Newton direction non-finite; return the call log."""
     real_cho_solve = scipy.linalg.cho_solve
     calls = []
 
     def first_call_nan(*args, **kwargs):
         calls.append(1)
         if len(calls) == 1:
-            return np.full(problem.dim, np.nan)
+            return np.full(dim, np.nan)
         return real_cho_solve(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "cho_solve", first_call_nan)
+    return calls
+
+
+def test_nonfinite_kkt_direction_goes_to_rescue(monkeypatch):
+    # a numerically singular KKT matrix can factor without error and still
+    # give a non-finite Newton direction; the solve must then fall back to
+    # the rescue path instead of passing NaN on to the next linear solve
+    rng = np.random.default_rng(9)
+    problem = _random_strictly_convex(rng, 4, 3)
+    calls = _first_direction_nan(monkeypatch, problem.dim)
     sol = solve(problem, SolveOptions(tol_feas=1e-10, tol_gap=1e-10))
     assert calls, "the Newton direction was not computed"
     z_star, _ = _active_set_oracle(problem)
@@ -238,6 +244,22 @@ def test_load_dump_rejects_unknown_block(tmp_path):
         load_qp_dump(path)
 
 
+@pytest.mark.parametrize("name", ["P", "q", "G", "l"])
+def test_nonfinite_data_is_rejected(name, tmp_path):
+    arrays = {"P": np.eye(2), "q": np.zeros(2), "G": np.eye(2),
+              "l": np.zeros(2)}
+    arrays[name] = arrays[name].copy()
+    arrays[name].flat[0] = np.nan
+    with pytest.raises(ConfigError, match="finite"):
+        ConvexQP(**arrays)
+    # a dump with a non-finite entry is rejected on load the same way
+    path, lines = _dump_lines(tmp_path)
+    lines[_block_start(lines, name) + 3] = "nan\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ConfigError, match="finite"):
+        load_qp_dump(path)
+
+
 def test_validation_errors():
     with pytest.raises(ConfigError):
         ConvexQP(P=np.eye(2), q=np.zeros(3))
@@ -253,10 +275,66 @@ def test_validation_errors():
     np.testing.assert_allclose(problem.P, [[1.0, 1.0], [1.0, 1.0]])
 
 
-def test_nonnegativity_box():
+def _nonnegativity_box():
     # min 0.5||z + 1||^2 s.t. z >= 0 pins every coordinate at zero
     d = 5
-    problem = ConvexQP(P=np.eye(d), q=np.ones(d), G=np.eye(d), l=np.zeros(d))
+    return ConvexQP(P=np.eye(d), q=np.ones(d), G=np.eye(d), l=np.zeros(d))
+
+
+def test_nonnegativity_box():
+    sol = solve(_nonnegativity_box())
+    np.testing.assert_allclose(sol.z, np.zeros(5), atol=1e-8)
+    np.testing.assert_allclose(sol.lam, np.ones(5), atol=1e-6)
+
+
+def test_zero_row_with_positive_bound_is_infeasible():
+    problem = ConvexQP(P=np.eye(2), q=np.zeros(2),
+                       G=np.array([[1.0, 0.0], [0.0, 0.0]]),
+                       l=np.array([0.0, 1.0]))
+    assert solve(problem).status == "infeasible"
+
+
+def test_contradictory_rows_end_in_max_iterations():
+    # z0 >= 1 and -z0 >= 0 admit no point; only a zero row is detected
+    # as infeasible, so this solve reports that it did not converge
+    problem = ConvexQP(P=np.eye(2), q=np.zeros(2),
+                       G=np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                       l=np.array([1.0, 0.0]))
     sol = solve(problem)
-    np.testing.assert_allclose(sol.z, np.zeros(d), atol=1e-8)
-    np.testing.assert_allclose(sol.lam, np.ones(d), atol=1e-6)
+    assert sol.status == "max_iterations"
+    assert sol.primal_residual >= 0.5
+
+
+def _record_calls(monkeypatch, name):
+    """Wrap ``qp.<name>`` and return the list of its (args, result)."""
+    calls = []
+    real = getattr(qp, name)
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(qp, name, recording)
+    return calls
+
+
+def test_answer_is_the_object_a_path_returned(monkeypatch):
+    # the benchmark counts QP paths by wrapping _polish and _admm_rescue
+    # and matching the answer of solve to their results by identity
+    polish = _record_calls(monkeypatch, "_polish")
+    admm = _record_calls(monkeypatch, "_admm_rescue")
+    sol = solve(_nonnegativity_box())
+    assert any(sol is result for _, result in polish)
+    assert not admm
+
+    # a non-finite Newton direction sends the solve to the rescue path
+    polish.clear()
+    rng = np.random.default_rng(9)
+    problem = _random_strictly_convex(rng, 4, 3)
+    _first_direction_nan(monkeypatch, problem.dim)
+    sol = solve(problem, SolveOptions(tol_feas=1e-10, tol_gap=1e-10))
+    assert len(admm) == 1
+    rescue = admm[0][1]
+    assert sol is rescue or any(
+        sol is result and args[2] is rescue for args, result in polish)

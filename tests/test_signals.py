@@ -2,11 +2,11 @@
 import numpy as np
 import pytest
 
-from posid.errors import ConfigError, DataError
+from posid.errors import DataError
 from posid.signals import (ImpulseResponse, TimeSeriesData, convolve,
-                           dominant_mode, hankel_numerical_rank,
-                           read_impulse_csv, read_timeseries_csv,
-                           toeplitz_operator, write_impulse_csv)
+                           hankel_numerical_rank, read_impulse_csv,
+                           read_timeseries_csv, toeplitz_operator,
+                           write_impulse_csv)
 
 
 def test_convolve_unit_impulse_returns_input():
@@ -20,7 +20,7 @@ def test_convolve_unit_impulse_returns_input():
 
 def test_convolve_step_input_geometric_sum():
     rho = 0.8
-    g = dominant_mode(rho, 20)
+    g = ImpulseResponse(rho ** np.arange(20.0))
     data = TimeSeriesData.at_rest(np.ones(12), np.zeros(12))
     for t in range(12):
         expect = (1.0 - rho ** (t + 1)) / (1.0 - rho)
@@ -72,16 +72,6 @@ def test_toeplitz_rows_equal_convolution():
     np.testing.assert_allclose(out, oracle, atol=1e-12)
 
 
-def test_dominant_mode():
-    np.testing.assert_allclose(dominant_mode(0.5, 3).values, [1.0, 0.5, 0.25])
-    assert dominant_mode(0.123, 7).values[0] == 1.0
-    tail = dominant_mode(0.98, 200).values[-1]
-    assert tail == pytest.approx(0.98 ** 199)
-    assert tail == pytest.approx(0.0179, abs=1e-4)
-    with pytest.raises(ConfigError):
-        dominant_mode(1.0, 5)
-
-
 def test_hankel_rank_two_modes():
     t = np.arange(19)
     g = ImpulseResponse(0.9 ** t + 0.4 ** t)
@@ -94,7 +84,7 @@ def test_hankel_rank_two_modes():
 
 
 def test_hankel_rank_single_mode():
-    g = dominant_mode(0.7, 21)
+    g = ImpulseResponse(0.7 ** np.arange(21.0))
     assert hankel_numerical_rank(g, 11) == 1
 
 
