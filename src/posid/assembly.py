@@ -75,18 +75,15 @@ def input_weight_matrix(data: TimeSeriesData, width: int) -> np.ndarray:
     """Convolution weights ``W[i, s] = u[t_i - s]`` for lags ``s < width``.
 
     Rows follow the sample times; entries with ``t_i - s`` before the
-    input support are zero.  For at-rest data and ``width = n`` this is
-    the lower-triangular Toeplitz operator of the input.
+    input support are zero.  These are the rows ``t_i - t_start`` of the
+    lower-triangular Toeplitz matrix of the input.
     """
     if width <= 0:
         raise ConfigError(f"weight width must be positive, got {width}")
-    times = data.sample_times
-    w = np.zeros((times.size, width))
-    for i, t in enumerate(times):
-        window = data.input_window(int(t))
-        n = min(window.size, width)
-        w[i, :n] = window[:n]
-    return w
+    span = required_width(data)
+    padded = np.concatenate([np.zeros(width - 1), data.inputs[:span]])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, width)
+    return windows[:, ::-1][data.sample_times - data.t_start]
 
 
 def required_width(data: TimeSeriesData) -> int:
@@ -151,23 +148,6 @@ def assemble_polynomial_blocks(data: TimeSeriesData, rho: float, n: int,
     return DominantBasis(B=_input_convolved(data, modes), modes=modes,
                          floor=np.eye(n)[n - 1:], penalty=penalty,
                          cap=np.eye(n)[n - 1])
-
-
-def oscillation_tables(n: int, rows: int):
-    """Root-of-unity phase tables for period ``n``.
-
-    Returns ``(Vr, Vi)``: the real and imaginary parts of
-    ``omega**(t * k)`` with ``omega = exp(2 pi i / n)`` on
-    ``t < rows, k < n``.
-    """
-    if n < 1:
-        raise ConfigError(f"period must be >= 1, got {n}")
-    if rows < 1:
-        raise ConfigError(f"need at least one row, got {rows}")
-    t = np.arange(rows)
-    k = np.arange(n)
-    angles = 2.0 * np.pi * np.outer(t, k) / n
-    return np.cos(angles), np.sin(angles)
 
 
 def periodic_modes(rho: float, n: int, horizon: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qp
-from .assembly import input_weight_matrix, required_width
+from .assembly import input_weight_matrix
 from .errors import ConfigError
 from .estimator import _solve_or_raise
 from .extensions import FiniteResponseConfig, identify_finite_response
@@ -60,16 +60,9 @@ class BaselineKind:
                 raise ConfigError(f"baseline {self.kind!r} needs a kernel")
 
 
-def regression_matrix(data: TimeSeriesData, n_g: int) -> np.ndarray:
-    """Rows ``u[t_i - s]`` for lags ``s < n_g``: outputs are ``U @ g``."""
-    width = required_width(data)
-    phi = input_weight_matrix(data, max(width, n_g))
-    return phi[:, :n_g]
-
-
 def ls_clip(data: TimeSeriesData, n_g: int) -> ImpulseResponse:
     """Least squares (minimum-norm on rank deficiency), clipped at zero."""
-    U = regression_matrix(data, n_g)
+    U = input_weight_matrix(data, n_g)
     g, *_ = np.linalg.lstsq(U, data.outputs, rcond=None)
     return ImpulseResponse(np.maximum(g, 0.0))
 
@@ -79,7 +72,7 @@ def nonneg_ls(data: TimeSeriesData, n_g: int) -> ImpulseResponse:
 
     Raises :class:`SolverError` when the QP does not reach optimality.
     """
-    U = regression_matrix(data, n_g)
+    U = input_weight_matrix(data, n_g)
     problem = qp.ConvexQP(P=2.0 * (U.T @ U), q=-2.0 * (U.T @ data.outputs),
                           G=np.eye(n_g), l=np.zeros(n_g))
     sol = _solve_or_raise(problem, qp.SolveOptions())
@@ -100,7 +93,7 @@ def ridge_pre_clip(data: TimeSeriesData, n_g: int, lam: float,
     Uses the identity ``g = K U' (U K U' + lam I)^{-1} y`` so the kernel
     matrix is never inverted directly.
     """
-    U = regression_matrix(data, n_g)
+    U = input_weight_matrix(data, n_g)
     K = gram(kernel, np.arange(n_g), np.arange(n_g))
     inner = U @ K @ U.T + lam * np.eye(U.shape[0])
     coeffs = np.linalg.solve(inner, data.outputs)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -83,16 +84,7 @@ def _kernel_from_args(args) -> KernelSpec:
 
 def _base_config(args, kernel: KernelSpec) -> PositiveIdConfig:
     return PositiveIdConfig(kernel=kernel, rho=args.rho, lam=args.lam,
-                            a_min=args.a_min, delta_m=args.delta_m,
-                            horizon=args.horizon)
-
-
-def _diag_meta(diag) -> dict:
-    return {"m0": int(diag.m0), "iterations": int(diag.iterations),
-            "qp_status": diag.qp_status,
-            "objective": float(diag.objective),
-            "min_g": float(diag.min_g),
-            "forced_accept": bool(diag.forced_accept)}
+                            a_min=args.a_min, horizon=args.horizon)
 
 
 def _identify_cmd(args) -> int:
@@ -123,7 +115,7 @@ def _identify_cmd(args) -> int:
         meta.update({"a": float(model.a), "rho": args.rho,
                      "lam": args.lam, "m": int(model.m),
                      "kernel": args.kernel, "beta": args.beta})
-        meta.update(_diag_meta(model.diagnostics))
+        meta.update(dataclasses.asdict(model.diagnostics))
     elif method == "nup":
         config = RepeatedPoleConfig(
             base=_base_config(args, _kernel_from_args(args)), n=args.n)
@@ -133,7 +125,7 @@ def _identify_cmd(args) -> int:
                      "a_poly": [float(v) for v in model.a_poly],
                      "rho": args.rho, "lam": args.lam, "n": args.n,
                      "m": int(model.m)})
-        meta.update(_diag_meta(model.diagnostics))
+        meta.update(dataclasses.asdict(model.diagnostics))
     elif method == "snp":
         config = OscillatingPoleConfig(
             base=_base_config(args, _kernel_from_args(args)), n=args.n)
@@ -144,7 +136,7 @@ def _identify_cmd(args) -> int:
                      "equality_residual": float(model.equality_residual),
                      "rho": args.rho, "lam": args.lam, "n": args.n,
                      "m": int(model.m)})
-        meta.update(_diag_meta(model.diagnostics))
+        meta.update(dataclasses.asdict(model.diagnostics))
     elif method == "zsr":
         kernel = window_kernel(_kernel_from_args(args), args.n_g)
         config = FiniteResponseConfig(kernel=kernel, lam=args.lam)
@@ -322,8 +314,6 @@ def build_parser():
                    help="regularization weight")
     p.add_argument("--a-min", type=float, default=1e-6,
                    help="lower bound on the dominant mode weight")
-    p.add_argument("--delta-m", type=int, default=50,
-                   help="constraint horizon growth per iteration")
     p.add_argument("--horizon", type=int, default=None,
                    help="reconstruction horizon (default: twice the "
                         "data span)")

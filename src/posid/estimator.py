@@ -39,6 +39,8 @@ _NEG_TOL_SCALE = 1e-8
 # Iteration guard: the loop is finite by construction (m is capped by the
 # certified bound) but a defensive cap keeps bugs from spinning.
 _MAX_LOOPS = 1000
+# Constraint-horizon increment between loop iterations.
+_DELTA_M = 50
 # Default inner solve options, tighter than the library defaults: the
 # nonnegativity acceptance test must sit clearly above solver noise.
 _IDENTIFY_OPTIONS = qp.SolveOptions(tol_feas=1e-10, tol_gap=1e-9)
@@ -59,8 +61,6 @@ class PositiveIdConfig:
         Regularisation weight, positive.
     a_min : float
         Strictly positive lower bound on the dominant amplitude.
-    delta_m : int
-        Constraint-horizon increment between loop iterations.
     horizon : int or None
         Reconstruction horizon of the returned response; default
         ``2 * (t_last - t_start + 1)``.
@@ -74,7 +74,6 @@ class PositiveIdConfig:
     rho: float
     lam: float
     a_min: float = 1e-6
-    delta_m: int = 50
     horizon: int | None = None
     solve_options: qp.SolveOptions | None = None
 
@@ -85,8 +84,6 @@ class PositiveIdConfig:
             raise ConfigError(f"lambda must be positive, got {self.lam}")
         if self.a_min <= 0.0:
             raise ConfigError(f"a_min must be positive, got {self.a_min}")
-        if self.delta_m <= 0:
-            raise ConfigError(f"delta_m must be positive, got {self.delta_m}")
         if self.horizon is not None and self.horizon <= 0:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
         if not decay_compatible(self.kernel, self.rho):
@@ -253,7 +250,7 @@ def _fit_basis(config: PositiveIdConfig, data: TimeSeriesData,
                basis: DominantBasis) -> tuple[np.ndarray, dict]:
     """The constraint-horizon loop shared by every dominant basis.
 
-    Grows ``m`` from the data span in steps of ``delta_m`` until the
+    Grows ``m`` from the data span in steps of ``_DELTA_M`` until the
     reconstructed response is nonnegative (to a small
     coefficient-relative tolerance) on every index below the certified
     bound ``m_0`` of the basis cap mode; at ``m = m_0`` acceptance is
@@ -280,7 +277,7 @@ def _fit_basis(config: PositiveIdConfig, data: TimeSeriesData,
         if not accepted and m < m0:
             logger.info("negativity %.3e below index %d at m=%d; growing m",
                         min_head, m0, m)
-            m = min(m + config.delta_m, m0)
+            m = min(m + _DELTA_M, m0)
             continue
         if not accepted:
             logger.warning(
@@ -292,7 +289,7 @@ def _fit_basis(config: PositiveIdConfig, data: TimeSeriesData,
             qp_primal=sol.primal_residual, qp_dual=sol.dual_residual,
             qp_gap=sol.gap, objective=sol.objective + float(mats.y @ mats.y),
             c0=_best_single_mode_misfit(mats.y, cap_mode, config.a_min),
-            h_norm=h_norm, min_g=float(g_vals.min(initial=0.0)),
+            h_norm=h_norm, min_g=float(g_vals.min()),
             neg_tol=neg_tol, forced_accept=not accepted)
         return coeffs, dict(w=w, m=m, h=ImpulseResponse(h.values[:horizon]),
                             g=ImpulseResponse(g_vals[:horizon]),

@@ -35,6 +35,14 @@ _HEATING_RAW_ROWS = 801
 _HEATING_DROP = 101
 _HEATING_TRAIN = 500
 _HEATING_TEST = 200
+# Search ranges of the heating hyperparameters left unset.
+_HEATING_RHO_RANGE = (0.5, 0.999)
+_HEATING_LAM_RANGE = (1e-6, 1e4)
+_HEATING_BETA_RANGE = (0.3, 0.99)
+# Unpinned regularisation weights are this multiple of the noise
+# variance, floored at _LAM_FLOOR.
+_LAM_SCALE = 10.0
+_LAM_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -65,12 +73,12 @@ class McConfig:
     """Estimator settings shared across Monte Carlo runs.
 
     The kernel hyperparameters are fixed rather than re-tuned per run.
-    ``lam_g`` / ``lam_fir`` may be pinned; when ``None`` they scale with
-    the known per-run noise variance, floored at ``lam_floor``.  The
-    baseline length 125 keeps the regression overdetermined at the
-    default 200 samples; a square binary Toeplitz system is numerically
-    singular and turns the unregularized baselines into pure noise
-    amplifiers.
+    ``lam_g`` / ``lam_fir`` may be pinned; when ``None`` they are ten
+    times the known per-run noise variance, floored at ``1e-8``.  The
+    positive estimator keeps the default ``a_min``.  The baseline length
+    125 keeps the regression overdetermined at the default 200 samples;
+    a square binary Toeplitz system is numerically singular and turns
+    the unregularized baselines into pure noise amplifiers.
     """
 
     rho: float = 0.98
@@ -78,10 +86,6 @@ class McConfig:
     gamma: float = 0.9
     lam_g: float | None = None
     lam_fir: float | None = None
-    lam_scale_g: float = 10.0
-    lam_scale_fir: float = 10.0
-    lam_floor: float = 1e-8
-    a_min: float = 1e-6
     n_g: int = 125
     horizon: int = 400
     workers: int | None = None
@@ -198,12 +202,9 @@ def _to_horizon(values: np.ndarray, horizon: int) -> np.ndarray:
 
 
 def _resolved_lams(config: McConfig, sigma2: float) -> tuple[float, float]:
-    lam_g = config.lam_g
-    if lam_g is None:
-        lam_g = max(config.lam_floor, config.lam_scale_g * sigma2)
-    lam_fir = config.lam_fir
-    if lam_fir is None:
-        lam_fir = max(config.lam_floor, config.lam_scale_fir * sigma2)
+    scaled = max(_LAM_FLOOR, _LAM_SCALE * sigma2)
+    lam_g = scaled if config.lam_g is None else config.lam_g
+    lam_fir = scaled if config.lam_fir is None else config.lam_fir
     return lam_g, lam_fir
 
 
@@ -213,7 +214,7 @@ def _mc_estimate(method: str, data: TimeSeriesData, config: McConfig,
     kernel = KernelSpec.dc(config.beta, config.gamma)
     if method == METHOD_POSITIVE:
         est = PositiveIdConfig(kernel=kernel, rho=config.rho, lam=lam_g,
-                               a_min=config.a_min, horizon=config.horizon)
+                               horizon=config.horizon)
         return identify(est, data).g.values
     if method in (KIND_RIDGE_CLIP, KIND_NONNEG_RIDGE):
         kind = BaselineKind(method, fir_length=config.n_g, lam=lam_fir,
@@ -321,7 +322,9 @@ class HeatingConfig:
     """Heating evaluation settings.
 
     Any of ``rho``/``beta``/``lam`` left as ``None`` triggers a hold-out
-    grid search over the missing axes before the final training pass.
+    grid search over the missing axes before the final training pass,
+    with ``rho`` in (0.5, 0.999), ``lam`` in (1e-6, 1e4) and ``beta`` in
+    (0.3, 0.99).
     """
 
     rho: float | None = None
@@ -330,9 +333,6 @@ class HeatingConfig:
     n_g: int = 200
     tune_budget: int = 24
     a_min: float = 1e-6
-    rho_range: tuple[float, float] = (0.5, 0.999)
-    lam_range: tuple[float, float] = (1e-6, 1e4)
-    beta_range: tuple[float, float] = (0.3, 0.99)
 
 
 @dataclass(frozen=True)
@@ -364,9 +364,9 @@ def _axis_range(fixed: float | None,
 def _tuned_positive_theta(train: TimeSeriesData, config: HeatingConfig):
     space = HyperparamSpace(
         kind=KIND_TC,
-        rho_range=_axis_range(config.rho, config.rho_range),
-        lam_range=_axis_range(config.lam, config.lam_range),
-        beta_range=_axis_range(config.beta, config.beta_range))
+        rho_range=_axis_range(config.rho, _HEATING_RHO_RANGE),
+        lam_range=_axis_range(config.lam, _HEATING_LAM_RANGE),
+        beta_range=_axis_range(config.beta, _HEATING_BETA_RANGE))
     result = tune(space, train, budget=config.tune_budget,
                   a_min=config.a_min)
     return result.theta
@@ -378,9 +378,9 @@ def _tune_fir_kernel(method: str, train: TimeSeriesData,
                      config: HeatingConfig) -> tuple[float, float]:
     """Small prediction-error grid over (beta, lam) for method d/e."""
     betas = ([config.beta] if config.beta is not None
-             else np.linspace(*config.beta_range, 4))
+             else np.linspace(*_HEATING_BETA_RANGE, 4))
     lams = ([config.lam] if config.lam is not None
-             else np.geomspace(*config.lam_range, 6))
+             else np.geomspace(*_HEATING_LAM_RANGE, 6))
     best = (math.inf, float(betas[0]), float(lams[0]))
     for beta in betas:
         for lam in lams:

@@ -4,7 +4,8 @@
   polynomial whose top coefficient is bounded below;
 * oscillating poles: ``n`` simple poles of modulus ``rho`` at the complex
   roots of unity, whose real combined response is ``rho**t x[t mod n]``
-  for one real period ``x``; the model reports its phase coefficients;
+  for one real period ``x``; the model keeps that period and reports
+  its phase coefficients;
 * finite response: zero spectral radius, i.e. the response is supported
   on ``[0, n_g)`` and estimated with a finite-support kernel alone.
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import qp
 from .assembly import (assemble_core, assemble_oscillation_blocks,
-                       assemble_polynomial_blocks, oscillation_tables,
+                       assemble_polynomial_blocks, periodic_modes,
                        polynomial_modes)
 from .errors import ConfigError
 from .estimator import (_IDENTIFY_OPTIONS, PositiveIdConfig,
@@ -136,14 +137,17 @@ class RepeatedPoleModel:
 class OscillatingPoleModel:
     """Identified model with oscillating dominant part of period ``n``.
 
-    ``g[t] = rho**t * sum_k (a_r[k] cos(2 pi k t / n)
-    - a_i[k] sin(2 pi k t / n)) + h[t]``.  The phase coefficients
-    ``a_r + i a_i = fft(x) / n`` come from the fitted real period ``x``,
-    so the implied imaginary part is zero up to rounding; its largest
-    value over one period is reported in ``equality_residual``.  ``w``
-    holds the section coefficients of the residual ``h``.
+    ``g[t] = rho**t * period[t mod n] + h[t]`` with the fitted real
+    period, the form whose nonnegativity the horizon loop checked.  The
+    phase coefficients ``a_r + i a_i = fft(period) / n`` give the same
+    part as ``rho**t * sum_k (a_r[k] cos(2 pi k t / n) - a_i[k]
+    sin(2 pi k t / n))``; the imaginary part they imply is zero up to
+    rounding, and its largest value over one period is reported in
+    ``equality_residual``.  ``w`` holds the section coefficients of the
+    residual ``h``.
     """
 
+    period: np.ndarray = field(repr=False)
     a_r: np.ndarray = field(repr=False)
     a_i: np.ndarray = field(repr=False)
     rho: float
@@ -156,17 +160,8 @@ class OscillatingPoleModel:
     equality_residual: float
     config: OscillatingPoleConfig = field(repr=False)
 
-    def _phase_sum(self, horizon: int) -> np.ndarray:
-        """Phase sum ``rho**t sum_k (a_r[k] + i a_i[k]) omega**(t k)``."""
-        vr, vi = oscillation_tables(self.n, horizon)
-        decay = self.rho ** np.arange(horizon, dtype=float)
-        return decay * ((vr + 1j * vi) @ (self.a_r + 1j * self.a_i))
-
     def dominant_values(self, horizon: int) -> np.ndarray:
-        return self._phase_sum(horizon).real
-
-    def dominant_imag_values(self, horizon: int) -> np.ndarray:
-        return self._phase_sum(horizon).imag
+        return periodic_modes(self.rho, self.n, horizon) @ self.period
 
     def reconstruct(self, horizon: int) -> ImpulseResponse:
         h = reconstruct_h(self.w, self.config.base.kernel, horizon)
@@ -198,8 +193,8 @@ def identify_oscillating_poles(config: OscillatingPoleConfig,
     Variables are the real period ``x`` of the dominant part
     ``rho**t x[t mod n]``, then the section coefficients ``w``;
     nonnegativity is sampled on the constraint rows and every period
-    value is floored at ``a_min``.  The model reports the phase
-    coefficients ``fft(x) / n``.
+    value is floored at ``a_min``.  The model keeps ``x`` as its
+    ``period`` and reports the phase coefficients ``fft(x) / n``.
     """
     base = config.base
     n = config.n
@@ -207,10 +202,9 @@ def identify_oscillating_poles(config: OscillatingPoleConfig,
         data, base.rho, n, _resolved_epsilon(config.epsilon, base.lam))
     period, fields = _fit_basis(base, data, basis)
     phases = np.fft.fft(period) / n
-    a_r, a_i = phases.real.copy(), phases.imag.copy()
-    vr, vi = oscillation_tables(n, n)
-    eq_res = float(np.max(np.abs(vi @ a_r + vr @ a_i), initial=0.0))
-    return OscillatingPoleModel(a_r=a_r, a_i=a_i, rho=base.rho, n=n,
+    eq_res = float(np.max(np.abs((n * np.fft.ifft(phases)).imag)))
+    return OscillatingPoleModel(period=period.copy(), a_r=phases.real.copy(),
+                                a_i=phases.imag.copy(), rho=base.rho, n=n,
                                 equality_residual=eq_res, config=config,
                                 **fields)
 

@@ -30,8 +30,6 @@ INFEASIBLE = "infeasible"
 
 # Ratio below which a negative eigenvalue of P is treated as roundoff.
 _PSD_RTOL = 1e-8
-# Diagonal ridge applied when roundoff produced tiny negative curvature.
-_RIDGE_FRACTION = 1e-12
 # Multiples of the Newton regularisation tried in turn until the Newton
 # matrix factors: near the optimum the active rows carry weights of 1e12
 # and more, and roundoff can leave the matrix numerically indefinite.
@@ -65,10 +63,9 @@ class ConvexQP:
     """One convex QP instance.
 
     Every entry of ``P``, ``q``, ``G`` and ``l`` must be finite.  ``P`` is
-    symmetrised on construction; eigenvalues below
-    ``-1e-8 * max_eig`` raise, while tiny negative ones (roundoff from
-    Gram assembly) are absorbed by adding the ridge
-    ``1e-12 * trace(P) / d`` to the diagonal.
+    symmetrised on construction; eigenvalues below ``-1e-8 * max_eig``
+    raise, while tiny negative ones (roundoff from Gram assembly) are
+    accepted and ``P`` is kept as given.
     """
 
     P: np.ndarray
@@ -91,9 +88,6 @@ class ConvexQP:
         if eigs[0] < -_PSD_RTOL * max(top, 1.0):
             raise ConfigError(
                 f"P is not positive semidefinite (min eigenvalue {eigs[0]:.3e})")
-        if eigs[0] < 0.0:
-            ridge = _RIDGE_FRACTION * max(np.trace(P) / P.shape[0], 1.0)
-            P = P + ridge * np.eye(P.shape[0])
         self.P = P
         self.q = q
         if (self.G is None) != (self.l is None):

@@ -11,9 +11,8 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -84,13 +83,6 @@ class TimeSeriesData:
     def t_last(self) -> int:
         return int(self.sample_times[-1])
 
-    @property
-    def is_at_rest(self) -> bool:
-        """True when sampled densely from time zero with no pre-history."""
-        return (self.t_start == 0
-                and self.sample_times[0] == 0
-                and self.n_samples == self.t_last + 1)
-
     def input_window(self, t: int) -> np.ndarray:
         """Weights ``u[t - s]`` for lags ``s = 0 .. t - t_start``.
 
@@ -147,42 +139,6 @@ def convolve(g: ImpulseResponse, data: TimeSeriesData, t: int) -> float:
     w = data.input_window(t)
     n = min(g.horizon, w.size)
     return float(np.dot(g.values[:n], w[:n]))
-
-
-def toeplitz_operator(data: TimeSeriesData, n: int) -> np.ndarray:
-    """Lower-triangular convolution matrix ``[u[i - j]]`` of order ``n``.
-
-    Only defined for at-rest data, where output ``i`` of an impulse
-    response ``g`` is row ``i`` of this matrix times ``g[:n]``.
-    """
-    if not data.is_at_rest:
-        raise DataError("toeplitz operator requires at-rest data")
-    if n <= 0:
-        raise ConfigError(f"toeplitz order must be positive, got {n}")
-    if n > data.inputs.size:
-        raise DataError(
-            f"toeplitz order {n} exceeds the {data.inputs.size} known inputs")
-    return scipy.linalg.toeplitz(data.inputs[:n], np.zeros(n))
-
-
-def hankel_numerical_rank(g: ImpulseResponse, size: int,
-                          tol: float = 1e-8) -> int:
-    """Numerical rank of the leading ``size x size`` Hankel window of ``g``.
-
-    Counts singular values above ``tol`` times the largest one.  Requires
-    ``2 * size - 1 <= horizon`` so the window is fully populated.
-    """
-    if size <= 0:
-        raise ConfigError(f"window size must be positive, got {size}")
-    if 2 * size - 1 > g.horizon:
-        raise ConfigError(
-            f"window size {size} needs horizon >= {2 * size - 1}, "
-            f"got {g.horizon}")
-    h = scipy.linalg.hankel(g.values[:size], g.values[size - 1:2 * size - 1])
-    svals = np.linalg.svd(h, compute_uv=False)
-    if svals.size == 0 or svals[0] <= 0.0:
-        return 0
-    return int(np.sum(svals > tol * svals[0]))
 
 
 def read_timeseries_csv(path) -> TimeSeriesData:

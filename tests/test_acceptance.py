@@ -26,11 +26,11 @@ from posid.extensions import (FiniteResponseConfig, OscillatingPoleConfig,
                               identify_repeated_pole)
 from posid.kernels import KernelSpec, domination_bound, gram, window_kernel
 from posid.qp import ConvexQP, SolveOptions, solve
-from posid.signals import (ImpulseResponse, TimeSeriesData,
-                           hankel_numerical_rank)
+from posid.signals import ImpulseResponse, TimeSeriesData
 
 from test_estimator import representer_normal_equations
 from test_qp import _active_set_oracle
+from test_signals import hankel_numerical_rank
 
 from posid.cli import main as cli_main
 

@@ -5,12 +5,12 @@ import pytest
 from posid.assembly import (QPDataMatrices, assemble_core,
                             assemble_oscillation_blocks,
                             assemble_polynomial_blocks, input_weight_matrix,
-                            oscillation_tables, periodic_modes,
-                            polynomial_modes, required_width)
+                            periodic_modes, polynomial_modes, required_width)
 from posid.errors import ConfigError
 from posid.kernels import KernelSpec, gram, window_kernel
-from posid.signals import (ImpulseResponse, TimeSeriesData, convolve,
-                           toeplitz_operator)
+from posid.signals import ImpulseResponse, TimeSeriesData, convolve
+
+from test_signals import toeplitz_operator
 
 
 def _random_at_rest(rng, n):
@@ -45,6 +45,27 @@ def assemble_core_definitional(kernel, data, rho, m):
                   for r in range(n_sec)])
     mats = QPDataMatrices(L=L, K=K, y=data.outputs.copy(), m=int(m))
     return mats, b
+
+
+def oscillation_tables(n, rows):
+    """Root-of-unity phase tables for period ``n``.
+
+    Returns ``(Vr, Vi)``: the real and imaginary parts of
+    ``omega**(t * k)`` with ``omega = exp(2 pi i / n)`` on
+    ``t < rows, k < n``.
+    """
+    angles = 2.0 * np.pi * np.outer(np.arange(rows), np.arange(n)) / n
+    return np.cos(angles), np.sin(angles)
+
+
+def weights_by_window(data, width):
+    """:func:`input_weight_matrix` row by row from ``input_window``."""
+    w = np.zeros((data.n_samples, width))
+    for i, t in enumerate(data.sample_times):
+        window = data.input_window(int(t))
+        n = min(window.size, width)
+        w[i, :n] = window[:n]
+    return w
 
 
 def phase_basis(data, rho, n, epsilon):
@@ -85,6 +106,26 @@ def test_input_weight_matrix_sparse_sampling():
     np.testing.assert_allclose(w[0], [3.0, 2.0, 1.0, 0.0])
     np.testing.assert_allclose(w[1], [6.0, 5.0, 4.0, 3.0])
     assert required_width(data) == 6
+
+
+def test_input_weight_matrix_matches_input_windows():
+    # pre-history (t_start < 0), sparse sample times, widths below and
+    # above the span, and inputs reaching past the last sample
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        t_start = -int(rng.integers(0, 4))
+        t_last = int(rng.integers(0, 15))
+        times = np.arange(t_start, t_last + 1)
+        keep = np.sort(rng.choice(times.size, size=int(
+            rng.integers(1, times.size + 1)), replace=False))
+        times = np.unique(np.r_[times[keep], t_last])
+        span = t_last - t_start + 1
+        inputs = rng.standard_normal(span + int(rng.integers(0, 5)))
+        data = TimeSeriesData(times, rng.standard_normal(times.size),
+                              inputs, t_start=t_start)
+        for width in (1, max(1, span - 2), span, span + 3):
+            assert np.array_equal(input_weight_matrix(data, width),
+                                  weights_by_window(data, width))
 
 
 def test_core_matches_definitional_assembly():
@@ -294,5 +335,3 @@ def test_assembly_validation():
         input_weight_matrix(data, 0)
     with pytest.raises(ConfigError):
         assemble_polynomial_blocks(data, 0.5, n=0)
-    with pytest.raises(ConfigError):
-        oscillation_tables(0, 3)

@@ -6,9 +6,9 @@ import pytest
 import scipy.linalg
 
 from posid import qp
-from posid.baselines import (BaselineKind, ls_clip, nonneg_ls,
-                             regression_matrix, ridge_clip, ridge_pre_clip,
-                             run_baseline)
+from posid.assembly import input_weight_matrix
+from posid.baselines import (BaselineKind, ls_clip, nonneg_ls, ridge_clip,
+                             ridge_pre_clip, run_baseline)
 from posid.errors import ConfigError, SolverError
 from posid.extensions import FiniteResponseConfig, identify_finite_response
 from posid.kernels import KernelSpec, gram, window_kernel
@@ -31,7 +31,7 @@ def test_regression_matrix_is_input_toeplitz():
     rng = np.random.default_rng(0)
     u = rng.standard_normal(12)
     data = TimeSeriesData.at_rest(u, np.zeros(12))
-    U = regression_matrix(data, 5)
+    U = input_weight_matrix(data, 5)
     np.testing.assert_allclose(U, scipy.linalg.toeplitz(u, np.zeros(5)))
 
 
@@ -51,7 +51,7 @@ def test_nonneg_ls_objective_never_worse_than_clipping():
     rng = np.random.default_rng(2)
     g_true = np.array([0.8, 0.0, 0.4, 0.0, 0.1, 0.0])
     data = _fir_data(rng, 50, g_true, noise=0.5)
-    U = regression_matrix(data, 6)
+    U = input_weight_matrix(data, 6)
     raw, *_ = np.linalg.lstsq(U, data.outputs, rcond=None)
     assert raw.min() < 0.0, "noise should push some taps negative"
     b = ls_clip(data, 6)
@@ -85,7 +85,7 @@ def test_ridge_matches_normal_equations():
     kernel = KernelSpec.tc(0.7)
     lam = 0.5
     pre = ridge_pre_clip(data, 8, lam, kernel)
-    U = regression_matrix(data, 8)
+    U = input_weight_matrix(data, 8)
     K = gram(kernel, np.arange(8), np.arange(8))
     oracle = np.linalg.solve(U.T @ U + lam * np.linalg.inv(K),
                              U.T @ data.outputs)
@@ -98,7 +98,7 @@ def test_ridge_approaches_ls_as_lambda_vanishes():
     rng = np.random.default_rng(4)
     g_true = np.array([1.0, 0.5, 0.25, 0.1])
     data = _fir_data(rng, 80, g_true)
-    U = regression_matrix(data, 4)
+    U = input_weight_matrix(data, 4)
     ls, *_ = np.linalg.lstsq(U, data.outputs, rcond=None)
     pre = ridge_pre_clip(data, 4, 1e-10, KernelSpec.tc(0.6))
     np.testing.assert_allclose(pre.values, ls, atol=1e-4)

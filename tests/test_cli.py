@@ -1,4 +1,5 @@
 """End-to-end command-line tests driven through main()."""
+import dataclasses
 import json
 import time
 
@@ -50,6 +51,8 @@ def test_identify_g_writes_library_result(tmp_path):
     assert meta["qp_status"] == "optimal"
     assert meta["a"] == pytest.approx(model.a)
     assert meta["m"] == model.m
+    diag = dataclasses.asdict(model.diagnostics)
+    assert {key: meta.get(key) for key in diag} == diag
 
 
 def test_identify_dump_qp(tmp_path):

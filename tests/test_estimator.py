@@ -288,6 +288,18 @@ def test_identified_g_nonnegative():
     assert model.a >= config.a_min - 1e-12
 
 
+def test_min_g_is_the_minimum_of_a_positive_response():
+    # a strictly positive fit reports its true minimum, not zero
+    rng = np.random.default_rng(4)
+    data = _single_mode_data(rng, 30, rho=0.9)
+    config = PositiveIdConfig(kernel=KernelSpec.tc(0.7), rho=0.9, lam=1e-6)
+    model = identify(config, data)
+    diag = model.diagnostics
+    checked = model.reconstruct(max(diag.m0, model.g.horizon, model.m + 1))
+    assert diag.min_g > 0.0
+    assert diag.min_g == checked.values.min()
+
+
 def test_short_noisy_mis_specified_record_converges():
     # n = 50 at 10 dB from a system whose pole (0.8) is not the assumed
     # 0.98; the inner QP used to stall short of the identify tolerances
@@ -307,6 +319,9 @@ def test_short_noisy_mis_specified_record_converges():
     diag = model.diagnostics
     assert diag.qp_status == "optimal"
     assert not diag.forced_accept
+    # the one tier-1 fit that grows the horizon: 50 -> 100, below m0
+    assert (diag.iterations, model.m) == (2, 100)
+    assert diag.m0 > model.m
     head = model.reconstruct(max(diag.m0, model.g.horizon)).values
     assert head[:diag.m0].min() >= -diag.neg_tol
 

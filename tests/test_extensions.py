@@ -15,6 +15,8 @@ from posid.kernels import KernelSpec, gram, window_kernel
 from posid.qp import SolveOptions
 from posid.signals import TimeSeriesData
 
+from test_assembly import oscillation_tables
+
 
 def _prbs(rng, n):
     return rng.choice([-1.0, 1.0], size=n)
@@ -102,7 +104,9 @@ def test_oscillating_period_two_recovery():
     np.testing.assert_allclose(model.a_i, [0.0, 0.0], atol=0.02)
     assert model.equality_residual <= 1e-8
     # zero imaginary part over one period extends to every t
-    assert np.max(np.abs(model.dominant_imag_values(horizon))) <= 1e-6
+    Vr, Vi = oscillation_tables(2, horizon)
+    imag = 0.9 ** tt * (Vi @ model.a_r + Vr @ model.a_i)
+    assert np.max(np.abs(imag)) <= 1e-6
     np.testing.assert_allclose(model.reconstruct(horizon).values,
                                model.g.values, atol=1e-10)
 
@@ -122,6 +126,34 @@ def test_oscillating_period_three_recovery():
     assert _fit(model.g.values, g_true(model.g.horizon)) >= 99.0
     np.testing.assert_allclose(predict(model, data, data.sample_times),
                                data.outputs, atol=1e-3)
+
+
+@pytest.mark.parametrize("fit", [
+    identify,
+    lambda base, data: identify_repeated_pole(RepeatedPoleConfig(base, 2),
+                                              data),
+    lambda base, data: identify_oscillating_poles(
+        OscillatingPoleConfig(base, 2), data),
+    lambda base, data: identify_oscillating_poles(
+        OscillatingPoleConfig(base, 3), data),
+], ids=["identify", "repeated2", "oscillating2", "oscillating3"])
+def test_reconstruct_replays_the_checked_response(fit):
+    # the response a model reconstructs is, to the last bit, the one the
+    # horizon loop checked and returned
+    rng = np.random.default_rng(13)
+    for n in (50, 80):
+        t = np.arange(n, dtype=float)
+        g_true = 0.98 ** t * (1.0 + 0.92 ** t * np.cos(
+            2.0 * np.pi * (np.pi ** 2 / 10.0) * t))
+        u = _prbs(rng, n)
+        clean = np.convolve(u, g_true)[:n]
+        sigma2 = float(clean @ clean) / n / 100.0  # 20 dB
+        y = clean + np.sqrt(sigma2) * rng.standard_normal(n)
+        base = PositiveIdConfig(kernel=KernelSpec.ss(0.97), rho=0.98,
+                                lam=10.0 * sigma2)
+        model = fit(base, TimeSeriesData.at_rest(u, y))
+        assert np.array_equal(model.reconstruct(model.g.horizon).values,
+                              model.g.values)
 
 
 @pytest.mark.parametrize("kernel", sorted(N1_KERNELS))

@@ -1,12 +1,42 @@
-"""Containers, convolution, Toeplitz operator, Hankel rank, CSV round trips."""
+"""Containers, convolution and CSV round trips.
+
+Also home to two oracles other test modules import: the Toeplitz
+operator of at-rest data and the numerical rank of a Hankel window.
+"""
 import numpy as np
 import pytest
+import scipy.linalg
 
 from posid.errors import DataError
 from posid.signals import (ImpulseResponse, TimeSeriesData, convolve,
-                           hankel_numerical_rank, read_impulse_csv,
-                           read_timeseries_csv, toeplitz_operator,
+                           read_impulse_csv, read_timeseries_csv,
                            write_impulse_csv)
+
+
+def toeplitz_operator(data, n):
+    """Lower-triangular convolution matrix ``[u[i - j]]`` of order ``n``.
+
+    Only defined for data sampled densely from time zero at rest, where
+    output ``i`` of an impulse response ``g`` is row ``i`` of this matrix
+    times ``g[:n]``.
+    """
+    assert data.t_start == 0
+    np.testing.assert_array_equal(data.sample_times,
+                                  np.arange(data.n_samples))
+    assert n <= data.inputs.size
+    return scipy.linalg.toeplitz(data.inputs[:n], np.zeros(n))
+
+
+def hankel_numerical_rank(g, size, tol=1e-8):
+    """Numerical rank of the leading ``size x size`` Hankel window of ``g``.
+
+    Counts singular values above ``tol`` times the largest one; the
+    window needs ``2 * size - 1`` lags of ``g``.
+    """
+    assert 2 * size - 1 <= g.horizon
+    h = scipy.linalg.hankel(g.values[:size], g.values[size - 1:2 * size - 1])
+    svals = np.linalg.svd(h, compute_uv=False)
+    return int(np.sum(svals > tol * svals[0]))
 
 
 def test_convolve_unit_impulse_returns_input():
@@ -77,7 +107,6 @@ def test_hankel_rank_two_modes():
     g = ImpulseResponse(0.9 ** t + 0.4 ** t)
     assert hankel_numerical_rank(g, 10) == 2
     # SVD oracle on the explicit Hankel window
-    import scipy.linalg
     h = scipy.linalg.hankel(g.values[:10], g.values[9:19])
     svals = np.linalg.svd(h, compute_uv=False)
     assert int(np.sum(svals > 1e-8 * svals[0])) == 2
@@ -105,7 +134,8 @@ def test_data_validation():
     with pytest.raises(DataError):
         TimeSeriesData(np.array([0]), np.array([np.nan]), np.zeros(1))
     data = TimeSeriesData.at_rest(np.arange(4.0), np.zeros(4))
-    assert data.is_at_rest
+    assert data.t_start == 0
+    np.testing.assert_array_equal(data.sample_times, np.arange(4))
     assert data.n_samples == 4
     assert data.t_last == 3
 
