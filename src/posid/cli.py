@@ -133,7 +133,6 @@ def _identify_cmd(args) -> int:
         g = model.g
         meta.update({"a_real": [float(v) for v in model.a_r],
                      "a_imag": [float(v) for v in model.a_i],
-                     "equality_residual": float(model.equality_residual),
                      "rho": args.rho, "lam": args.lam, "n": args.n,
                      "m": int(model.m)})
         meta.update(dataclasses.asdict(model.diagnostics))

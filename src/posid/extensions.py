@@ -141,10 +141,8 @@ class OscillatingPoleModel:
     period, the form whose nonnegativity the horizon loop checked.  The
     phase coefficients ``a_r + i a_i = fft(period) / n`` give the same
     part as ``rho**t * sum_k (a_r[k] cos(2 pi k t / n) - a_i[k]
-    sin(2 pi k t / n))``; the imaginary part they imply is zero up to
-    rounding, and its largest value over one period is reported in
-    ``equality_residual``.  ``w`` holds the section coefficients of the
-    residual ``h``.
+    sin(2 pi k t / n))``, and ``n * ifft(a_r + i a_i)`` gives the period
+    back.  ``w`` holds the section coefficients of the residual ``h``.
     """
 
     period: np.ndarray = field(repr=False)
@@ -157,7 +155,6 @@ class OscillatingPoleModel:
     h: ImpulseResponse
     g: ImpulseResponse
     diagnostics: IdentifyDiagnostics
-    equality_residual: float
     config: OscillatingPoleConfig = field(repr=False)
 
     def dominant_values(self, horizon: int) -> np.ndarray:
@@ -202,11 +199,9 @@ def identify_oscillating_poles(config: OscillatingPoleConfig,
         data, base.rho, n, _resolved_epsilon(config.epsilon, base.lam))
     period, fields = _fit_basis(base, data, basis)
     phases = np.fft.fft(period) / n
-    eq_res = float(np.max(np.abs((n * np.fft.ifft(phases)).imag)))
     return OscillatingPoleModel(period=period.copy(), a_r=phases.real.copy(),
                                 a_i=phases.imag.copy(), rho=base.rho, n=n,
-                                equality_residual=eq_res, config=config,
-                                **fields)
+                                config=config, **fields)
 
 
 def identify_finite_response(config: FiniteResponseConfig,

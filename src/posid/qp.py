@@ -6,13 +6,14 @@ Solves
     subject to  G z >= l
 
 with a primal-dual interior-point method (Mehrotra predictor-corrector on
-the slack/multiplier pair).  Every solve leaves through one exit: the
-best interior-point iterate, plus an operator-splitting iterate when the
-interior-point loop stalls, is each followed by an active-set polish, and
-the lowest-residual certified candidate is returned (OSQP's rule: keep a
-polish only when it certifies better).  The returned status reflects the
-final certified residuals, which :func:`kkt_certificate` recomputes from
-the same residual builder.
+the slack/multiplier pair) on a column-, row- and cost-scaled copy of the
+problem.  Every solve leaves through one exit with two candidates: the
+best interior-point iterate and one active-set polish of it, solved in
+the same scaled units.  Both are certified in the original units, and the
+lowest-residual certified one is returned (OSQP's rule: keep the polish
+only when it certifies better).  The returned status reflects the final
+certified residuals, which :func:`kkt_certificate` recomputes from the
+same residual builder.
 """
 from __future__ import annotations
 
@@ -164,7 +165,8 @@ def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
     Returns a :class:`QPSolution` whose status is ``optimal`` only when
     the certified residuals meet the requested tolerances, ``infeasible``
     when a constraint row is zero and its bound positive, and
-    ``max_iterations`` otherwise, with the lowest-residual candidate.
+    ``max_iterations`` otherwise, with the lower-residual of the best
+    interior-point iterate and its polish.
     Constraints that contradict each other through nonzero rows are not
     detected: such a solve ends in ``max_iterations``.
     """
@@ -266,17 +268,21 @@ def _solve_interior_point(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
     s = np.maximum(Gs @ z - ls, 1.0)
     lam = np.ones(k)
 
+    def certify(zs, lams, iterations):
+        # A scaled iterate's solution record, in the original units.
+        return _finish(problem, opt, col * zs, cost_scale * lams / g_norms,
+                       iterations)
+
     best = None
     best_score = np.inf
     for iterations in range(1, _MAX_ITER + 1):
-        sol = _finish(problem, opt, col * z, cost_scale * lam / g_norms,
-                      iterations)
+        sol = certify(z, lam, iterations)
         if sol.status == OPTIMAL:
-            best = sol
+            best, best_iterate = sol, (z, lam)
             break
         score = _score(sol)
         if score < best_score:
-            best, best_score = sol, score
+            best, best_iterate, best_score = sol, (z, lam), score
 
         rd = Ps @ z + qs - Gs.T @ lam
         rp = Gs @ z - s - ls
@@ -288,7 +294,7 @@ def _solve_interior_point(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
 
         # Affine scaling direction.  A numerically singular Newton matrix
         # can factor without error and still give a non-finite
-        # direction; that goes to the rescue path like a failed factor.
+        # direction; that ends the loop like a failed factor.
         rhs_z = -rd - Gs.T @ (lam + w * rp)
         dz = scipy.linalg.cho_solve(cho, rhs_z)
         if not np.isfinite(dz).all():
@@ -316,21 +322,16 @@ def _solve_interior_point(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
         s = s + alpha * ds
         lam = lam + alpha * dlam
 
-    # One exit.  A stalled loop adds an operator-splitting iterate; every
-    # candidate then gets one active-set polish, because on flat valleys
-    # the barrier stops inside the tolerance ball while the equality solve
-    # lands on the exact face.  The lowest-residual certified candidate
-    # wins, the earlier one on ties, so a polish is kept only when it
-    # certifies strictly better.
+    # One exit.  The best iterate gets one active-set polish, because on
+    # flat valleys the barrier stops inside the tolerance ball while the
+    # equality solve lands on the exact face.  The lowest-residual
+    # certified candidate wins, the iterate on ties, so the polish is kept
+    # only when it certifies strictly better.
     candidates = [best]
-    if best.status != OPTIMAL:
-        admm = _admm_rescue(problem, Ps, qs, Gs, ls, cost_scale, col,
-                            g_norms, opt, iterations)
-        if admm is not None:
-            candidates.append(admm)
-    polished = [_polish(problem, opt, cand, iterations)
-                for cand in candidates]
-    candidates += [p for p in polished if p is not None]
+    polished = _polish((Ps, qs, Gs, ls), *best_iterate,
+                       lambda zp, lp: certify(zp, lp, iterations))
+    if polished is not None:
+        candidates.append(polished)
     optimal = [c for c in candidates if c.status == OPTIMAL]
     return min(optimal or candidates, key=_score)
 
@@ -356,59 +357,38 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return float(min(1.0, np.min(-v[neg] / dv[neg])))
 
 
-def _polish(problem: ConvexQP, opt: SolveOptions, guess: QPSolution,
-            iterations: int) -> QPSolution | None:
+def _polish(scaled, zs: np.ndarray, lams: np.ndarray,
+            certify) -> QPSolution | None:
     """Equality-KKT solve on the active set guessed from a near-solution.
 
-    Rows that are (nearly) tight or carry a multiplier larger than their
-    slack are held as equalities.  The KKT system is solved by minimum-norm
-    least squares, because ``P`` from Gram assembly can be numerically
-    singular; with no active row that is ``lstsq(P, -q)``.  Returns
-    ``None`` when the solve is not finite.
+    Works on the scaled problem ``scaled = (Ps, qs, Gs, ls)`` that the
+    interior-point loop iterates on, from its iterate ``(zs, lams)``, as
+    OSQP polishes the problem its iterations solve; in the original units
+    ``P`` can span dozens of orders of magnitude.  Rows that are (nearly)
+    tight or carry a multiplier larger than their slack are held as
+    equalities.  The KKT system is solved by minimum-norm least squares,
+    because ``P`` from Gram assembly can be numerically singular.
+    ``certify(z, lam)`` maps the answer back and certifies it in the
+    original units.  Returns ``None`` when the solve is not finite.
     """
-    slack = problem.G @ guess.z - problem.l
-    scale = 1.0 + float(np.max(np.abs(problem.l), initial=0.0))
-    active = (slack <= 1e-7 * scale) | (guess.lam > np.maximum(slack, 0.0))
-    Ga = problem.G[active]
-    la = problem.l[active]
-    d = problem.dim
+    Ps, qs, Gs, ls = scaled
+    slack = Gs @ zs - ls
+    scale = 1.0 + float(np.max(np.abs(ls), initial=0.0))
+    active = (slack <= 1e-7 * scale) | (lams > np.maximum(slack, 0.0))
+    Ga = Gs[active]
+    d = qs.size
     ka = Ga.shape[0]
     kkt = np.zeros((d + ka, d + ka))
-    kkt[:d, :d] = problem.P
+    kkt[:d, :d] = Ps
     kkt[:d, d:] = -Ga.T
     kkt[d:, :d] = Ga
-    rhs = np.concatenate([-problem.q, la])
+    rhs = np.concatenate([-qs, ls[active]])
     sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
     if not np.all(np.isfinite(sol)):
         return None
-    lam_full = np.zeros(problem.n_ineq)
+    lam_full = np.zeros(ls.size)
     lam_full[active] = np.maximum(sol[d:], 0.0)
-    return _finish(problem, opt, sol[:d], lam_full, iterations)
-
-
-def _admm_rescue(problem, Ps, qs, Gs, ls, cost_scale, col, g_norms, opt,
-                 iterations) -> QPSolution | None:
-    """Operator-splitting pass used when the interior-point loop stalls."""
-    d = problem.dim
-    sigma = 1e-6
-    rho = 1.0
-    lhs = Ps + sigma * np.eye(d) + rho * (Gs.T @ Gs)
-    try:
-        cho = scipy.linalg.cho_factor(lhs)
-    except np.linalg.LinAlgError:
-        return None
-    z = np.zeros(d)
-    wv = Gs @ z
-    u = np.zeros(Gs.shape[0])
-    for _ in range(4000):
-        rhs = -qs + sigma * z + rho * Gs.T @ (wv - u)
-        z = scipy.linalg.cho_solve(cho, rhs)
-        mz = Gs @ z
-        wv = np.maximum(mz + u, ls)
-        u = u + mz - wv
-    lam = np.maximum(-rho * u, 0.0)
-    return _finish(problem, opt, col * z, cost_scale * lam / g_norms,
-                   iterations)
+    return certify(sol[:d], lam_full)
 
 
 def dump_qp(problem: ConvexQP, path) -> None:

@@ -229,8 +229,10 @@ def test_criterion_06_positivity_across_variants():
             kernel=KernelSpec.tc(0.6), rho=0.9, lam=1e-2), n=2),
         noisy(0.9 ** t * 0.5 * (1.0 + np.cos(np.pi * t))))
     check("oscillating", osc.g.values)
-    assert osc.equality_residual <= 1e-8, (
-        f"phase equality residual {osc.equality_residual:.3e}")
+    period_error = float(np.max(np.abs(
+        osc.n * np.fft.ifft(osc.a_r + 1j * osc.a_i) - osc.period)))
+    assert period_error <= 1e-12 * float(np.max(np.abs(osc.period))), (
+        f"phases miss the period by {period_error:.3e}")
 
     fir = np.zeros(12)
     fir[:6] = [1.0, 0.5, 0.2, 0.0, 0.3, 0.1]
@@ -239,8 +241,8 @@ def test_criterion_06_positivity_across_variants():
                              lam=1e-2), noisy(fir))
     check("finite", est.values)
     _report(6, "base, repeated, oscillating and finite variants all "
-               "nonnegative; phase equality residual "
-               f"{osc.equality_residual:.1e}")
+               "nonnegative; phases miss the period by "
+               f"{period_error:.1e}")
 
 
 def test_criterion_07_monte_carlo_ordering():
