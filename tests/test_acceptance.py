@@ -29,6 +29,7 @@ from posid.qp import ConvexQP, SolveOptions, solve
 from posid.signals import ImpulseResponse, TimeSeriesData
 
 from test_estimator import representer_normal_equations
+from test_extensions import period_error
 from test_qp import _active_set_oracle
 from test_signals import hankel_numerical_rank
 
@@ -229,10 +230,9 @@ def test_criterion_06_positivity_across_variants():
             kernel=KernelSpec.tc(0.6), rho=0.9, lam=1e-2), n=2),
         noisy(0.9 ** t * 0.5 * (1.0 + np.cos(np.pi * t))))
     check("oscillating", osc.g.values)
-    period_error = float(np.max(np.abs(
-        osc.n * np.fft.ifft(osc.a_r + 1j * osc.a_i) - osc.period)))
-    assert period_error <= 1e-12 * float(np.max(np.abs(osc.period))), (
-        f"phases miss the period by {period_error:.3e}")
+    phase_error = period_error(osc)
+    assert phase_error <= 1e-12, (
+        f"phases miss the period by {phase_error:.3e} relative")
 
     fir = np.zeros(12)
     fir[:6] = [1.0, 0.5, 0.2, 0.0, 0.3, 0.1]
@@ -242,7 +242,7 @@ def test_criterion_06_positivity_across_variants():
     check("finite", est.values)
     _report(6, "base, repeated, oscillating and finite variants all "
                "nonnegative; phases miss the period by "
-               f"{period_error:.1e}")
+               f"{phase_error:.1e} relative")
 
 
 def test_criterion_07_monte_carlo_ordering():
