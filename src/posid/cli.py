@@ -12,6 +12,7 @@ did not reach optimality.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -23,7 +24,7 @@ from .assembly import assemble_core, assemble_polynomial_blocks
 from .baselines import BaselineKind, run_baseline
 from .errors import ConfigError, PosidError
 from .estimator import (PositiveIdConfig, build_qp,
-                        initial_constraint_horizon, identify, predict)
+                        initial_constraint_horizon, identify)
 from .extensions import (FiniteResponseConfig, OscillatingPoleConfig,
                          RepeatedPoleConfig, identify_finite_response,
                          identify_oscillating_poles, identify_repeated_pole)
@@ -41,17 +42,27 @@ _IDENTIFY_METHODS = ("g", "nup", "snp", "zsr") + MC_METHODS[:4]
 _BASELINE_METHODS = MC_METHODS[:4]
 
 
+def _write_atomic(path: str, write) -> None:
+    """Let ``write`` fill ``path + ".tmp"``, then rename it to ``path``.
+
+    A failed write removes the temporary file and leaves ``path`` as it
+    was.
+    """
+    tmp = path + ".tmp"
+    try:
+        write(tmp)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    os.replace(tmp, path)
+
+
 def _write_text_atomic(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _write_impulse_atomic(path: str, g) -> None:
-    tmp = path + ".tmp"
-    write_impulse_csv(tmp, g)
-    os.replace(tmp, path)
+    def write(tmp):
+        with open(tmp, "w", encoding="ascii", newline="") as fh:
+            fh.write(text)
+    _write_atomic(path, write)
 
 
 def _write_json_atomic(path: str, payload: dict) -> None:
@@ -109,7 +120,8 @@ def _identify_cmd(args) -> int:
             m_init = initial_constraint_horizon(data)
             mats = assemble_core(config.kernel, data, m_init)
             basis = assemble_polynomial_blocks(data, config.rho, 1)
-            dump_qp(build_qp(config, mats, basis), args.dump_qp)
+            problem = build_qp(config, mats, basis)
+            _write_atomic(args.dump_qp, lambda tmp: dump_qp(problem, tmp))
         model = identify(config, data)
         g = model.g
         meta.update({"a": float(model.a), "rho": args.rho,
@@ -144,7 +156,8 @@ def _identify_cmd(args) -> int:
                      "kernel": args.kernel, "beta": args.beta})
     else:
         raise ConfigError(f"unknown method {method!r}")
-    _write_impulse_atomic(os.path.join(args.out_dir, "impulse.csv"), g)
+    _write_atomic(os.path.join(args.out_dir, "impulse.csv"),
+                  lambda tmp: write_impulse_csv(tmp, g))
     _write_json_atomic(os.path.join(args.out_dir, "metadata.json"), meta)
     print(f"method {method}: wrote impulse.csv ({g.horizon} samples) "
           f"and metadata.json to {args.out_dir}")
@@ -219,9 +232,8 @@ def _heating_cmd(args) -> int:
     path = args.data
     if args.format == "daisy":
         converted = os.path.join(args.out_dir, "heating_converted.csv")
-        tmp = converted + ".tmp"
-        convert_daisy_whitespace(path, tmp)
-        os.replace(tmp, converted)
+        _write_atomic(converted,
+                      lambda tmp: convert_daisy_whitespace(path, tmp))
         path = converted
     config = HeatingConfig(rho=args.rho, beta=args.beta, lam=args.lam,
                            n_g=args.n_g, tune_budget=args.budget,

@@ -111,17 +111,6 @@ class KernelSpec:
             return int(self.table.shape[0])
         return None
 
-    def eval(self, s, t):
-        """Evaluate k(s, t) elementwise on broadcastable integer arrays."""
-        s_arr = np.asarray(s)
-        t_arr = np.asarray(t)
-        if np.any(s_arr < 0) or np.any(t_arr < 0):
-            raise ConfigError("kernel arguments must be nonnegative integers")
-        out = _eval_grid(self, s_arr, t_arr)
-        if np.isscalar(s) and np.isscalar(t):
-            return float(out)
-        return out
-
 
 def _eval_grid(kernel: KernelSpec, s: np.ndarray, t: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=np.int64)

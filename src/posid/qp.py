@@ -5,8 +5,10 @@ Solves
     minimize    0.5 * z' P z + q' z
     subject to  G z >= l
 
-with a primal-dual interior-point method (Mehrotra predictor-corrector on
-the slack/multiplier pair) on a column-, row- and cost-scaled copy of the
+with at least one inequality row (every estimator's QP carries its
+positivity rows; a problem without rows is rejected).  The method is a
+primal-dual interior-point method (Mehrotra predictor-corrector on the
+slack/multiplier pair) on a column-, row- and cost-scaled copy of the
 problem.  Every solve leaves through one exit with two candidates: the
 best interior-point iterate and one active-set polish of it, solved in
 the same scaled units.  Both are certified in the original units, and the
@@ -61,18 +63,20 @@ class SolveOptions:
 
 @dataclass
 class ConvexQP:
-    """One convex QP instance.
+    """One convex QP instance with at least one inequality row.
 
-    Every entry of ``P``, ``q``, ``G`` and ``l`` must be finite.  ``P`` is
-    symmetrised on construction; eigenvalues below ``-1e-8 * max_eig``
-    raise, while tiny negative ones (roundoff from Gram assembly) are
-    accepted and ``P`` is kept as given.
+    Every entry of ``P``, ``q``, ``G`` and ``l`` must be finite, and ``G``
+    must have at least one row: without rows the interior-point loop has
+    no slack to average (its barrier parameter divides by the row count).
+    ``P`` is symmetrised on construction; eigenvalues below
+    ``-1e-8 * max_eig`` raise, while tiny negative ones (roundoff from Gram
+    assembly) are accepted and ``P`` is kept as given.
     """
 
     P: np.ndarray
     q: np.ndarray
-    G: np.ndarray | None = None
-    l: np.ndarray | None = None
+    G: np.ndarray
+    l: np.ndarray
 
     def __post_init__(self) -> None:
         P = np.asarray(self.P, dtype=float)
@@ -89,20 +93,17 @@ class ConvexQP:
         if eigs[0] < -_PSD_RTOL * max(top, 1.0):
             raise ConfigError(
                 f"P is not positive semidefinite (min eigenvalue {eigs[0]:.3e})")
-        self.P = P
-        self.q = q
-        if (self.G is None) != (self.l is None):
-            raise ConfigError("G and l must be given together")
-        if self.G is not None:
-            G = np.atleast_2d(np.asarray(self.G, dtype=float))
-            l = np.asarray(self.l, dtype=float).ravel()
-            if G.shape != (l.size, q.size):
-                raise ConfigError(
-                    f"G shape {G.shape} incompatible with {l.size} bounds "
-                    f"and {q.size} variables")
-            if not (np.isfinite(G).all() and np.isfinite(l).all()):
-                raise ConfigError("G and l must be finite")
-            self.G, self.l = G, l
+        G = np.atleast_2d(np.asarray(self.G, dtype=float))
+        l = np.asarray(self.l, dtype=float).ravel()
+        if G.shape != (l.size, q.size):
+            raise ConfigError(
+                f"G shape {G.shape} incompatible with {l.size} bounds "
+                f"and {q.size} variables")
+        if l.size == 0:
+            raise ConfigError("a QP needs at least one inequality row")
+        if not (np.isfinite(G).all() and np.isfinite(l).all()):
+            raise ConfigError("G and l must be finite")
+        self.P, self.q, self.G, self.l = P, q, G, l
 
     @property
     def dim(self) -> int:
@@ -110,7 +111,7 @@ class ConvexQP:
 
     @property
     def n_ineq(self) -> int:
-        return 0 if self.G is None else int(self.G.shape[0])
+        return int(self.G.shape[0])
 
     def objective(self, z) -> float:
         z = np.asarray(z, dtype=float)
@@ -132,7 +133,7 @@ class QPSolution:
     primal_residual: float
     dual_residual: float
     gap: float
-    lam: np.ndarray = field(default=None, repr=False)
+    lam: np.ndarray = field(repr=False)
     iterations: int = 0
 
 
@@ -149,8 +150,7 @@ class KktReport:
 def kkt_certificate(problem: ConvexQP, solution: QPSolution) -> KktReport:
     """Recompute KKT residuals from the original problem data."""
     z = np.asarray(solution.z, dtype=float)
-    lam = (np.zeros(problem.n_ineq) if solution.lam is None
-           else np.asarray(solution.lam, dtype=float))
+    lam = np.asarray(solution.lam, dtype=float)
     grad, slack = _residuals(problem, z, lam)
     return KktReport(
         stationarity=float(np.max(np.abs(grad), initial=0.0)),
@@ -159,30 +159,10 @@ def kkt_certificate(problem: ConvexQP, solution: QPSolution) -> KktReport:
         dual_feasibility=float(np.max(-lam, initial=0.0)))
 
 
-def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
-    """Solve one convex QP.
-
-    Returns a :class:`QPSolution` whose status is ``optimal`` only when
-    the certified residuals meet the requested tolerances, ``infeasible``
-    when a constraint row is zero and its bound positive, and
-    ``max_iterations`` otherwise, with the lower-residual of the best
-    interior-point iterate and its polish.
-    Constraints that contradict each other through nonzero rows are not
-    detected: such a solve ends in ``max_iterations``.
-    """
-    opt = options or SolveOptions()
-    if problem.n_ineq == 0:
-        return _solve_unconstrained(problem, opt)
-    return _solve_interior_point(problem, opt)
-
-
 def _residuals(problem: ConvexQP, z: np.ndarray, lam: np.ndarray):
     """Lagrangian gradient ``P z + q - G' lam`` and slack ``G z - l``."""
-    grad = problem.P @ z + problem.q
-    if not problem.n_ineq:
-        return grad, np.zeros(0)
-    slack = problem.G @ z - problem.l
-    return grad - problem.G.T @ lam, slack
+    grad = problem.P @ z + problem.q - problem.G.T @ lam
+    return grad, problem.G @ z - problem.l
 
 
 def _score(sol: QPSolution) -> float:
@@ -193,14 +173,13 @@ def _finish(problem: ConvexQP, opt: SolveOptions, z, lam,
             iterations: int) -> QPSolution:
     """Assemble a solution record with residuals in original units."""
     z = np.asarray(z, dtype=float)
-    lam = np.zeros(problem.n_ineq) if lam is None else np.maximum(lam, 0.0)
+    lam = np.maximum(lam, 0.0)
     obj = problem.objective(z)
     grad, slack = _residuals(problem, z, lam)
     primal = float(np.max(-slack, initial=0.0))
     dual = float(np.max(np.abs(grad), initial=0.0))
     gap = float(np.abs(lam) @ np.abs(slack)) / (1.0 + abs(obj))
-    l_scale = (1.0 + float(np.max(np.abs(problem.l), initial=0.0))
-               if problem.n_ineq else 1.0)
+    l_scale = 1.0 + float(np.max(np.abs(problem.l)))
     q_scale = 1.0 + float(np.max(np.abs(problem.q), initial=0.0))
     certified = (primal <= opt.tol_feas * l_scale
                  and dual <= opt.tol_feas * q_scale
@@ -209,15 +188,6 @@ def _finish(problem: ConvexQP, opt: SolveOptions, z, lam,
                       status=OPTIMAL if certified else MAX_ITERATIONS,
                       primal_residual=primal, dual_residual=dual, gap=gap,
                       lam=lam, iterations=iterations)
-
-
-def _solve_unconstrained(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
-    P, q = problem.P, problem.q
-    try:
-        z = scipy.linalg.solve(P, -q, assume_a="pos")
-    except np.linalg.LinAlgError:
-        z = np.linalg.lstsq(P, -q, rcond=None)[0]
-    return _finish(problem, opt, z, None, iterations=0)
 
 
 def _row_scale(mat: np.ndarray, vec: np.ndarray):
@@ -235,23 +205,32 @@ def _row_scale(mat: np.ndarray, vec: np.ndarray):
     return mat / norms[:, None], vec / norms, norms
 
 
-def _solve_interior_point(problem: ConvexQP, opt: SolveOptions) -> QPSolution:
+def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
+    """Solve one convex QP with at least one inequality row.
+
+    Returns a :class:`QPSolution` whose status is ``optimal`` only when
+    the certified residuals meet the requested tolerances, ``infeasible``
+    when a constraint row is zero and its bound positive, and
+    ``max_iterations`` otherwise, with the lower-residual of the best
+    interior-point iterate and its polish.
+    Constraints that contradict each other through nonzero rows are not
+    detected: such a solve ends in ``max_iterations``.
+    """
+    opt = options or SolveOptions()
     d = problem.dim
     k = problem.n_ineq
 
-    # Jacobi column scaling: kernel-section curvature can span dozens of
-    # orders of magnitude along the diagonal, which stalls the Newton
-    # steps unless the variables are rebalanced first.
+    # Jacobi column scaling, on every problem: kernel-section curvature
+    # can span dozens of orders of magnitude along the diagonal, which
+    # stalls the Newton steps unless the variables are rebalanced first.
     pdiag = np.diag(problem.P)
     col = np.where(pdiag > 0.0, pdiag, 1.0) ** -0.5
-    if float(np.max(col)) / float(np.min(col)) < 10.0:
-        col = np.ones(d)
     Pc = problem.P * (col[:, None] * col[None, :])
     qc = problem.q * col
 
     scaled_g = _row_scale(problem.G * col[None, :], problem.l)
     if scaled_g is None:
-        return replace(_finish(problem, opt, np.zeros(d), None, 0),
+        return replace(_finish(problem, opt, np.zeros(d), np.zeros(k), 0),
                        status=INFEASIBLE)
     Gs, ls, g_norms = scaled_g
 
@@ -393,11 +372,9 @@ def _polish(scaled, zs: np.ndarray, lams: np.ndarray,
 
 def dump_qp(problem: ConvexQP, path) -> None:
     """Serialise a QP to a matrix-market style text file for reproduction."""
-    blocks = [("P", problem.P), ("q", problem.q)]
-    if problem.n_ineq:
-        blocks += [("G", problem.G), ("l", problem.l)]
     buf = io.StringIO()
-    for name, arr in blocks:
+    for name, arr in (("P", problem.P), ("q", problem.q), ("G", problem.G),
+                      ("l", problem.l)):
         arr = np.atleast_2d(np.asarray(arr, dtype=float))
         buf.write(f"%%MatrixMarket matrix array real general\n%block {name}\n")
         buf.write(f"{arr.shape[0]} {arr.shape[1]}\n")
@@ -413,7 +390,7 @@ def load_qp_dump(path) -> ConvexQP:
 
     Raises :class:`ConfigError` on a malformed or truncated block, on a
     block other than ``P``, ``q``, ``G`` and ``l`` (or one given twice),
-    and when ``P`` or ``q`` is missing, so a file never loads as a
+    and when any of the four blocks is missing, so a file never loads as a
     different problem.
     """
     blocks: dict[str, np.ndarray] = {}
@@ -440,8 +417,8 @@ def load_qp_dump(path) -> ConvexQP:
             raise ConfigError(
                 f"{path}: bad block {name!r} at line {i + 1}: {exc}") from exc
         i += 3 + count
-    missing = [name for name in ("P", "q") if name not in blocks]
+    missing = [name for name in ("P", "q", "G", "l") if name not in blocks]
     if missing:
         raise ConfigError(f"{path}: missing block(s) {', '.join(missing)}")
-    return ConvexQP(P=blocks["P"], q=blocks["q"].ravel(), G=blocks.get("G"),
-                    l=blocks["l"].ravel() if "l" in blocks else None)
+    return ConvexQP(P=blocks["P"], q=blocks["q"].ravel(), G=blocks["G"],
+                    l=blocks["l"].ravel())

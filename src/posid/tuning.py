@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, PosidError
 from .estimator import PositiveIdConfig, identify, predict
-from .kernels import (KIND_DC, KIND_SS, KIND_TC, KernelSpec)
+from .kernels import KIND_DC, KIND_SS, KIND_TC, KernelSpec, decay_compatible
 from .signals import TimeSeriesData
 
 logger = logging.getLogger(__name__)
@@ -122,12 +122,7 @@ class HyperparamSpace:
 
 def _coupled(space: HyperparamSpace, theta: ThetaPoint) -> bool:
     """Kernel decay strictly faster than the candidate pole."""
-    try:
-        kernel = theta.kernel(space.kind)
-    except ConfigError:
-        return False
-    from .kernels import decay_compatible
-    return decay_compatible(kernel, theta.rho)
+    return decay_compatible(theta.kernel(space.kind), theta.rho)
 
 
 def validation_score(theta: ThetaPoint, data: TimeSeriesData,

@@ -35,14 +35,12 @@ def assemble_core_definitional(kernel, data, rho, m):
     b = np.zeros(times.size)
     mode = ImpulseResponse(rho ** np.arange(width, dtype=float))
     for s in range(n_sec):
-        section = ImpulseResponse(
-            np.array([kernel.eval(r, s) for r in range(width)]))
+        section = ImpulseResponse(gram(kernel, np.arange(width), [s])[:, 0])
         for i, t in enumerate(times):
             L[i, s] = convolve(section, data, int(t))
     for i, t in enumerate(times):
         b[i] = convolve(mode, data, int(t))
-    K = np.array([[kernel.eval(r, s) for s in range(n_sec)]
-                  for r in range(n_sec)])
+    K = gram(kernel, np.arange(n_sec), np.arange(n_sec))
     mats = QPDataMatrices(L=L, K=K, y=data.outputs.copy(), m=int(m))
     return mats, b
 

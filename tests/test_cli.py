@@ -6,7 +6,9 @@ import time
 import numpy as np
 import pytest
 
+from posid import cli
 from posid.cli import main
+from posid.errors import ConfigError
 from posid.estimator import PositiveIdConfig, identify
 from posid.kernels import KernelSpec
 from posid.qp import load_qp_dump
@@ -71,6 +73,27 @@ def test_identify_dump_qp(tmp_path):
     code = main(["identify", "--data", str(data_path), "--method", "b",
                  "--dump-qp", str(dump), "--out-dir", str(out)])
     assert code == 2, "dump-qp is specific to the positive estimator"
+
+
+def test_failed_dump_qp_leaves_no_file(tmp_path, monkeypatch):
+    # the dump is written next to its path and renamed into place, so a
+    # dump that fails part-way leaves nothing behind
+    data_path = tmp_path / "data.csv"
+    _single_mode_csv(data_path)
+    dump = tmp_path / "qp.txt"
+
+    def partial_dump(problem, path):
+        with open(path, "w") as fh:
+            fh.write("%%MatrixMarket matrix array real general\n")
+        raise ConfigError("simulated failure while writing the dump")
+
+    monkeypatch.setattr(cli, "dump_qp", partial_dump)
+    code = main(["identify", "--data", str(data_path), "--beta", "0.5",
+                 "--lam", "0.01", "--dump-qp", str(dump),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert not dump.exists()
+    assert not (tmp_path / "qp.txt.tmp").exists()
 
 
 def test_identify_exit_codes(tmp_path, capsys):

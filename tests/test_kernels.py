@@ -62,14 +62,14 @@ def test_all_families_psd_random_grids():
             assert eigs.min() >= -1e-10 * scale, (kernel.kind, eigs.min())
 
 
-def test_eval_scalar_and_broadcast():
-    k = KernelSpec.dc(0.8, 0.5)
-    assert k.eval(2, 3) == pytest.approx(_definitional(k, 2, 3))
-    s = np.arange(4)[:, None]
-    t = np.arange(5)[None, :]
-    out = k.eval(s, t)
-    assert out.shape == (4, 5)
-    np.testing.assert_allclose(out[1, 2], _definitional(k, 1, 2))
+def test_gram_matches_definitional_values():
+    for kernel in _all_decaying():
+        out = gram(kernel, np.arange(4), np.arange(5))
+        assert out.shape == (4, 5)
+        expected = [[_definitional(kernel, s, t) for t in range(5)]
+                    for s in range(4)]
+        np.testing.assert_allclose(out, expected, rtol=1e-14,
+                                   err_msg=kernel.kind)
 
 
 def test_domination_bound_values():
@@ -90,7 +90,7 @@ def test_domination_bound_holds_on_diagonal():
     t = np.arange(201)
     for kernel in _all_decaying():
         bound = domination_bound(kernel)
-        diag = kernel.eval(t, t)
+        diag = np.diag(gram(kernel, t, t))
         envelope = bound.c * bound.rho_d ** (2.0 * t)
         assert np.all(diag <= envelope * (1 + 1e-12)), kernel.kind
 
@@ -102,9 +102,9 @@ def test_window_kernel_zero_outside_support():
     assert w.support == 4
     idx = np.arange(4)
     np.testing.assert_allclose(w.table, gram(base, idx, idx))
-    assert w.eval(4, 1) == 0.0
-    assert w.eval(2, 7) == 0.0
-    np.testing.assert_allclose(w.eval(2, 3), base.eval(2, 3))
+    assert gram(w, [4], [1])[0, 0] == 0.0
+    assert gram(w, [2], [7])[0, 0] == 0.0
+    np.testing.assert_allclose(gram(w, [2], [3]), gram(base, [2], [3]))
 
 
 def test_decay_compatible():
@@ -145,8 +145,8 @@ def test_window_of_window_is_idempotent():
 
 
 def test_known_point_values():
-    assert KernelSpec.tc(0.5).eval(1, 2) == pytest.approx(0.25)
-    assert KernelSpec.ss(0.5).eval(0, 0) == pytest.approx(1.0 / 3.0)
+    assert gram(KernelSpec.tc(0.5), [1], [2])[0, 0] == pytest.approx(0.25)
+    assert gram(KernelSpec.ss(0.5), [0], [0])[0, 0] == pytest.approx(1.0 / 3.0)
     np.testing.assert_allclose(
         gram(KernelSpec.tc(0.5), [0, 1], [0, 1, 2]),
         [[1.0, 0.5, 0.25], [0.5, 0.5, 0.25]])
@@ -166,6 +166,6 @@ def test_sections_absolutely_summable():
     s = np.arange(2001)
     for kernel in _all_decaying():
         for t in (0, 5, 50):
-            vals = np.abs(kernel.eval(np.full_like(s, t), s))
+            vals = np.abs(gram(kernel, [t], s)[0])
             tail = np.cumsum(vals)
             assert tail[-1] - tail[-500] < 1e-9, (kernel.kind, t)

@@ -15,8 +15,8 @@ def _random_strictly_convex(rng, d, n_ineq):
     root = rng.standard_normal((d, d))
     P = root.T @ root + d * np.eye(d)
     q = rng.standard_normal(d)
-    G = rng.standard_normal((n_ineq, d)) if n_ineq else None
-    l = rng.standard_normal(n_ineq) if n_ineq else None
+    G = rng.standard_normal((n_ineq, d))
+    l = rng.standard_normal(n_ineq)
     return ConvexQP(P=P, q=q, G=G, l=l)
 
 
@@ -28,9 +28,7 @@ def _active_set_oracle(problem):
     candidate that is primal feasible with nonnegative multipliers on the
     active rows.
     """
-    P, q = problem.P, problem.q
-    G = problem.G if problem.G is not None else np.zeros((0, P.shape[0]))
-    l = problem.l if problem.l is not None else np.zeros(0)
+    P, q, G, l = problem.P, problem.q, problem.G, problem.l
     d = P.shape[0]
     best = None
     for active in itertools.chain.from_iterable(
@@ -59,14 +57,6 @@ def _active_set_oracle(problem):
             best = (z, obj)
     assert best is not None, "enumeration found no KKT point"
     return best
-
-
-def test_unconstrained_shift_to_ones():
-    # min ||z - 1||^2 has the all-ones minimizer
-    d = 6
-    sol = solve(ConvexQP(P=2.0 * np.eye(d), q=-2.0 * np.ones(d)))
-    assert sol.status == "optimal"
-    np.testing.assert_allclose(sol.z, np.ones(d), atol=1e-8)
 
 
 def test_matches_active_set_enumeration():
@@ -105,10 +95,23 @@ def test_nonfinite_kkt_direction_ends_the_solve(monkeypatch):
     rng = np.random.default_rng(9)
     problem = _random_strictly_convex(rng, 4, 3)
     calls = _first_direction_nan(monkeypatch, problem.dim)
-    sol = solve(problem, SolveOptions(tol_feas=1e-10, tol_gap=1e-10))
+    options = SolveOptions(tol_feas=1e-10, tol_gap=1e-10)
+    sol = solve(problem, options)
     assert calls, "the Newton direction was not computed"
-    assert sol.status == "max_iterations"
     assert sol.iterations == 1
+    # the polish of the start point may still certify; the status must
+    # agree with the independently recomputed residuals either way
+    report = kkt_certificate(problem, sol)
+    slack = problem.G @ sol.z - problem.l
+    gap = (np.abs(sol.lam) @ np.abs(slack)
+           / (1.0 + abs(problem.objective(sol.z))))
+    certified = (
+        report.primal <= options.tol_feas * (1 + np.max(np.abs(problem.l)))
+        and report.stationarity
+        <= options.tol_feas * (1 + np.max(np.abs(problem.q)))
+        and report.dual_feasibility == 0.0
+        and gap <= options.tol_gap)
+    assert sol.status == ("optimal" if certified else "max_iterations")
     assert np.all(np.isfinite(sol.z)) and np.all(np.isfinite(sol.lam))
     assert np.isfinite([sol.primal_residual, sol.dual_residual,
                         sol.gap]).all()
@@ -224,6 +227,10 @@ def test_load_dump_rejects_missing_block(tmp_path):
     path.write_text("".join(lines[_block_start(lines, "q"):]))
     with pytest.raises(ConfigError, match="missing block.*P"):
         load_qp_dump(path)
+    # a dump without rows no longer loads as an unconstrained problem
+    path.write_text("".join(lines[:_block_start(lines, "G")]))
+    with pytest.raises(ConfigError, match="missing block.*G, l"):
+        load_qp_dump(path)
 
 
 def test_load_dump_rejects_truncated_block(tmp_path):
@@ -263,17 +270,23 @@ def test_nonfinite_data_is_rejected(name, tmp_path):
 
 
 def test_validation_errors():
+    rows = {"G": np.eye(2), "l": np.zeros(2)}
     with pytest.raises(ConfigError):
-        ConvexQP(P=np.eye(2), q=np.zeros(3))
+        ConvexQP(P=np.eye(2), q=np.zeros(3), **rows)
     with pytest.raises(ConfigError):
-        ConvexQP(P=np.eye(2), q=np.zeros(2), G=np.eye(2))  # G without l
+        ConvexQP(P=np.eye(2), q=np.zeros(2), G=np.eye(2), l=np.zeros(3))
     with pytest.raises(ConfigError):
         SolveOptions(tol_feas=0.0)
     # indefinite P must be rejected
     with pytest.raises(ConfigError):
-        ConvexQP(P=np.diag([1.0, -1.0]), q=np.zeros(2))
+        ConvexQP(P=np.diag([1.0, -1.0]), q=np.zeros(2), **rows)
+    # a QP without inequality rows is rejected
+    with pytest.raises(ConfigError, match="at least one inequality row"):
+        ConvexQP(P=np.eye(2), q=np.zeros(2), G=np.zeros((0, 2)),
+                 l=np.zeros(0))
     # non-symmetric P is accepted but symmetrised
-    problem = ConvexQP(P=np.array([[1.0, 2.0], [0.0, 1.0]]), q=np.zeros(2))
+    problem = ConvexQP(P=np.array([[1.0, 2.0], [0.0, 1.0]]), q=np.zeros(2),
+                       **rows)
     np.testing.assert_allclose(problem.P, [[1.0, 1.0], [1.0, 1.0]])
 
 
