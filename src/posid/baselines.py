@@ -4,7 +4,7 @@ All four estimate a finitely supported response of length ``n_g``:
 
 * ``b``: unregularised least squares, clipped to be nonnegative;
 * ``c``: least squares constrained to the nonnegative orthant, solved
-  exactly by Lawson and Hanson's active-set NNLS;
+  as a QP by :func:`posid.qp.solve`;
 * ``d``: kernel ridge regression, clipped to be nonnegative;
 * ``e``: kernel ridge constrained to the nonnegative orthant (the
   finite-response variant of the main estimator).
@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from . import qp
 from .assembly import input_weight_matrix
-from .errors import ConfigError, SolverError
+from .errors import ConfigError
+from .estimator import _solve_or_raise
 from .extensions import FiniteResponseConfig, identify_finite_response
 from .kernels import KernelSpec, gram, window_kernel
 from .signals import ImpulseResponse, TimeSeriesData
@@ -68,74 +69,15 @@ def ls_clip(data: TimeSeriesData, n_g: int) -> ImpulseResponse:
 
 
 def nonneg_ls(data: TimeSeriesData, n_g: int) -> ImpulseResponse:
-    """Least squares over the nonnegative orthant (Lawson–Hanson NNLS).
+    """Least squares over the nonnegative orthant.
 
-    Raises :class:`SolverError` when the active-set method has not
-    finished after ``3 * n_g`` steps.
+    Raises :class:`SolverError` when the QP does not reach optimality.
     """
     U = input_weight_matrix(data, n_g)
-    return ImpulseResponse(_lawson_hanson(U, data.outputs, 3 * n_g))
-
-
-def _lawson_hanson(A: np.ndarray, b: np.ndarray, max_steps: int) -> np.ndarray:
-    """``argmin ||A x - b||`` over ``x >= 0``: the active-set method of
-    Lawson and Hanson (*Solving Least Squares Problems*, SIAM 1995, ch. 23).
-
-    Each step frees the variable with the largest gradient ``A'(b - A x)``
-    and solves the least-squares problem on the free columns, whose QR
-    factors are updated column by column (``qr_insert``/``qr_delete``; the
-    normal equations, which square the conditioning of a near-square
-    Toeplitz ``A``, are never formed).  A positive solution replaces
-    ``x``; otherwise ``x`` moves towards it until a free variable reaches
-    zero and is fixed again.  Raises :class:`SolverError` when
-    ``max_steps`` steps do not reach optimality.
-    """
-    m, n = A.shape
-    if m > n:
-        # Same minimiser on the triangular factor, with n rows instead of m.
-        Q0, A = scipy.linalg.qr(A, mode="economic", check_finite=False)
-        b = Q0.T @ b
-        m = n
-    w = A.T @ b
-    tol = (10.0 * max(A.shape) * np.finfo(float).eps
-           * float(np.max(np.abs(w), initial=0.0)))
-    x = np.zeros(n)
-    free: list[int] = []
-    Q, R = np.eye(m), np.zeros((m, 0))
-
-    def solve_free():
-        k = len(free)
-        z = np.zeros(n)
-        z[free] = scipy.linalg.solve_triangular(R[:k, :k], Q[:, :k].T @ b,
-                                                check_finite=False)
-        return z
-
-    for _ in range(max_steps):
-        w[free] = -np.inf
-        j = int(np.argmax(w))
-        if w[j] <= tol:
-            return x
-        Q, R = scipy.linalg.qr_insert(Q, R, A[:, j], len(free), which="col",
-                                      check_finite=False)
-        free.append(j)
-        z = solve_free()
-        while z[free].min() <= 0.0:
-            neg = [i for i in free if z[i] <= 0.0]
-            ratio = x[neg] / (x[neg] - z[neg])
-            x += ratio.min() * (z - x)
-            # The blocking variable is zero, not a rounding residue, so
-            # every pass of this loop fixes at least one variable.
-            x[neg[int(np.argmin(ratio))]] = 0.0
-            for p in reversed(range(len(free))):
-                if x[free[p]] <= 0.0:
-                    Q, R = scipy.linalg.qr_delete(Q, R, p, which="col",
-                                                  check_finite=False)
-                    x[free.pop(p)] = 0.0
-            z = solve_free()
-        x = z
-        w = A.T @ (b - A @ x)
-    raise SolverError(
-        f"nonnegative least squares did not finish in {max_steps} steps")
+    problem = qp.ConvexQP(P=2.0 * (U.T @ U), q=-2.0 * (U.T @ data.outputs),
+                          G=np.eye(n_g), l=np.zeros(n_g))
+    sol = _solve_or_raise(problem, qp.SolveOptions())
+    return ImpulseResponse(np.maximum(sol.z, 0.0))
 
 
 def ridge_clip(data: TimeSeriesData, n_g: int, lam: float,
