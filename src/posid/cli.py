@@ -255,9 +255,9 @@ def _predict_cmd(args) -> int:
     g = read_impulse_csv(args.impulse)
     data = read_timeseries_csv(args.data)
     os.makedirs(args.out_dir, exist_ok=True)
-    times = (args.times if args.times
-             else [int(t) for t in data.sample_times])
-    rows = [[t, _fmt(convolve(g, data, int(t)))] for t in times]
+    times = args.times or data.sample_times
+    rows = [[int(t), _fmt(y)]
+            for t, y in zip(times, convolve(g, data, times))]
     _write_text_atomic(os.path.join(args.out_dir, "predictions.csv"),
                        _csv_text(["t", "y"], rows))
     print(f"wrote {len(rows)} predictions to "
@@ -304,6 +304,7 @@ def _add_common(p) -> None:
 
 
 def build_parser():
+    """``(parser, subparsers)`` for the ``posid`` command line."""
     parser = argparse.ArgumentParser(
         prog="posid",
         description="impulse response estimation with positivity "
@@ -333,7 +334,8 @@ def build_parser():
     p.add_argument("--n-g", type=int, default=200,
                    help="response length for zsr and the baselines")
     p.add_argument("--dump-qp", default=None, metavar="PATH",
-                   help="write the first quadratic program to PATH")
+                   help="write the first quadratic program to PATH as an "
+                        ".npz archive of P, q, G and l")
     _add_common(p)
 
     p = subs.add_parser("tune", help="hold-out hyperparameter search")
@@ -468,6 +470,11 @@ def _extract_config_path(argv: list[str]) -> str | None:
 
 
 def main(argv=None) -> int:
+    """Run one ``posid`` command and return its exit code.
+
+    ``argv`` defaults to the process arguments.  Errors of the package are
+    printed and mapped to the exit code of their class.
+    """
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, subs = build_parser()
     try:

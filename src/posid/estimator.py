@@ -313,7 +313,10 @@ def predict(model: PositiveIdModel, data: TimeSeriesData, times) -> np.ndarray:
 
     ``data`` supplies the input history (it must cover
     ``[t_start, max(times)]``); the response is re-reconstructed exactly
-    out to the furthest lag needed, so no truncation tail enters.
+    out to the furthest lag needed, so no truncation tail enters.  All
+    times are evaluated by one :func:`~posid.signals.convolve` call, which
+    raises :class:`~posid.errors.DataError` for a time outside the input
+    window.
     """
     times = np.asarray(times, dtype=np.int64)
     if times.size == 0:
@@ -323,4 +326,4 @@ def predict(model: PositiveIdModel, data: TimeSeriesData, times) -> np.ndarray:
         g = model.g
     else:
         g = model.reconstruct(needed)
-    return np.array([convolve(g, data, int(t)) for t in times])
+    return convolve(g, data, times)

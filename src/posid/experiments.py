@@ -106,6 +106,8 @@ class MethodStats:
 
 @dataclass(frozen=True)
 class MetricsReport:
+    """Outcome of a Monte Carlo study: per-method statistics and raw rows."""
+
     protocol: McProtocol
     methods: tuple[str, ...]
     stats: tuple[MethodStats, ...]
@@ -150,6 +152,7 @@ def add_noise(y: np.ndarray, snr_db: float, seed) -> np.ndarray:
 
 
 def noise_variance(y: np.ndarray, snr_db: float) -> float:
+    """Noise variance that puts the mean power of ``y`` at ``snr_db``."""
     y = np.asarray(y, dtype=float)
     return float(y @ y) / y.size / 10.0 ** (snr_db / 10.0)
 
@@ -337,6 +340,9 @@ class HeatingConfig:
 
 @dataclass(frozen=True)
 class HeatingReport:
+    """Test-window fit of every method on the heating record, and the
+    hyperparameters each method used."""
+
     fits: tuple[tuple[str, float], ...]
     hyperparams: tuple[tuple[str, str], ...]
     n_train: int
@@ -389,8 +395,7 @@ def _tune_fir_kernel(method: str, train: TimeSeriesData,
                                 kernel=KernelSpec.tc(float(beta)))
             try:
                 g_hat = run_baseline(kind, train)
-                pred = np.array([convolve(g_hat, full, int(t))
-                                 for t in val_times])
+                pred = convolve(g_hat, full, val_times)
             except (PosidError, np.linalg.LinAlgError) as exc:
                 logger.warning("heating %s candidate (%g, %g) failed: %s",
                                method, beta, lam, exc)
@@ -454,8 +459,7 @@ def run_heating(path, methods=MC_METHODS,
                 kind = BaselineKind(method, fir_length=config.n_g)
                 hyperparams.append((method, f"n_g={config.n_g}"))
             g_hat = run_baseline(kind, train)
-            pred = np.array([convolve(g_hat, data, int(t))
-                             for t in test_times])
+            pred = convolve(g_hat, data, test_times)
         fits.append((method, fit_output(pred, test_truth)))
     return HeatingReport(fits=tuple(fits), hyperparams=tuple(hyperparams),
                          n_train=_HEATING_TRAIN, n_test=_HEATING_TEST)

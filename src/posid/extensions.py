@@ -34,49 +34,39 @@ from .estimator import (_IDENTIFY_OPTIONS, PositiveIdConfig,
 from .kernels import KernelSpec, KIND_FINITE
 from .signals import ImpulseResponse, TimeSeriesData
 
-# Default mode-coefficient penalty as a fraction of lambda.
+# Mode-coefficient penalty as a fraction of lambda.
 _EPSILON_FRACTION = 1e-4
-
-
-def _resolved_epsilon(epsilon: float | None, lam: float) -> float:
-    if epsilon is None:
-        return _EPSILON_FRACTION * lam
-    if epsilon <= 0.0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    return float(epsilon)
 
 
 @dataclass(frozen=True)
 class RepeatedPoleConfig:
     """Dominant pole of multiplicity ``n``.
 
-    ``base`` carries the kernel, pole, regularisation and loop controls;
-    ``epsilon`` penalises the lower-degree mode coefficients and defaults
-    to ``1e-4 * lam``.
+    ``base`` carries the kernel, pole, regularisation and loop controls.
+    The lower-degree mode coefficients are penalised by ``1e-4 * lam``.
     """
 
     base: PositiveIdConfig
     n: int
-    epsilon: float | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ConfigError(f"pole multiplicity must be >= 1, got {self.n}")
-        _resolved_epsilon(self.epsilon, self.base.lam)
 
 
 @dataclass(frozen=True)
 class OscillatingPoleConfig:
-    """``n`` simple dominant poles ``rho * omega**k`` at unit-root phases."""
+    """``n`` simple dominant poles ``rho * omega**k`` at unit-root phases.
+
+    Every phase but the constant one is penalised by ``1e-4 * lam``.
+    """
 
     base: PositiveIdConfig
     n: int
-    epsilon: float | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ConfigError(f"pole count must be >= 1, got {self.n}")
-        _resolved_epsilon(self.epsilon, self.base.lam)
 
 
 @dataclass(frozen=True)
@@ -174,9 +164,8 @@ def identify_repeated_pole(config: RepeatedPoleConfig,
     sampled modes on the constraint rows.
     """
     base = config.base
-    basis = assemble_polynomial_blocks(
-        data, base.rho, config.n,
-        _resolved_epsilon(config.epsilon, base.lam))
+    basis = assemble_polynomial_blocks(data, base.rho, config.n,
+                                       _EPSILON_FRACTION * base.lam)
     coeffs, fields = _fit_basis(base, data, basis)
     return RepeatedPoleModel(a=float(coeffs[-1]), a_poly=coeffs[:-1].copy(),
                              rho=base.rho, n=config.n, config=config,
@@ -195,8 +184,8 @@ def identify_oscillating_poles(config: OscillatingPoleConfig,
     """
     base = config.base
     n = config.n
-    basis = assemble_oscillation_blocks(
-        data, base.rho, n, _resolved_epsilon(config.epsilon, base.lam))
+    basis = assemble_oscillation_blocks(data, base.rho, n,
+                                        _EPSILON_FRACTION * base.lam)
     period, fields = _fit_basis(base, data, basis)
     phases = np.fft.fft(period) / n
     return OscillatingPoleModel(period=period.copy(), a_r=phases.real.copy(),

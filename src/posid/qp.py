@@ -19,7 +19,7 @@ same residual builder.
 """
 from __future__ import annotations
 
-import io
+import zipfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -317,13 +317,18 @@ def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
 
 def _regularised_cholesky(h: np.ndarray, reg: float):
     """Cholesky factor of ``h + bump * reg * I`` for the first bump in
-    ``_REG_BUMPS`` that factors, or ``None`` if none does."""
+    ``_REG_BUMPS`` that factors, or ``None`` if none does.
+
+    A non-finite ``h`` (a weight ``lam / s`` that overflowed) gets ``None``
+    at once, like a matrix no bump can factor."""
+    if not np.isfinite(h).all():
+        return None
     diag = np.diag_indices_from(h)
     base = h[diag].copy()
     for bump in _REG_BUMPS:
         h[diag] = base + bump * reg
         try:
-            return scipy.linalg.cho_factor(h)
+            return scipy.linalg.cho_factor(h, check_finite=False)
         except np.linalg.LinAlgError:
             pass
     return None
@@ -371,54 +376,38 @@ def _polish(scaled, zs: np.ndarray, lams: np.ndarray,
 
 
 def dump_qp(problem: ConvexQP, path) -> None:
-    """Serialise a QP to a matrix-market style text file for reproduction."""
-    buf = io.StringIO()
-    for name, arr in (("P", problem.P), ("q", problem.q), ("G", problem.G),
-                      ("l", problem.l)):
-        arr = np.atleast_2d(np.asarray(arr, dtype=float))
-        buf.write(f"%%MatrixMarket matrix array real general\n%block {name}\n")
-        buf.write(f"{arr.shape[0]} {arr.shape[1]}\n")
-        for col in range(arr.shape[1]):
-            for row in range(arr.shape[0]):
-                buf.write(f"{float(arr[row, col])!r}\n")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+    """Write a QP to ``path`` as an uncompressed ``.npz`` archive.
+
+    The archive holds exactly the arrays ``P``, ``q``, ``G`` and ``l``.
+    It is written through an open file handle, so ``path`` is used as
+    given: NumPy appends no ``.npz`` suffix.
+    """
+    with open(path, "wb") as fh:
+        np.savez(fh, P=problem.P, q=problem.q, G=problem.G, l=problem.l)
 
 
 def load_qp_dump(path) -> ConvexQP:
-    """Rebuild a QP from a :func:`dump_qp` file.
+    """Rebuild a QP from a :func:`dump_qp` archive.
 
-    Raises :class:`ConfigError` on a malformed or truncated block, on a
-    block other than ``P``, ``q``, ``G`` and ``l`` (or one given twice),
-    and when any of the four blocks is missing, so a file never loads as a
+    Raises :class:`ConfigError` when the file is not a readable ``.npz``
+    archive (a truncated or foreign file included), when the archive does
+    not hold exactly ``P``, ``q``, ``G`` and ``l``, and when
+    :class:`ConvexQP` rejects the data, so a file never loads as a
     different problem.
     """
-    blocks: dict[str, np.ndarray] = {}
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    i = 0
-    while i < len(lines):
-        header = lines[i:i + 3]
-        if (len(header) < 3 or not header[0].startswith("%%MatrixMarket")
-                or not header[1].startswith("%block ")):
-            raise ConfigError(f"{path}: bad dump header at line {i + 1}")
-        name = header[1].removeprefix("%block ").strip()
-        if name not in ("P", "q", "G", "l") or name in blocks:
-            raise ConfigError(
-                f"{path}: unexpected block {name!r} at line {i + 2}")
-        try:
-            rows, cols = (int(x) for x in header[2].split())
-            if rows < 0 or cols < 0:
-                raise ValueError(f"negative shape {rows} x {cols}")
-            count = rows * cols
-            vals = np.array([float(x) for x in lines[i + 3:i + 3 + count]])
-            blocks[name] = vals.reshape((cols, rows)).T
-        except ValueError as exc:
-            raise ConfigError(
-                f"{path}: bad block {name!r} at line {i + 1}: {exc}") from exc
-        i += 3 + count
-    missing = [name for name in ("P", "q", "G", "l") if name not in blocks]
-    if missing:
-        raise ConfigError(f"{path}: missing block(s) {', '.join(missing)}")
-    return ConvexQP(P=blocks["P"], q=blocks["q"].ravel(), G=blocks["G"],
-                    l=blocks["l"].ravel())
+    # The handle is opened here because np.load leaks its own when the
+    # archive is truncated.
+    try:
+        with open(path, "rb") as fh:
+            archive = np.load(fh, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ConfigError(
+                    f"{path}: a single array, not an .npz archive")
+            if sorted(archive.files) != ["G", "P", "l", "q"]:
+                raise ConfigError(
+                    f"{path}: expected arrays P, q, G and l, got "
+                    f"{', '.join(archive.files) or 'none'}")
+            arrays = {name: archive[name] for name in archive.files}
+        return ConvexQP(**arrays)
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"{path}: unreadable QP dump: {exc}") from exc

@@ -83,19 +83,6 @@ class TimeSeriesData:
     def t_last(self) -> int:
         return int(self.sample_times[-1])
 
-    def input_window(self, t: int) -> np.ndarray:
-        """Weights ``u[t - s]`` for lags ``s = 0 .. t - t_start``.
-
-        These are exactly the nonzero convolution weights at time ``t``.
-        """
-        if t < self.t_start:
-            raise DataError(
-                f"time {t} precedes the input support start {self.t_start}")
-        idx = int(t) - self.t_start
-        if idx >= self.inputs.size:
-            raise DataError(f"input not available at time {t}")
-        return np.ascontiguousarray(self.inputs[idx::-1])
-
     def restrict(self, indices) -> "TimeSeriesData":
         """Keep only the output samples at the given positions.
 
@@ -130,15 +117,23 @@ class ImpulseResponse:
         return int(self.values.size)
 
 
-def convolve(g: ImpulseResponse, data: TimeSeriesData, t: int) -> float:
-    """Output of ``g`` driven by the data's input, evaluated at time ``t``.
+def convolve(g: ImpulseResponse, data: TimeSeriesData, times):
+    """Outputs of ``g`` driven by the data's input at the given times.
 
-    Computes ``sum_s g[s] * u[t - s]`` with ``s`` ascending.  The sum is
-    finite because the input vanishes before ``t_start``.
+    Computes ``sum_s g[s] * u[t - s]`` for every ``t`` in ``times`` as one
+    :func:`numpy.convolve`; the sums are finite because the input
+    vanishes before ``t_start``.  Returns an array shaped like ``times``
+    (a scalar for a scalar time).  Raises :class:`DataError` when a time
+    precedes ``t_start`` or lies past the input window.
     """
-    w = data.input_window(t)
-    n = min(g.horizon, w.size)
-    return float(np.dot(g.values[:n], w[:n]))
+    times = np.asarray(times, dtype=np.int64)
+    idx = times - data.t_start
+    if np.any(idx < 0):
+        raise DataError(f"time {int(times.min())} precedes the input "
+                        f"support start {data.t_start}")
+    if np.any(idx >= data.inputs.size):
+        raise DataError(f"input not available at time {int(times.max())}")
+    return np.convolve(data.inputs, g.values)[idx]
 
 
 def read_timeseries_csv(path) -> TimeSeriesData:

@@ -9,6 +9,7 @@ strictly faster than the candidate pole.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -181,21 +182,12 @@ def _grid_candidates(space: HyperparamSpace, budget: int) -> list[ThetaPoint]:
             if total // counts[axis] * (counts[axis] + 1) <= budget:
                 counts[axis] += 1
                 grew = True
-    values = {axis: _grid_axis(*space.range_of(axis), counts[axis],
-                               log=(axis == "lam"))
-              for axis in axes}
-    out = []
-    for rho in values["rho"]:
-        for lam in values["lam"]:
-            for beta in values["beta"]:
-                if space.kind == KIND_DC:
-                    for gamma in values["gamma"]:
-                        out.append(ThetaPoint(float(rho), float(lam),
-                                              float(beta), float(gamma)))
-                else:
-                    out.append(ThetaPoint(float(rho), float(lam),
-                                          float(beta)))
-    return out
+    # Axes run in ThetaPoint's field order, the last one fastest.
+    grids = [_grid_axis(*space.range_of(axis), counts[axis],
+                        log=(axis == "lam"))
+             for axis in axes]
+    return [ThetaPoint(*map(float, point))
+            for point in itertools.product(*grids)]
 
 
 def _random_candidates(space: HyperparamSpace, budget: int,

@@ -57,10 +57,10 @@ def oscillation_tables(n, rows):
 
 
 def weights_by_window(data, width):
-    """:func:`input_weight_matrix` row by row from ``input_window``."""
+    """:func:`input_weight_matrix` row by row from the reversed inputs."""
     w = np.zeros((data.n_samples, width))
     for i, t in enumerate(data.sample_times):
-        window = data.input_window(int(t))
+        window = data.inputs[t - data.t_start::-1]
         n = min(window.size, width)
         w[i, :n] = window[:n]
     return w

@@ -217,6 +217,20 @@ def test_predict_matches_convolution(tmp_path):
                                              abs=1e-12)
 
 
+def test_predict_rejects_times_outside_the_input_window(tmp_path, capsys):
+    data_path = tmp_path / "data.csv"
+    _single_mode_csv(data_path, n=20)
+    impulse_path = tmp_path / "impulse.csv"
+    write_impulse_csv(impulse_path, ImpulseResponse(np.ones(5)))
+    for bad, message in (("-1", "precedes"), ("20", "not available")):
+        code = main(["predict", "--impulse", str(impulse_path), "--data",
+                     str(data_path), "--times", "0", bad, "5",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / "predictions.csv").exists()
+
+
 def test_config_file_defaults_and_overrides(tmp_path):
     data_path = tmp_path / "data.csv"
     _single_mode_csv(data_path)

@@ -61,8 +61,7 @@ def test_repeated_pole_n1_matches_single_pole_estimator(seed, kernel):
     base = PositiveIdConfig(kernel=N1_KERNELS[kernel], rho=0.9, lam=1e-3,
                             solve_options=SolveOptions(1e-12, 1e-12))
     plain = identify(base, data)
-    rep = identify_repeated_pole(
-        RepeatedPoleConfig(base=base, n=1, epsilon=1e-10), data)
+    rep = identify_repeated_pole(RepeatedPoleConfig(base=base, n=1), data)
     _same_loop(rep, plain)
     assert rep.a == pytest.approx(plain.a, abs=1e-7)
     assert rep.a_poly.size == 0
@@ -304,8 +303,6 @@ def test_extension_config_validation():
         RepeatedPoleConfig(base=base, n=0)
     with pytest.raises(ConfigError, match="pole count"):
         OscillatingPoleConfig(base=base, n=0)
-    with pytest.raises(ConfigError, match="epsilon"):
-        RepeatedPoleConfig(base=base, n=2, epsilon=-1.0)
     with pytest.raises(ConfigError, match="finite-support"):
         FiniteResponseConfig(kernel=KernelSpec.tc(0.5), lam=1.0)
     with pytest.raises(ConfigError, match="lambda"):

@@ -99,6 +99,10 @@ def test_nonfinite_kkt_direction_ends_the_solve(monkeypatch):
     sol = solve(problem, options)
     assert calls, "the Newton direction was not computed"
     assert sol.iterations == 1
+    _assert_finite_with_honest_status(problem, sol, options)
+
+
+def _assert_finite_with_honest_status(problem, sol, options):
     # the polish of the start point may still certify; the status must
     # agree with the independently recomputed residuals either way
     report = kkt_certificate(problem, sol)
@@ -115,6 +119,34 @@ def test_nonfinite_kkt_direction_ends_the_solve(monkeypatch):
     assert np.all(np.isfinite(sol.z)) and np.all(np.isfinite(sol.lam))
     assert np.isfinite([sol.primal_residual, sol.dual_residual,
                         sol.gap]).all()
+
+
+def test_nonfinite_newton_matrix_gets_no_factor():
+    # an overflowed weight lam / s puts inf into the Newton matrix; that
+    # is a failed factor, not an error escaping the solver
+    h = np.eye(3)
+    h[1, 1] = np.inf
+    assert qp._regularised_cholesky(h, 1e-12) is None
+
+
+def test_nonfinite_newton_matrix_ends_the_solve(monkeypatch):
+    rng = np.random.default_rng(9)
+    problem = _random_strictly_convex(rng, 4, 3)
+    real = qp._regularised_cholesky
+    calls = []
+
+    def first_matrix_inf(h, reg):
+        calls.append(1)
+        if len(calls) == 1:
+            h[0, 0] = np.inf
+        return real(h, reg)
+
+    monkeypatch.setattr(qp, "_regularised_cholesky", first_matrix_inf)
+    options = SolveOptions(tol_feas=1e-10, tol_gap=1e-10)
+    sol = solve(problem, options)
+    assert calls == [1], "the loop must end at the first Newton matrix"
+    assert sol.iterations == 1
+    _assert_finite_with_honest_status(problem, sol, options)
 
 
 def test_failed_newton_factor_retries_with_a_larger_shift(monkeypatch):
@@ -202,8 +234,10 @@ def test_scalar_active_bound_value_and_objective():
 def test_dump_load_roundtrip(tmp_path):
     rng = np.random.default_rng(13)
     problem = _random_strictly_convex(rng, 4, 2)
-    path = tmp_path / "problem.npz"
+    path = tmp_path / "problem.qp"
     dump_qp(problem, path)
+    # written to exactly the given path, with no suffix appended
+    assert [p.name for p in tmp_path.iterdir()] == ["problem.qp"]
     back = load_qp_dump(path)
     np.testing.assert_array_equal(back.P, problem.P)
     np.testing.assert_array_equal(back.q, problem.q)
@@ -212,44 +246,57 @@ def test_dump_load_roundtrip(tmp_path):
     np.testing.assert_allclose(solve(back).z, solve(problem).z, atol=1e-10)
 
 
-def _dump_lines(tmp_path):
-    path = tmp_path / "problem.txt"
-    dump_qp(_random_strictly_convex(np.random.default_rng(14), 3, 2), path)
-    return path, path.read_text().splitlines(keepends=True)
+def _dump_arrays():
+    problem = _random_strictly_convex(np.random.default_rng(14), 3, 2)
+    return {"P": problem.P, "q": problem.q, "G": problem.G, "l": problem.l}
 
 
-def _block_start(lines, name):
-    return lines.index(f"%block {name}\n") - 1
+def _write_archive(path, arrays):
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def test_load_dump_rejects_missing_block(tmp_path):
-    path, lines = _dump_lines(tmp_path)
-    path.write_text("".join(lines[_block_start(lines, "q"):]))
-    with pytest.raises(ConfigError, match="missing block.*P"):
+    path = tmp_path / "problem.qp"
+    arrays = _dump_arrays()
+    _write_archive(path, {k: v for k, v in arrays.items() if k != "P"})
+    with pytest.raises(ConfigError, match="expected arrays P, q, G and l"):
         load_qp_dump(path)
-    # a dump without rows no longer loads as an unconstrained problem
-    path.write_text("".join(lines[:_block_start(lines, "G")]))
-    with pytest.raises(ConfigError, match="missing block.*G, l"):
+    # a dump without rows does not load as an unconstrained problem
+    _write_archive(path, {"P": arrays["P"], "q": arrays["q"]})
+    with pytest.raises(ConfigError, match="got P, q$"):
         load_qp_dump(path)
 
 
 def test_load_dump_rejects_truncated_block(tmp_path):
-    path, lines = _dump_lines(tmp_path)
-    # values cut short, then the header cut short
-    for cut in (len(lines) - 1, _block_start(lines, "l") + 2):
-        path.write_text("".join(lines[:cut]))
-        with pytest.raises(ConfigError):
+    path = tmp_path / "problem.qp"
+    dump_qp(ConvexQP(**_dump_arrays()), path)
+    whole = path.read_bytes()
+    for cut in (0, 1, 64, len(whole) // 2, len(whole) - 1):
+        path.write_bytes(whole[:cut])
+        with pytest.raises(ConfigError, match="unreadable"):
             load_qp_dump(path)
 
 
 def test_load_dump_rejects_unknown_block(tmp_path):
     # an equality block would otherwise be dropped and the file would
     # load as a different problem
-    path, lines = _dump_lines(tmp_path)
-    extra = ["%%MatrixMarket matrix array real general\n", "%block A\n",
-             "1 3\n", "1.0\n", "0.0\n", "0.0\n"]
-    path.write_text("".join(lines + extra))
-    with pytest.raises(ConfigError, match="'A'"):
+    path = tmp_path / "problem.qp"
+    _write_archive(path, {**_dump_arrays(), "A": np.ones((1, 3))})
+    with pytest.raises(ConfigError, match="got P, q, G, l, A"):
+        load_qp_dump(path)
+
+
+def test_load_dump_rejects_a_file_that_is_no_archive(tmp_path):
+    # a dump in the old text format, and a single .npy array
+    path = tmp_path / "problem.txt"
+    path.write_text("%%MatrixMarket matrix array real general\n"
+                    "%block P\n1 1\n1.0\n")
+    with pytest.raises(ConfigError, match="unreadable"):
+        load_qp_dump(path)
+    path = tmp_path / "problem.npy"
+    np.save(path, np.eye(2))
+    with pytest.raises(ConfigError, match="not an .npz archive"):
         load_qp_dump(path)
 
 
@@ -262,9 +309,10 @@ def test_nonfinite_data_is_rejected(name, tmp_path):
     with pytest.raises(ConfigError, match="finite"):
         ConvexQP(**arrays)
     # a dump with a non-finite entry is rejected on load the same way
-    path, lines = _dump_lines(tmp_path)
-    lines[_block_start(lines, name) + 3] = "nan\n"
-    path.write_text("".join(lines))
+    path = tmp_path / "problem.qp"
+    arrays = _dump_arrays()
+    arrays[name].flat[0] = np.nan
+    _write_archive(path, arrays)
     with pytest.raises(ConfigError, match="finite"):
         load_qp_dump(path)
 

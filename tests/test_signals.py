@@ -78,6 +78,32 @@ def test_convolve_with_pre_history():
     assert convolve(g, data, 1) == pytest.approx(4.5)
 
 
+def test_convolve_batch_matches_per_time_sums():
+    # pre-history, and responses shorter and longer than the input window
+    rng = np.random.default_rng(4)
+    u = rng.standard_normal(9)   # times -3..5
+    data = TimeSeriesData(np.array([0, 2, 5]), np.zeros(3), u, t_start=-3)
+    times = np.array([5, -3, 0, 2, 2])
+    for horizon in (4, 9, 14):
+        g = rng.standard_normal(horizon)
+        oracle = [sum(g[s] * u[t + 3 - s] for s in range(min(horizon, t + 4)))
+                  for t in times]
+        np.testing.assert_allclose(
+            convolve(ImpulseResponse(g), data, times), oracle, atol=1e-12)
+
+
+def test_convolve_rejects_times_outside_the_input_window():
+    # one bad time fails the whole batch, on either side of the window
+    u = np.arange(1.0, 6.0)   # times -1..3
+    data = TimeSeriesData(np.array([0, 2]), np.zeros(2), u, t_start=-1)
+    g = ImpulseResponse(np.ones(3))
+    np.testing.assert_array_equal(convolve(g, data, [-1, 3]), [1.0, 12.0])
+    with pytest.raises(DataError, match="time -2 precedes"):
+        convolve(g, data, [0, -2, 3])
+    with pytest.raises(DataError, match="not available at time 4"):
+        convolve(g, data, [0, 4, 3])
+
+
 def test_toeplitz_operator_small():
     data = TimeSeriesData.at_rest(np.array([1.0, 2.0, 3.0]), np.zeros(3))
     np.testing.assert_allclose(

@@ -57,14 +57,23 @@ def test_budget_one_evaluates_single_candidate():
 def test_grid_picks_trace_argmin():
     rng = np.random.default_rng(1)
     data = _single_mode_data(rng, 50)
-    space = HyperparamSpace(kind="tc", rho_range=(0.85, 0.95),
-                            lam_range=(1e-4, 1e0), beta_range=(0.5, 0.5))
-    result = tune(space, data, budget=4)
-    assert len(result.trace) == 4, "two free axes, two points each"
-    scores = [score for _, score in result.trace]
-    assert result.score == min(scores)
-    best = min(range(4), key=lambda i: scores[i])
-    assert result.theta == result.trace[best][0]
+    for gamma_range, budget in ((None, 4), ((0.3, 0.7), 8)):
+        space = HyperparamSpace(kind="tc" if gamma_range is None else "dc",
+                                rho_range=(0.85, 0.95),
+                                lam_range=(1e-4, 1e0), beta_range=(0.5, 0.5),
+                                gamma_range=gamma_range)
+        result = tune(space, data, budget=budget)
+        assert len(result.trace) == budget, "two points on each free axis"
+        # rho slowest, then lam, beta and gamma: ascending tuples
+        points = [(theta.rho, theta.lam, theta.beta, theta.gamma)
+                  for theta, _ in result.trace]
+        assert points == sorted(points)
+        assert len({point[-1] for point in points}) == (
+            1 if gamma_range is None else 2)
+        scores = [score for _, score in result.trace]
+        assert result.score == min(scores)
+        best = min(range(budget), key=lambda i: scores[i])
+        assert result.theta == result.trace[best][0]
 
 
 def test_tuned_pole_lands_near_truth():
