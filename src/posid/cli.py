@@ -25,14 +25,13 @@ from .baselines import BaselineKind, run_baseline
 from .errors import ConfigError, PosidError
 from .estimator import (PositiveIdConfig, build_qp,
                         initial_constraint_horizon, identify)
-from .extensions import (FiniteResponseConfig, OscillatingPoleConfig,
-                         RepeatedPoleConfig, identify_finite_response,
+from .extensions import (OscillatingPoleConfig, RepeatedPoleConfig,
                          identify_oscillating_poles, identify_repeated_pole)
 from .experiments import (MC_METHODS, HeatingConfig, McConfig, McProtocol,
                           convert_daisy_whitespace, run_heating,
                           run_monte_carlo)
 from .kernels import (KIND_DC, KIND_SS, KIND_TC, KernelSpec,
-                      decay_compatible, domination_bound, window_kernel)
+                      decay_compatible, domination_bound)
 from .qp import dump_qp
 from .signals import (convolve, read_impulse_csv, read_timeseries_csv,
                       write_impulse_csv)
@@ -84,13 +83,8 @@ def _fmt(value) -> str:
 
 
 def _kernel_from_args(args) -> KernelSpec:
-    if args.kernel == KIND_TC:
-        return KernelSpec.tc(args.beta)
-    if args.kernel == KIND_DC:
-        return KernelSpec.dc(args.beta, args.gamma)
-    if args.kernel == KIND_SS:
-        return KernelSpec.ss(args.beta)
-    raise ConfigError(f"unknown kernel kind {args.kernel!r}")
+    return KernelSpec(args.kernel, args.beta,
+                      args.gamma if args.kernel == KIND_DC else None)
 
 
 def _base_config(args, kernel: KernelSpec) -> PositiveIdConfig:
@@ -105,13 +99,15 @@ def _identify_cmd(args) -> int:
     if args.dump_qp and method != "g":
         raise ConfigError("--dump-qp applies to method g only")
     meta: dict = {"method": method, "data": os.fspath(args.data)}
-    if method in _BASELINE_METHODS:
-        kernel = _kernel_from_args(args) if method in ("d", "e") else None
-        kind = BaselineKind(method, fir_length=args.n_g, lam=args.lam,
+    if method in (*_BASELINE_METHODS, "zsr"):
+        # zsr, the zero-spectral-radius estimate, is baseline e.
+        baseline = "e" if method == "zsr" else method
+        kernel = _kernel_from_args(args) if baseline in ("d", "e") else None
+        kind = BaselineKind(baseline, fir_length=args.n_g, lam=args.lam,
                             kernel=kernel)
         g = run_baseline(kind, data)
         meta.update({"n_g": args.n_g})
-        if method in ("d", "e"):
+        if baseline in ("d", "e"):
             meta.update({"lam": args.lam, "kernel": args.kernel,
                          "beta": args.beta})
     elif method == "g":
@@ -148,12 +144,6 @@ def _identify_cmd(args) -> int:
                      "rho": args.rho, "lam": args.lam, "n": args.n,
                      "m": int(model.m)})
         meta.update(dataclasses.asdict(model.diagnostics))
-    elif method == "zsr":
-        kernel = window_kernel(_kernel_from_args(args), args.n_g)
-        config = FiniteResponseConfig(kernel=kernel, lam=args.lam)
-        g = identify_finite_response(config, data)
-        meta.update({"n_g": args.n_g, "lam": args.lam,
-                     "kernel": args.kernel, "beta": args.beta})
     else:
         raise ConfigError(f"unknown method {method!r}")
     _write_atomic(os.path.join(args.out_dir, "impulse.csv"),
@@ -273,9 +263,7 @@ def _kernels_cmd(args) -> int:
     if kernel.kind == KIND_DC:
         print(f"gamma: {kernel.gamma!r}")
     print(f"domination constant: {bound.c!r}")
-    rate = "none (finite support)" if bound.rho_d is None \
-        else repr(bound.rho_d)
-    print(f"domination rate: {rate}")
+    print(f"domination rate: {bound.rho_d!r}")
     if args.rho is not None:
         ok = decay_compatible(kernel, args.rho)
         print(f"compatible with rho={args.rho!r}: {'yes' if ok else 'no'}")

@@ -256,6 +256,18 @@ def _mc_single_run(protocol: McProtocol, config: McConfig,
     return out
 
 
+def _checked_methods(methods) -> tuple[str, ...]:
+    """The method selectors as a tuple, each known and none repeated."""
+    methods = tuple(methods)
+    for method in methods:
+        if method not in MC_METHODS:
+            raise ConfigError(f"unknown method {method!r}; "
+                              f"choose from {', '.join(MC_METHODS)}")
+    if len(set(methods)) != len(methods):
+        raise ConfigError("duplicate method selectors")
+    return methods
+
+
 def run_monte_carlo(protocol: McProtocol, methods=MC_METHODS,
                     config: McConfig | None = None) -> MetricsReport:
     """Run the synthetic study and aggregate bias/variance/MSE and fits.
@@ -265,13 +277,7 @@ def run_monte_carlo(protocol: McProtocol, methods=MC_METHODS,
     seed gives an identical report.
     """
     config = config or McConfig()
-    methods = tuple(methods)
-    for method in methods:
-        if method not in MC_METHODS:
-            raise ConfigError(f"unknown method {method!r}; "
-                              f"choose from {', '.join(MC_METHODS)}")
-    if len(set(methods)) != len(methods):
-        raise ConfigError("duplicate method selectors")
+    methods = _checked_methods(methods)
     workers = config.workers if config.workers is not None else \
         max(1, os.cpu_count() or 1)
     run_ids = range(protocol.runs)
@@ -413,11 +419,7 @@ def run_heating(path, methods=MC_METHODS,
                 config: HeatingConfig | None = None) -> HeatingReport:
     """Train on samples 0..499, score predictions on 500..699."""
     config = config or HeatingConfig()
-    methods = tuple(methods)
-    for method in methods:
-        if method not in MC_METHODS:
-            raise ConfigError(f"unknown method {method!r}; "
-                              f"choose from {', '.join(MC_METHODS)}")
+    methods = _checked_methods(methods)
     data = load_heating_data(path)
     if data.n_samples != _HEATING_TRAIN + _HEATING_TEST:
         raise DataError("unexpected trimmed length")

@@ -31,7 +31,7 @@ from .errors import ConfigError
 from .estimator import (_IDENTIFY_OPTIONS, PositiveIdConfig,
                         IdentifyDiagnostics, _fit_basis, _solve_or_raise,
                         reconstruct_h)
-from .kernels import KernelSpec, KIND_FINITE
+from .kernels import KernelSpec
 from .signals import ImpulseResponse, TimeSeriesData
 
 # Mode-coefficient penalty as a fraction of lambda.
@@ -73,8 +73,8 @@ class OscillatingPoleConfig:
 class FiniteResponseConfig:
     """Finitely supported response (zero spectral radius).
 
-    The kernel must be finite-support: its support length is the response
-    length ``n_g``.
+    The kernel must be windowed (see :func:`posid.kernels.window_kernel`):
+    its support length is the response length ``n_g``.
     """
 
     kernel: KernelSpec
@@ -82,7 +82,7 @@ class FiniteResponseConfig:
     solve_options: qp.SolveOptions | None = None
 
     def __post_init__(self) -> None:
-        if self.kernel.kind != KIND_FINITE:
+        if self.kernel.support is None:
             raise ConfigError(
                 "finite-response estimation needs a finite-support kernel; "
                 "window a decaying kernel first")
@@ -91,7 +91,7 @@ class FiniteResponseConfig:
 
     @property
     def n_g(self) -> int:
-        return int(self.kernel.support)
+        return self.kernel.support
 
 
 @dataclass

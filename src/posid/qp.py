@@ -20,7 +20,7 @@ same residual builder.
 from __future__ import annotations
 
 import zipfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -29,7 +29,6 @@ from .errors import ConfigError
 
 OPTIMAL = "optimal"
 MAX_ITERATIONS = "max_iterations"
-INFEASIBLE = "infeasible"
 
 # Ratio below which a negative eigenvalue of P is treated as roundoff.
 _PSD_RTOL = 1e-8
@@ -68,6 +67,8 @@ class ConvexQP:
     Every entry of ``P``, ``q``, ``G`` and ``l`` must be finite, and ``G``
     must have at least one row: without rows the interior-point loop has
     no slack to average (its barrier parameter divides by the row count).
+    A zero row of ``G`` with a positive bound can never hold, so it is
+    rejected too.
     ``P`` is symmetrised on construction; eigenvalues below
     ``-1e-8 * max_eig`` raise, while tiny negative ones (roundoff from Gram
     assembly) are accepted and ``P`` is kept as given.
@@ -103,6 +104,8 @@ class ConvexQP:
             raise ConfigError("a QP needs at least one inequality row")
         if not (np.isfinite(G).all() and np.isfinite(l).all()):
             raise ConfigError("G and l must be finite")
+        if np.any(~G.any(axis=1) & (l > 0.0)):
+            raise ConfigError("a zero row of G has a positive bound")
         self.P, self.q, self.G, self.l = P, q, G, l
 
     @property
@@ -193,15 +196,11 @@ def _finish(problem: ConvexQP, opt: SolveOptions, z, lam,
 def _row_scale(mat: np.ndarray, vec: np.ndarray):
     """Normalise inequality rows to unit sup-norm.
 
-    A zero row with a positive lower bound marks the whole problem
-    infeasible; trivially satisfied zero rows are kept (harmless after
-    scaling by 1).
+    Zero rows are kept, scaled by 1: :class:`ConvexQP` admits only those
+    with a bound of at most zero, which always hold.
     """
     norms = np.max(np.abs(mat), axis=1)
-    zero = norms <= 0.0
-    if np.any(zero & (vec > 0.0)):
-        return None
-    norms = np.where(zero, 1.0, norms)
+    norms = np.where(norms <= 0.0, 1.0, norms)
     return mat / norms[:, None], vec / norms, norms
 
 
@@ -209,8 +208,7 @@ def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
     """Solve one convex QP with at least one inequality row.
 
     Returns a :class:`QPSolution` whose status is ``optimal`` only when
-    the certified residuals meet the requested tolerances, ``infeasible``
-    when a constraint row is zero and its bound positive, and
+    the certified residuals meet the requested tolerances and
     ``max_iterations`` otherwise, with the lower-residual of the best
     interior-point iterate and its polish.
     Constraints that contradict each other through nonzero rows are not
@@ -228,11 +226,7 @@ def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
     Pc = problem.P * (col[:, None] * col[None, :])
     qc = problem.q * col
 
-    scaled_g = _row_scale(problem.G * col[None, :], problem.l)
-    if scaled_g is None:
-        return replace(_finish(problem, opt, np.zeros(d), np.zeros(k), 0),
-                       status=INFEASIBLE)
-    Gs, ls, g_norms = scaled_g
+    Gs, ls, g_norms = _row_scale(problem.G * col[None, :], problem.l)
 
     cost_scale = max(1.0, float(np.max(np.abs(Pc), initial=0.0)),
                      float(np.max(np.abs(qc), initial=0.0)))

@@ -64,15 +64,8 @@ class ThetaPoint:
     gamma: float | None = None
 
     def kernel(self, kind: str) -> KernelSpec:
-        if kind == KIND_TC:
-            return KernelSpec.tc(self.beta)
-        if kind == KIND_DC:
-            if self.gamma is None:
-                raise ConfigError("dc candidates need gamma")
-            return KernelSpec.dc(self.beta, self.gamma)
-        if kind == KIND_SS:
-            return KernelSpec.ss(self.beta)
-        raise ConfigError(f"cannot tune kernel kind {kind!r}")
+        return KernelSpec(kind, self.beta,
+                          self.gamma if kind == KIND_DC else None)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ from posid import cli
 from posid.cli import main
 from posid.errors import ConfigError
 from posid.estimator import PositiveIdConfig, identify
-from posid.kernels import KernelSpec
+from posid.extensions import FiniteResponseConfig, identify_finite_response
+from posid.kernels import KernelSpec, window_kernel
 from posid.qp import load_qp_dump
 from posid.signals import (ImpulseResponse, TimeSeriesData, convolve,
                            read_impulse_csv, read_timeseries_csv,
@@ -55,6 +56,30 @@ def test_identify_g_writes_library_result(tmp_path):
     assert meta["m"] == model.m
     diag = dataclasses.asdict(model.diagnostics)
     assert {key: meta.get(key) for key in diag} == diag
+
+
+def test_identify_zsr_is_baseline_e(tmp_path):
+    data_path = tmp_path / "data.csv"
+    u, y = _single_mode_csv(data_path, noise=0.01)
+    outputs = {}
+    for method in ("zsr", "e"):
+        out = tmp_path / method
+        code = main(["identify", "--data", str(data_path), "--method",
+                     method, "--kernel", "tc", "--beta", "0.7", "--n-g",
+                     "12", "--lam", "0.1", "--out-dir", str(out)])
+        assert code == 0
+        outputs[method] = ((out / "impulse.csv").read_bytes(),
+                           json.loads((out / "metadata.json").read_text()))
+    config = FiniteResponseConfig(kernel=window_kernel(KernelSpec.tc(0.7), 12),
+                                  lam=0.1)
+    g = identify_finite_response(config, TimeSeriesData.at_rest(u, y))
+    np.testing.assert_array_equal(
+        read_impulse_csv(tmp_path / "zsr" / "impulse.csv").values, g.values)
+    assert outputs["zsr"][0] == outputs["e"][0]
+    meta_zsr, meta_e = outputs["zsr"][1], outputs["e"][1]
+    assert meta_zsr.pop("method") == "zsr" and meta_e.pop("method") == "e"
+    assert meta_zsr == meta_e == {"data": str(data_path), "n_g": 12,
+                                  "lam": 0.1, "kernel": "tc", "beta": 0.7}
 
 
 def test_identify_dump_qp(tmp_path):

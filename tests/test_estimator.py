@@ -10,7 +10,7 @@ from posid.estimator import (PositiveIdConfig, _m0_from_constants, build_qp,
                              compute_m0, default_horizon, identify,
                              initial_constraint_horizon, predict,
                              reconstruct_h)
-from posid.kernels import KernelSpec, gram
+from posid.kernels import KernelSpec, gram, window_kernel
 from posid.qp import SolveOptions, solve
 from posid.signals import TimeSeriesData, convolve
 
@@ -80,7 +80,7 @@ def test_m0_zero_when_single_mode_fits_exactly():
 def test_m0_finite_kernel_caps_at_support():
     rng = np.random.default_rng(1)
     data = _single_mode_data(rng, 20)
-    kernel = KernelSpec.finite_support(np.eye(7))
+    kernel = window_kernel(KernelSpec.tc(0.5), 7)
     config = PositiveIdConfig(kernel=kernel, rho=0.9, lam=1.0)
     assert compute_m0(config, data) == 7
 

@@ -200,6 +200,16 @@ def test_heating_run_splits_and_scores(tmp_path):
         run_heating(path, methods=("q",))
 
 
+def test_heating_rejects_duplicate_methods(tmp_path):
+    # the same selector check as the Monte Carlo study: a repeated method
+    # would be fitted twice and keep one hyperparameter entry
+    path = tmp_path / "heating.csv"
+    _write_heating_csv(path)
+    with pytest.raises(ConfigError, match="duplicate"):
+        run_heating(path, methods=("b", "b"),
+                    config=HeatingConfig(n_g=50))
+
+
 def test_daisy_conversion_round_trip(tmp_path):
     src = tmp_path / "raw.dat"
     rows = ["1 2.5 0.1", "2 3.5 0.2", "3 1.5 0.3"]

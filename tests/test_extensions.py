@@ -310,6 +310,15 @@ def test_extension_config_validation():
                              lam=0.0)
 
 
+def test_configs_holding_a_window_are_hashable_values():
+    def configs():
+        kernel = window_kernel(KernelSpec.tc(0.5), 3)
+        return (kernel, PositiveIdConfig(kernel=kernel, rho=0.9, lam=1.0),
+                FiniteResponseConfig(kernel=kernel, lam=1.0))
+    for first, second in zip(configs(), configs()):
+        assert first == second and hash(first) == hash(second)
+
+
 def _mis_specified_record(seed, n=50):
     # the Monte Carlo system with a 0.8 pole, which the fits below take
     # to be 0.98; input and noise drawn from separate seed sequences

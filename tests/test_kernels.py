@@ -98,13 +98,42 @@ def test_domination_bound_holds_on_diagonal():
 def test_window_kernel_zero_outside_support():
     base = KernelSpec.tc(0.9)
     w = window_kernel(base, 4)
-    assert w.kind == "finite"
-    assert w.support == 4
-    idx = np.arange(4)
-    np.testing.assert_allclose(w.table, gram(base, idx, idx))
+    assert (w.kind, w.beta, w.gamma, w.support) == ("tc", 0.9, None, 4)
     assert gram(w, [4], [1])[0, 0] == 0.0
     assert gram(w, [2], [7])[0, 0] == 0.0
     np.testing.assert_allclose(gram(w, [2], [3]), gram(base, [2], [3]))
+
+
+def test_window_gram_is_the_family_gram_inside_the_support():
+    idx = np.arange(9)
+    for base in _all_decaying():
+        w = window_kernel(base, 5)
+        full, cut = gram(base, idx, idx), gram(w, idx, idx)
+        np.testing.assert_array_equal(cut[:5, :5], full[:5, :5])
+        assert not cut[5:].any() and not cut[:, 5:].any(), base.kind
+        # a window that covers every index changes nothing
+        np.testing.assert_array_equal(gram(window_kernel(base, 9), idx, idx),
+                                      full)
+
+
+def test_window_narrows_and_never_widens():
+    w = window_kernel(KernelSpec.dc(0.8, 0.5), 6)
+    narrow = window_kernel(w, 3)
+    assert narrow == window_kernel(KernelSpec.dc(0.8, 0.5), 3)
+    cut = gram(narrow, range(6), range(6))
+    np.testing.assert_array_equal(cut[:3, :3], gram(w, range(3), range(3)))
+    assert not cut[3:].any() and not cut[:, 3:].any()
+    with pytest.raises(ConfigError, match="widen"):
+        window_kernel(w, 7)
+
+
+def test_windowed_spec_is_a_hashable_value():
+    a = window_kernel(KernelSpec.tc(0.5), 3)
+    b = window_kernel(KernelSpec.tc(0.5), 3)
+    assert a == b and hash(a) == hash(b)
+    assert a != window_kernel(KernelSpec.tc(0.5), 4)
+    assert a != KernelSpec.tc(0.5)
+    assert len({a, b, KernelSpec.tc(0.5)}) == 2
 
 
 def test_decay_compatible():
@@ -129,14 +158,11 @@ def test_spec_validation_errors():
     with pytest.raises(ConfigError):
         KernelSpec(kind="tc", beta=0.5, gamma=0.2)
     with pytest.raises(ConfigError):
-        KernelSpec.finite_support(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ConfigError):
-        # negative definite table
-        KernelSpec.finite_support(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(ConfigError):
         gram(KernelSpec.tc(0.5), [-1], [0])
     with pytest.raises(ConfigError):
         window_kernel(KernelSpec.tc(0.5), 0)
+    with pytest.raises(ConfigError, match="support"):
+        KernelSpec(kind="ss", beta=0.5, support=-1)
 
 
 def test_window_of_window_is_idempotent():

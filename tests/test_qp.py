@@ -351,15 +351,19 @@ def test_nonnegativity_box():
 
 
 def test_zero_row_with_positive_bound_is_infeasible():
-    problem = ConvexQP(P=np.eye(2), q=np.zeros(2),
-                       G=np.array([[1.0, 0.0], [0.0, 0.0]]),
-                       l=np.array([0.0, 1.0]))
-    assert solve(problem).status == "infeasible"
+    G = np.array([[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ConfigError, match="zero row"):
+        ConvexQP(P=np.eye(2), q=np.zeros(2), G=G, l=np.array([0.0, 1.0]))
+    # a zero row with a zero bound always holds and is kept
+    sol = solve(ConvexQP(P=np.eye(2), q=np.ones(2), G=G, l=np.zeros(2)))
+    assert sol.status == "optimal"
+    np.testing.assert_allclose(sol.z, [0.0, -1.0], atol=1e-7)
 
 
 def test_contradictory_rows_end_in_max_iterations():
-    # z0 >= 1 and -z0 >= 0 admit no point; only a zero row is detected
-    # as infeasible, so this solve reports that it did not converge
+    # z0 >= 1 and -z0 >= 0 admit no point; only a zero row with a positive
+    # bound is rejected up front, so this solve reports that it did not
+    # converge
     problem = ConvexQP(P=np.eye(2), q=np.zeros(2),
                        G=np.array([[1.0, 0.0], [-1.0, 0.0]]),
                        l=np.array([1.0, 0.0]))
