@@ -2,8 +2,8 @@
 
 from .baselines import BaselineKind, run_baseline
 from .errors import ConfigError, DataError, PosidError, SolverError
-from .estimator import (PositiveIdConfig, PositiveIdModel, compute_m0,
-                        identify, predict)
+from .estimator import (FittedModel, PositiveIdConfig, PositiveIdModel,
+                        compute_m0, identify, predict)
 from .extensions import (FiniteResponseConfig, OscillatingPoleConfig,
                          OscillatingPoleModel, RepeatedPoleConfig,
                          RepeatedPoleModel, identify_finite_response,
@@ -25,8 +25,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaselineKind", "ConfigError", "ConvexQP", "DataError",
-    "DominationBound", "FiniteResponseConfig", "HeatingConfig",
-    "HeatingReport", "HyperparamSpace", "ImpulseResponse", "KernelSpec",
+    "DominationBound", "FiniteResponseConfig", "FittedModel",
+    "HeatingConfig", "HeatingReport", "HyperparamSpace", "ImpulseResponse",
+    "KernelSpec",
     "McConfig", "McProtocol", "MetricsReport", "OscillatingPoleConfig",
     "OscillatingPoleModel", "PosidError", "PositiveIdConfig",
     "PositiveIdModel", "QPSolution", "RepeatedPoleConfig",

@@ -6,7 +6,8 @@ describes the dominant part once per fit: its input-convolved modes, a
 sampler for the mode values, the floor and penalty rows, and the mode
 combination that caps the horizon.  :func:`assemble_polynomial_blocks`
 gives the simple or repeated pole, :func:`assemble_oscillation_blocks`
-the poles at unit-root phases, fitted over one real period.
+the poles at unit-root phases, fitted over one real period, and
+:func:`empty_basis` no dominant part at all (zero spectral radius).
 
 The residual is parameterised by its section coefficients
 ``h = sum_s w[s] k(., s)`` over ``s < N = max(width, m + 1)``: every
@@ -56,8 +57,9 @@ class DominantBasis:
     the same modes with the input at the sample times.  Each ``floor``
     row of the coefficients is bounded below by ``a_min``.  ``penalty``
     is the mode-coefficient penalty, already scaled by epsilon.  ``cap``
-    holds the coefficients of the mode ``B @ cap`` whose best
-    single-mode misfit ``c0`` sets the horizon cap ``m0``.
+    holds the coefficients of the mode ``B @ cap``, floored at ``a_min``
+    and decaying at ``rho``, whose best single-mode misfit ``c0`` sets
+    the horizon cap ``m0``.
     """
 
     B: np.ndarray = field(repr=False)
@@ -65,6 +67,8 @@ class DominantBasis:
     floor: np.ndarray = field(repr=False)
     penalty: np.ndarray = field(repr=False)
     cap: np.ndarray = field(repr=False)
+    rho: float
+    a_min: float
 
     @property
     def size(self) -> int:
@@ -132,7 +136,8 @@ def polynomial_modes(rho: float, degrees: int, horizon: int) -> np.ndarray:
 
 
 def assemble_polynomial_blocks(data: TimeSeriesData, rho: float, n: int,
-                               epsilon: float = 0.0) -> DominantBasis:
+                               epsilon: float = 0.0,
+                               a_min: float = 1e-6) -> DominantBasis:
     """Basis of a dominant pole of multiplicity ``n``.
 
     The modes are ``t**j * rho**t`` for ``j < n``; the top-degree
@@ -147,7 +152,7 @@ def assemble_polynomial_blocks(data: TimeSeriesData, rho: float, n: int,
     penalty = epsilon * np.diag(np.r_[np.ones(n - 1), 0.0])
     return DominantBasis(B=_input_convolved(data, modes), modes=modes,
                          floor=np.eye(n)[n - 1:], penalty=penalty,
-                         cap=np.eye(n)[n - 1])
+                         cap=np.eye(n)[n - 1], rho=rho, a_min=a_min)
 
 
 def periodic_modes(rho: float, n: int, horizon: int) -> np.ndarray:
@@ -162,7 +167,8 @@ def periodic_modes(rho: float, n: int, horizon: int) -> np.ndarray:
 
 
 def assemble_oscillation_blocks(data: TimeSeriesData, rho: float, n: int,
-                                epsilon: float = 0.0) -> DominantBasis:
+                                epsilon: float = 0.0,
+                                a_min: float = 1e-6) -> DominantBasis:
     """Basis of ``n`` simple dominant poles at the unit-root phases.
 
     Poles ``rho * omega**k`` with real combined response are
@@ -179,4 +185,14 @@ def assemble_oscillation_blocks(data: TimeSeriesData, rho: float, n: int,
     modes = partial(periodic_modes, rho, n)
     penalty = epsilon * (np.eye(n) / n - np.full((n, n), 1.0 / n ** 2))
     return DominantBasis(B=_input_convolved(data, modes), modes=modes,
-                         floor=np.eye(n), penalty=penalty, cap=np.ones(n))
+                         floor=np.eye(n), penalty=penalty, cap=np.ones(n),
+                         rho=rho, a_min=a_min)
+
+
+def empty_basis(data: TimeSeriesData) -> DominantBasis:
+    """Basis with no modes, for a response of zero spectral radius."""
+    empty = np.zeros((0, 0))
+    return DominantBasis(B=np.zeros((data.n_samples, 0)),
+                         modes=lambda horizon: np.zeros((horizon, 0)),
+                         floor=empty, penalty=empty, cap=np.zeros(0),
+                         rho=0.0, a_min=0.0)

@@ -6,8 +6,8 @@ All four estimate a finitely supported response of length ``n_g``:
 * ``c``: least squares constrained to the nonnegative orthant, solved
   as a QP by :func:`posid.qp.solve`;
 * ``d``: kernel ridge regression, clipped to be nonnegative;
-* ``e``: kernel ridge constrained to the nonnegative orthant (the
-  finite-response variant of the main estimator).
+* ``e``: kernel ridge constrained to the nonnegative orthant, i.e. the
+  main estimator's horizon loop with no dominant part.
 
 Methods ``d`` and ``e`` need a kernel; decaying kernels are windowed to
 the response support.
@@ -39,7 +39,7 @@ class BaselineKind:
     """Which baseline to run and with what knobs.
 
     ``lam`` and ``kernel`` only matter for the kernel methods (``d`` and
-    ``e``).
+    ``e``), so one call builds the kind of any method.
     """
 
     kind: str
@@ -112,4 +112,4 @@ def run_baseline(kind: BaselineKind, data: TimeSeriesData) -> ImpulseResponse:
         return ridge_clip(data, n_g, kind.lam, kind.kernel)
     config = FiniteResponseConfig(kernel=window_kernel(kind.kernel, n_g),
                                   lam=kind.lam)
-    return identify_finite_response(config, data)
+    return identify_finite_response(config, data).g

@@ -23,22 +23,20 @@ import sys
 from .assembly import assemble_core, assemble_polynomial_blocks
 from .baselines import BaselineKind, run_baseline
 from .errors import ConfigError, PosidError
-from .estimator import (PositiveIdConfig, build_qp,
+from .estimator import (FittedModel, PositiveIdConfig, build_qp,
                         initial_constraint_horizon, identify)
-from .extensions import (OscillatingPoleConfig, RepeatedPoleConfig,
+from .extensions import (FiniteResponseConfig, OscillatingPoleConfig,
+                         RepeatedPoleConfig, identify_finite_response,
                          identify_oscillating_poles, identify_repeated_pole)
 from .experiments import (MC_METHODS, HeatingConfig, McConfig, McProtocol,
                           convert_daisy_whitespace, run_heating,
                           run_monte_carlo)
 from .kernels import (KIND_DC, KIND_SS, KIND_TC, KernelSpec,
-                      decay_compatible, domination_bound)
+                      decay_compatible, domination_bound, window_kernel)
 from .qp import dump_qp
 from .signals import (convolve, read_impulse_csv, read_timeseries_csv,
                       write_impulse_csv)
 from .tuning import HyperparamSpace, default_split, tune
-
-_IDENTIFY_METHODS = ("g", "nup", "snp", "zsr") + MC_METHODS[:4]
-_BASELINE_METHODS = MC_METHODS[:4]
 
 
 def _write_atomic(path: str, write) -> None:
@@ -92,60 +90,75 @@ def _base_config(args, kernel: KernelSpec) -> PositiveIdConfig:
                             a_min=args.a_min, horizon=args.horizon)
 
 
+def _positive(args, data, kernel):
+    config = _base_config(args, kernel)
+    if args.dump_qp:
+        mats = assemble_core(kernel, data, initial_constraint_horizon(data))
+        basis = assemble_polynomial_blocks(data, args.rho, 1,
+                                           a_min=args.a_min)
+        problem = build_qp(args.lam, mats, basis)
+        _write_atomic(args.dump_qp, lambda tmp: dump_qp(problem, tmp))
+    model = identify(config, data)
+    return model, {"a": float(model.a)}
+
+
+def _repeated(args, data, kernel):
+    config = RepeatedPoleConfig(base=_base_config(args, kernel), n=args.n)
+    model = identify_repeated_pole(config, data)
+    return model, {"a": float(model.a), "a_poly": model.a_poly.tolist()}
+
+
+def _oscillating(args, data, kernel):
+    config = OscillatingPoleConfig(base=_base_config(args, kernel), n=args.n)
+    model = identify_oscillating_poles(config, data)
+    return model, {"a_real": model.a_r.tolist(),
+                   "a_imag": model.a_i.tolist()}
+
+
+def _finite(args, data, kernel):
+    config = FiniteResponseConfig(kernel=window_kernel(kernel, args.n_g),
+                                  lam=args.lam)
+    return identify_finite_response(config, data), {}
+
+
+def _baseline(args, data, kernel):
+    kind = BaselineKind(args.method, args.n_g, args.lam, kernel)
+    return run_baseline(kind, data), {}
+
+
+_KERNEL = ("kernel", "beta", "lam")
+# method -> (fit, options).  fit(args, data, kernel) returns a horizon-loop
+# model or a bare response, and its fitted values; the metadata records
+# those and the options the method reads.  zsr, the zero-spectral-radius
+# estimate, is baseline e.
+_METHODS = {"g": (_positive, ("rho", *_KERNEL)),
+            "nup": (_repeated, ("rho", "n", *_KERNEL)),
+            "snp": (_oscillating, ("rho", "n", *_KERNEL)),
+            "zsr": (_finite, ("n_g", *_KERNEL)),
+            "b": (_baseline, ("n_g",)), "c": (_baseline, ("n_g",)),
+            "d": (_baseline, ("n_g", *_KERNEL)),
+            "e": (_finite, ("n_g", *_KERNEL))}
+
+
 def _identify_cmd(args) -> int:
     data = read_timeseries_csv(args.data)
     os.makedirs(args.out_dir, exist_ok=True)
     method = args.method
+    if method not in _METHODS:
+        raise ConfigError(f"unknown method {method!r}")
     if args.dump_qp and method != "g":
         raise ConfigError("--dump-qp applies to method g only")
-    meta: dict = {"method": method, "data": os.fspath(args.data)}
-    if method in (*_BASELINE_METHODS, "zsr"):
-        # zsr, the zero-spectral-radius estimate, is baseline e.
-        baseline = "e" if method == "zsr" else method
-        kernel = _kernel_from_args(args) if baseline in ("d", "e") else None
-        kind = BaselineKind(baseline, fir_length=args.n_g, lam=args.lam,
-                            kernel=kernel)
-        g = run_baseline(kind, data)
-        meta.update({"n_g": args.n_g})
-        if baseline in ("d", "e"):
-            meta.update({"lam": args.lam, "kernel": args.kernel,
-                         "beta": args.beta})
-    elif method == "g":
-        config = _base_config(args, _kernel_from_args(args))
-        if args.dump_qp:
-            m_init = initial_constraint_horizon(data)
-            mats = assemble_core(config.kernel, data, m_init)
-            basis = assemble_polynomial_blocks(data, config.rho, 1)
-            problem = build_qp(config, mats, basis)
-            _write_atomic(args.dump_qp, lambda tmp: dump_qp(problem, tmp))
-        model = identify(config, data)
-        g = model.g
-        meta.update({"a": float(model.a), "rho": args.rho,
-                     "lam": args.lam, "m": int(model.m),
-                     "kernel": args.kernel, "beta": args.beta})
-        meta.update(dataclasses.asdict(model.diagnostics))
-    elif method == "nup":
-        config = RepeatedPoleConfig(
-            base=_base_config(args, _kernel_from_args(args)), n=args.n)
-        model = identify_repeated_pole(config, data)
-        g = model.g
-        meta.update({"a": float(model.a),
-                     "a_poly": [float(v) for v in model.a_poly],
-                     "rho": args.rho, "lam": args.lam, "n": args.n,
-                     "m": int(model.m)})
-        meta.update(dataclasses.asdict(model.diagnostics))
-    elif method == "snp":
-        config = OscillatingPoleConfig(
-            base=_base_config(args, _kernel_from_args(args)), n=args.n)
-        model = identify_oscillating_poles(config, data)
-        g = model.g
-        meta.update({"a_real": [float(v) for v in model.a_r],
-                     "a_imag": [float(v) for v in model.a_i],
-                     "rho": args.rho, "lam": args.lam, "n": args.n,
-                     "m": int(model.m)})
-        meta.update(dataclasses.asdict(model.diagnostics))
-    else:
-        raise ConfigError(f"unknown method {method!r}")
+    fit, options = _METHODS[method]
+    kernel = _kernel_from_args(args) if "kernel" in options else None
+    if kernel is not None and kernel.kind == KIND_DC:
+        options += ("gamma",)
+    result, fitted = fit(args, data, kernel)
+    meta = {"method": method, "data": os.fspath(args.data), **fitted,
+            **{key: getattr(args, key) for key in options}}
+    g = result
+    if isinstance(result, FittedModel):
+        g = result.g
+        meta.update(m=int(result.m), **dataclasses.asdict(result.diagnostics))
     _write_atomic(os.path.join(args.out_dir, "impulse.csv"),
                   lambda tmp: write_impulse_csv(tmp, g))
     _write_json_atomic(os.path.join(args.out_dir, "metadata.json"), meta)
@@ -303,10 +316,10 @@ def build_parser():
                         help="estimate an impulse response from one "
                              "dataset")
     p.add_argument("--data", required=True, help="t,u,y CSV file")
-    p.add_argument("--method", choices=_IDENTIFY_METHODS, default="g",
+    p.add_argument("--method", choices=tuple(_METHODS), default="g",
                    help="estimator: g positive, nup repeated pole, snp "
-                        "oscillating poles, zsr finite response, b/c/d/e "
-                        "baselines")
+                        "oscillating poles, zsr/e finite response, b/c/d "
+                        "baselines; all but b/c/d run the horizon loop")
     _add_kernel_args(p)
     p.add_argument("--rho", type=float, default=0.9,
                    help="dominant pole location in (0, 1)")

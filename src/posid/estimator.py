@@ -5,9 +5,11 @@ a finite combination of known modes plus a residual ``h`` living in the
 RKHS of a stable kernel whose decay is strictly faster than the dominant
 pole ``rho``.  The base estimator's dominant part is ``a * rho**t`` with
 ``a >= a_min``; the variants in :mod:`posid.extensions` swap in a
-repeated pole or poles at unit-root phases.  Each is described by one
-:class:`~posid.assembly.DominantBasis`, and all of them run the same
-horizon loop here.
+repeated pole, poles at unit-root phases, or no dominant part at all (a
+response of zero spectral radius on a windowed kernel).  Each is
+described by one :class:`~posid.assembly.DominantBasis`, and every one
+of them runs the one horizon loop here and returns a
+:class:`FittedModel`.
 
 The infinite-dimensional regularised least-squares problem reduces
 exactly to a convex QP over the mode coefficients and the section
@@ -78,8 +80,6 @@ class PositiveIdConfig:
     solve_options: qp.SolveOptions | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.rho < 1.0:
-            raise ConfigError(f"rho must lie in (0, 1), got {self.rho}")
         if self.lam <= 0.0:
             raise ConfigError(f"lambda must be positive, got {self.lam}")
         if self.a_min <= 0.0:
@@ -112,31 +112,42 @@ class IdentifyDiagnostics:
 
 
 @dataclass
-class PositiveIdModel:
-    """Identified model ``g[t] = a * rho**t + h[t]``.
+class FittedModel:
+    """Model ``g = (dominant part) + h`` fitted by the horizon loop.
 
-    ``w`` holds the section coefficients of the residual,
-    ``h = sum_s w[s] k(., s)``; ``h`` and ``g`` are reconstructions over
-    the configured horizon.  The config is kept so predictions can extend
-    the reconstruction exactly instead of relying on the truncated ``g``.
+    ``w`` holds the section coefficients of ``h = sum_s w[s] k(., s)``
+    on ``kernel``, kept so predictions can extend the reconstructions
+    ``h`` and ``g`` exactly past the horizon that ``config`` set.  This
+    base model has no dominant part (zero spectral radius, ``rho = 0``);
+    each subclass adds one that decays at ``rho``.
     """
 
-    a: float
-    rho: float
     w: np.ndarray = field(repr=False)
     m: int
     h: ImpulseResponse
     g: ImpulseResponse
     diagnostics: IdentifyDiagnostics
-    config: PositiveIdConfig = field(repr=False)
+    config: object = field(repr=False)
+    kernel: KernelSpec = field(repr=False)
+    rho: float
 
     def dominant_values(self, horizon: int) -> np.ndarray:
-        return self.a * self.rho ** np.arange(horizon, dtype=float)
+        return np.zeros(horizon)
 
     def reconstruct(self, horizon: int) -> ImpulseResponse:
         """Response on ``t < horizon`` from the exact section form."""
-        h = reconstruct_h(self.w, self.config.kernel, horizon)
+        h = reconstruct_h(self.w, self.kernel, horizon)
         return ImpulseResponse(h.values + self.dominant_values(horizon))
+
+
+@dataclass
+class PositiveIdModel(FittedModel):
+    """Identified model ``g[t] = a * rho**t + h[t]``."""
+
+    a: float
+
+    def dominant_values(self, horizon: int) -> np.ndarray:
+        return self.a * self.rho ** np.arange(horizon, dtype=float)
 
 
 def default_horizon(data: TimeSeriesData) -> int:
@@ -149,7 +160,7 @@ def initial_constraint_horizon(data: TimeSeriesData) -> int:
     return required_width(data)
 
 
-def build_qp(config: PositiveIdConfig, mats: QPDataMatrices,
+def build_qp(lam: float, mats: QPDataMatrices,
              basis: DominantBasis) -> qp.ConvexQP:
     """Finite-dimensional QP over ``z = (mode coefficients, w)``.
 
@@ -157,13 +168,13 @@ def build_qp(config: PositiveIdConfig, mats: QPDataMatrices,
     times the RKHS norm ``w' K w`` of the residual plus the basis mode
     penalty.  Constraints: the response sampled on ``0 .. m`` (modes plus
     ``K[:m + 1] @ w``, zero past a finite kernel's support) is
-    nonnegative and every basis floor row is at least ``a_min``.
+    nonnegative and every basis floor row is at least ``basis.a_min``.
     """
     p = basis.size
     m = mats.m
     M = np.hstack([basis.B, mats.L])
     P = 2.0 * (M.T @ M)
-    P[p:, p:] += 2.0 * config.lam * mats.K
+    P[p:, p:] += 2.0 * lam * mats.K
     P[:p, :p] += 2.0 * basis.penalty
     q = -2.0 * (M.T @ mats.y)
     n_floor = basis.floor.shape[0]
@@ -173,7 +184,7 @@ def build_qp(config: PositiveIdConfig, mats: QPDataMatrices,
     G[:rows.shape[0], p:] = rows
     G[m + 1:, :p] = basis.floor
     l = np.zeros(m + 1 + n_floor)
-    l[m + 1:] = config.a_min
+    l[m + 1:] = basis.a_min
     return qp.ConvexQP(P=P, q=q, G=G, l=l)
 
 
@@ -203,36 +214,38 @@ def _m0_from_constants(c0: float, c: float, rho_d: float, rho: float,
     return max(0, math.ceil(value))
 
 
-def compute_m0(config: PositiveIdConfig, data: TimeSeriesData,
-               b: np.ndarray | None = None) -> int:
-    """Certified sufficient constraint horizon for this configuration.
+def cap_misfit(basis: DominantBasis, y: np.ndarray) -> float:
+    """Best single-mode misfit ``c0`` of the basis cap mode.
 
-    Uses the best single-mode misfit ``c0`` (amplitude clamped at
-    ``a_min``) together with the kernel domination bound.  Finite-support
-    kernels cap at their support length: the residual vanishes beyond it,
-    leaving the nonnegative dominant term alone.
+    The amplitude is clamped at ``basis.a_min``.  With no modes ``c0`` is
+    the misfit of the zero response, ``y' y``.
     """
-    support = config.kernel.support
-    if support is not None:
-        return int(support)
-    if b is None:
-        b = assemble_polynomial_blocks(data, config.rho, 1).B[:, 0]
-    c0 = _best_single_mode_misfit(data.outputs, b, config.a_min)
-    bound = domination_bound(config.kernel)
-    return _m0_from_constants(c0, bound.c, bound.rho_d, config.rho,
-                              config.a_min, config.lam)
-
-
-def _best_single_mode_misfit(y: np.ndarray, b: np.ndarray,
-                             a_min: float) -> float:
+    if not basis.size:
+        return float(y @ y)
+    b = basis.B @ basis.cap
     denom = float(b @ b)
     if denom <= 0.0:
         raise ConfigError(
             "the convolved dominant mode vanishes at every sample time; "
             "the input does not excite the system")
-    a_star = max(a_min, float(y @ b) / denom)
+    a_star = max(basis.a_min, float(y @ b) / denom)
     resid = y - a_star * b
     return float(resid @ resid)
+
+
+def compute_m0(kernel: KernelSpec, lam: float, basis: DominantBasis,
+               c0: float) -> int:
+    """Certified sufficient constraint horizon of one fit.
+
+    Uses the cap misfit ``c0`` (see :func:`cap_misfit`) and the kernel
+    domination bound.  A window caps it at its support: the residual
+    vanishes beyond, leaving the nonnegative dominant term alone.
+    """
+    if kernel.support is not None:
+        return int(kernel.support)
+    bound = domination_bound(kernel)
+    return _m0_from_constants(c0, bound.c, bound.rho_d, basis.rho,
+                              basis.a_min, lam)
 
 
 def _solve_or_raise(problem: qp.ConvexQP,
@@ -246,32 +259,37 @@ def _solve_or_raise(problem: qp.ConvexQP,
     return sol
 
 
-def _fit_basis(config: PositiveIdConfig, data: TimeSeriesData,
-               basis: DominantBasis) -> tuple[np.ndarray, dict]:
-    """The constraint-horizon loop shared by every dominant basis.
+def _fit_basis(kernel: KernelSpec, lam: float, data: TimeSeriesData,
+               basis: DominantBasis, horizon: int | None,
+               options: qp.SolveOptions | None) -> tuple[np.ndarray, dict]:
+    """The constraint-horizon loop shared by every estimator.
 
     Grows ``m`` from the data span in steps of ``_DELTA_M`` until the
     reconstructed response is nonnegative (to a small
     coefficient-relative tolerance) on every index below the certified
     bound ``m_0`` of the basis cap mode; at ``m = m_0`` acceptance is
     forced and any residual negativity is reported in the diagnostics.
-    Returns the mode coefficients and the model fields every variant
+    A basis with no modes starts on the kernel's support instead: its
+    constraint rows past the support are zero.  ``horizon`` and
+    ``options`` default to twice the data span and ``_IDENTIFY_OPTIONS``.
+    Returns the mode coefficients and the model fields every estimator
     shares.
     """
-    options = config.solve_options or _IDENTIFY_OPTIONS
-    horizon = config.horizon or default_horizon(data)
-    cap_mode = basis.B @ basis.cap
-    m0 = compute_m0(config, data, cap_mode)
-    m = initial_constraint_horizon(data)
+    options = options or _IDENTIFY_OPTIONS
+    horizon = horizon or default_horizon(data)
+    c0 = cap_misfit(basis, data.outputs)
+    m0 = compute_m0(kernel, lam, basis, c0)
     p = basis.size
+    m = initial_constraint_horizon(data) if p else m0 - 1
     for iterations in range(1, _MAX_LOOPS + 1):
-        mats = assemble_core(config.kernel, data, m)
-        sol = _solve_or_raise(build_qp(config, mats, basis), options)
+        mats = assemble_core(kernel, data, m)
+        sol = _solve_or_raise(build_qp(lam, mats, basis), options)
         coeffs, w = sol.z[:p], sol.z[p:]
         check_len = max(m0, horizon, m + 1)
-        h = reconstruct_h(w, config.kernel, check_len)
+        h = reconstruct_h(w, kernel, check_len)
         g_vals = h.values + basis.modes(check_len) @ coeffs
-        neg_tol = _NEG_TOL_SCALE * (1.0 + float(np.max(np.abs(coeffs))))
+        top = float(np.abs(coeffs).max(initial=0.0))
+        neg_tol = _NEG_TOL_SCALE * (1.0 + top)
         min_head = float(g_vals[:m0].min(initial=0.0))
         accepted = min_head >= -neg_tol
         if not accepted and m < m0:
@@ -288,12 +306,11 @@ def _fit_basis(config: PositiveIdConfig, data: TimeSeriesData,
             m0=m0, iterations=iterations, qp_status=sol.status,
             qp_primal=sol.primal_residual, qp_dual=sol.dual_residual,
             qp_gap=sol.gap, objective=sol.objective + float(mats.y @ mats.y),
-            c0=_best_single_mode_misfit(mats.y, cap_mode, config.a_min),
-            h_norm=h_norm, min_g=float(g_vals.min()),
+            c0=c0, h_norm=h_norm, min_g=float(g_vals.min()),
             neg_tol=neg_tol, forced_accept=not accepted)
         return coeffs, dict(w=w, m=m, h=ImpulseResponse(h.values[:horizon]),
                             g=ImpulseResponse(g_vals[:horizon]),
-                            diagnostics=diag)
+                            diagnostics=diag, kernel=kernel, rho=basis.rho)
     raise SolverError("constraint-horizon loop failed to terminate")
 
 
@@ -302,13 +319,14 @@ def identify(config: PositiveIdConfig, data: TimeSeriesData) -> PositiveIdModel:
 
     Runs the shared horizon loop on the one-mode basis ``rho**t``.
     """
-    basis = assemble_polynomial_blocks(data, config.rho, 1)
-    coeffs, fields = _fit_basis(config, data, basis)
-    return PositiveIdModel(a=float(coeffs[0]), rho=config.rho, config=config,
-                           **fields)
+    basis = assemble_polynomial_blocks(data, config.rho, 1,
+                                       a_min=config.a_min)
+    coeffs, fields = _fit_basis(config.kernel, config.lam, data, basis,
+                                config.horizon, config.solve_options)
+    return PositiveIdModel(a=float(coeffs[0]), config=config, **fields)
 
 
-def predict(model: PositiveIdModel, data: TimeSeriesData, times) -> np.ndarray:
+def predict(model: FittedModel, data: TimeSeriesData, times) -> np.ndarray:
     """Predicted outputs at the given times.
 
     ``data`` supplies the input history (it must cover

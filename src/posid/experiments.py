@@ -78,7 +78,8 @@ class McConfig:
     positive estimator keeps the default ``a_min``.  The baseline length
     125 keeps the regression overdetermined at the default 200 samples;
     a square binary Toeplitz system is numerically singular and turns
-    the unregularized baselines into pure noise amplifiers.
+    the unregularized baselines into pure noise amplifiers.  Every
+    setting is checked here, before any run starts.
     """
 
     rho: float = 0.98
@@ -89,6 +90,15 @@ class McConfig:
     n_g: int = 125
     horizon: int = 400
     workers: int | None = None
+
+    def __post_init__(self) -> None:
+        # the positive estimator's config, as every run builds it
+        PositiveIdConfig(KernelSpec.dc(self.beta, self.gamma), self.rho, 1.0,
+                         horizon=self.horizon)
+        for name in ("lam_g", "lam_fir", "n_g", "workers"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ConfigError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -204,26 +214,17 @@ def _to_horizon(values: np.ndarray, horizon: int) -> np.ndarray:
     return out
 
 
-def _resolved_lams(config: McConfig, sigma2: float) -> tuple[float, float]:
-    scaled = max(_LAM_FLOOR, _LAM_SCALE * sigma2)
-    lam_g = scaled if config.lam_g is None else config.lam_g
-    lam_fir = scaled if config.lam_fir is None else config.lam_fir
-    return lam_g, lam_fir
-
-
 def _mc_estimate(method: str, data: TimeSeriesData, config: McConfig,
                  sigma2: float) -> np.ndarray:
-    lam_g, lam_fir = _resolved_lams(config, sigma2)
+    scaled = max(_LAM_FLOOR, _LAM_SCALE * sigma2)
     kernel = KernelSpec.dc(config.beta, config.gamma)
     if method == METHOD_POSITIVE:
-        est = PositiveIdConfig(kernel=kernel, rho=config.rho, lam=lam_g,
+        lam = scaled if config.lam_g is None else config.lam_g
+        est = PositiveIdConfig(kernel=kernel, rho=config.rho, lam=lam,
                                horizon=config.horizon)
         return identify(est, data).g.values
-    if method in (KIND_RIDGE_CLIP, KIND_NONNEG_RIDGE):
-        kind = BaselineKind(method, fir_length=config.n_g, lam=lam_fir,
-                            kernel=kernel)
-    else:
-        kind = BaselineKind(method, fir_length=config.n_g)
+    lam = scaled if config.lam_fir is None else config.lam_fir
+    kind = BaselineKind(method, config.n_g, lam, kernel)
     return run_baseline(kind, data).values
 
 
@@ -448,20 +449,18 @@ def run_heating(path, methods=MC_METHODS,
                                 f"rho={theta.rho!r} lam={theta.lam!r} "
                                 f"beta={theta.beta!r}"))
         else:
+            kernel, lam, note = None, 1.0, f"n_g={config.n_g}"
             if method in (KIND_RIDGE_CLIP, KIND_NONNEG_RIDGE):
                 if fir_grid is None:
                     fir_grid = _tune_fir_kernel(
                         KIND_NONNEG_RIDGE, inner_train, train,
                         inner_times, inner_truth, config)
                 beta, lam = fir_grid
-                kind = BaselineKind(method, fir_length=config.n_g,
-                                    lam=lam, kernel=KernelSpec.tc(beta))
-                hyperparams.append((method, f"beta={beta!r} lam={lam!r}"))
-            else:
-                kind = BaselineKind(method, fir_length=config.n_g)
-                hyperparams.append((method, f"n_g={config.n_g}"))
-            g_hat = run_baseline(kind, train)
-            pred = convolve(g_hat, data, test_times)
+                kernel = KernelSpec.tc(beta)
+                note = f"beta={beta!r} lam={lam!r}"
+            kind = BaselineKind(method, config.n_g, lam, kernel)
+            pred = convolve(run_baseline(kind, train), data, test_times)
+            hyperparams.append((method, note))
         fits.append((method, fit_output(pred, test_truth)))
     return HeatingReport(fits=tuple(fits), hyperparams=tuple(hyperparams),
                          n_train=_HEATING_TRAIN, n_test=_HEATING_TEST)

@@ -9,13 +9,12 @@
 * finite response: zero spectral radius, i.e. the response is supported
   on ``[0, n_g)`` and estimated with a finite-support kernel alone.
 
-The two pole variants only build their
-:class:`~posid.assembly.DominantBasis` and run the base estimator's
-horizon loop on it, so they share its QP over the mode and section
-coefficients ``(coeffs, w)``, acceptance test, certified cap ``m0``
-(taken from the basis cap mode) and diagnostics.  The finite response
-has no dominant part and needs no loop: one QP over ``w`` alone covers
-its whole support.
+Each variant only builds its :class:`~posid.assembly.DominantBasis` and
+runs the base estimator's horizon loop on it, so all of them share its
+QP over the mode and section coefficients ``(coeffs, w)``, acceptance
+test, certified cap ``m0``, diagnostics and model fields.  The finite
+response runs on the empty basis: a QP over ``w`` alone, constrained on
+the kernel's support, which is also its ``m0``.
 """
 from __future__ import annotations
 
@@ -24,15 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qp
-from .assembly import (assemble_core, assemble_oscillation_blocks,
-                       assemble_polynomial_blocks, periodic_modes,
-                       polynomial_modes)
+from .assembly import (assemble_oscillation_blocks,
+                       assemble_polynomial_blocks, empty_basis,
+                       periodic_modes, polynomial_modes)
 from .errors import ConfigError
-from .estimator import (_IDENTIFY_OPTIONS, PositiveIdConfig,
-                        IdentifyDiagnostics, _fit_basis, _solve_or_raise,
-                        reconstruct_h)
+from .estimator import FittedModel, PositiveIdConfig, _fit_basis
 from .kernels import KernelSpec
-from .signals import ImpulseResponse, TimeSeriesData
+from .signals import TimeSeriesData
 
 # Mode-coefficient penalty as a fraction of lambda.
 _EPSILON_FRACTION = 1e-4
@@ -89,42 +86,23 @@ class FiniteResponseConfig:
         if self.lam <= 0.0:
             raise ConfigError(f"lambda must be positive, got {self.lam}")
 
-    @property
-    def n_g(self) -> int:
-        return self.kernel.support
-
 
 @dataclass
-class RepeatedPoleModel:
-    """Identified model ``g[t] = rho**t (a t**(n-1) + sum_j a_poly[j] t**j) + h[t]``.
-
-    ``w`` holds the section coefficients of the residual,
-    ``h = sum_s w[s] k(., s)``.
-    """
+class RepeatedPoleModel(FittedModel):
+    """Identified model ``g[t] = rho**t (a t**(n-1) + sum_j a_poly[j] t**j) + h[t]``."""
 
     a: float
     a_poly: np.ndarray = field(repr=False)
-    rho: float
     n: int
-    w: np.ndarray = field(repr=False)
-    m: int
-    h: ImpulseResponse
-    g: ImpulseResponse
-    diagnostics: IdentifyDiagnostics
-    config: RepeatedPoleConfig = field(repr=False)
 
     def dominant_values(self, horizon: int) -> np.ndarray:
         modes = polynomial_modes(self.rho, self.n, horizon)
         coeffs = np.concatenate([self.a_poly, [self.a]])
         return modes @ coeffs
 
-    def reconstruct(self, horizon: int) -> ImpulseResponse:
-        h = reconstruct_h(self.w, self.config.base.kernel, horizon)
-        return ImpulseResponse(h.values + self.dominant_values(horizon))
-
 
 @dataclass
-class OscillatingPoleModel:
+class OscillatingPoleModel(FittedModel):
     """Identified model with oscillating dominant part of period ``n``.
 
     ``g[t] = rho**t * period[t mod n] + h[t]`` with the fitted real
@@ -132,27 +110,16 @@ class OscillatingPoleModel:
     phase coefficients ``a_r + i a_i = fft(period) / n`` give the same
     part as ``rho**t * sum_k (a_r[k] cos(2 pi k t / n) - a_i[k]
     sin(2 pi k t / n))``, and ``n * ifft(a_r + i a_i)`` gives the period
-    back.  ``w`` holds the section coefficients of the residual ``h``.
+    back.
     """
 
     period: np.ndarray = field(repr=False)
     a_r: np.ndarray = field(repr=False)
     a_i: np.ndarray = field(repr=False)
-    rho: float
     n: int
-    w: np.ndarray = field(repr=False)
-    m: int
-    h: ImpulseResponse
-    g: ImpulseResponse
-    diagnostics: IdentifyDiagnostics
-    config: OscillatingPoleConfig = field(repr=False)
 
     def dominant_values(self, horizon: int) -> np.ndarray:
         return periodic_modes(self.rho, self.n, horizon) @ self.period
-
-    def reconstruct(self, horizon: int) -> ImpulseResponse:
-        h = reconstruct_h(self.w, self.config.base.kernel, horizon)
-        return ImpulseResponse(h.values + self.dominant_values(horizon))
 
 
 def identify_repeated_pole(config: RepeatedPoleConfig,
@@ -165,11 +132,12 @@ def identify_repeated_pole(config: RepeatedPoleConfig,
     """
     base = config.base
     basis = assemble_polynomial_blocks(data, base.rho, config.n,
-                                       _EPSILON_FRACTION * base.lam)
-    coeffs, fields = _fit_basis(base, data, basis)
+                                       _EPSILON_FRACTION * base.lam,
+                                       base.a_min)
+    coeffs, fields = _fit_basis(base.kernel, base.lam, data, basis,
+                                base.horizon, base.solve_options)
     return RepeatedPoleModel(a=float(coeffs[-1]), a_poly=coeffs[:-1].copy(),
-                             rho=base.rho, n=config.n, config=config,
-                             **fields)
+                             n=config.n, config=config, **fields)
 
 
 def identify_oscillating_poles(config: OscillatingPoleConfig,
@@ -185,26 +153,25 @@ def identify_oscillating_poles(config: OscillatingPoleConfig,
     base = config.base
     n = config.n
     basis = assemble_oscillation_blocks(data, base.rho, n,
-                                        _EPSILON_FRACTION * base.lam)
-    period, fields = _fit_basis(base, data, basis)
+                                        _EPSILON_FRACTION * base.lam,
+                                        base.a_min)
+    period, fields = _fit_basis(base.kernel, base.lam, data, basis,
+                                base.horizon, base.solve_options)
     phases = np.fft.fft(period) / n
     return OscillatingPoleModel(period=period.copy(), a_r=phases.real.copy(),
-                                a_i=phases.imag.copy(), rho=base.rho, n=n,
-                                config=config, **fields)
+                                a_i=phases.imag.copy(), n=n, config=config,
+                                **fields)
 
 
 def identify_finite_response(config: FiniteResponseConfig,
-                             data: TimeSeriesData) -> ImpulseResponse:
+                             data: TimeSeriesData) -> FittedModel:
     """Nonnegative finitely supported response estimate.
 
-    One QP over the section coefficients ``w`` with nonnegativity of
-    ``g = K w`` on every lag of the support; the response is identically
-    zero beyond it, so no horizon loop is needed.
+    The horizon loop on the empty basis: one QP over the section
+    coefficients ``w`` with nonnegativity of ``g = K w`` on every lag of
+    the support, beyond which the response is identically zero.
     """
-    n_g = config.n_g
-    mats = assemble_core(config.kernel, data, n_g - 1)
-    P = 2.0 * (mats.L.T @ mats.L + config.lam * mats.K)
-    q = -2.0 * (mats.L.T @ mats.y)
-    sol = _solve_or_raise(qp.ConvexQP(P=P, q=q, G=mats.K, l=np.zeros(n_g)),
-                          config.solve_options or _IDENTIFY_OPTIONS)
-    return reconstruct_h(sol.z, config.kernel, n_g)
+    _, fields = _fit_basis(config.kernel, config.lam, data,
+                           empty_basis(data), config.kernel.support,
+                           config.solve_options)
+    return FittedModel(config=config, **fields)

@@ -3,12 +3,13 @@
 Three exponentially decaying families are provided (``tc``, ``dc``, ``ss``),
 each optionally windowed to a finite support ``[0, n)``.  Every family is
 positive semidefinite and absolutely summable along its sections, and each
-unwindowed family carries an explicit diagonal domination bound
+family carries an explicit diagonal domination bound
 
     k(t, t) <= c * rho_d**(2 * t)
 
-used to certify compatibility between the kernel decay and a dominant pole
-``rho`` (the bound rate must satisfy ``rho_d < rho``).
+that also holds for its windows.  The bound certifies compatibility
+between the kernel decay and a dominant pole ``rho`` (the bound rate must
+satisfy ``rho_d < rho``); a window is compatible with every pole.
 """
 from __future__ import annotations
 
@@ -128,34 +129,21 @@ def gram(kernel: KernelSpec, rows, cols) -> np.ndarray:
 class DominationBound:
     """Certified diagonal envelope ``k(t, t) <= c * rho_d**(2 t)``.
 
-    For windowed kernels no single geometric rate is canonical: the
-    diagonal vanishes beyond the support, so any rate in ``(0, 1)`` admits a
-    finite constant.  That case is reported with ``rho_d = None`` and ``c``
-    equal to the largest diagonal entry inside the window; the caller picks
-    the rate.
+    A window only zeroes entries, so the bound of a family also holds for
+    every window of it.
     """
 
     c: float
-    rho_d: float | None
-
-    def __post_init__(self) -> None:
-        if self.c < 0.0:
-            raise ConfigError("domination constant must be nonnegative")
-        if self.rho_d is not None and not 0.0 <= self.rho_d < 1.0:
-            raise ConfigError("domination rate must lie in [0, 1)")
+    rho_d: float
 
 
 def domination_bound(kernel: KernelSpec) -> DominationBound:
-    """Diagonal domination bound of a kernel.
+    """Diagonal domination bound of a kernel's family.
 
     tc/dc give ``(c, rho_d) = (1, sqrt(beta))``; ss gives
-    ``(1/3, beta**1.5)``; windowed kernels return the sentinel form
-    described on :class:`DominationBound`.
+    ``(1/3, beta**1.5)``.  The support is ignored: the family's bound
+    certifies each of its windows.
     """
-    if kernel.support is not None:
-        idx = np.arange(kernel.support)
-        diag = _eval_grid(kernel, idx, idx)
-        return DominationBound(c=float(diag.max()), rho_d=None)
     if kernel.kind == KIND_SS:
         return DominationBound(c=1.0 / 3.0, rho_d=float(kernel.beta ** 1.5))
     return DominationBound(c=1.0, rho_d=float(np.sqrt(kernel.beta)))
@@ -186,7 +174,4 @@ def decay_compatible(kernel: KernelSpec, rho: float) -> bool:
     """
     if not 0.0 < rho < 1.0:
         raise ConfigError(f"rho must lie in (0, 1), got {rho}")
-    bound = domination_bound(kernel)
-    if bound.rho_d is None:
-        return True
-    return bound.rho_d < rho
+    return kernel.support is not None or domination_bound(kernel).rho_d < rho

@@ -80,7 +80,7 @@ def test_criterion_02_constraint_horizon_stability():
         solutions = []
         for m in (100, 150):
             mats = assemble_core(config.kernel, data, m)
-            sol = solve(build_qp(config, mats, basis), opts)
+            sol = solve(build_qp(config.lam, mats, basis), opts)
             assert sol.status == "optimal"
             h = reconstruct_h(sol.z[1:], config.kernel, 300)
             g = sol.z[0] * config.rho ** np.arange(300) + h.values
@@ -143,7 +143,7 @@ def test_criterion_04_unconstrained_normal_equations():
         m = 12
         mats = assemble_core(config.kernel, data, m)
         basis = assemble_polynomial_blocks(data, config.rho, 1)
-        problem = build_qp(config, mats, basis)
+        problem = build_qp(config.lam, mats, basis)
         # the minimiser without the positivity rows, stationary to the
         # 1e-12 dual tolerance the solver would certify it at
         z = scipy.linalg.solve(problem.P, -problem.q, assume_a="pos")
@@ -192,7 +192,7 @@ def test_criterion_05_finite_support_coefficient_space():
                                 q=-2.0 * (T.T @ y), G=np.eye(n_g),
                                 l=np.zeros(n_g)), tight)
         assert direct.status == "optimal"
-        diff = float(np.max(np.abs(est.values - direct.z)))
+        diff = float(np.max(np.abs(est.g.values - direct.z)))
         worst = max(worst, diff)
         assert diff <= 1e-6, f"n_g {n_g}: sup difference {diff:.3e}"
     _report(5, f"n_g in (8, 14, 20), worst sup difference {worst:.3e}")
@@ -241,7 +241,7 @@ def test_criterion_06_positivity_across_variants():
     est = identify_finite_response(
         FiniteResponseConfig(kernel=window_kernel(KernelSpec.tc(0.7), 12),
                              lam=1e-2), noisy(fir))
-    check("finite", est.values)
+    check("finite", est.g.values)
     _report(6, "base, repeated, oscillating and finite variants all "
                "nonnegative; phases miss the period by "
                f"{phase_error:.1e} relative")

@@ -146,7 +146,7 @@ def test_run_baseline_dispatch():
                                   kernel=kernel), data)
     direct = identify_finite_response(
         FiniteResponseConfig(kernel=window_kernel(kernel, 10), lam=0.2), data)
-    np.testing.assert_allclose(e.values, direct.values, atol=1e-12)
+    np.testing.assert_allclose(e.values, direct.g.values, atol=1e-12)
 
 
 def test_baseline_kind_validation():

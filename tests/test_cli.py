@@ -6,10 +6,10 @@ import time
 import numpy as np
 import pytest
 
-from posid import cli
+from posid import cli, experiments
 from posid.cli import main
 from posid.errors import ConfigError
-from posid.estimator import PositiveIdConfig, identify
+from posid.estimator import IdentifyDiagnostics, PositiveIdConfig, identify
 from posid.extensions import FiniteResponseConfig, identify_finite_response
 from posid.kernels import KernelSpec, window_kernel
 from posid.qp import load_qp_dump
@@ -72,14 +72,94 @@ def test_identify_zsr_is_baseline_e(tmp_path):
                            json.loads((out / "metadata.json").read_text()))
     config = FiniteResponseConfig(kernel=window_kernel(KernelSpec.tc(0.7), 12),
                                   lam=0.1)
-    g = identify_finite_response(config, TimeSeriesData.at_rest(u, y))
+    model = identify_finite_response(config, TimeSeriesData.at_rest(u, y))
     np.testing.assert_array_equal(
-        read_impulse_csv(tmp_path / "zsr" / "impulse.csv").values, g.values)
+        read_impulse_csv(tmp_path / "zsr" / "impulse.csv").values,
+        model.g.values)
     assert outputs["zsr"][0] == outputs["e"][0]
     meta_zsr, meta_e = outputs["zsr"][1], outputs["e"][1]
     assert meta_zsr.pop("method") == "zsr" and meta_e.pop("method") == "e"
-    assert meta_zsr == meta_e == {"data": str(data_path), "n_g": 12,
-                                  "lam": 0.1, "kernel": "tc", "beta": 0.7}
+    assert meta_zsr == meta_e == {
+        "data": str(data_path), "n_g": 12, "lam": 0.1, "kernel": "tc",
+        "beta": 0.7, "m": model.m, **dataclasses.asdict(model.diagnostics)}
+
+
+def _identify_options(dest=None):
+    """Every identify option's destination, or the choices of one."""
+    actions = cli.build_parser()[1].choices["identify"]._actions
+    if dest is None:
+        return {action.dest for action in actions}
+    return next(action.choices for action in actions if action.dest == dest)
+
+
+LOOP_METHODS = ("g", "nup", "snp", "zsr", "e")
+
+
+@pytest.mark.parametrize("method", _identify_options("method"))
+def test_identify_every_method(tmp_path, method):
+    data_path = tmp_path / "data.csv"
+    _single_mode_csv(data_path, n=40, noise=0.01)
+    out = tmp_path / "out"
+    code = main(["identify", "--data", str(data_path), "--method", method,
+                 "--kernel", "tc", "--beta", "0.5", "--rho", "0.9",
+                 "--lam", "0.01", "--n-g", "12", "--out-dir", str(out)])
+    assert code == 0
+    assert read_impulse_csv(out / "impulse.csv").horizon > 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["method"] == method
+    keys = {f.name for f in dataclasses.fields(IdentifyDiagnostics)} | {"m"}
+    if method in LOOP_METHODS:
+        assert keys <= meta.keys()
+        assert meta["qp_status"] == "optimal"
+    else:
+        assert not keys & meta.keys()
+
+
+@pytest.mark.parametrize("method", ("g", "nup", "snp", "zsr", "d", "e"))
+def test_dc_run_rebuilds_from_its_metadata(tmp_path, method):
+    # gamma, beta and the kernel are recorded, so the options in the
+    # metadata alone repeat the run
+    data_path = tmp_path / "data.csv"
+    _single_mode_csv(data_path, n=40, noise=0.01)
+    first = tmp_path / "first"
+    code = main(["identify", "--data", str(data_path), "--method", method,
+                 "--kernel", "dc", "--beta", "0.6", "--gamma", "-0.3",
+                 "--rho", "0.95", "--lam", "0.05", "--n", "3",
+                 "--n-g", "15", "--out-dir", str(first)])
+    assert code == 0
+    meta = json.loads((first / "metadata.json").read_text())
+    assert meta["gamma"] == -0.3
+    config_path = tmp_path / "rebuild.json"
+    config_path.write_text(json.dumps(
+        {key: value for key, value in meta.items()
+         if key in _identify_options()}))
+    second = tmp_path / "second"
+    assert main(["identify", "--config", str(config_path),
+                 "--out-dir", str(second)]) == 0
+    assert (second / "impulse.csv").read_bytes() \
+        == (first / "impulse.csv").read_bytes()
+    assert json.loads((second / "metadata.json").read_text()) == meta
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n-g", "0", "n_g must be positive"),
+    ("--beta", "1.5", "beta"),
+    ("--rho", "0.9", "not strictly smaller than rho"),
+    ("--lam-fir", "-1", "lam_fir must be positive"),
+    ("--workers", "0", "workers must be positive"),
+], ids=["n-g", "beta", "coupling", "lam-fir", "workers"])
+def test_montecarlo_rejects_bad_settings_before_any_run(
+        tmp_path, capsys, monkeypatch, flag, value, message):
+    def no_run(*args):
+        raise AssertionError("a Monte Carlo run started")
+
+    monkeypatch.setattr(experiments, "_mc_single_run", no_run)
+    out = tmp_path / "out"
+    code = main(["montecarlo", "--runs", "2", "--n-d", "30", "--snr", "20",
+                 "--workers", "1", flag, value, "--out-dir", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
 
 
 def test_identify_dump_qp(tmp_path):

@@ -7,7 +7,7 @@ from posid.assembly import (assemble_core, assemble_polynomial_blocks,
                             input_weight_matrix, required_width)
 from posid.errors import ConfigError
 from posid.estimator import (PositiveIdConfig, _m0_from_constants, build_qp,
-                             compute_m0, default_horizon, identify,
+                             cap_misfit, compute_m0, default_horizon, identify,
                              initial_constraint_horizon, predict,
                              reconstruct_h)
 from posid.kernels import KernelSpec, gram, window_kernel
@@ -72,17 +72,18 @@ def test_m0_formula_example():
 def test_m0_zero_when_single_mode_fits_exactly():
     rng = np.random.default_rng(0)
     data = _single_mode_data(rng, 40, a=1.0, rho=0.9)
-    config = PositiveIdConfig(kernel=KernelSpec.tc(0.5), rho=0.9, lam=1.0,
-                              a_min=0.5)
-    assert compute_m0(config, data) == 0
+    basis = assemble_polynomial_blocks(data, 0.9, 1, a_min=0.5)
+    c0 = cap_misfit(basis, data.outputs)
+    assert compute_m0(KernelSpec.tc(0.5), 1.0, basis, c0) == 0
 
 
 def test_m0_finite_kernel_caps_at_support():
     rng = np.random.default_rng(1)
     data = _single_mode_data(rng, 20)
     kernel = window_kernel(KernelSpec.tc(0.5), 7)
-    config = PositiveIdConfig(kernel=kernel, rho=0.9, lam=1.0)
-    assert compute_m0(config, data) == 7
+    basis = assemble_polynomial_blocks(data, 0.9, 1)
+    c0 = cap_misfit(basis, data.outputs)
+    assert compute_m0(kernel, 1.0, basis, c0) == 7
 
 
 def test_m0_nonincreasing_in_lambda():
@@ -105,7 +106,7 @@ def test_minimal_horizon_has_two_inequality_rows():
     config = PositiveIdConfig(kernel=KernelSpec.tc(0.5), rho=0.9, lam=1.0)
     mats = assemble_core(config.kernel, data, m=0)
     basis = assemble_polynomial_blocks(data, config.rho, 1)
-    problem = build_qp(config, mats, basis)
+    problem = build_qp(config.lam, mats, basis)
     assert problem.G.shape[0] == 2
     assert problem.l[1] == config.a_min
 
@@ -128,7 +129,7 @@ def test_unconstrained_minimizer_is_normal_equations():
     config = PositiveIdConfig(kernel=KernelSpec.tc(0.6), rho=0.9, lam=0.5)
     mats = assemble_core(config.kernel, noisy, m=10)
     basis = assemble_polynomial_blocks(noisy, config.rho, 1)
-    problem = build_qp(config, mats, basis)
+    problem = build_qp(config.lam, mats, basis)
     # the minimiser without the positivity rows
     z = scipy.linalg.solve(problem.P, -problem.q, assume_a="pos")
     oracle, fitted, obj_ne = representer_normal_equations(config, noisy,
@@ -191,7 +192,7 @@ def test_m_stability_of_solution():
     # same QP with 50 extra constraint rows, solved at the same tolerances
     mats = assemble_core(config.kernel, data, model.m + 50)
     basis = assemble_polynomial_blocks(data, config.rho, 1)
-    sol = solve(build_qp(config, mats, basis),
+    sol = solve(build_qp(config.lam, mats, basis),
                 SolveOptions(tol_feas=1e-10, tol_gap=1e-9))
     a2 = float(sol.z[0])
     h2 = reconstruct_h(sol.z[1:], config.kernel, model.g.horizon)

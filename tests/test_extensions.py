@@ -11,8 +11,9 @@ from posid.extensions import (FiniteResponseConfig, OscillatingPoleConfig,
                               RepeatedPoleConfig, identify_finite_response,
                               identify_oscillating_poles,
                               identify_repeated_pole)
+from posid.assembly import assemble_core
 from posid.kernels import KernelSpec, gram, window_kernel
-from posid.qp import SolveOptions
+from posid.qp import ConvexQP, SolveOptions, solve
 from posid.signals import TimeSeriesData
 
 from test_assembly import oscillation_tables
@@ -267,8 +268,81 @@ def test_finite_response_matches_nonneg_ls_oracle():
     A = np.vstack([T, np.sqrt(lam) * R])
     b = np.concatenate([y, np.zeros(n_g)])
     g_oracle, _ = scipy.optimize.nnls(A, b)
-    assert est.horizon == n_g
-    np.testing.assert_allclose(est.values, g_oracle, atol=1e-6)
+    assert est.g.horizon == n_g
+    np.testing.assert_allclose(est.g.values, g_oracle, atol=1e-6)
+
+
+def _hand_built_finite_qp(config, data):
+    # the finite response's QP as it was built before it ran through the
+    # horizon loop: one QP over w, nonnegativity of K w on the support
+    n_g = config.kernel.support
+    mats = assemble_core(config.kernel, data, n_g - 1)
+    P = 2.0 * (mats.L.T @ mats.L + config.lam * mats.K)
+    q = -2.0 * (mats.L.T @ mats.y)
+    return ConvexQP(P=P, q=q, G=mats.K, l=np.zeros(n_g))
+
+
+def _monte_carlo_record(run, snr_db):
+    protocol = experiments.McProtocol()
+    u = experiments.gen_binary_input(
+        protocol.n_d, np.random.SeedSequence([protocol.seed, run, 0]))
+    clean = experiments.simulate_output(
+        experiments.true_system(protocol, protocol.n_d), u, protocol.n_d)
+    y = experiments.add_noise(clean, snr_db,
+                              np.random.SeedSequence([protocol.seed, run, 1]))
+    lam = 10.0 * experiments.noise_variance(clean, snr_db)
+    return TimeSeriesData.at_rest(u, y), lam
+
+
+def _short_record(seed, n):
+    rng = np.random.default_rng(seed)
+    g = 0.8 ** np.arange(n) * (1.0 + np.cos(np.arange(n)))
+    data = _data_from_response(rng, n, g)
+    noisy = data.outputs + 0.05 * rng.standard_normal(n)
+    return TimeSeriesData.at_rest(data.inputs, noisy), 1e-2
+
+
+@pytest.mark.parametrize("record, kernel, n_g", [
+    (lambda: _monte_carlo_record(0, 10.0), KernelSpec.dc(0.9, 0.9), 125),
+    (lambda: _monte_carlo_record(1, 30.0), KernelSpec.dc(0.9, 0.9), 125),
+    (lambda: _short_record(1, 40), KernelSpec.tc(0.7), 12),
+    (lambda: _short_record(2, 20), KernelSpec.ss(0.8), 30),
+], ids=["mc-n200-10dB", "mc-n200-30dB", "tc-n40", "ss-n20-past-span"])
+def test_finite_response_loop_is_the_hand_built_qp(record, kernel, n_g,
+                                                   monkeypatch):
+    data, lam = record()
+    config = FiniteResponseConfig(kernel=window_kernel(kernel, n_g), lam=lam)
+    built = []
+    build_qp = estimator.build_qp
+
+    def capture(*args):
+        built.append(build_qp(*args))
+        return built[-1]
+
+    monkeypatch.setattr(estimator, "build_qp", capture)
+    model = identify_finite_response(config, data)
+    oracle = _hand_built_finite_qp(config, data)
+    (problem,) = built
+    for name in ("P", "q"):
+        np.testing.assert_allclose(getattr(problem, name),
+                                   getattr(oracle, name), rtol=1e-12,
+                                   atol=0.0, err_msg=name)
+    np.testing.assert_array_equal(problem.G, oracle.G)
+    np.testing.assert_array_equal(problem.l, oracle.l)
+    sol = solve(oracle, estimator._IDENTIFY_OPTIONS)
+    g_oracle = estimator.reconstruct_h(sol.z, config.kernel, n_g).values
+    scale = np.max(np.abs(g_oracle))
+    assert np.max(np.abs(model.g.values - g_oracle)) <= 1e-12 * scale
+    np.testing.assert_array_equal(model.h.values, model.g.values)
+    diag = model.diagnostics
+    assert (model.m, diag.m0, diag.iterations) == (n_g - 1, n_g, 1)
+    assert not diag.forced_accept and diag.qp_status == "optimal"
+    assert diag.c0 == float(data.outputs @ data.outputs)
+    assert model.rho == 0.0
+    longer = model.reconstruct(n_g + 5).values
+    np.testing.assert_allclose(longer[:n_g], model.g.values, rtol=1e-12,
+                               atol=0.0)
+    assert not longer[n_g:].any(), "zero past the support"
 
 
 def test_finite_response_recovers_taps_noiseless():
@@ -282,8 +356,8 @@ def test_finite_response_recovers_taps_noiseless():
     kernel = window_kernel(KernelSpec.tc(0.7), n_g)
     est = identify_finite_response(
         FiniteResponseConfig(kernel=kernel, lam=1e-8), data)
-    np.testing.assert_allclose(est.values, g_true, atol=1e-4)
-    assert est.values.min() >= -1e-10
+    np.testing.assert_allclose(est.g.values, g_true, atol=1e-4)
+    assert est.g.values.min() >= -1e-10
 
 
 def test_finite_response_zero_output_is_zero():
@@ -293,8 +367,8 @@ def test_finite_response_zero_output_is_zero():
     kernel = window_kernel(KernelSpec.dc(0.6, 0.5), 10)
     est = identify_finite_response(
         FiniteResponseConfig(kernel=kernel, lam=0.5), data)
-    assert est.horizon == 10
-    assert np.max(np.abs(est.values)) <= 1e-8, "zero data, zero response"
+    assert est.g.horizon == 10
+    assert np.max(np.abs(est.g.values)) <= 1e-8, "zero data, zero response"
 
 
 def test_extension_config_validation():

@@ -80,9 +80,9 @@ def test_domination_bound_values():
     ss = domination_bound(KernelSpec.ss(0.8))
     assert ss.c == pytest.approx(1.0 / 3.0)
     assert ss.rho_d == pytest.approx(0.8 ** 1.5)
-    fin = domination_bound(window_kernel(KernelSpec.tc(0.5), 3))
-    assert fin.rho_d is None
-    assert fin.c == pytest.approx(1.0)  # largest diagonal entry is k(0,0)=1
+    # a window only zeroes entries, so the family's bound certifies it
+    assert domination_bound(window_kernel(KernelSpec.tc(0.5), 3)) == \
+        domination_bound(KernelSpec.tc(0.5))
 
 
 def test_domination_bound_holds_on_diagonal():
