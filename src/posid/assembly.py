@@ -9,12 +9,28 @@ gives the simple or repeated pole, :func:`assemble_oscillation_blocks`
 the poles at unit-root phases, fitted over one real period, and
 :func:`empty_basis` no dominant part at all (zero spectral radius).
 
-The residual is parameterised by its section coefficients
-``h = sum_s w[s] k(., s)`` over ``s < N = max(width, m + 1)``: every
-functional of the problem (an input-convolved sample, which reaches lags
-``< width``, or a positivity row ``0 .. m``) evaluates ``h`` through
-these sections, so by the representer theorem the parameterisation is
-exact.  Every convolution against the input is an exact finite sum: the
+The residual is parameterised by section coefficients
+``h = sum_j w[j] k(., J[j])``.  Every functional of the problem (an
+input-convolved sample, which reaches lags ``< width``, or a positivity
+row ``0 .. m``) evaluates ``h`` at lags ``t < N = max(width, m + 1)``,
+so by the representer theorem the span of the ``N`` sections ``k(., s)``,
+``s < N``, is exact.  Their Gram ``K`` is numerically low-rank, though:
+at ``N = 801`` a ``dc(0.9, 0.9)`` Gram has rank about 270 to roundoff.
+So ``J`` keeps the pivots of one greedy pivoted Cholesky of ``K``
+(LAPACK ``dpstrf``), which stops once every remaining Schur-complement
+diagonal is at most LAPACK's numerical-rank tolerance
+``tol = N * eps * max diag K``.
+
+The restriction is exact to roundoff.  With
+``S = K - K[:, J] K[J, J]^-1 K[J, :]``, ``S[s, s]`` is the squared RKHS
+distance of the section ``k(., s)`` from the span of the kept ones, and
+it is at most ``tol``.  Projecting any residual ``h`` onto that span does
+not raise its norm and moves each value ``h(t)``, ``t < N``, and with
+them every functional above, by at most
+``||h|| sqrt(S[t, t]) <= ||h|| sqrt(tol)``.  The QP, meanwhile, loses
+the ``N - |J|`` directions that only roundoff told apart.
+
+Every convolution against the input is an exact finite sum: the
 input vanishes before its declared support start, so the weight of lag
 ``s`` at time ``t`` is ``u[t - s]`` and is zero for ``s > t - t_start``.
 """
@@ -25,6 +41,7 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from .errors import ConfigError
 from .kernels import KernelSpec, gram
@@ -35,14 +52,22 @@ from .signals import TimeSeriesData
 class QPDataMatrices:
     """Kernel data matrices of the finite-dimensional problem at horizon ``m``.
 
-    ``K`` is the kernel Gram on the sections ``[0, N)^2``; ``L = W K``
-    convolves it with the input at the sample times, so ``L w`` is the
-    residual's contribution to the outputs, ``K[:m + 1] w`` its values
-    on the constraint rows and ``w' K w`` its squared RKHS norm.
+    ``sections`` holds the sorted pivoted lags ``J`` of the residual
+    ``h = sum_j w[j] k(., J[j])``.  The sections of the other candidate
+    lags lie in their span to roundoff (see the module docstring), so
+    restricting ``w`` to ``J`` drops only directions that roundoff told
+    apart.  With ``Kn`` the Gram on all ``N`` candidate lags,
+    ``K = Kn[J, J]`` gives the squared RKHS norm ``w' K w`` of ``h``,
+    ``L = W Kn[:, J]`` its contribution ``L w`` to the outputs at the
+    sample times, and ``rows = Kn[:m + 1, J]`` its values ``rows @ w`` on
+    the constraint rows ``0 .. m`` (fewer rows when a finite support ends
+    first: past it ``h`` is zero).
     """
 
     L: np.ndarray = field(repr=False)
     K: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    sections: np.ndarray = field(repr=False)
     y: np.ndarray = field(repr=False)
     m: int
 
@@ -99,8 +124,10 @@ def assemble_core(kernel: KernelSpec, data: TimeSeriesData,
                   m: int) -> QPDataMatrices:
     """Assemble the kernel data matrices for constraint horizon ``m``.
 
-    The sections run over ``N = max(width, m + 1)`` lags, capped at a
-    finite kernel's support: sections past it are the zero function.
+    The candidate sections run over ``N = max(width, m + 1)`` lags,
+    capped at a finite kernel's support: sections past it are the zero
+    function.  The kept sections are the pivots of one ``dpstrf`` call
+    at LAPACK's default tolerance, in increasing order.
     """
     if m < 0:
         raise ConfigError(f"constraint horizon must be nonnegative, got {m}")
@@ -108,8 +135,15 @@ def assemble_core(kernel: KernelSpec, data: TimeSeriesData,
     if kernel.support is not None:
         n_sec = min(n_sec, kernel.support)
     K = gram(kernel, np.arange(n_sec), np.arange(n_sec))
-    L = input_weight_matrix(data, n_sec) @ K
-    return QPDataMatrices(L=L, K=K, y=data.outputs.copy(), m=int(m))
+    _, piv, rank, _ = scipy.linalg.lapack.dpstrf(K, lower=1)
+    sections = np.sort(piv[:rank] - 1)
+    # take keeps C order, so a full-rank Gram gives the unpivoted blocks
+    # bit for bit (fancy indexing would hand BLAS a Fortran-order copy)
+    cols = K.take(sections, axis=1)
+    return QPDataMatrices(L=input_weight_matrix(data, n_sec) @ cols,
+                          K=cols[sections], rows=cols[:m + 1],
+                          sections=sections, y=data.outputs.copy(),
+                          m=int(m))
 
 
 def _check_pole(rho: float) -> None:

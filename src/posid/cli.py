@@ -144,8 +144,6 @@ def _identify_cmd(args) -> int:
     data = read_timeseries_csv(args.data)
     os.makedirs(args.out_dir, exist_ok=True)
     method = args.method
-    if method not in _METHODS:
-        raise ConfigError(f"unknown method {method!r}")
     if args.dump_qp and method != "g":
         raise ConfigError("--dump-qp applies to method g only")
     fit, options = _METHODS[method]
@@ -429,7 +427,11 @@ def build_parser():
 
 
 def _apply_config_file(subparser, path: str) -> None:
-    """Load JSON defaults into the subparser; flags still override."""
+    """Load JSON defaults into the subparser; flags still override.
+
+    Values are checked against the option's ``choices`` as argparse
+    checks them on the command line, every item of a list value too.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -454,6 +456,14 @@ def _apply_config_file(subparser, path: str) -> None:
         elif action.type is not None and isinstance(value, list):
             value = [action.type(v) if isinstance(v, str) else v
                      for v in value]
+        if action.choices is not None:
+            bad = [v for v in (value if isinstance(value, list) else [value])
+                   if v not in action.choices]
+            if bad:
+                raise ConfigError(
+                    f"config key {key}: invalid choice "
+                    f"{', '.join(map(repr, bad))}; allowed: "
+                    f"{', '.join(map(str, action.choices))}")
         coerced[key] = value
         # A key supplied via file satisfies a required option.
         if action.required:

@@ -13,9 +13,13 @@ of them runs the one horizon loop here and returns a
 
 The infinite-dimensional regularised least-squares problem reduces
 exactly to a convex QP over the mode coefficients and the section
-coefficients ``w`` of the residual, ``h = sum_s w[s] k(., s)`` (see
-:mod:`posid.assembly`).  Nonnegativity of ``g`` is imposed on a finite
-constraint horizon ``m`` that a certified bound ``m_0`` makes
+coefficients ``w`` of the residual, ``h = sum_j w[j] k(., J[j])``.  The
+sections ``J`` are the pivots of a pivoted Cholesky of the section Gram,
+stopped at LAPACK's numerical-rank tolerance (see :mod:`posid.assembly`):
+every dropped section lies in the span of the kept ones to roundoff, so
+the QP keeps only the Gram's numerical rank of directions and the fit
+moves only at roundoff level.  Nonnegativity of ``g`` is imposed on a
+finite constraint horizon ``m`` that a certified bound ``m_0`` makes
 sufficient, and the loop grows ``m`` until the reconstructed response is
 nonnegative below ``m_0``.
 """
@@ -115,14 +119,16 @@ class IdentifyDiagnostics:
 class FittedModel:
     """Model ``g = (dominant part) + h`` fitted by the horizon loop.
 
-    ``w`` holds the section coefficients of ``h = sum_s w[s] k(., s)``
-    on ``kernel``, kept so predictions can extend the reconstructions
-    ``h`` and ``g`` exactly past the horizon that ``config`` set.  This
-    base model has no dominant part (zero spectral radius, ``rho = 0``);
-    each subclass adds one that decays at ``rho``.
+    ``w`` holds the coefficients of ``h = sum_j w[j] k(., sections[j])``
+    on ``kernel`` over the pivoted sections of the last QP, kept so
+    predictions can extend the reconstructions ``h`` and ``g`` exactly
+    past the horizon that ``config`` set.  This base model has no
+    dominant part (zero spectral radius, ``rho = 0``); each subclass adds
+    one that decays at ``rho``.
     """
 
     w: np.ndarray = field(repr=False)
+    sections: np.ndarray = field(repr=False)
     m: int
     h: ImpulseResponse
     g: ImpulseResponse
@@ -136,7 +142,7 @@ class FittedModel:
 
     def reconstruct(self, horizon: int) -> ImpulseResponse:
         """Response on ``t < horizon`` from the exact section form."""
-        h = reconstruct_h(self.w, self.kernel, horizon)
+        h = reconstruct_h(self.w, self.sections, self.kernel, horizon)
         return ImpulseResponse(h.values + self.dominant_values(horizon))
 
 
@@ -167,8 +173,9 @@ def build_qp(lam: float, mats: QPDataMatrices,
     Cost: squared output misfit of ``B @ coeffs + L @ w`` plus ``lam``
     times the RKHS norm ``w' K w`` of the residual plus the basis mode
     penalty.  Constraints: the response sampled on ``0 .. m`` (modes plus
-    ``K[:m + 1] @ w``, zero past a finite kernel's support) is
+    ``mats.rows @ w``, zero past a finite kernel's support) is
     nonnegative and every basis floor row is at least ``basis.a_min``.
+    ``w`` runs over the pivoted sections ``mats.sections``.
     """
     p = basis.size
     m = mats.m
@@ -180,22 +187,21 @@ def build_qp(lam: float, mats: QPDataMatrices,
     n_floor = basis.floor.shape[0]
     G = np.zeros((m + 1 + n_floor, M.shape[1]))
     G[:m + 1, :p] = basis.modes(m + 1)
-    rows = mats.K[:m + 1]
-    G[:rows.shape[0], p:] = rows
+    G[:mats.rows.shape[0], p:] = mats.rows
     G[m + 1:, :p] = basis.floor
     l = np.zeros(m + 1 + n_floor)
     l[m + 1:] = basis.a_min
     return qp.ConvexQP(P=P, q=q, G=G, l=l)
 
 
-def reconstruct_h(w: np.ndarray, kernel: KernelSpec,
+def reconstruct_h(w: np.ndarray, sections: np.ndarray, kernel: KernelSpec,
                   horizon: int) -> ImpulseResponse:
-    """Residual ``h[t] = sum_s w[s] k(t, s)`` on ``t < horizon``.
+    """Residual ``h[t] = sum_j w[j] k(t, sections[j])`` on ``t < horizon``.
 
-    The sum runs over the ``w.size`` sections and is exact.
+    The sum runs over the given sections and is exact.
     """
     w = np.asarray(w, dtype=float)
-    k_cols = gram(kernel, np.arange(horizon), np.arange(w.size))
+    k_cols = gram(kernel, np.arange(horizon), sections)
     return ImpulseResponse(k_cols @ w)
 
 
@@ -286,7 +292,7 @@ def _fit_basis(kernel: KernelSpec, lam: float, data: TimeSeriesData,
         sol = _solve_or_raise(build_qp(lam, mats, basis), options)
         coeffs, w = sol.z[:p], sol.z[p:]
         check_len = max(m0, horizon, m + 1)
-        h = reconstruct_h(w, kernel, check_len)
+        h = reconstruct_h(w, mats.sections, kernel, check_len)
         g_vals = h.values + basis.modes(check_len) @ coeffs
         top = float(np.abs(coeffs).max(initial=0.0))
         neg_tol = _NEG_TOL_SCALE * (1.0 + top)
@@ -308,7 +314,8 @@ def _fit_basis(kernel: KernelSpec, lam: float, data: TimeSeriesData,
             qp_gap=sol.gap, objective=sol.objective + float(mats.y @ mats.y),
             c0=c0, h_norm=h_norm, min_g=float(g_vals.min()),
             neg_tol=neg_tol, forced_accept=not accepted)
-        return coeffs, dict(w=w, m=m, h=ImpulseResponse(h.values[:horizon]),
+        return coeffs, dict(w=w, sections=mats.sections, m=m,
+                            h=ImpulseResponse(h.values[:horizon]),
                             g=ImpulseResponse(g_vals[:horizon]),
                             diagnostics=diag, kernel=kernel, rho=basis.rho)
     raise SolverError("constraint-horizon loop failed to terminate")

@@ -82,7 +82,7 @@ def test_criterion_02_constraint_horizon_stability():
             mats = assemble_core(config.kernel, data, m)
             sol = solve(build_qp(config.lam, mats, basis), opts)
             assert sol.status == "optimal"
-            h = reconstruct_h(sol.z[1:], config.kernel, 300)
+            h = reconstruct_h(sol.z[1:], mats.sections, config.kernel, 300)
             g = sol.z[0] * config.rho ** np.arange(300) + h.values
             solutions.append(np.concatenate([[sol.z[0]], g]))
         diff = float(np.max(np.abs(solutions[0] - solutions[1])))
@@ -158,8 +158,9 @@ def test_criterion_04_unconstrained_normal_equations():
             return float(np.max(np.abs(got - ref))
                          / max(1.0, float(np.max(np.abs(ref)))))
 
-        h_free = reconstruct_h(z[1:], config.kernel, 40)
-        h_star = reconstruct_h(oracle[1:], config.kernel, 40)
+        h_free = reconstruct_h(z[1:], mats.sections, config.kernel, 40)
+        h_star = reconstruct_h(oracle[1:], np.arange(oracle.size - 1),
+                               config.kernel, 40)
         obj_free = 0.5 * z @ problem.P @ z + problem.q @ z
         errs = [rel(z[0], oracle[0]), rel(M @ z, fitted),
                 rel(h_free.values, h_star.values), rel(obj_free, obj_star)]

@@ -1,13 +1,16 @@
 """Data-matrix assembly tests against Toeplitz and convolution oracles."""
 import numpy as np
 import pytest
+import scipy.linalg
 
+from posid import estimator
 from posid.assembly import (QPDataMatrices, assemble_core,
                             assemble_oscillation_blocks,
                             assemble_polynomial_blocks, input_weight_matrix,
                             periodic_modes, polynomial_modes, required_width)
 from posid.errors import ConfigError
 from posid.kernels import KernelSpec, gram, window_kernel
+from posid.qp import solve
 from posid.signals import ImpulseResponse, TimeSeriesData, convolve
 
 from test_signals import toeplitz_operator
@@ -19,29 +22,31 @@ def _random_at_rest(rng, n):
     return TimeSeriesData.at_rest(u, y)
 
 
-def assemble_core_definitional(kernel, data, rho, m):
+def assemble_core_definitional(kernel, data, rho, m, sections):
     """Entry-by-entry assembly through explicit convolution calls.
 
-    Slow reference for :func:`assemble_core`: ``L[i, s]`` is the kernel
-    section ``k(., s)`` convolved with the input at sample time ``t_i``
-    for every section ``s < max(width, m + 1)``.  Also returns the
+    Slow reference for :func:`assemble_core` on the given sections:
+    ``L[i, j]`` is the kernel section ``k(., sections[j])`` convolved with
+    the input at sample time ``t_i``, ``K`` the Gram on the sections and
+    ``rows`` the sections sampled on ``0 .. m``.  Also returns the
     simple-pole mode ``rho**t`` convolved with the input at every sample
     time.
     """
     width = required_width(data)
     times = data.sample_times
-    n_sec = max(width, m + 1)
-    L = np.zeros((times.size, n_sec))
+    L = np.zeros((times.size, len(sections)))
     b = np.zeros(times.size)
     mode = ImpulseResponse(rho ** np.arange(width, dtype=float))
-    for s in range(n_sec):
+    for j, s in enumerate(sections):
         section = ImpulseResponse(gram(kernel, np.arange(width), [s])[:, 0])
         for i, t in enumerate(times):
-            L[i, s] = convolve(section, data, int(t))
+            L[i, j] = convolve(section, data, int(t))
     for i, t in enumerate(times):
         b[i] = convolve(mode, data, int(t))
-    K = gram(kernel, np.arange(n_sec), np.arange(n_sec))
-    mats = QPDataMatrices(L=L, K=K, y=data.outputs.copy(), m=int(m))
+    mats = QPDataMatrices(L=L, K=gram(kernel, sections, sections),
+                          rows=gram(kernel, np.arange(m + 1), sections),
+                          sections=np.asarray(sections), y=data.outputs.copy(),
+                          m=int(m))
     return mats, b
 
 
@@ -136,9 +141,11 @@ def test_core_matches_definitional_assembly():
         # m = 5 keeps the sections at the data width, m = 14 extends them
         for m in (5, 14):
             fast = assemble_core(kernel, data, m=m)
-            slow, b = assemble_core_definitional(kernel, data, 0.6, m=m)
+            slow, b = assemble_core_definitional(kernel, data, 0.6, m,
+                                                 fast.sections)
             np.testing.assert_allclose(fast.L, slow.L, atol=1e-10)
             np.testing.assert_allclose(fast.K, slow.K, atol=1e-12)
+            np.testing.assert_allclose(fast.rows, slow.rows, atol=1e-12)
             np.testing.assert_allclose(basis.B[:, 0], b, atol=1e-12)
     np.testing.assert_allclose(basis.modes(6)[:, 0], 0.6 ** np.arange(6),
                                atol=1e-14)
@@ -200,6 +207,93 @@ def test_finite_kernel_caps_sections_at_support():
         np.testing.assert_allclose(mats.K, table, atol=1e-14)
         np.testing.assert_allclose(
             mats.L, toeplitz_operator(data, 10)[:, :4] @ table, atol=1e-12)
+
+
+# Pivot draws: (kernel family, beta range, gamma range or None).  The
+# betas keep sqrt(beta) and beta**1.5 below the 0.98 pole of the fits.
+_PIVOT_FAMILIES = {"tc": (KernelSpec.tc, (0.5, 0.95), None),
+                   "dc+": (KernelSpec.dc, (0.5, 0.95), (0.1, 0.95)),
+                   "dc-": (KernelSpec.dc, (0.5, 0.95), (-0.95, -0.1)),
+                   "ss": (KernelSpec.ss, (0.7, 0.98), None)}
+
+
+def _draw_kernel(rng, family):
+    make, (lo, hi), gammas = _PIVOT_FAMILIES[family]
+    beta = float(rng.uniform(lo, hi))
+    if gammas is None:
+        return make(beta)
+    return make(beta, float(rng.uniform(*gammas)))
+
+
+def _lapack_rank_tol(K):
+    return K.shape[0] * np.finfo(float).eps * float(K.diagonal().max())
+
+
+@pytest.mark.parametrize("family", sorted(_PIVOT_FAMILIES))
+def test_dropped_sections_are_roundoff(family):
+    # every dropped section lies in the span of the kept ones up to a
+    # Schur-complement residual within LAPACK's rank tolerance
+    rng = np.random.default_rng(sorted(_PIVOT_FAMILIES).index(family))
+    for n in map(int, (40, *rng.integers(100, 801, size=3), 800)):
+        kernel = _draw_kernel(rng, family)
+        data = _random_at_rest(rng, n)
+        mats = assemble_core(kernel, data, m=n)
+        N = n + 1
+        K = gram(kernel, np.arange(N), np.arange(N))
+        J = mats.sections
+        assert np.all(np.diff(J) > 0) and J[0] >= 0 and J[-1] < N
+        C = scipy.linalg.cholesky(K[np.ix_(J, J)], lower=True)
+        V = scipy.linalg.solve_triangular(C, K[J], lower=True)
+        S = K - V.T @ V
+        tol = _lapack_rank_tol(K)
+        dropped = np.setdiff1d(np.arange(N), J)
+        assert S.diagonal()[dropped].max(initial=0.0) <= tol, kernel
+        assert np.abs(S).max() <= tol, kernel
+        np.testing.assert_array_equal(mats.K, K[np.ix_(J, J)])
+        np.testing.assert_array_equal(mats.rows, K[:, J])
+
+
+def test_full_rank_gram_keeps_every_section():
+    rng = np.random.default_rng(11)
+    for n in (20, 80, 150, 200):
+        data = _random_at_rest(rng, n)
+        mats = assemble_core(KernelSpec.ss(0.97), data, m=n)
+        np.testing.assert_array_equal(mats.sections, np.arange(n + 1))
+
+
+def _unpivoted_g(config, data, basis, m, horizon):
+    """``g`` of the QP over every section ``s < max(width, m + 1)``."""
+    n_sec = max(required_width(data), m + 1)
+    K = gram(config.kernel, np.arange(n_sec), np.arange(n_sec))
+    mats = QPDataMatrices(L=input_weight_matrix(data, n_sec) @ K, K=K,
+                          rows=K[:m + 1], sections=np.arange(n_sec),
+                          y=data.outputs.copy(), m=m)
+    sol = solve(estimator.build_qp(config.lam, mats, basis),
+                estimator._IDENTIFY_OPTIONS)
+    assert sol.status == "optimal"
+    h = estimator.reconstruct_h(sol.z[1:], mats.sections, config.kernel,
+                                horizon)
+    return h.values + basis.modes(horizon) @ sol.z[:1]
+
+
+@pytest.mark.parametrize("family", sorted(_PIVOT_FAMILIES))
+def test_pivoted_fit_matches_unpivoted_qp(family):
+    # long enough records that the Gram is rank-deficient to roundoff
+    rng = np.random.default_rng(20 + sorted(_PIVOT_FAMILIES).index(family))
+    n = int(rng.integers(150, 601))
+    kernel = _draw_kernel(rng, family)
+    t = np.arange(n, dtype=float)
+    u = rng.choice([-1.0, 1.0], size=n)
+    clean = np.convolve(u, 0.98 ** t * (1.0 + 0.9 ** t * np.cos(t)))[:n]
+    y = clean + 0.1 * rng.standard_normal(n)
+    data = TimeSeriesData.at_rest(u, y)
+    config = estimator.PositiveIdConfig(kernel=kernel, rho=0.98, lam=0.1)
+    model = estimator.identify(config, data)
+    assert model.sections.size < max(n, model.m) + 1
+    basis = assemble_polynomial_blocks(data, config.rho, 1)
+    oracle = _unpivoted_g(config, data, basis, model.m, model.g.horizon)
+    err = np.max(np.abs(model.g.values - oracle)) / np.max(np.abs(oracle))
+    assert err <= 1e-8, (kernel, n, model.w.size)
 
 
 def test_mode_vectors():

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from posid import cli, experiments
+from posid.assembly import assemble_core, assemble_polynomial_blocks
 from posid.cli import main
 from posid.errors import ConfigError
-from posid.estimator import IdentifyDiagnostics, PositiveIdConfig, identify
+from posid.estimator import (IdentifyDiagnostics, PositiveIdConfig, build_qp,
+                             identify, initial_constraint_horizon)
 from posid.extensions import FiniteResponseConfig, identify_finite_response
 from posid.kernels import KernelSpec, window_kernel
 from posid.qp import load_qp_dump
@@ -178,6 +180,28 @@ def test_identify_dump_qp(tmp_path):
     code = main(["identify", "--data", str(data_path), "--method", "b",
                  "--dump-qp", str(dump), "--out-dir", str(out)])
     assert code == 2, "dump-qp is specific to the positive estimator"
+
+
+def test_dump_qp_runs_over_the_pivoted_sections(tmp_path):
+    # tc(0.5) on 80 lags is rank-deficient to roundoff (0.5**50 is below
+    # LAPACK's rank tolerance), so the dump holds fewer than 1 + 81
+    # variables, and it round-trips as the QP the library builds
+    data_path = tmp_path / "data.csv"
+    u, y = _single_mode_csv(data_path, n=80, noise=0.01)
+    dump = tmp_path / "qp.npz"
+    code = main(["identify", "--data", str(data_path), "--beta", "0.5",
+                 "--lam", "0.01", "--dump-qp", str(dump),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 0
+    data = TimeSeriesData.at_rest(u, y)
+    mats = assemble_core(KernelSpec.tc(0.5), data,
+                         initial_constraint_horizon(data))
+    problem = load_qp_dump(dump)
+    assert problem.dim == 1 + mats.sections.size < 1 + 81
+    built = build_qp(0.01, mats, assemble_polynomial_blocks(data, 0.9, 1))
+    for name in ("P", "q", "G", "l"):
+        np.testing.assert_array_equal(getattr(problem, name),
+                                      getattr(built, name), err_msg=name)
 
 
 def test_failed_dump_qp_leaves_no_file(tmp_path, monkeypatch):
@@ -370,6 +394,29 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
                  "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, payload, allowed", [
+    ("heating", {"format": "bogus"}, "csv, daisy"),
+    ("montecarlo", {"methods": ["b", "x"]}, "b, c, d, e, g"),
+], ids=["heating-format", "montecarlo-methods"])
+def test_config_file_values_obey_choices(tmp_path, capsys, command, payload,
+                                         allowed):
+    # a value from the file is checked as argparse checks the flag:
+    # exit 2, naming the key and the allowed values
+    data_path = tmp_path / "data.csv"
+    _single_mode_csv(data_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(payload))
+    argv = [command, "--config", str(config_path),
+            "--out-dir", str(tmp_path / "out")]
+    if command == "heating":
+        argv += ["--data", str(data_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    (key,) = payload
+    assert f"config key {key}" in err and allowed in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_kernels_command_reports_domination(capsys):

@@ -137,8 +137,9 @@ def test_unconstrained_minimizer_is_normal_equations():
     M = np.hstack([basis.B, mats.L])
     assert z[0] == pytest.approx(oracle[0], abs=1e-8)
     np.testing.assert_allclose(M @ z, fitted, atol=1e-8)
-    h_free = reconstruct_h(z[1:], config.kernel, 30)
-    h_ne = reconstruct_h(oracle[1:], config.kernel, 30)
+    h_free = reconstruct_h(z[1:], mats.sections, config.kernel, 30)
+    h_ne = reconstruct_h(oracle[1:], np.arange(oracle.size - 1),
+                         config.kernel, 30)
     np.testing.assert_allclose(h_free.values, h_ne.values, atol=1e-8)
     assert problem.objective(z) == pytest.approx(obj_ne, abs=1e-8)
 
@@ -195,7 +196,8 @@ def test_m_stability_of_solution():
     sol = solve(build_qp(config.lam, mats, basis),
                 SolveOptions(tol_feas=1e-10, tol_gap=1e-9))
     a2 = float(sol.z[0])
-    h2 = reconstruct_h(sol.z[1:], config.kernel, model.g.horizon)
+    h2 = reconstruct_h(sol.z[1:], mats.sections, config.kernel,
+                       model.g.horizon)
     g2 = h2.values + a2 * config.rho ** np.arange(model.g.horizon,
                                                   dtype=float)
     assert abs(a2 - model.a) <= 1e-6
@@ -204,29 +206,28 @@ def test_m_stability_of_solution():
 
 def test_reconstruct_h_trivial_coefficients():
     kernel = KernelSpec.tc(0.7)
-    zero = reconstruct_h(np.zeros(6), kernel, 12)
+    sections = np.array([0, 2, 5])
+    zero = reconstruct_h(np.zeros(3), sections, kernel, 12)
     np.testing.assert_array_equal(zero.values, np.zeros(12))
-    # a single section coefficient selects that section
-    w = np.zeros(6)
-    w[2] = 1.0
-    h = reconstruct_h(w, kernel, 12)
+    # a single coefficient selects its section
+    h = reconstruct_h(np.array([0.0, 1.0, 0.0]), sections, kernel, 12)
     np.testing.assert_allclose(h.values,
                                gram(kernel, [2], np.arange(12))[0],
                                atol=1e-14)
 
 
 def test_reconstruct_h_matches_constraint_rows():
-    # the constraint rows sample h = sum_s w[s] k(., s), and L convolves
-    # the same h with the input at the sample times
+    # the constraint rows sample h = sum_j w[j] k(., J[j]), and L
+    # convolves the same h with the input at the sample times
     rng = np.random.default_rng(8)
     data = _single_mode_data(rng, 12)
     kernel = KernelSpec.dc(0.7, 0.4)
     m = 6
     mats = assemble_core(kernel, data, m)
-    w = rng.standard_normal(mats.K.shape[0])
-    h = reconstruct_h(w, kernel, m + 1)
-    np.testing.assert_allclose(h.values, mats.K[:m + 1] @ w, atol=1e-10)
-    h_full = reconstruct_h(w, kernel, required_width(data))
+    w = rng.standard_normal(mats.sections.size)
+    h = reconstruct_h(w, mats.sections, kernel, m + 1)
+    np.testing.assert_allclose(h.values, mats.rows @ w, atol=1e-10)
+    h_full = reconstruct_h(w, mats.sections, kernel, required_width(data))
     outputs = [convolve(h_full, data, int(t)) for t in data.sample_times]
     np.testing.assert_allclose(mats.L @ w, outputs, atol=1e-10)
 

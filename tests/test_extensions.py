@@ -274,12 +274,13 @@ def test_finite_response_matches_nonneg_ls_oracle():
 
 def _hand_built_finite_qp(config, data):
     # the finite response's QP as it was built before it ran through the
-    # horizon loop: one QP over w, nonnegativity of K w on the support
+    # horizon loop: one QP over w on the pivoted sections, nonnegativity
+    # of the sampled sections times w on the support
     n_g = config.kernel.support
     mats = assemble_core(config.kernel, data, n_g - 1)
     P = 2.0 * (mats.L.T @ mats.L + config.lam * mats.K)
     q = -2.0 * (mats.L.T @ mats.y)
-    return ConvexQP(P=P, q=q, G=mats.K, l=np.zeros(n_g))
+    return ConvexQP(P=P, q=q, G=mats.rows, l=np.zeros(n_g)), mats.sections
 
 
 def _monte_carlo_record(run, snr_db):
@@ -321,7 +322,7 @@ def test_finite_response_loop_is_the_hand_built_qp(record, kernel, n_g,
 
     monkeypatch.setattr(estimator, "build_qp", capture)
     model = identify_finite_response(config, data)
-    oracle = _hand_built_finite_qp(config, data)
+    oracle, sections = _hand_built_finite_qp(config, data)
     (problem,) = built
     for name in ("P", "q"):
         np.testing.assert_allclose(getattr(problem, name),
@@ -330,7 +331,8 @@ def test_finite_response_loop_is_the_hand_built_qp(record, kernel, n_g,
     np.testing.assert_array_equal(problem.G, oracle.G)
     np.testing.assert_array_equal(problem.l, oracle.l)
     sol = solve(oracle, estimator._IDENTIFY_OPTIONS)
-    g_oracle = estimator.reconstruct_h(sol.z, config.kernel, n_g).values
+    g_oracle = estimator.reconstruct_h(sol.z, sections, config.kernel,
+                                       n_g).values
     scale = np.max(np.abs(g_oracle))
     assert np.max(np.abs(model.g.values - g_oracle)) <= 1e-12 * scale
     np.testing.assert_array_equal(model.h.values, model.g.values)

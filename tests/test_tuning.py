@@ -6,7 +6,7 @@ import pytest
 
 from posid.errors import ConfigError
 from posid.estimator import PositiveIdConfig, identify
-from posid.kernels import decay_compatible
+from posid.kernels import KernelSpec, decay_compatible
 from posid.qp import SolveOptions
 from posid.signals import TimeSeriesData
 from posid.tuning import (HyperparamSpace, SplitSpec, ThetaPoint,
@@ -191,3 +191,29 @@ def test_space_and_strategy_validation():
         tune(space, data, budget=2, strategy="anneal")
     with pytest.raises(ConfigError, match="budget"):
         tune(space, data, budget=0)
+
+
+def _tune_benchmark_record(seed, n=300, snr_db=20.0):
+    # the record of the small-problem benchmark's tune: binary input and
+    # the Monte Carlo true system rho**t (1 + beta**t cos(2 pi omega t))
+    # at 20 dB, drawn from default_rng([seed, 3])
+    rng = np.random.default_rng([seed, 3])
+    t = np.arange(n, dtype=float)
+    g = 0.98 ** t * (1.0 + 0.92 ** t * np.cos(2.0 * math.pi ** 3 / 10.0 * t))
+    u = rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
+    clean = np.convolve(u, g)[:n]
+    sigma2 = float(clean @ clean) / n / 10.0 ** (snr_db / 10.0)
+    y = clean + rng.normal(0.0, math.sqrt(sigma2), size=n)
+    return TimeSeriesData.at_rest(u, y)
+
+
+def test_tune_candidate_keeps_section_coefficients_bounded():
+    # tc(0.5) on 211 lags has only ~45 sections above roundoff; over all
+    # of them the polish left max|w| at 4e17 along the null directions
+    data = _tune_benchmark_record(1)
+    train = data.restrict(default_split(data.n_samples, 0.7).train_indices)
+    assert train.n_samples == 210
+    config = PositiveIdConfig(kernel=KernelSpec.tc(0.5), rho=0.9, lam=0.1)
+    model = identify(config, train)
+    assert model.diagnostics.qp_status == "optimal"
+    assert np.max(np.abs(model.w)) <= 1e4
