@@ -99,11 +99,19 @@ class PositiveIdConfig:
 
 @dataclass
 class IdentifyDiagnostics:
-    """Run-level diagnostics attached to every identified model."""
+    """Run-level diagnostics attached to every identified model.
+
+    ``iterations`` counts horizon-loop passes; ``qp_path`` and
+    ``qp_iterations`` are the last QP's solution path (``ipm`` or
+    ``polish``) and interior-point iterations (0 when its unconstrained
+    minimiser was certified without any).
+    """
 
     m0: int
     iterations: int
     qp_status: str
+    qp_path: str
+    qp_iterations: int
     qp_primal: float
     qp_dual: float
     qp_gap: float
@@ -310,6 +318,7 @@ def _fit_basis(kernel: KernelSpec, lam: float, data: TimeSeriesData,
         h_norm = float(np.sqrt(max(w @ mats.K @ w, 0.0)))
         diag = IdentifyDiagnostics(
             m0=m0, iterations=iterations, qp_status=sol.status,
+            qp_path=sol.path, qp_iterations=sol.iterations,
             qp_primal=sol.primal_residual, qp_dual=sol.dual_residual,
             qp_gap=sol.gap, objective=sol.objective + float(mats.y @ mats.y),
             c0=c0, h_norm=h_norm, min_g=float(g_vals.min()),

@@ -83,6 +83,18 @@ class KernelSpec:
         return cls(kind=KIND_SS, beta=beta)
 
 
+def _integer_power(base: float, lag: np.ndarray) -> np.ndarray:
+    """``base ** lag`` for nonnegative integer lags.
+
+    A negative base takes its sign from the parity of the lag, because
+    ``pow`` on a negative base is several times slower.
+    """
+    out = np.power(abs(base), lag)
+    if base < 0.0:
+        np.negative(out, out=out, where=(lag & 1).astype(bool))
+    return out
+
+
 def _eval_grid(kernel: KernelSpec, s: np.ndarray, t: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=np.int64)
     t = np.asarray(t, dtype=np.int64)
@@ -90,9 +102,7 @@ def _eval_grid(kernel: KernelSpec, s: np.ndarray, t: np.ndarray) -> np.ndarray:
         out = np.power(kernel.beta, np.maximum(s, t).astype(float))
     elif kernel.kind == KIND_DC:
         diag = np.power(kernel.beta, (s + t).astype(float) / 2.0)
-        # |s - t| stays an integer array: gamma may be negative and float
-        # exponents of a negative base are undefined.
-        out = diag * np.power(kernel.gamma, np.abs(s - t))
+        out = diag * _integer_power(kernel.gamma, np.abs(s - t))
     else:
         mx = np.maximum(s, t).astype(float)
         ssum = (s + t).astype(float)

@@ -6,16 +6,31 @@ Solves
     subject to  G z >= l
 
 with at least one inequality row (every estimator's QP carries its
-positivity rows; a problem without rows is rejected).  The method is a
-primal-dual interior-point method (Mehrotra predictor-corrector on the
-slack/multiplier pair) on a column-, row- and cost-scaled copy of the
-problem.  Every solve leaves through one exit with two candidates: the
-best interior-point iterate and one active-set polish of it, solved in
-the same scaled units.  Both are certified in the original units, and the
-lowest-residual certified one is returned (OSQP's rule: keep the polish
-only when it certifies better).  The returned status reflects the final
-certified residuals, which :func:`kkt_certificate` recomputes from the
-same residual builder.
+positivity rows; a problem without rows is rejected).  Every solve works
+on a column-, row- and cost-scaled copy of the problem and tries its
+candidates in this order:
+
+1. The unconstrained minimiser: the active-set polish over the empty
+   active set, one minimum-norm least-squares solve of ``P z = -q``.  When
+   no row binds at the optimum this is the optimum itself, the classic
+   start of the dual active-set method (Goldfarb & Idnani 1983).  It is
+   returned, with zero iterations, only when it certifies ``optimal`` in
+   the original units *and* meets every row in the scaled units,
+   ``Gs zs - ls >= 0``.  The second test is needed: the certificate
+   allows a violation of ``tol_feas * (1 + |l|_inf)``, which a row scaled
+   by a tiny factor can pass while it is violated by a macroscopic amount
+   in its own units; row normalisation gives every row the same say.
+2. Otherwise a primal-dual interior-point method (Mehrotra
+   predictor-corrector on the slack/multiplier pair) runs, and its best
+   iterate gets one active-set polish, the active set guessed from that
+   iterate.  Both are certified in the original units, and the
+   lowest-residual certified one is returned (OSQP's rule: keep the
+   polish only when it certifies better).
+
+The returned status reflects the final certified residuals, which
+:func:`kkt_certificate` recomputes from the same residual builder, and
+the returned ``path`` names the candidate: ``polish`` for either polish,
+``ipm`` for the interior-point iterate.
 """
 from __future__ import annotations
 
@@ -29,6 +44,9 @@ from .errors import ConfigError
 
 OPTIMAL = "optimal"
 MAX_ITERATIONS = "max_iterations"
+# Which candidate a solution is: an interior-point iterate or a polish.
+IPM = "ipm"
+POLISH = "polish"
 
 # Ratio below which a negative eigenvalue of P is treated as roundoff.
 _PSD_RTOL = 1e-8
@@ -127,7 +145,10 @@ class QPSolution:
 
     ``gap`` is the complementarity gap normalised by ``1 + |objective|``;
     ``lam`` are the inequality multipliers (nonnegative, one per row of
-    ``G``).
+    ``G``).  ``path`` is ``ipm`` for an interior-point iterate and
+    ``polish`` for an active-set polish; ``iterations`` counts the
+    interior-point iterations run before it, 0 when the unconstrained
+    minimiser was certified first.
     """
 
     z: np.ndarray
@@ -137,7 +158,8 @@ class QPSolution:
     dual_residual: float
     gap: float
     lam: np.ndarray = field(repr=False)
-    iterations: int = 0
+    iterations: int
+    path: str
 
 
 @dataclass(frozen=True)
@@ -173,7 +195,7 @@ def _score(sol: QPSolution) -> float:
 
 
 def _finish(problem: ConvexQP, opt: SolveOptions, z, lam,
-            iterations: int) -> QPSolution:
+            iterations: int, path: str) -> QPSolution:
     """Assemble a solution record with residuals in original units."""
     z = np.asarray(z, dtype=float)
     lam = np.maximum(lam, 0.0)
@@ -190,7 +212,7 @@ def _finish(problem: ConvexQP, opt: SolveOptions, z, lam,
     return QPSolution(z=z, objective=obj,
                       status=OPTIMAL if certified else MAX_ITERATIONS,
                       primal_residual=primal, dual_residual=dual, gap=gap,
-                      lam=lam, iterations=iterations)
+                      lam=lam, iterations=iterations, path=path)
 
 
 def _row_scale(mat: np.ndarray, vec: np.ndarray):
@@ -207,10 +229,16 @@ def _row_scale(mat: np.ndarray, vec: np.ndarray):
 def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
     """Solve one convex QP with at least one inequality row.
 
+    After the scaling, the unconstrained minimiser (the polish over the
+    empty active set) is tried first.  It is returned, with path
+    ``polish`` and zero iterations, when it certifies ``optimal`` and
+    meets every row in the scaled units, ``Gs zs - ls >= 0``.  Otherwise
+    the interior-point method runs, and the answer is the lower-residual
+    of its best iterate and that iterate's polish.
+
     Returns a :class:`QPSolution` whose status is ``optimal`` only when
     the certified residuals meet the requested tolerances and
-    ``max_iterations`` otherwise, with the lower-residual of the best
-    interior-point iterate and its polish.
+    ``max_iterations`` otherwise.
     Constraints that contradict each other through nonzero rows are not
     detected: such a solve ends in ``max_iterations``.
     """
@@ -233,6 +261,27 @@ def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
     Ps = Pc / cost_scale
     qs = qc / cost_scale
 
+    scaled = (Ps, qs, Gs, ls)
+
+    def certify(zs, lams, iterations, path):
+        # A scaled iterate's solution record, in the original units.
+        return _finish(problem, opt, col * zs, cost_scale * lams / g_norms,
+                       iterations, path)
+
+    # When no row binds, the unconstrained minimiser is the optimum.  The
+    # certificate alone would pass a violated row of tiny norm (it allows
+    # tol_feas * (1 + |l|_inf) in the original units), so the candidate
+    # must also meet every row in the scaled units.
+    def certify_free(zs, lams):
+        sol = certify(zs, lams, 0, POLISH)
+        if sol.status == OPTIMAL and np.all(Gs @ zs - ls >= 0.0):
+            return sol
+        return None
+
+    free = _polish(scaled, np.zeros(k, dtype=bool), certify_free)
+    if free is not None:
+        return free
+
     reg = 1e-12 * (1.0 + float(np.trace(Ps)) / d)
 
     # Starting point: regularised unconstrained minimiser, slacks clipped
@@ -241,15 +290,10 @@ def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
     s = np.maximum(Gs @ z - ls, 1.0)
     lam = np.ones(k)
 
-    def certify(zs, lams, iterations):
-        # A scaled iterate's solution record, in the original units.
-        return _finish(problem, opt, col * zs, cost_scale * lams / g_norms,
-                       iterations)
-
     best = None
     best_score = np.inf
     for iterations in range(1, _MAX_ITER + 1):
-        sol = certify(z, lam, iterations)
+        sol = certify(z, lam, iterations, IPM)
         if sol.status == OPTIMAL:
             best, best_iterate = sol, (z, lam)
             break
@@ -295,14 +339,20 @@ def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
         s = s + alpha * ds
         lam = lam + alpha * dlam
 
-    # One exit.  The best iterate gets one active-set polish, because on
-    # flat valleys the barrier stops inside the tolerance ball while the
-    # equality solve lands on the exact face.  The lowest-residual
-    # certified candidate wins, the iterate on ties, so the polish is kept
-    # only when it certifies strictly better.
+    # The interior point's exit.  Its best iterate gets one active-set
+    # polish, because on flat valleys the barrier stops inside the
+    # tolerance ball while the equality solve lands on the exact face.
+    # Rows that are (nearly) tight or carry a multiplier larger than their
+    # slack are held as equalities.  The lowest-residual certified
+    # candidate wins, the iterate on ties, so the polish is kept only when
+    # it certifies strictly better.
+    zs, lams = best_iterate
+    slack = Gs @ zs - ls
+    scale = 1.0 + float(np.max(np.abs(ls), initial=0.0))
+    active = (slack <= 1e-7 * scale) | (lams > np.maximum(slack, 0.0))
     candidates = [best]
-    polished = _polish((Ps, qs, Gs, ls), *best_iterate,
-                       lambda zp, lp: certify(zp, lp, iterations))
+    polished = _polish(scaled, active,
+                       lambda zp, lp: certify(zp, lp, iterations, POLISH))
     if polished is not None:
         candidates.append(polished)
     optimal = [c for c in candidates if c.status == OPTIMAL]
@@ -335,24 +385,21 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return float(min(1.0, np.min(-v[neg] / dv[neg])))
 
 
-def _polish(scaled, zs: np.ndarray, lams: np.ndarray,
-            certify) -> QPSolution | None:
-    """Equality-KKT solve on the active set guessed from a near-solution.
+def _polish(scaled, active: np.ndarray, certify) -> QPSolution | None:
+    """Equality-KKT solve with the rows of the mask ``active`` held tight.
 
     Works on the scaled problem ``scaled = (Ps, qs, Gs, ls)`` that the
-    interior-point loop iterates on, from its iterate ``(zs, lams)``, as
-    OSQP polishes the problem its iterations solve; in the original units
-    ``P`` can span dozens of orders of magnitude.  Rows that are (nearly)
-    tight or carry a multiplier larger than their slack are held as
-    equalities.  The KKT system is solved by minimum-norm least squares,
-    because ``P`` from Gram assembly can be numerically singular.
-    ``certify(z, lam)`` maps the answer back and certifies it in the
-    original units.  Returns ``None`` when the solve is not finite.
+    interior-point loop iterates on, as OSQP polishes the problem its
+    iterations solve; in the original units ``P`` can span dozens of
+    orders of magnitude.  With no active row the KKT system is ``Ps zs =
+    -qs`` and the answer is the unconstrained minimiser.  The system is
+    solved by minimum-norm least squares, because ``P`` from Gram
+    assembly can be numerically singular.  ``certify(z, lam)`` maps the
+    answer back, certifies it in the original units and returns the
+    solution record, or ``None`` to reject it.  Returns ``None`` also when
+    the solve is not finite.
     """
     Ps, qs, Gs, ls = scaled
-    slack = Gs @ zs - ls
-    scale = 1.0 + float(np.max(np.abs(ls), initial=0.0))
-    active = (slack <= 1e-7 * scale) | (lams > np.maximum(slack, 0.0))
     Ga = Gs[active]
     d = qs.size
     ka = Ga.shape[0]

@@ -187,6 +187,24 @@ def test_dc_with_sqrt_beta_gamma_equals_tc():
                                rtol=1e-12, atol=1e-14)
 
 
+def test_negative_gamma_dc_gram_keeps_its_values():
+    # the sign of a negative gamma is applied by the parity of |s - t|;
+    # powers of 0.5 are exact, so the 801 x 801 Gram of dc(0.9, -0.5)
+    # equals the negative-base power it replaced bit for bit, and every
+    # negative gamma has the magnitudes of its positive twin exactly
+    idx = np.arange(801)
+    s, t = idx[:, None], idx[None, :]
+    diag = np.power(0.9, (s + t).astype(float) / 2.0)
+    np.testing.assert_array_equal(
+        gram(KernelSpec.dc(0.9, -0.5), idx, idx),
+        diag * np.power(-0.5, np.abs(s - t)))
+    sign = np.where(np.abs(s - t) % 2, -1.0, 1.0)
+    for gamma in (0.3, 0.9):
+        np.testing.assert_array_equal(
+            gram(KernelSpec.dc(0.9, -gamma), idx, idx),
+            sign * gram(KernelSpec.dc(0.9, gamma), idx, idx))
+
+
 def test_sections_absolutely_summable():
     # partial sums of |k(t, s)| over s settle well before s = 2000
     s = np.arange(2001)

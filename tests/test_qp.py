@@ -7,8 +7,13 @@ import scipy.linalg
 
 from posid import qp
 from posid.errors import ConfigError
+from posid.estimator import PositiveIdConfig, identify
+from posid.experiments import (McProtocol, add_noise, gen_binary_input,
+                               noise_variance, simulate_output, true_system)
+from posid.kernels import KernelSpec
 from posid.qp import (ConvexQP, SolveOptions, dump_qp, kkt_certificate,
                       load_qp_dump, solve)
+from posid.signals import TimeSeriesData
 
 
 def _random_strictly_convex(rng, d, n_ineq):
@@ -18,6 +23,16 @@ def _random_strictly_convex(rng, d, n_ineq):
     G = rng.standard_normal((n_ineq, d))
     l = rng.standard_normal(n_ineq)
     return ConvexQP(P=P, q=q, G=G, l=l)
+
+
+def _binding_random_qp(seed, d, n_ineq):
+    """A random strictly convex QP whose first row cuts off its
+    unconstrained minimiser by 1, so its solve runs the interior point."""
+    problem = _random_strictly_convex(np.random.default_rng(seed), d, n_ineq)
+    free = np.linalg.solve(problem.P, -problem.q)
+    l = problem.l.copy()
+    l[0] = problem.G[0] @ free + 1.0
+    return ConvexQP(P=problem.P, q=problem.q, G=problem.G, l=l)
 
 
 def _active_set_oracle(problem):
@@ -92,8 +107,7 @@ def test_nonfinite_kkt_direction_ends_the_solve(monkeypatch):
     # give a non-finite Newton direction; the solve must then stop and
     # report a finite, uncertified answer instead of passing NaN on to the
     # next linear solve
-    rng = np.random.default_rng(9)
-    problem = _random_strictly_convex(rng, 4, 3)
+    problem = _binding_random_qp(9, 4, 3)
     calls = _first_direction_nan(monkeypatch, problem.dim)
     options = SolveOptions(tol_feas=1e-10, tol_gap=1e-10)
     sol = solve(problem, options)
@@ -130,8 +144,7 @@ def test_nonfinite_newton_matrix_gets_no_factor():
 
 
 def test_nonfinite_newton_matrix_ends_the_solve(monkeypatch):
-    rng = np.random.default_rng(9)
-    problem = _random_strictly_convex(rng, 4, 3)
+    problem = _binding_random_qp(9, 4, 3)
     real = qp._regularised_cholesky
     calls = []
 
@@ -153,8 +166,7 @@ def test_failed_newton_factor_retries_with_a_larger_shift(monkeypatch):
     # near the optimum roundoff can leave the Newton matrix numerically
     # indefinite; the solve then raises its diagonal shift and goes on
     # instead of leaving the interior-point loop
-    rng = np.random.default_rng(9)
-    problem = _random_strictly_convex(rng, 4, 3)
+    problem = _binding_random_qp(9, 4, 3)
     real_cho_factor = scipy.linalg.cho_factor
     diagonals = []
 
@@ -194,7 +206,7 @@ def test_perturbed_point_fails_certificate():
     bumped = type(sol)(z=sol.z + 1e-3, objective=sol.objective,
                        status=sol.status, primal_residual=0.0,
                        dual_residual=0.0, gap=0.0, lam=sol.lam,
-                       iterations=sol.iterations)
+                       iterations=sol.iterations, path=sol.path)
     report = kkt_certificate(problem, bumped)
     assert report.stationarity > 1e-4
 
@@ -388,11 +400,72 @@ def _record_calls(monkeypatch, name):
 
 def test_answer_is_the_object_a_path_returned(monkeypatch):
     # the benchmark counts QP paths by wrapping _polish and matching the
-    # answer of solve to its result by identity
+    # answer of solve to its result by identity; the box's unconstrained
+    # minimiser violates every row, so that first polish is rejected and
+    # the answer is the polish of the interior-point iterate
     polish = _record_calls(monkeypatch, "_polish")
     sol = solve(_nonnegativity_box())
-    assert len(polish) == 1
-    assert sol is polish[0][1]
+    assert len(polish) == 2
+    assert polish[0][1] is None
+    assert sol is polish[1][1]
+    assert sol.path == "polish" and sol.iterations > 0
+
+
+def test_inactive_rows_return_the_unconstrained_minimiser(monkeypatch):
+    # no row binds: the first polish, over the empty active set, is
+    # certified and returned without any interior-point iteration
+    polish = _record_calls(monkeypatch, "_polish")
+    newton = _record_calls(monkeypatch, "_regularised_cholesky")
+    tight = SolveOptions(tol_feas=1e-11, tol_gap=1e-11)
+    for seed in range(10):
+        drawn = _random_strictly_convex(np.random.default_rng(seed), 5, 3)
+        free = np.linalg.solve(drawn.P, -drawn.q)
+        # every row holds at the free minimiser with a slack of 1 or more
+        problem = ConvexQP(P=drawn.P, q=drawn.q, G=drawn.G,
+                           l=drawn.G @ free - 1.0 - np.abs(drawn.l))
+        polish.clear()
+        sol = solve(problem, tight)
+        z_star, _ = _active_set_oracle(problem)
+        assert (sol.status, sol.path, sol.iterations) == (
+            "optimal", "polish", 0), f"seed {seed}"
+        assert len(polish) == 1 and sol is polish[0][1]
+        np.testing.assert_allclose(sol.z, z_star, atol=1e-9,
+                                   err_msg=f"seed {seed}")
+        np.testing.assert_array_equal(sol.lam, 0.0)
+    assert newton == []
+
+
+def test_tiny_row_violated_by_the_free_minimiser_runs_the_ipm():
+    # 1e-9 * z0 >= 1e-9 * 0.1 cuts the free minimiser 0 off by 0.1 in
+    # its own units, but only by 1e-10 in the certificate's, inside
+    # tol_feas * (1 + |l|_inf); the scaled-units check sends it on to
+    # the interior point, which finds the face z0 = 0.1
+    problem = ConvexQP(P=np.eye(2), q=np.zeros(2),
+                       G=np.array([[1e-9, 0.0], [0.0, 1.0]]),
+                       l=np.array([1e-10, -1.0]))
+    sol = solve(problem)
+    assert sol.status == "optimal"
+    assert sol.iterations > 0
+    np.testing.assert_allclose(sol.z, [0.1, 0.0], rtol=0, atol=1e-8)
+
+
+def test_identify_with_no_binding_row_runs_no_newton_step(monkeypatch):
+    # the seed-1 n=200 dc(0.9, 0.9) Monte Carlo record ends with no
+    # active positivity row, so its fit factors no Newton matrix
+    protocol = McProtocol()
+    n = 200
+    g_true = true_system(protocol, n)
+    u = gen_binary_input(n, np.random.SeedSequence([1, 0]))
+    y_clean = simulate_output(g_true, u, n)
+    y = add_noise(y_clean, 20.0, np.random.SeedSequence([1, 1]))
+    config = PositiveIdConfig(kernel=KernelSpec.dc(0.9, 0.9), rho=0.98,
+                              lam=10.0 * noise_variance(y_clean, 20.0))
+    newton = _record_calls(monkeypatch, "_regularised_cholesky")
+    model = identify(config, TimeSeriesData.at_rest(u, y))
+    diag = model.diagnostics
+    assert (diag.qp_status, diag.qp_path, diag.qp_iterations) == (
+        "optimal", "polish", 0)
+    assert newton == []
 
 
 @pytest.mark.parametrize("row", [[1e-9, 1.0, 1.0], [1.0, 1e-7, 1e5]],

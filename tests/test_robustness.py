@@ -8,9 +8,13 @@ of them still end in ``SolverError``.  The failures per estimator may
 not rise above the bounds below; a change that lowers a count lowers
 its bound with it.  Every fit that succeeds must be certified: an
 optimal QP and a response nonnegative (to ``neg_tol``) on ``[0, m0)``.
+Every QP solve reported optimal must meet its own tolerances in an
+independently recomputed KKT certificate.
 """
+import numpy as np
 import pytest
 
+from posid import qp
 from posid.errors import SolverError
 from posid.estimator import identify
 from posid.extensions import (OscillatingPoleConfig, RepeatedPoleConfig,
@@ -31,18 +35,41 @@ FAILURE_BOUNDS = {"identify": 2, "repeated": 3, "oscillating": 1}
 
 
 @pytest.fixture(scope="module")
-def outcomes():
-    """``(estimator, seed, n) -> model``, or ``None`` on SolverError."""
+def runs():
+    """The fits and every QP solve they made.
+
+    Returns ``(outcomes, solves)``: ``outcomes`` maps ``(estimator, seed,
+    n)`` to the model, or ``None`` on SolverError; ``solves`` lists
+    ``(key, problem, options, solution)`` for each ``qp.solve`` call.
+    """
     out = {}
-    for seed in range(15):
-        for n in (50, 80):
-            base, data = _mis_specified_record(seed, n)
-            for name, fit in ESTIMATORS.items():
-                try:
-                    out[name, seed, n] = fit(base, data)
-                except SolverError:
-                    out[name, seed, n] = None
-    return out
+    solves = []
+    real_solve = qp.solve
+    key = None
+
+    def recording(problem, options=None):
+        solution = real_solve(problem, options)
+        solves.append((key, problem, options or qp.SolveOptions(), solution))
+        return solution
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qp, "solve", recording)
+        for seed in range(15):
+            for n in (50, 80):
+                base, data = _mis_specified_record(seed, n)
+                for name, fit in ESTIMATORS.items():
+                    key = (name, seed, n)
+                    try:
+                        out[key] = fit(base, data)
+                    except SolverError:
+                        out[key] = None
+    return out, solves
+
+
+@pytest.fixture(scope="module")
+def outcomes(runs):
+    """``(estimator, seed, n) -> model``, or ``None`` on SolverError."""
+    return runs[0]
 
 
 def test_failure_counts_do_not_rise(outcomes):
@@ -62,3 +89,20 @@ def test_every_success_is_certified(outcomes):
         assert diag.qp_status == "optimal", key
         head = model.reconstruct(max(diag.m0, model.g.horizon)).values
         assert head[:diag.m0].min() >= -diag.neg_tol, key
+
+
+def test_every_optimal_solve_meets_its_tolerances(runs):
+    certified = 0
+    for key, problem, options, solution in runs[1]:
+        if solution.status != qp.OPTIMAL:
+            continue
+        certified += 1
+        report = qp.kkt_certificate(problem, solution)
+        q_scale = 1.0 + np.max(np.abs(problem.q))
+        l_scale = 1.0 + np.max(np.abs(problem.l))
+        assert report.stationarity <= options.tol_feas * q_scale, key
+        assert report.primal <= options.tol_feas * l_scale, key
+        assert report.dual_feasibility == 0.0, key
+    # every successful fit contributes at least its last solve
+    assert certified >= sum(model is not None
+                            for model in runs[0].values())
