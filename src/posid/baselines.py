@@ -62,9 +62,14 @@ class BaselineKind:
 
 
 def ls_clip(data: TimeSeriesData, n_g: int) -> ImpulseResponse:
-    """Least squares (minimum-norm on rank deficiency), clipped at zero."""
+    """Least squares (minimum-norm on rank deficiency), clipped at zero.
+
+    Solved by :func:`posid.qp.min_norm_lstsq`: LAPACK ``gelsy``, a
+    complete orthogonal factorisation, with numerical rank cut at
+    ``eps * max(U.shape)``, numpy's default ``lstsq`` cutoff.
+    """
     U = input_weight_matrix(data, n_g)
-    g, *_ = np.linalg.lstsq(U, data.outputs, rcond=None)
+    g = qp.min_norm_lstsq(U, data.outputs)
     return ImpulseResponse(np.maximum(g, 0.0))
 
 

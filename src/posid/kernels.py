@@ -10,6 +10,16 @@ family carries an explicit diagonal domination bound
 that also holds for its windows.  The bound certifies compatibility
 between the kernel decay and a dominant pole ``rho`` (the bound rate must
 satisfy ``rho_d < rho``); a window is compatible with every pole.
+
+Gram matrices are evaluated from per-lag power tables.  Every term of a
+family is a power of ``beta`` (or of ``gamma``) whose exponent is one
+integer combination of the two indices: ``max(s, t)`` for tc, ``s + t``
+and ``|s - t|`` for dc, ``s + t + max(s, t)`` and ``max(s, t)`` for ss.
+Each term is tabulated once per lag up to its largest combination and
+gathered onto the grid, so the number of ``pow`` calls grows with the
+largest index, not with the number of entries.  The tables are computed
+by the same calls as the closed forms above, so the values are
+bit-identical to evaluating those forms entry by entry.
 """
 from __future__ import annotations
 
@@ -96,18 +106,37 @@ def _integer_power(base: float, lag: np.ndarray) -> np.ndarray:
 
 
 def _eval_grid(kernel: KernelSpec, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Kernel values on the grid of broadcast index arrays ``s`` and ``t``.
+
+    Gathered from per-lag power tables (see the module docstring).  Each
+    N x N lag array is freed before the next one is built.
+    """
     s = np.asarray(s, dtype=np.int64)
     t = np.asarray(t, dtype=np.int64)
+    top = max(int(s.max(initial=0)), int(t.max(initial=0)))
+    beta = kernel.beta
     if kernel.kind == KIND_TC:
-        out = np.power(kernel.beta, np.maximum(s, t).astype(float))
+        power = np.power(beta, np.arange(top + 1, dtype=float))
+        out = power.take(np.maximum(s, t))
     elif kernel.kind == KIND_DC:
-        diag = np.power(kernel.beta, (s + t).astype(float) / 2.0)
-        out = diag * _integer_power(kernel.gamma, np.abs(s - t))
+        diag = np.power(beta, np.arange(2 * top + 1, dtype=float) / 2.0)
+        out = diag.take(s + t)
+        lag = s - t
+        np.abs(lag, out=lag)
+        off = _integer_power(kernel.gamma, np.arange(top + 1, dtype=np.int64))
+        off = off.take(lag)
+        del lag
+        out *= off
     else:
-        mx = np.maximum(s, t).astype(float)
-        ssum = (s + t).astype(float)
-        out = (np.power(kernel.beta, ssum + mx) / 2.0
-               - np.power(kernel.beta, 3.0 * mx) / 6.0)
+        lag = np.maximum(s, t)
+        cube = np.power(beta, 3.0 * np.arange(top + 1, dtype=float)) / 6.0
+        tail = cube.take(lag)
+        lag += s
+        lag += t
+        head = np.power(beta, np.arange(3 * top + 1, dtype=float)) / 2.0
+        out = head.take(lag)
+        del lag
+        out -= tail
     if kernel.support is None:
         return out
     n = kernel.support

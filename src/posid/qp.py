@@ -11,7 +11,9 @@ on a column-, row- and cost-scaled copy of the problem and tries its
 candidates in this order:
 
 1. The unconstrained minimiser: the active-set polish over the empty
-   active set, one minimum-norm least-squares solve of ``P z = -q``.  When
+   active set, one minimum-norm least-squares solve of ``P z = -q``
+   (every polish is a complete orthogonal factorisation, LAPACK
+   ``gelsy``, with numerical rank cut at ``eps * max(shape)``).  When
    no row binds at the optimum this is the optimum itself, the classic
    start of the dual active-set method (Goldfarb & Idnani 1983).  It is
    returned, with zero iterations, only when it certifies ``optimal`` in
@@ -394,7 +396,9 @@ def _polish(scaled, active: np.ndarray, certify) -> QPSolution | None:
     orders of magnitude.  With no active row the KKT system is ``Ps zs =
     -qs`` and the answer is the unconstrained minimiser.  The system is
     solved by minimum-norm least squares, because ``P`` from Gram
-    assembly can be numerically singular.  ``certify(z, lam)`` maps the
+    assembly can be numerically singular: :func:`min_norm_lstsq`, a
+    complete orthogonal factorisation with numerical rank cut at
+    ``eps * max(kkt.shape)``.  ``certify(z, lam)`` maps the
     answer back, certifies it in the original units and returns the
     solution record, or ``None`` to reject it.  Returns ``None`` also when
     the solve is not finite.
@@ -408,12 +412,26 @@ def _polish(scaled, active: np.ndarray, certify) -> QPSolution | None:
     kkt[:d, d:] = -Ga.T
     kkt[d:, :d] = Ga
     rhs = np.concatenate([-qs, ls[active]])
-    sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
+    sol = min_norm_lstsq(kkt, rhs)
     if not np.all(np.isfinite(sol)):
         return None
     lam_full = np.zeros(ls.size)
     lam_full[active] = np.maximum(sol[d:], 0.0)
     return certify(sol[:d], lam_full)
+
+
+def min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution of ``a x = b``.
+
+    LAPACK ``gelsy``: a complete orthogonal factorisation built on QR with
+    column pivoting.  The numerical rank is the largest leading triangle
+    whose estimated condition number stays below ``1 / (eps *
+    max(a.shape))``, numpy's default ``lstsq`` cutoff; the
+    trailing columns are treated as null directions.
+    """
+    x, *_ = scipy.linalg.lstsq(a, b, cond=np.finfo(float).eps * max(a.shape),
+                               lapack_driver="gelsy", check_finite=False)
+    return x
 
 
 def dump_qp(problem: ConvexQP, path) -> None:

@@ -8,6 +8,7 @@ with the full input history.  Inputs are declared on a contiguous window
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,6 +217,10 @@ def read_impulse_csv(path) -> ImpulseResponse:
                 raise DataError(f"{path}:{lineno}: bad impulse row") from exc
             if s != len(values):
                 raise DataError(f"{path}:{lineno}: lag {s} out of order")
+            if not math.isfinite(value):
+                raise DataError(
+                    f"{path}:{lineno}: impulse value {row[1].strip()!r} "
+                    "is not finite")
             values.append(value)
     if not values:
         raise DataError(f"{path}: no impulse samples")

@@ -48,6 +48,18 @@ def test_noiseless_ls_recovers_truth_and_matches_constrained():
     np.testing.assert_allclose(b.values, c.values, atol=1e-7)
 
 
+def test_ls_clip_is_minimum_norm_on_rank_deficiency():
+    # more taps than samples: U is 20 x 30 and the least-squares
+    # solutions form an affine family; ls_clip clips its minimum-norm one
+    rng = np.random.default_rng(6)
+    data = _fir_data(rng, 20, np.array([1.0, 0.5, 0.25]), noise=0.1)
+    U = input_weight_matrix(data, 30)
+    g_star = np.linalg.pinv(U) @ data.outputs
+    np.testing.assert_allclose(ls_clip(data, 30).values,
+                               np.maximum(g_star, 0.0),
+                               rtol=0, atol=1e-10 * np.linalg.norm(g_star))
+
+
 def test_nonneg_ls_objective_never_worse_than_clipping():
     rng = np.random.default_rng(2)
     g_true = np.array([0.8, 0.0, 0.4, 0.0, 0.1, 0.0])

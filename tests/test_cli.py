@@ -363,6 +363,20 @@ def test_predict_rejects_times_outside_the_input_window(tmp_path, capsys):
     assert not (tmp_path / "out" / "predictions.csv").exists()
 
 
+def test_predict_rejects_a_nonfinite_impulse(tmp_path, capsys):
+    data_path = tmp_path / "data.csv"
+    _single_mode_csv(data_path, n=20)
+    impulse_path = tmp_path / "impulse.csv"
+    impulse_path.write_text("s,g\n0,nan\n1,inf\n")
+    code = main(["predict", "--impulse", str(impulse_path), "--data",
+                 str(data_path), "--times", "0", "5",
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    assert "impulse.csv:2: impulse value 'nan' is not finite" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out" / "predictions.csv").exists()
+
+
 def test_config_file_defaults_and_overrides(tmp_path):
     data_path = tmp_path / "data.csv"
     _single_mode_csv(data_path)

@@ -20,6 +20,32 @@ def _definitional(kernel, s, t):
     raise AssertionError(kernel.kind)
 
 
+def _elementwise_eval_grid(kernel, s, t):
+    # The closed forms evaluated entry by entry on the broadcast grid, the
+    # oracle that gram's per-lag power tables must match bit for bit; a
+    # negative gamma takes its sign from the parity of the lag.
+    s = np.asarray(s, dtype=np.int64)
+    t = np.asarray(t, dtype=np.int64)
+    if kernel.kind == "tc":
+        out = np.power(kernel.beta, np.maximum(s, t).astype(float))
+    elif kernel.kind == "dc":
+        diag = np.power(kernel.beta, (s + t).astype(float) / 2.0)
+        lag = np.abs(s - t)
+        off = np.power(abs(kernel.gamma), lag)
+        if kernel.gamma < 0.0:
+            np.negative(off, out=off, where=(lag & 1).astype(bool))
+        out = diag * off
+    else:
+        mx = np.maximum(s, t).astype(float)
+        ssum = (s + t).astype(float)
+        out = (np.power(kernel.beta, ssum + mx) / 2.0
+               - np.power(kernel.beta, 3.0 * mx) / 6.0)
+    if kernel.support is None:
+        return out
+    n = kernel.support
+    return np.where((s < n) & (t < n), out, 0.0)
+
+
 def _all_decaying():
     return [KernelSpec.tc(0.9), KernelSpec.dc(0.8, -0.4), KernelSpec.ss(0.7)]
 
@@ -213,3 +239,36 @@ def test_sections_absolutely_summable():
             vals = np.abs(gram(kernel, [t], s)[0])
             tail = np.cumsum(vals)
             assert tail[-1] - tail[-500] < 1e-9, (kernel.kind, t)
+
+
+_TABLE_KERNELS = (
+    [KernelSpec.tc(0.9), KernelSpec.ss(0.97), KernelSpec.ss(0.7)]
+    + [KernelSpec.dc(0.9, g) for g in (0.9, -0.5, 0.3, 0.0, -1.0, 1.0)]
+    + [KernelSpec.tc(0.0), KernelSpec.dc(0.0, 0.5), KernelSpec.ss(0.0),
+       window_kernel(KernelSpec.dc(0.8, -0.4), 30)])
+
+
+def _table_grids():
+    rng = np.random.default_rng(11)
+    return {
+        "801x801": (np.arange(801), np.arange(801)),
+        "1600x270": (np.arange(1600),
+                     np.sort(rng.choice(1600, 270, replace=False))),
+        "unsorted": (rng.integers(0, 60, 17), rng.integers(0, 60, 23)),
+        "repeated": ([3, 3, 1, 0, 3], [2, 2, 7, 7]),
+        "empty rows": ([], [1, 2]),
+        "empty cols": ([4], []),
+        "empty": ([], []),
+    }
+
+
+@pytest.mark.parametrize("kernel", _TABLE_KERNELS, ids=repr)
+def test_table_gram_equals_elementwise_closed_forms(kernel):
+    # gathering from per-lag power tables changes no bit of any entry
+    for name, (rows, cols) in _table_grids().items():
+        r = np.asarray(rows, dtype=np.int64)
+        c = np.asarray(cols, dtype=np.int64)
+        out = gram(kernel, rows, cols)
+        oracle = _elementwise_eval_grid(kernel, r[:, None], c[None, :])
+        assert out.shape == (r.size, c.size), name
+        assert np.array_equal(out, oracle), name

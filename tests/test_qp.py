@@ -435,6 +435,25 @@ def test_inactive_rows_return_the_unconstrained_minimiser(monkeypatch):
     assert newton == []
 
 
+def test_free_minimiser_of_a_singular_p_is_minimum_norm():
+    # P = B B' has rank 3 and a unit diagonal, so the Jacobi column
+    # scaling is the identity and the polish's minimum-norm solve is the
+    # minimum-norm minimiser in the original units; q lies in the range
+    # of P and every row is slack by 1 or more there
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((6, 3))
+    B /= np.linalg.norm(B, axis=1, keepdims=True)
+    P = B @ B.T
+    q = P @ rng.standard_normal(6)
+    z_star = -np.linalg.pinv(P) @ q
+    G = rng.standard_normal((4, 6))
+    l = G @ z_star - 1.0 - rng.random(4)
+    sol = solve(ConvexQP(P=P, q=q, G=G, l=l))
+    assert (sol.status, sol.path, sol.iterations) == ("optimal", "polish", 0)
+    np.testing.assert_allclose(sol.z, z_star,
+                               rtol=0, atol=1e-10 * np.linalg.norm(z_star))
+
+
 def test_tiny_row_violated_by_the_free_minimiser_runs_the_ipm():
     # 1e-9 * z0 >= 1e-9 * 0.1 cuts the free minimiser 0 off by 0.1 in
     # its own units, but only by 1e-10 in the certificate's, inside

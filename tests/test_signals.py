@@ -207,3 +207,11 @@ def test_impulse_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.values, g.values)
     with pytest.raises(DataError):
         read_impulse_csv(tmp_path / "nope.csv")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_impulse_csv_rejects_nonfinite_values(tmp_path, value):
+    path = tmp_path / "g.csv"
+    path.write_text(f"s,g\n0,0.5\n1,{value}\n2,0.25\n")
+    with pytest.raises(DataError, match=f"g.csv:3: impulse value '{value}'"):
+        read_impulse_csv(path)
