@@ -130,9 +130,10 @@ class FittedModel:
     ``w`` holds the coefficients of ``h = sum_j w[j] k(., sections[j])``
     on ``kernel`` over the pivoted sections of the last QP, kept so
     predictions can extend the reconstructions ``h`` and ``g`` exactly
-    past the horizon that ``config`` set.  This base model has no
-    dominant part (zero spectral radius, ``rho = 0``); each subclass adds
-    one that decays at ``rho``.
+    past the horizon that ``config`` set.  ``sections`` is read-only and
+    shared with every fit on the same kernel and section count.  This
+    base model has no dominant part (zero spectral radius, ``rho = 0``);
+    each subclass adds one that decays at ``rho``.
     """
 
     w: np.ndarray = field(repr=False)

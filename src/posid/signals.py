@@ -142,7 +142,8 @@ def read_timeseries_csv(path) -> TimeSeriesData:
 
     One row per integer time step, times contiguous and ascending.  The
     ``y`` field may be empty on input-only rows (pre-history before the
-    first measurement).
+    first measurement).  A ``nan`` or ``inf`` in ``u`` or ``y`` raises
+    :class:`DataError` naming the file and line.
     """
     times: list[int] = []
     inputs: list[float] = []
@@ -167,6 +168,7 @@ def read_timeseries_csv(path) -> TimeSeriesData:
                 u = float(row[1])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: bad t or u field") from exc
+            _check_finite(u, path, lineno, "input u", row[1])
             if times and t != times[-1] + 1:
                 raise DataError(
                     f"{path}:{lineno}: time {t} breaks the contiguous grid")
@@ -174,9 +176,11 @@ def read_timeseries_csv(path) -> TimeSeriesData:
             inputs.append(u)
             if len(row) >= 3 and row[2].strip() != "":
                 try:
-                    outputs.append(float(row[2]))
+                    y = float(row[2])
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: bad y field") from exc
+                _check_finite(y, path, lineno, "output y", row[2])
+                outputs.append(y)
                 out_times.append(t)
     if not times:
         raise DataError(f"{path}: no data rows")
@@ -184,6 +188,14 @@ def read_timeseries_csv(path) -> TimeSeriesData:
         raise DataError(f"{path}: no output samples")
     return TimeSeriesData(np.asarray(out_times), np.asarray(outputs),
                           np.asarray(inputs), t_start=times[0])
+
+
+def _check_finite(value: float, path, lineno: int, field: str,
+                  cell: str) -> None:
+    """Raise :class:`DataError` naming ``path:lineno`` for a nan or inf."""
+    if not math.isfinite(value):
+        raise DataError(
+            f"{path}:{lineno}: {field} {cell.strip()!r} is not finite")
 
 
 def write_impulse_csv(path, g: ImpulseResponse) -> None:
@@ -217,10 +229,7 @@ def read_impulse_csv(path) -> ImpulseResponse:
                 raise DataError(f"{path}:{lineno}: bad impulse row") from exc
             if s != len(values):
                 raise DataError(f"{path}:{lineno}: lag {s} out of order")
-            if not math.isfinite(value):
-                raise DataError(
-                    f"{path}:{lineno}: impulse value {row[1].strip()!r} "
-                    "is not finite")
+            _check_finite(value, path, lineno, "impulse value", row[1])
             values.append(value)
     if not values:
         raise DataError(f"{path}: no impulse samples")

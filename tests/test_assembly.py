@@ -4,7 +4,7 @@ import pytest
 import scipy.linalg
 
 from posid import estimator
-from posid.assembly import (QPDataMatrices, assemble_core,
+from posid.assembly import (QPDataMatrices, _section_basis, assemble_core,
                             assemble_oscillation_blocks,
                             assemble_polynomial_blocks, input_weight_matrix,
                             periodic_modes, polynomial_modes, required_width)
@@ -259,6 +259,55 @@ def test_full_rank_gram_keeps_every_section():
         data = _random_at_rest(rng, n)
         mats = assemble_core(KernelSpec.ss(0.97), data, m=n)
         np.testing.assert_array_equal(mats.sections, np.arange(n + 1))
+
+
+@pytest.mark.parametrize("kernel, m", [
+    (KernelSpec.dc(0.9, 0.9), 120),
+    (window_kernel(KernelSpec.dc(0.8, -0.4), 150), 120),
+    # m + 1 past the data width grows the sections to m + 1
+    (KernelSpec.tc(0.8), 249)])
+def test_cached_assembly_is_bit_identical_and_shared(kernel, m):
+    rng = np.random.default_rng(12)
+    records = [_random_at_rest(rng, 200) for _ in range(2)]
+    cold = []
+    for data in records:
+        _section_basis.cache_clear()
+        cold.append(assemble_core(kernel, data, m=m))
+    _section_basis.cache_clear()
+    first = assemble_core(kernel, records[0], m=m)
+    hits = _section_basis.cache_info().hits
+    second = assemble_core(kernel, records[1], m=m)
+    assert _section_basis.cache_info().hits == hits + 1
+    assert second.sections is first.sections
+    for warm, ref in zip((first, second), cold):
+        for name in ("L", "K", "rows", "sections"):
+            assert np.array_equal(getattr(warm, name), getattr(ref, name))
+
+
+def test_shared_arrays_are_read_only_and_the_cache_is_bounded():
+    rng = np.random.default_rng(13)
+    n = 120
+    u = rng.choice([-1.0, 1.0], size=n)
+    y = np.convolve(u, 0.98 ** np.arange(n))[:n] \
+        + 0.1 * rng.standard_normal(n)
+    data = TimeSeriesData.at_rest(u, y)
+    config = estimator.PositiveIdConfig(kernel=KernelSpec.dc(0.9, 0.5),
+                                        rho=0.98, lam=0.1)
+    model = estimator.identify(config, data)
+    mats = assemble_core(config.kernel, data, m=model.m)
+    for shared in (mats.rows, mats.K, mats.sections, model.sections):
+        with pytest.raises(ValueError):
+            shared[...] = 0
+    again = estimator.identify(config, data)
+    assert again.sections is model.sections
+    assert np.array_equal(again.w, model.w)
+    assert np.array_equal(again.g.values, model.g.values)
+    maxsize = _section_basis.cache_info().maxsize
+    assert maxsize == 8
+    small = _random_at_rest(rng, 10)
+    for m in range(10, 10 + maxsize + 3):
+        assemble_core(config.kernel, small, m=m)
+    assert _section_basis.cache_info().currsize <= maxsize
 
 
 def _unpivoted_g(config, data, basis, m, horizon):

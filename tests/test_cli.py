@@ -377,6 +377,19 @@ def test_predict_rejects_a_nonfinite_impulse(tmp_path, capsys):
     assert not (tmp_path / "out" / "predictions.csv").exists()
 
 
+def test_identify_names_the_line_of_a_nonfinite_sample(tmp_path, capsys):
+    data_path = tmp_path / "data.csv"
+    _single_mode_csv(data_path, n=20)
+    lines = data_path.read_text().splitlines()
+    lines[5] = "4,1.0,inf"
+    data_path.write_text("\n".join(lines) + "\n")
+    code = main(["identify", "--data", str(data_path),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    assert "data.csv:6: output y 'inf' is not finite" in \
+        capsys.readouterr().err
+
+
 def test_config_file_defaults_and_overrides(tmp_path):
     data_path = tmp_path / "data.csv"
     _single_mode_csv(data_path)

@@ -209,6 +209,17 @@ def test_impulse_csv_roundtrip(tmp_path):
         read_impulse_csv(tmp_path / "nope.csv")
 
 
+@pytest.mark.parametrize("field", ["u", "y"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_timeseries_csv_rejects_nonfinite_values(tmp_path, value, field):
+    path = tmp_path / "d.csv"
+    u, y = ("1.0", value) if field == "y" else (value, "0.5")
+    path.write_text(f"t,u,y\n0,1.0,0.0\n1,{u},{y}\n2,0.0,0.25\n")
+    name = "input u" if field == "u" else "output y"
+    with pytest.raises(DataError, match=f"d.csv:3: {name} '{value}'"):
+        read_timeseries_csv(path)
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_impulse_csv_rejects_nonfinite_values(tmp_path, value):
     path = tmp_path / "g.csv"
