@@ -47,6 +47,9 @@ _NEG_TOL_SCALE = 1e-8
 _MAX_LOOPS = 1000
 # Constraint-horizon increment between loop iterations.
 _DELTA_M = 50
+# Lags per block of a reconstruction: the block's Gram is its largest
+# array, so memory stays bounded on horizons of thousands of lags.
+_RECONSTRUCT_BLOCK = 512
 # Default inner solve options, tighter than the library defaults: the
 # nonnegativity acceptance test must sit clearly above solver noise.
 _IDENTIFY_OPTIONS = qp.SolveOptions(tol_feas=1e-10, tol_gap=1e-9)
@@ -204,14 +207,29 @@ def build_qp(lam: float, mats: QPDataMatrices,
 
 
 def reconstruct_h(w: np.ndarray, sections: np.ndarray, kernel: KernelSpec,
-                  horizon: int) -> ImpulseResponse:
+                  horizon: int, rows: np.ndarray | None = None
+                  ) -> ImpulseResponse:
     """Residual ``h[t] = sum_j w[j] k(t, sections[j])`` on ``t < horizon``.
 
-    The sum runs over the given sections and is exact.
+    The sum runs over the given sections and is exact.  ``rows``, when
+    given, holds the section values ``k(t, sections)`` on the first lags
+    ``t < len(rows)`` (a fit's ``mats.rows``, from the section cache), so
+    the Gram is built only for the lags past them.  ``h`` is summed in
+    blocks of ``_RECONSTRUCT_BLOCK`` lags, so no ``horizon x
+    len(sections)`` Gram is held at once; each block's matrix is the same
+    with or without ``rows``, and so is ``h``, bit for bit.
     """
     w = np.asarray(w, dtype=float)
-    k_cols = gram(kernel, np.arange(horizon), sections)
-    return ImpulseResponse(k_cols @ w)
+    known = 0 if rows is None else min(rows.shape[0], horizon)
+    h = np.empty(horizon)
+    for start in range(0, horizon, _RECONSTRUCT_BLOCK):
+        stop = min(start + _RECONSTRUCT_BLOCK, horizon)
+        split = min(max(start, known), stop)
+        block = gram(kernel, np.arange(split, stop), sections)
+        if split > start:
+            block = np.concatenate([rows[start:split], block])
+        h[start:stop] = block @ w
+    return ImpulseResponse(h)
 
 
 def _m0_from_constants(c0: float, c: float, rho_d: float, rho: float,
@@ -301,7 +319,7 @@ def _fit_basis(kernel: KernelSpec, lam: float, data: TimeSeriesData,
         sol = _solve_or_raise(build_qp(lam, mats, basis), options)
         coeffs, w = sol.z[:p], sol.z[p:]
         check_len = max(m0, horizon, m + 1)
-        h = reconstruct_h(w, mats.sections, kernel, check_len)
+        h = reconstruct_h(w, mats.sections, kernel, check_len, mats.rows)
         g_vals = h.values + basis.modes(check_len) @ coeffs
         top = float(np.abs(coeffs).max(initial=0.0))
         neg_tol = _NEG_TOL_SCALE * (1.0 + top)

@@ -11,9 +11,13 @@ on a column-, row- and cost-scaled copy of the problem and tries its
 candidates in this order:
 
 1. The unconstrained minimiser: the active-set polish over the empty
-   active set, one minimum-norm least-squares solve of ``P z = -q``
-   (every polish is a complete orthogonal factorisation, LAPACK
-   ``gelsy``, with numerical rank cut at ``eps * max(shape)``).  When
+   active set, the solution of ``P z = -q``.  When ``P`` has full
+   numerical rank it comes from two triangular solves with the pivoted
+   Cholesky factor that :class:`ConvexQP` keeps from its PSD test; for a
+   rank-deficient ``P`` it is the minimum-norm least-squares solution
+   (every other polish solves the same way: a complete orthogonal
+   factorisation, LAPACK ``gelsy``, with numerical rank cut at
+   ``eps * max(shape)``).  When
    no row binds at the optimum this is the optimum itself, the classic
    start of the dual active-set method (Goldfarb & Idnani 1983).  It is
    returned, with zero iterations, only when it certifies ``optimal`` in
@@ -50,7 +54,9 @@ MAX_ITERATIONS = "max_iterations"
 IPM = "ipm"
 POLISH = "polish"
 
-# Ratio below which a negative eigenvalue of P is treated as roundoff.
+# Negative eigenvalues of the trailing Schur complement of the
+# Jacobi-scaled P, whose positive diagonal entries are 1, down to this
+# size are roundoff; a more negative one rejects P.
 _PSD_RTOL = 1e-8
 # Multiples of the Newton regularisation tried in turn until the Newton
 # matrix factors: near the optimum the active rows carry weights of 1e12
@@ -80,6 +86,59 @@ class SolveOptions:
             raise ConfigError("solver tolerances must be positive")
 
 
+@dataclass(frozen=True)
+class _JacobiFactor:
+    """Jacobi scaling ``Pc = D P D`` of a QP's ``P`` and its pivoted
+    Cholesky factor.
+
+    ``col`` is the diagonal of ``D``: ``P[i, i] ** -0.5`` where that is
+    positive and 1 elsewhere.  ``Pc[piv][:, piv] = U' U`` on the leading
+    ``rank`` rows of ``U`` (LAPACK ``dpstrf`` at its default tolerance
+    ``d * eps * max diag Pc``); only those rows, in the upper triangle,
+    hold the factor.
+    """
+
+    col: np.ndarray
+    Pc: np.ndarray
+    U: np.ndarray
+    piv: np.ndarray
+    rank: int
+
+    @classmethod
+    def of(cls, P: np.ndarray) -> "_JacobiFactor":
+        """Scale and factor a symmetric ``P``; raise unless it is PSD.
+
+        A full-rank factor proves ``P`` positive definite.  Otherwise the
+        trailing Schur complement ``S = Pc[t, t] - U12' U12`` of the
+        unpivoted indices ``t`` decides: ``P`` is rejected when an
+        eigenvalue of ``S`` is below ``-_PSD_RTOL``.  ``D`` and the
+        pivoting are congruences, so they keep the inertia of ``P``.
+        """
+        pdiag = np.diag(P)
+        col = np.where(pdiag > 0.0, pdiag, 1.0) ** -0.5
+        Pc = P * (col[:, None] * col[None, :])
+        U, piv, rank, _ = scipy.linalg.lapack.dpstrf(Pc)
+        piv = piv - 1
+        if rank < P.shape[0]:
+            t = piv[rank:]
+            U12 = U[:rank, rank:]
+            low = np.linalg.eigvalsh(Pc[np.ix_(t, t)] - U12.T @ U12)[0]
+            if low < -_PSD_RTOL:
+                raise ConfigError(
+                    f"P is not positive semidefinite (Jacobi-scaled Schur "
+                    f"complement eigenvalue {low:.3e})")
+        return cls(col=col, Pc=Pc, U=U, piv=piv, rank=int(rank))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``Pc^-1 b`` by two triangular solves; needs full rank."""
+        y = scipy.linalg.solve_triangular(self.U, b[self.piv], trans="T",
+                                          check_finite=False)
+        x = np.empty_like(b)
+        x[self.piv] = scipy.linalg.solve_triangular(self.U, y,
+                                                    check_finite=False)
+        return x
+
+
 @dataclass
 class ConvexQP:
     """One convex QP instance with at least one inequality row.
@@ -88,32 +147,37 @@ class ConvexQP:
     must have at least one row: without rows the interior-point loop has
     no slack to average (its barrier parameter divides by the row count).
     A zero row of ``G`` with a positive bound can never hold, so it is
-    rejected too.
-    ``P`` is symmetrised on construction; eigenvalues below
-    ``-1e-8 * max_eig`` raise, while tiny negative ones (roundoff from Gram
-    assembly) are accepted and ``P`` is kept as given.
+    rejected too, and so is a problem without variables.
+    ``P`` is symmetrised on construction and must be positive
+    semidefinite up to roundoff.  The test is scale-free: ``P`` is
+    Jacobi-scaled to ``Pc = D P D`` (unit diagonal where ``P``'s is
+    positive) and factored by one pivoted Cholesky; a full-rank factor
+    accepts ``P``, and otherwise ``P`` is rejected when its trailing Schur
+    complement has an eigenvalue below ``-1e-8`` (see
+    :class:`_JacobiFactor`).  The instance keeps the scaling and the
+    factor for :func:`solve`, so ``P`` must not be rebound or written
+    after construction.
     """
 
     P: np.ndarray
     q: np.ndarray
     G: np.ndarray
     l: np.ndarray
+    _factor: _JacobiFactor = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         P = np.asarray(self.P, dtype=float)
         q = np.asarray(self.q, dtype=float)
         if P.ndim != 2 or P.shape[0] != P.shape[1]:
             raise ConfigError("P must be a square matrix")
+        if P.size == 0:
+            raise ConfigError("a QP needs at least one variable")
         if q.ndim != 1 or q.size != P.shape[0]:
             raise ConfigError("q must be a vector matching P")
         if not (np.isfinite(P).all() and np.isfinite(q).all()):
             raise ConfigError("P and q must be finite")
         P = 0.5 * (P + P.T)
-        eigs = np.linalg.eigvalsh(P)
-        top = max(float(eigs[-1]), 0.0)
-        if eigs[0] < -_PSD_RTOL * max(top, 1.0):
-            raise ConfigError(
-                f"P is not positive semidefinite (min eigenvalue {eigs[0]:.3e})")
+        factor = _JacobiFactor.of(P)
         G = np.atleast_2d(np.asarray(self.G, dtype=float))
         l = np.asarray(self.l, dtype=float).ravel()
         if G.shape != (l.size, q.size):
@@ -127,6 +191,7 @@ class ConvexQP:
         if np.any(~G.any(axis=1) & (l > 0.0)):
             raise ConfigError("a zero row of G has a positive bound")
         self.P, self.q, self.G, self.l = P, q, G, l
+        self._factor = factor
 
     @property
     def dim(self) -> int:
@@ -251,9 +316,9 @@ def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
     # Jacobi column scaling, on every problem: kernel-section curvature
     # can span dozens of orders of magnitude along the diagonal, which
     # stalls the Newton steps unless the variables are rebalanced first.
-    pdiag = np.diag(problem.P)
-    col = np.where(pdiag > 0.0, pdiag, 1.0) ** -0.5
-    Pc = problem.P * (col[:, None] * col[None, :])
+    # The problem built it, and factored it, in its PSD test.
+    factor = problem._factor
+    col, Pc = factor.col, factor.Pc
     qc = problem.q * col
 
     Gs, ls, g_norms = _row_scale(problem.G * col[None, :], problem.l)
@@ -280,7 +345,9 @@ def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
             return sol
         return None
 
-    free = _polish(scaled, np.zeros(k, dtype=bool), certify_free)
+    # With a full-rank factor, Ps zs = -qs is solved as Pc zs = -qc.
+    free_solve = (lambda: factor.solve(-qc)) if factor.rank == d else None
+    free = _polish(scaled, np.zeros(k, dtype=bool), certify_free, free_solve)
     if free is not None:
         return free
 
@@ -387,32 +454,37 @@ def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
     return float(min(1.0, np.min(-v[neg] / dv[neg])))
 
 
-def _polish(scaled, active: np.ndarray, certify) -> QPSolution | None:
+def _polish(scaled, active: np.ndarray, certify,
+            free_solve=None) -> QPSolution | None:
     """Equality-KKT solve with the rows of the mask ``active`` held tight.
 
     Works on the scaled problem ``scaled = (Ps, qs, Gs, ls)`` that the
     interior-point loop iterates on, as OSQP polishes the problem its
     iterations solve; in the original units ``P`` can span dozens of
     orders of magnitude.  With no active row the KKT system is ``Ps zs =
-    -qs`` and the answer is the unconstrained minimiser.  The system is
-    solved by minimum-norm least squares, because ``P`` from Gram
-    assembly can be numerically singular: :func:`min_norm_lstsq`, a
-    complete orthogonal factorisation with numerical rank cut at
-    ``eps * max(kkt.shape)``.  ``certify(z, lam)`` maps the
-    answer back, certifies it in the original units and returns the
-    solution record, or ``None`` to reject it.  Returns ``None`` also when
-    the solve is not finite.
+    -qs`` and the answer is the unconstrained minimiser; ``free_solve()``,
+    when given, returns it from the full-rank factor the problem keeps.
+    Every other system is solved by minimum-norm least squares, because
+    ``P`` from Gram assembly can be numerically singular:
+    :func:`min_norm_lstsq`, a complete orthogonal factorisation with
+    numerical rank cut at ``eps * max(kkt.shape)``.  ``certify(z, lam)``
+    maps the answer back, certifies it in the original units and returns
+    the solution record, or ``None`` to reject it.  Returns ``None`` also
+    when the solve is not finite.
     """
     Ps, qs, Gs, ls = scaled
-    Ga = Gs[active]
     d = qs.size
-    ka = Ga.shape[0]
-    kkt = np.zeros((d + ka, d + ka))
-    kkt[:d, :d] = Ps
-    kkt[:d, d:] = -Ga.T
-    kkt[d:, :d] = Ga
-    rhs = np.concatenate([-qs, ls[active]])
-    sol = min_norm_lstsq(kkt, rhs)
+    if free_solve is not None and not active.any():
+        sol = free_solve()
+    else:
+        Ga = Gs[active]
+        ka = Ga.shape[0]
+        kkt = np.zeros((d + ka, d + ka))
+        kkt[:d, :d] = Ps
+        kkt[:d, d:] = -Ga.T
+        kkt[d:, :d] = Ga
+        rhs = np.concatenate([-qs, ls[active]])
+        sol = min_norm_lstsq(kkt, rhs)
     if not np.all(np.isfinite(sol)):
         return None
     lam_full = np.zeros(ls.size)

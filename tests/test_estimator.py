@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from posid import estimator
 from posid.assembly import (assemble_core, assemble_polynomial_blocks,
                             input_weight_matrix, required_width)
 from posid.errors import ConfigError
@@ -230,6 +231,48 @@ def test_reconstruct_h_matches_constraint_rows():
     h_full = reconstruct_h(w, mats.sections, kernel, required_width(data))
     outputs = [convolve(h_full, data, int(t)) for t in data.sample_times]
     np.testing.assert_allclose(mats.L @ w, outputs, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "kernel, m", [(KernelSpec.dc(0.7, 0.4), 700),
+                  (window_kernel(KernelSpec.tc(0.8), 9), 7)],
+    ids=["dc", "windowed-tc"])
+def test_reconstruct_h_from_known_rows_matches_the_gram(kernel, m):
+    # the horizon loop hands reconstruct_h the cached constraint rows
+    # (701 of them for dc: they end inside the second block of lags)
+    rng = np.random.default_rng(11)
+    mats = assemble_core(kernel, _single_mode_data(rng, 12), m)
+    w = rng.standard_normal(mats.sections.size)
+    for horizon in (5, 8, 30, 1100):
+        h = reconstruct_h(w, mats.sections, kernel, horizon, mats.rows)
+        np.testing.assert_array_equal(
+            h.values, reconstruct_h(w, mats.sections, kernel, horizon).values)
+        # against one product with the whole Gram only the order of the
+        # sums may differ: a few roundoffs of |k| |w|
+        full = gram(kernel, np.arange(horizon), mats.sections)
+        bound = 8 * np.finfo(float).eps * (np.abs(full) @ np.abs(w))
+        assert np.all(np.abs(h.values - full @ w) <= bound)
+
+
+def test_horizon_loop_builds_no_gram_rows_it_already_has(monkeypatch):
+    rng = np.random.default_rng(12)
+    data = _single_mode_data(rng, 20)
+    config = PositiveIdConfig(kernel=KernelSpec.tc(0.6), rho=0.9, lam=0.5)
+    lags = []
+    real_gram = estimator.gram
+
+    def recording(kernel, rows, cols):
+        lags.append(np.asarray(rows))
+        return real_gram(kernel, rows, cols)
+
+    monkeypatch.setattr(estimator, "gram", recording)
+    model = identify(config, data)
+    assert model.diagnostics.iterations == 1
+    # the one reconstruction builds each lag past the m + 1 constraint
+    # rows once
+    built = np.concatenate(lags)
+    np.testing.assert_array_equal(built, np.arange(model.m + 1,
+                                                   built[-1] + 1))
 
 
 def test_predict_training_consistency():

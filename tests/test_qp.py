@@ -6,8 +6,10 @@ import pytest
 import scipy.linalg
 
 from posid import qp
+from posid.assembly import assemble_core, assemble_polynomial_blocks
 from posid.errors import ConfigError
-from posid.estimator import PositiveIdConfig, identify
+from posid.estimator import (PositiveIdConfig, build_qp, identify,
+                             initial_constraint_horizon)
 from posid.experiments import (McProtocol, add_noise, gen_binary_input,
                                noise_variance, simulate_output, true_system)
 from posid.kernels import KernelSpec
@@ -340,6 +342,10 @@ def test_validation_errors():
     # indefinite P must be rejected
     with pytest.raises(ConfigError):
         ConvexQP(P=np.diag([1.0, -1.0]), q=np.zeros(2), **rows)
+    # a QP without variables is rejected
+    with pytest.raises(ConfigError, match="at least one variable"):
+        ConvexQP(P=np.zeros((0, 0)), q=np.zeros(0), G=np.zeros((1, 0)),
+                 l=np.array([-1.0]))
     # a QP without inequality rows is rejected
     with pytest.raises(ConfigError, match="at least one inequality row"):
         ConvexQP(P=np.eye(2), q=np.zeros(2), G=np.zeros((0, 2)),
@@ -384,17 +390,17 @@ def test_contradictory_rows_end_in_max_iterations():
     assert sol.primal_residual >= 0.5
 
 
-def _record_calls(monkeypatch, name):
-    """Wrap ``qp.<name>`` and return the list of its (args, result)."""
+def _record_calls(monkeypatch, name, owner=qp):
+    """Wrap ``owner.<name>`` and return the list of its (args, result)."""
     calls = []
-    real = getattr(qp, name)
+    real = getattr(owner, name)
 
     def recording(*args, **kwargs):
         result = real(*args, **kwargs)
         calls.append((args, result))
         return result
 
-    monkeypatch.setattr(qp, name, recording)
+    monkeypatch.setattr(owner, name, recording)
     return calls
 
 
@@ -435,7 +441,7 @@ def test_inactive_rows_return_the_unconstrained_minimiser(monkeypatch):
     assert newton == []
 
 
-def test_free_minimiser_of_a_singular_p_is_minimum_norm():
+def test_free_minimiser_of_a_singular_p_is_minimum_norm(monkeypatch):
     # P = B B' has rank 3 and a unit diagonal, so the Jacobi column
     # scaling is the identity and the polish's minimum-norm solve is the
     # minimum-norm minimiser in the original units; q lies in the range
@@ -448,10 +454,15 @@ def test_free_minimiser_of_a_singular_p_is_minimum_norm():
     z_star = -np.linalg.pinv(P) @ q
     G = rng.standard_normal((4, 6))
     l = G @ z_star - 1.0 - rng.random(4)
-    sol = solve(ConvexQP(P=P, q=q, G=G, l=l))
+    problem = ConvexQP(P=P, q=q, G=G, l=l)
+    assert problem._factor.rank == 3
+    lstsq = _record_calls(monkeypatch, "min_norm_lstsq")
+    sol = solve(problem)
     assert (sol.status, sol.path, sol.iterations) == ("optimal", "polish", 0)
     np.testing.assert_allclose(sol.z, z_star,
                                rtol=0, atol=1e-10 * np.linalg.norm(z_star))
+    # a rank-deficient factor leaves the minimiser to min_norm_lstsq
+    assert [args[0].shape for args, _ in lstsq] == [(6, 6)]
 
 
 def test_tiny_row_violated_by_the_free_minimiser_runs_the_ipm():
@@ -468,9 +479,8 @@ def test_tiny_row_violated_by_the_free_minimiser_runs_the_ipm():
     np.testing.assert_allclose(sol.z, [0.1, 0.0], rtol=0, atol=1e-8)
 
 
-def test_identify_with_no_binding_row_runs_no_newton_step(monkeypatch):
-    # the seed-1 n=200 dc(0.9, 0.9) Monte Carlo record ends with no
-    # active positivity row, so its fit factors no Newton matrix
+def _seed1_mc_record():
+    """The seed-1 n=200 dc(0.9, 0.9) Monte Carlo record and its config."""
     protocol = McProtocol()
     n = 200
     g_true = true_system(protocol, n)
@@ -479,8 +489,15 @@ def test_identify_with_no_binding_row_runs_no_newton_step(monkeypatch):
     y = add_noise(y_clean, 20.0, np.random.SeedSequence([1, 1]))
     config = PositiveIdConfig(kernel=KernelSpec.dc(0.9, 0.9), rho=0.98,
                               lam=10.0 * noise_variance(y_clean, 20.0))
+    return config, TimeSeriesData.at_rest(u, y)
+
+
+def test_identify_with_no_binding_row_runs_no_newton_step(monkeypatch):
+    # the seed-1 n=200 dc(0.9, 0.9) Monte Carlo record ends with no
+    # active positivity row, so its fit factors no Newton matrix
+    config, data = _seed1_mc_record()
     newton = _record_calls(monkeypatch, "_regularised_cholesky")
-    model = identify(config, TimeSeriesData.at_rest(u, y))
+    model = identify(config, data)
     diag = model.diagnostics
     assert (diag.qp_status, diag.qp_path, diag.qp_iterations) == (
         "optimal", "polish", 0)
@@ -500,3 +517,112 @@ def test_row_scaling_leaves_the_answer_unchanged(row):
         assert sol.status == "optimal", f"seed {seed}: {sol.status}"
         np.testing.assert_allclose(sol.z, solve(problem).z, rtol=0,
                                    atol=1e-8, err_msg=f"seed {seed}")
+
+
+def test_full_rank_identify_qp_factors_p_once(monkeypatch):
+    # the first QP of the seed-1 n=200 fit has a full-rank P and no
+    # binding row: one pivoted Cholesky both proves P definite and gives
+    # the certified minimiser, with no eigenvalue or least-squares solve
+    config, data = _seed1_mc_record()
+    mats = assemble_core(config.kernel, data,
+                         initial_constraint_horizon(data))
+    basis = assemble_polynomial_blocks(data, config.rho, 1,
+                                       a_min=config.a_min)
+    dpstrf = _record_calls(monkeypatch, "dpstrf", scipy.linalg.lapack)
+    eigvalsh = _record_calls(monkeypatch, "eigvalsh", np.linalg)
+    lstsq = _record_calls(monkeypatch, "min_norm_lstsq")
+    problem = build_qp(config.lam, mats, basis)
+    sol = solve(problem)
+    assert [args[0].shape for args, _ in dpstrf] == [(problem.dim,) * 2]
+    assert problem._factor.rank == problem.dim
+    assert eigvalsh == []
+    assert (sol.status, sol.path, sol.iterations) == ("optimal", "polish", 0)
+    assert lstsq == []
+
+
+_ROWS = {"G": np.eye(2), "l": np.full(2, -1.0)}
+
+
+@pytest.mark.parametrize("P", [
+    [[1.0, 0.0], [0.0, -1.0]],
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[2.0, 0.0], [0.0, -0.5]],
+], ids=["diag", "zero-diagonal", "negative-diagonal"])
+def test_indefinite_p_is_rejected(P, tmp_path):
+    with pytest.raises(ConfigError, match="not positive semidefinite"):
+        ConvexQP(P=np.array(P), q=np.zeros(2), **_ROWS)
+    # a dump of it does not load either
+    path = tmp_path / "problem.qp"
+    _write_archive(path, {"P": np.array(P), "q": np.zeros(2), **_ROWS})
+    with pytest.raises(ConfigError, match="not positive semidefinite"):
+        load_qp_dump(path)
+
+
+def test_singular_psd_p_is_accepted():
+    B = np.random.default_rng(3).standard_normal((5, 2))
+    rows = {"G": np.eye(5), "l": np.full(5, -1.0)}
+    low_rank = ConvexQP(P=B @ B.T, q=np.zeros(5), **rows)
+    assert low_rank._factor.rank == 2
+    zero = ConvexQP(P=np.zeros((5, 5)), q=np.zeros(5), **rows)
+    assert zero._factor.rank == 0
+
+
+def _old_rule_accepts(P):
+    # the eigenvalue rule this factorisation replaced
+    eigs = np.linalg.eigvalsh(P)
+    return eigs[0] >= -1e-8 * max(eigs[-1], 1.0)
+
+
+@pytest.mark.parametrize("P", [
+    [[1e9, 0.0], [0.0, -1.0]],
+    [[1e-10, 2e-10], [2e-10, 1e-10]],
+    [[1.0, 1e-6 * (1.0 + 1e-6)], [1e-6 * (1.0 + 1e-6), 1e-12]],
+], ids=["large-spread", "below-unit-scale", "badly-scaled-pair"])
+def test_indefinite_p_the_scale_bound_rule_accepted_is_rejected(P):
+    # the rule is scale-free: a negative eigenvalue counts against the
+    # Jacobi-scaled P, not against max(largest eigenvalue, 1)
+    P = np.array(P)
+    assert _old_rule_accepts(P)
+    with pytest.raises(ConfigError, match="not positive semidefinite"):
+        ConvexQP(P=P, q=np.zeros(2), **_ROWS)
+
+
+def _random_symmetric(rng, kind):
+    """A symmetric matrix of the given kind, rows and columns scaled by
+    factors from 1e-6 to 1e6."""
+    d = int(rng.integers(2, 9))
+    if kind == "indefinite":
+        while True:
+            Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            lam = rng.uniform(0.1, 1.0, d)
+            lam[:rng.integers(1, d)] *= -1.0
+            A = (Q * lam) @ Q.T
+            if np.all(np.diag(A) > 0.0):
+                break
+    else:
+        rank = d + 2 if kind == "psd" else int(rng.integers(1, d))
+        B = rng.standard_normal((d, rank))
+        A = B @ B.T
+    s = 10.0 ** rng.uniform(-6.0, 6.0, d)
+    return A * (s[:, None] * s[None, :])
+
+
+def test_psd_verdict_matches_a_scaled_eigenvalue_oracle():
+    rng = np.random.default_rng(2024)
+    for trial in range(210):
+        kind = ("psd", "low-rank", "indefinite")[trial % 3]
+        P = _random_symmetric(rng, kind)
+        col = np.diag(P) ** -0.5
+        oracle = np.linalg.eigvalsh(P * (col[:, None] * col[None, :]))[0]
+        # every case lies well clear of the -1e-8 threshold
+        if kind == "indefinite":
+            assert oracle <= -1e-3, f"trial {trial}"
+        else:
+            assert oracle >= -1e-12, f"trial {trial}"
+        d = P.shape[0]
+        rows = {"q": np.zeros(d), "G": np.eye(d), "l": np.full(d, -1.0)}
+        if oracle < -1e-8:
+            with pytest.raises(ConfigError, match="not positive semidef"):
+                ConvexQP(P=P, **rows)
+        else:
+            ConvexQP(P=P, **rows)
