@@ -88,7 +88,10 @@ class DominantBasis:
 
     ``modes(horizon)`` samples the ``p`` modes on ``t < horizon``: its
     first ``m + 1`` rows are the positivity constraint rows and its full
-    length gives the dominant part of a reconstruction.  ``B`` convolves
+    length gives the dominant part of a reconstruction.  It is also the
+    fitted model's evaluator (see :class:`~posid.estimator.FittedModel`),
+    so it is a module-level function or a ``functools.partial`` of one,
+    which pickles with the model.  ``B`` convolves
     the same modes with the input at the sample times.  Each ``floor``
     row of the coefficients is bounded below by ``a_min``.  ``penalty``
     is the mode-coefficient penalty, already scaled by epsilon.  ``cap``
@@ -249,10 +252,13 @@ def assemble_oscillation_blocks(data: TimeSeriesData, rho: float, n: int,
                          rho=rho, a_min=a_min)
 
 
+def _no_modes(horizon: int) -> np.ndarray:
+    return np.zeros((horizon, 0))
+
+
 def empty_basis(data: TimeSeriesData) -> DominantBasis:
     """Basis with no modes, for a response of zero spectral radius."""
     empty = np.zeros((0, 0))
-    return DominantBasis(B=np.zeros((data.n_samples, 0)),
-                         modes=lambda horizon: np.zeros((horizon, 0)),
+    return DominantBasis(B=np.zeros((data.n_samples, 0)), modes=_no_modes,
                          floor=empty, penalty=empty, cap=np.zeros(0),
                          rho=0.0, a_min=0.0)

@@ -426,11 +426,59 @@ def build_parser():
     return parser, subs
 
 
+def _config_value(action, key: str, value):
+    """A config file ``value`` parsed as argparse parses its flag.
+
+    A single-value option takes a scalar and an ``nargs`` option a list
+    of the allowed count.  Each item goes through ``action.type`` applied
+    to its string form, so ``2.5`` fails for an ``int`` and ``true`` for
+    a ``float``; an option without a type takes a JSON string.  The
+    items must lie in ``choices``.  ``null`` is allowed only where the
+    default is ``None`` and the option is not required.
+    """
+    if value is None:
+        if action.default is not None or action.required:
+            raise ConfigError(f"config key {key}: null is not allowed")
+        return None
+    if action.nargs is None:
+        if isinstance(value, list):
+            raise ConfigError(f"config key {key}: expected one value, "
+                              f"got a list")
+        items = [value]
+    else:
+        one_or_more = action.nargs == "+"
+        if not isinstance(value, list) or (
+                not value if one_or_more else len(value) != action.nargs):
+            count = "one or more" if one_or_more else action.nargs
+            raise ConfigError(f"config key {key}: expected a list of "
+                              f"{count} values, got {json.dumps(value)}")
+        items = value
+    parsed = []
+    for item in items:
+        if action.type is None and not isinstance(item, str):
+            raise ConfigError(f"config key {key}: expected a string, got "
+                              f"{json.dumps(item)}")
+        try:
+            parsed.append(item if action.type is None
+                          else action.type(str(item)))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"config key {key}: invalid {action.type.__name__} value "
+                f"{json.dumps(item)}") from exc
+    bad = [v for v in parsed
+           if action.choices is not None and v not in action.choices]
+    if bad:
+        raise ConfigError(
+            f"config key {key}: invalid choice {', '.join(map(repr, bad))}; "
+            f"allowed: {', '.join(map(str, action.choices))}")
+    return parsed if action.nargs is not None else parsed[0]
+
+
 def _apply_config_file(subparser, path: str) -> None:
     """Load JSON defaults into the subparser; flags still override.
 
-    Values are checked against the option's ``choices`` as argparse
-    checks them on the command line, every item of a list value too.
+    Each value is parsed and checked as argparse parses and checks its
+    flag on the command line (see :func:`_config_value`).
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -451,20 +499,7 @@ def _apply_config_file(subparser, path: str) -> None:
     coerced = {}
     for key, value in payload.items():
         action = actions[key]
-        if action.type is not None and isinstance(value, str):
-            value = action.type(value)
-        elif action.type is not None and isinstance(value, list):
-            value = [action.type(v) if isinstance(v, str) else v
-                     for v in value]
-        if action.choices is not None:
-            bad = [v for v in (value if isinstance(value, list) else [value])
-                   if v not in action.choices]
-            if bad:
-                raise ConfigError(
-                    f"config key {key}: invalid choice "
-                    f"{', '.join(map(repr, bad))}; allowed: "
-                    f"{', '.join(map(str, action.choices))}")
-        coerced[key] = value
+        coerced[key] = _config_value(action, key, value)
         # A key supplied via file satisfies a required option.
         if action.required:
             action.required = False

@@ -9,7 +9,9 @@ repeated pole, poles at unit-root phases, or no dominant part at all (a
 response of zero spectral radius on a windowed kernel).  Each is
 described by one :class:`~posid.assembly.DominantBasis`, and every one
 of them runs the one horizon loop here and returns a
-:class:`FittedModel`.
+:class:`FittedModel`.  The model evaluates its dominant part with that
+basis's mode sampler and the fitted mode coefficients, the one formula
+the loop certified; the subclasses only name the coefficients.
 
 The infinite-dimensional regularised least-squares problem reduces
 exactly to a convex QP over the mode coefficients and the section
@@ -28,6 +30,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -130,15 +133,26 @@ class IdentifyDiagnostics:
 class FittedModel:
     """Model ``g = (dominant part) + h`` fitted by the horizon loop.
 
-    ``w`` holds the coefficients of ``h = sum_j w[j] k(., sections[j])``
-    on ``kernel`` over the pivoted sections of the last QP, kept so
-    predictions can extend the reconstructions ``h`` and ``g`` exactly
-    past the horizon that ``config`` set.  ``sections`` is read-only and
-    shared with every fit on the same kernel and section count.  This
-    base model has no dominant part (zero spectral radius, ``rho = 0``);
-    each subclass adds one that decays at ``rho``.
+    The model evaluates what the loop certified.  The dominant part is
+    ``modes(horizon) @ coeffs``: ``coeffs`` are the QP's mode
+    coefficients and ``modes`` is the sampler of the fit's
+    :class:`~posid.assembly.DominantBasis`, whose rows the loop checked.
+    ``modes`` must be a module-level function or a ``functools.partial``
+    of one, so that the model pickles.  ``w`` holds the coefficients of
+    ``h = sum_j w[j] k(., sections[j])`` on ``kernel`` over the pivoted
+    sections of the last QP.  So predictions extend ``h`` and ``g``
+    exactly past the horizon that ``config`` set.  ``sections`` is
+    read-only and shared with every fit on the same kernel and section
+    count.  This base model has no modes (zero spectral radius,
+    ``rho = 0``).  Each subclass names entries of ``coeffs`` (``a``,
+    ``a_poly``, ``period``) and reports values derived from them (``n``,
+    ``a_r``, ``a_i``).  None of them is a second copy: setting ``a``, or
+    writing into ``a_poly`` or ``period``, changes what the model
+    evaluates.
     """
 
+    coeffs: np.ndarray = field(repr=False)
+    modes: Callable[[int], np.ndarray] = field(repr=False)
     w: np.ndarray = field(repr=False)
     sections: np.ndarray = field(repr=False)
     m: int
@@ -150,7 +164,7 @@ class FittedModel:
     rho: float
 
     def dominant_values(self, horizon: int) -> np.ndarray:
-        return np.zeros(horizon)
+        return self.modes(horizon) @ self.coeffs
 
     def reconstruct(self, horizon: int) -> ImpulseResponse:
         """Response on ``t < horizon`` from the exact section form."""
@@ -158,14 +172,16 @@ class FittedModel:
         return ImpulseResponse(h.values + self.dominant_values(horizon))
 
 
-@dataclass
 class PositiveIdModel(FittedModel):
-    """Identified model ``g[t] = a * rho**t + h[t]``."""
+    """Identified model ``g[t] = a * rho**t + h[t]`` with ``a = coeffs[0]``."""
 
-    a: float
+    @property
+    def a(self) -> float:
+        return float(self.coeffs[0])
 
-    def dominant_values(self, horizon: int) -> np.ndarray:
-        return self.a * self.rho ** np.arange(horizon, dtype=float)
+    @a.setter
+    def a(self, value: float) -> None:
+        self.coeffs[0] = value
 
 
 def default_horizon(data: TimeSeriesData) -> int:
@@ -217,18 +233,24 @@ def reconstruct_h(w: np.ndarray, sections: np.ndarray, kernel: KernelSpec,
     the Gram is built only for the lags past them.  ``h`` is summed in
     blocks of ``_RECONSTRUCT_BLOCK`` lags, so no ``horizon x
     len(sections)`` Gram is held at once; each block's matrix is the same
-    with or without ``rows``, and so is ``h``, bit for bit.
+    with or without ``rows``, and so is ``h``, bit for bit.  The last
+    block is padded with zero rows to the full block length: BLAS may sum
+    the last rows of a product in another order than the others, so
+    without the padding a lag's bits would depend on ``horizon``.  With
+    it, ``h[t]`` is the same, bit for bit, for every ``horizon > t``.
     """
     w = np.asarray(w, dtype=float)
-    known = 0 if rows is None else min(rows.shape[0], horizon)
+    if rows is None:
+        rows = np.empty((0, w.size))
+    known = min(rows.shape[0], horizon)
     h = np.empty(horizon)
     for start in range(0, horizon, _RECONSTRUCT_BLOCK):
         stop = min(start + _RECONSTRUCT_BLOCK, horizon)
         split = min(max(start, known), stop)
-        block = gram(kernel, np.arange(split, stop), sections)
-        if split > start:
-            block = np.concatenate([rows[start:split], block])
-        h[start:stop] = block @ w
+        block = np.concatenate([
+            rows[start:split], gram(kernel, np.arange(split, stop), sections),
+            np.zeros((start + _RECONSTRUCT_BLOCK - stop, w.size))])
+        h[start:stop] = (block @ w)[:stop - start]
     return ImpulseResponse(h)
 
 
@@ -294,7 +316,7 @@ def _solve_or_raise(problem: qp.ConvexQP,
 
 def _fit_basis(kernel: KernelSpec, lam: float, data: TimeSeriesData,
                basis: DominantBasis, horizon: int | None,
-               options: qp.SolveOptions | None) -> tuple[np.ndarray, dict]:
+               options: qp.SolveOptions | None) -> dict:
     """The constraint-horizon loop shared by every estimator.
 
     Grows ``m`` from the data span in steps of ``_DELTA_M`` until the
@@ -305,8 +327,9 @@ def _fit_basis(kernel: KernelSpec, lam: float, data: TimeSeriesData,
     A basis with no modes starts on the kernel's support instead: its
     constraint rows past the support are zero.  ``horizon`` and
     ``options`` default to twice the data span and ``_IDENTIFY_OPTIONS``.
-    Returns the mode coefficients and the model fields every estimator
-    shares.
+    Returns the model fields every estimator shares, among them the mode
+    coefficients ``coeffs`` and the basis sampler ``modes`` that the
+    acceptance check evaluated.
     """
     options = options or _IDENTIFY_OPTIONS
     horizon = horizon or default_horizon(data)
@@ -342,10 +365,11 @@ def _fit_basis(kernel: KernelSpec, lam: float, data: TimeSeriesData,
             qp_gap=sol.gap, objective=sol.objective + float(mats.y @ mats.y),
             c0=c0, h_norm=h_norm, min_g=float(g_vals.min()),
             neg_tol=neg_tol, forced_accept=not accepted)
-        return coeffs, dict(w=w, sections=mats.sections, m=m,
-                            h=ImpulseResponse(h.values[:horizon]),
-                            g=ImpulseResponse(g_vals[:horizon]),
-                            diagnostics=diag, kernel=kernel, rho=basis.rho)
+        return dict(coeffs=coeffs, modes=basis.modes, w=w,
+                    sections=mats.sections, m=m,
+                    h=ImpulseResponse(h.values[:horizon]),
+                    g=ImpulseResponse(g_vals[:horizon]),
+                    diagnostics=diag, kernel=kernel, rho=basis.rho)
     raise SolverError("constraint-horizon loop failed to terminate")
 
 
@@ -356,9 +380,9 @@ def identify(config: PositiveIdConfig, data: TimeSeriesData) -> PositiveIdModel:
     """
     basis = assemble_polynomial_blocks(data, config.rho, 1,
                                        a_min=config.a_min)
-    coeffs, fields = _fit_basis(config.kernel, config.lam, data, basis,
-                                config.horizon, config.solve_options)
-    return PositiveIdModel(a=float(coeffs[0]), config=config, **fields)
+    return PositiveIdModel(config=config, **_fit_basis(
+        config.kernel, config.lam, data, basis, config.horizon,
+        config.solve_options))
 
 
 def predict(model: FittedModel, data: TimeSeriesData, times) -> np.ndarray:

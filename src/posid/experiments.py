@@ -66,6 +66,8 @@ class McProtocol:
             raise ConfigError("runs and n_d must be at least 1")
         if not self.snr_levels_db:
             raise ConfigError("need at least one SNR level")
+        if len(set(self.snr_levels_db)) != len(self.snr_levels_db):
+            raise ConfigError("duplicate SNR levels")
 
 
 @dataclass(frozen=True)

@@ -12,20 +12,21 @@
 Each variant only builds its :class:`~posid.assembly.DominantBasis` and
 runs the base estimator's horizon loop on it, so all of them share its
 QP over the mode and section coefficients ``(coeffs, w)``, acceptance
-test, certified cap ``m0``, diagnostics and model fields.  The finite
-response runs on the empty basis: a QP over ``w`` alone, constrained on
-the kernel's support, which is also its ``m0``.
+test, certified cap ``m0``, diagnostics and model fields.  The returned
+model evaluates the basis's mode sampler on ``coeffs``, as the loop
+did; each model class here only names entries of ``coeffs``.  The
+finite response runs on the empty basis: a QP over ``w`` alone,
+constrained on the kernel's support, which is also its ``m0``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import qp
 from .assembly import (assemble_oscillation_blocks,
-                       assemble_polynomial_blocks, empty_basis,
-                       periodic_modes, polynomial_modes)
+                       assemble_polynomial_blocks, empty_basis)
 from .errors import ConfigError
 from .estimator import FittedModel, PositiveIdConfig, _fit_basis
 from .kernels import KernelSpec
@@ -87,39 +88,55 @@ class FiniteResponseConfig:
             raise ConfigError(f"lambda must be positive, got {self.lam}")
 
 
-@dataclass
 class RepeatedPoleModel(FittedModel):
-    """Identified model ``g[t] = rho**t (a t**(n-1) + sum_j a_poly[j] t**j) + h[t]``."""
+    """Identified model ``g[t] = rho**t (a t**(n-1) + sum_j a_poly[j] t**j) + h[t]``.
 
-    a: float
-    a_poly: np.ndarray = field(repr=False)
-    n: int
+    ``coeffs`` is ``(a_poly, a)``, in increasing degree.
+    """
 
-    def dominant_values(self, horizon: int) -> np.ndarray:
-        modes = polynomial_modes(self.rho, self.n, horizon)
-        coeffs = np.concatenate([self.a_poly, [self.a]])
-        return modes @ coeffs
+    @property
+    def n(self) -> int:
+        return self.coeffs.size
+
+    @property
+    def a(self) -> float:
+        return float(self.coeffs[-1])
+
+    @a.setter
+    def a(self, value: float) -> None:
+        self.coeffs[-1] = value
+
+    @property
+    def a_poly(self) -> np.ndarray:
+        return self.coeffs[:-1]
 
 
-@dataclass
 class OscillatingPoleModel(FittedModel):
     """Identified model with oscillating dominant part of period ``n``.
 
-    ``g[t] = rho**t * period[t mod n] + h[t]`` with the fitted real
-    period, the form whose nonnegativity the horizon loop checked.  The
-    phase coefficients ``a_r + i a_i = fft(period) / n`` give the same
-    part as ``rho**t * sum_k (a_r[k] cos(2 pi k t / n) - a_i[k]
-    sin(2 pi k t / n))``, and ``n * ifft(a_r + i a_i)`` gives the period
-    back.
+    ``g[t] = rho**t * period[t mod n] + h[t]``, where ``period`` is
+    ``coeffs``, the fitted real period whose nonnegativity the horizon
+    loop checked.  The phase coefficients ``a_r + i a_i = fft(period) /
+    n`` give the same part as ``rho**t * sum_k (a_r[k] cos(2 pi k t / n)
+    - a_i[k] sin(2 pi k t / n))``, and ``n * ifft(a_r + i a_i)`` gives
+    the period back.
     """
 
-    period: np.ndarray = field(repr=False)
-    a_r: np.ndarray = field(repr=False)
-    a_i: np.ndarray = field(repr=False)
-    n: int
+    @property
+    def n(self) -> int:
+        return self.coeffs.size
 
-    def dominant_values(self, horizon: int) -> np.ndarray:
-        return periodic_modes(self.rho, self.n, horizon) @ self.period
+    @property
+    def period(self) -> np.ndarray:
+        return self.coeffs
+
+    @property
+    def a_r(self) -> np.ndarray:
+        return (np.fft.fft(self.coeffs) / self.n).real
+
+    @property
+    def a_i(self) -> np.ndarray:
+        return (np.fft.fft(self.coeffs) / self.n).imag
 
 
 def identify_repeated_pole(config: RepeatedPoleConfig,
@@ -134,10 +151,9 @@ def identify_repeated_pole(config: RepeatedPoleConfig,
     basis = assemble_polynomial_blocks(data, base.rho, config.n,
                                        _EPSILON_FRACTION * base.lam,
                                        base.a_min)
-    coeffs, fields = _fit_basis(base.kernel, base.lam, data, basis,
-                                base.horizon, base.solve_options)
-    return RepeatedPoleModel(a=float(coeffs[-1]), a_poly=coeffs[:-1].copy(),
-                             n=config.n, config=config, **fields)
+    return RepeatedPoleModel(config=config, **_fit_basis(
+        base.kernel, base.lam, data, basis, base.horizon,
+        base.solve_options))
 
 
 def identify_oscillating_poles(config: OscillatingPoleConfig,
@@ -151,16 +167,12 @@ def identify_oscillating_poles(config: OscillatingPoleConfig,
     ``period`` and reports the phase coefficients ``fft(x) / n``.
     """
     base = config.base
-    n = config.n
-    basis = assemble_oscillation_blocks(data, base.rho, n,
+    basis = assemble_oscillation_blocks(data, base.rho, config.n,
                                         _EPSILON_FRACTION * base.lam,
                                         base.a_min)
-    period, fields = _fit_basis(base.kernel, base.lam, data, basis,
-                                base.horizon, base.solve_options)
-    phases = np.fft.fft(period) / n
-    return OscillatingPoleModel(period=period.copy(), a_r=phases.real.copy(),
-                                a_i=phases.imag.copy(), n=n, config=config,
-                                **fields)
+    return OscillatingPoleModel(config=config, **_fit_basis(
+        base.kernel, base.lam, data, basis, base.horizon,
+        base.solve_options))
 
 
 def identify_finite_response(config: FiniteResponseConfig,
@@ -171,7 +183,6 @@ def identify_finite_response(config: FiniteResponseConfig,
     coefficients ``w`` with nonnegativity of ``g = K w`` on every lag of
     the support, beyond which the response is identically zero.
     """
-    _, fields = _fit_basis(config.kernel, config.lam, data,
-                           empty_basis(data), config.kernel.support,
-                           config.solve_options)
-    return FittedModel(config=config, **fields)
+    return FittedModel(config=config, **_fit_basis(
+        config.kernel, config.lam, data, empty_basis(data),
+        config.kernel.support, config.solve_options))

@@ -152,7 +152,8 @@ def test_dc_run_rebuilds_from_its_metadata(tmp_path, method):
     ("--rho", "0.9", "not strictly smaller than rho"),
     ("--lam-fir", "-1", "lam_fir must be positive"),
     ("--workers", "0", "workers must be positive"),
-], ids=["n-g", "beta", "coupling", "lam-fir", "workers"])
+    ("--snr", "20 20", "duplicate SNR levels"),
+], ids=["n-g", "beta", "coupling", "lam-fir", "workers", "snr-repeated"])
 def test_montecarlo_rejects_bad_settings_before_any_run(
         tmp_path, capsys, monkeypatch, flag, value, message):
     def no_run(*args):
@@ -161,7 +162,8 @@ def test_montecarlo_rejects_bad_settings_before_any_run(
     monkeypatch.setattr(experiments, "_mc_single_run", no_run)
     out = tmp_path / "out"
     code = main(["montecarlo", "--runs", "2", "--n-d", "30", "--snr", "20",
-                 "--workers", "1", flag, value, "--out-dir", str(out)])
+                 "--workers", "1", flag, *value.split(), "--out-dir",
+                 str(out)])
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (out / "metrics.csv").exists()
@@ -395,7 +397,7 @@ def test_config_file_defaults_and_overrides(tmp_path):
     _single_mode_csv(data_path)
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(
-        {"data": str(data_path), "method": "b", "n_g": 20}))
+        {"data": str(data_path), "method": "b", "n_g": 20, "horizon": None}))
     out = tmp_path / "out"
     # config satisfies the required --data option
     code = main(["identify", "--config", str(config_path),
@@ -446,6 +448,36 @@ def test_config_file_values_obey_choices(tmp_path, capsys, command, payload,
     err = capsys.readouterr().err
     (key,) = payload
     assert f"config key {key}" in err and allowed in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, payload, flags", [
+    ("identify", {"rho": "abc"}, ()),
+    ("identify", {"rho": [0.5, 0.6]}, ()),
+    ("identify", {"n": 2.5}, ("--method", "nup")),
+    ("identify", {"lam": True}, ()),
+    ("identify", {"lam": None}, ()),
+    ("identify", {"data": 5}, ()),
+    ("montecarlo", {"snr": 20}, ()),
+    ("tune", {"rho_range": [0.5]}, ()),
+], ids=["not-a-float", "list-for-scalar", "float-for-int", "bool-for-float",
+        "null-without-null-default", "number-for-string", "scalar-for-list",
+        "short-list"])
+def test_config_file_values_parse_as_their_flags(tmp_path, capsys, command,
+                                                 payload, flags):
+    # a file value gets the parsing its flag gets: a bad one exits 2,
+    # naming the key, before any output directory is made
+    data_path = tmp_path / "data.csv"
+    _single_mode_csv(data_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(payload))
+    argv = [command, "--config", str(config_path),
+            "--out-dir", str(tmp_path / "out"), *flags]
+    if command != "montecarlo":
+        argv += ["--data", str(data_path)]
+    assert main(argv) == 2
+    (key,) = payload
+    assert f"config key {key}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -243,10 +243,13 @@ def test_reconstruct_h_from_known_rows_matches_the_gram(kernel, m):
     rng = np.random.default_rng(11)
     mats = assemble_core(kernel, _single_mode_data(rng, 12), m)
     w = rng.standard_normal(mats.sections.size)
+    longest = reconstruct_h(w, mats.sections, kernel, 1100).values
     for horizon in (5, 8, 30, 1100):
         h = reconstruct_h(w, mats.sections, kernel, horizon, mats.rows)
         np.testing.assert_array_equal(
             h.values, reconstruct_h(w, mats.sections, kernel, horizon).values)
+        # a lag's bits do not depend on how far the reconstruction runs
+        np.testing.assert_array_equal(h.values, longest[:horizon])
         # against one product with the whole Gram only the order of the
         # sums may differ: a few roundoffs of |k| |w|
         full = gram(kernel, np.arange(horizon), mats.sections)

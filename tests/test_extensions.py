@@ -143,7 +143,9 @@ def test_oscillating_period_three_recovery():
         OscillatingPoleConfig(base, 2), data),
     lambda base, data: identify_oscillating_poles(
         OscillatingPoleConfig(base, 3), data),
-], ids=["identify", "repeated2", "oscillating2", "oscillating3"])
+    lambda base, data: identify_finite_response(
+        FiniteResponseConfig(window_kernel(base.kernel, 30), base.lam), data),
+], ids=["identify", "repeated2", "oscillating2", "oscillating3", "finite30"])
 def test_reconstruct_replays_the_checked_response(fit):
     # the response a model reconstructs is, to the last bit, the one the
     # horizon loop checked and returned
