@@ -27,6 +27,7 @@ nonnegative below ``m_0``.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -38,21 +39,16 @@ from . import qp
 from .assembly import (DominantBasis, QPDataMatrices, assemble_core,
                        assemble_polynomial_blocks, required_width)
 from .errors import ConfigError, SolverError
-from .kernels import KernelSpec, decay_compatible, domination_bound, gram
+from .kernels import (KernelSpec, decay_compatible, domination_bound, gram,
+                      section_tail)
 from .signals import ImpulseResponse, TimeSeriesData, convolve
 
 logger = logging.getLogger(__name__)
 
 # Safety margin on the nonnegativity check of the reconstructed response.
 _NEG_TOL_SCALE = 1e-8
-# Iteration guard: the loop is finite by construction (m is capped by the
-# certified bound) but a defensive cap keeps bugs from spinning.
-_MAX_LOOPS = 1000
 # Constraint-horizon increment between loop iterations.
 _DELTA_M = 50
-# Lags per block of a reconstruction: the block's Gram is its largest
-# array, so memory stays bounded on horizons of thousands of lags.
-_RECONSTRUCT_BLOCK = 512
 # Default inner solve options, tighter than the library defaults: the
 # nonnegativity acceptance test must sit clearly above solver noise.
 _IDENTIFY_OPTIONS = qp.SolveOptions(tol_feas=1e-10, tol_gap=1e-9)
@@ -141,7 +137,9 @@ class FittedModel:
     of one, so that the model pickles.  ``w`` holds the coefficients of
     ``h = sum_j w[j] k(., sections[j])`` on ``kernel`` over the pivoted
     sections of the last QP.  So predictions extend ``h`` and ``g``
-    exactly past the horizon that ``config`` set.  ``sections`` is
+    exactly past the horizon that ``config`` set: past the last section
+    ``h`` is the kernel's geometric tail, evaluated in O(horizon) by
+    :func:`reconstruct_h`.  ``sections`` is
     read-only and shared with every fit on the same kernel and section
     count.  This base model has no modes (zero spectral radius,
     ``rho = 0``).  Each subclass names entries of ``coeffs`` (``a``,
@@ -223,35 +221,23 @@ def build_qp(lam: float, mats: QPDataMatrices,
 
 
 def reconstruct_h(w: np.ndarray, sections: np.ndarray, kernel: KernelSpec,
-                  horizon: int, rows: np.ndarray | None = None
-                  ) -> ImpulseResponse:
+                  horizon: int) -> ImpulseResponse:
     """Residual ``h[t] = sum_j w[j] k(t, sections[j])`` on ``t < horizon``.
 
-    The sum runs over the given sections and is exact.  ``rows``, when
-    given, holds the section values ``k(t, sections)`` on the first lags
-    ``t < len(rows)`` (a fit's ``mats.rows``, from the section cache), so
-    the Gram is built only for the lags past them.  ``h`` is summed in
-    blocks of ``_RECONSTRUCT_BLOCK`` lags, so no ``horizon x
-    len(sections)`` Gram is held at once; each block's matrix is the same
-    with or without ``rows``, and so is ``h``, bit for bit.  The last
-    block is padded with zero rows to the full block length: BLAS may sum
-    the last rows of a product in another order than the others, so
-    without the padding a lag's bits would depend on ``horizon``.  With
-    it, ``h[t]`` is the same, bit for bit, for every ``horizon > t``.
+    The sum runs over the given sections and is exact.  Up to the last
+    section ``a = max(sections)``, ``h`` is one product of the Gram on
+    ``t <= a`` with ``w``; past it, the kernel's semiseparable tail
+    (:func:`~posid.kernels.section_tail`) continues it from ``h(a)`` in
+    O(horizon), so no Gram past ``a`` is built.  The product has the same
+    shape for every horizon, so ``h[t]`` is the same, bit for bit, for
+    every ``horizon > t``.
     """
     w = np.asarray(w, dtype=float)
-    if rows is None:
-        rows = np.empty((0, w.size))
-    known = min(rows.shape[0], horizon)
-    h = np.empty(horizon)
-    for start in range(0, horizon, _RECONSTRUCT_BLOCK):
-        stop = min(start + _RECONSTRUCT_BLOCK, horizon)
-        split = min(max(start, known), stop)
-        block = np.concatenate([
-            rows[start:split], gram(kernel, np.arange(split, stop), sections),
-            np.zeros((start + _RECONSTRUCT_BLOCK - stop, w.size))])
-        h[start:stop] = (block @ w)[:stop - start]
-    return ImpulseResponse(h)
+    last = int(np.max(sections))
+    head = gram(kernel, np.arange(last + 1), sections) @ w
+    tail = section_tail(kernel, sections, w, head[-1],
+                        max(horizon - last - 1, 0))
+    return ImpulseResponse(np.concatenate([head, tail])[:horizon])
 
 
 def _m0_from_constants(c0: float, c: float, rho_d: float, rho: float,
@@ -325,8 +311,11 @@ def _fit_basis(kernel: KernelSpec, lam: float, data: TimeSeriesData,
     bound ``m_0`` of the basis cap mode; at ``m = m_0`` acceptance is
     forced and any residual negativity is reported in the diagnostics.
     A basis with no modes starts on the kernel's support instead: its
-    constraint rows past the support are zero.  ``horizon`` and
-    ``options`` default to twice the data span and ``_IDENTIFY_OPTIONS``.
+    constraint rows past the support are zero.  Each rejected pass with
+    ``m < m_0`` raises ``m``, and ``m >= m_0`` accepts, so the loop makes
+    at most ``ceil(max(m_0 - m_start, 0) / _DELTA_M) + 1`` passes.
+    ``horizon`` and ``options`` default to twice the data span and
+    ``_IDENTIFY_OPTIONS``.
     Returns the model fields every estimator shares, among them the mode
     coefficients ``coeffs`` and the basis sampler ``modes`` that the
     acceptance check evaluated.
@@ -337,12 +326,12 @@ def _fit_basis(kernel: KernelSpec, lam: float, data: TimeSeriesData,
     m0 = compute_m0(kernel, lam, basis, c0)
     p = basis.size
     m = initial_constraint_horizon(data) if p else m0 - 1
-    for iterations in range(1, _MAX_LOOPS + 1):
+    for iterations in itertools.count(1):
         mats = assemble_core(kernel, data, m)
         sol = _solve_or_raise(build_qp(lam, mats, basis), options)
         coeffs, w = sol.z[:p], sol.z[p:]
         check_len = max(m0, horizon, m + 1)
-        h = reconstruct_h(w, mats.sections, kernel, check_len, mats.rows)
+        h = reconstruct_h(w, mats.sections, kernel, check_len)
         g_vals = h.values + basis.modes(check_len) @ coeffs
         top = float(np.abs(coeffs).max(initial=0.0))
         neg_tol = _NEG_TOL_SCALE * (1.0 + top)
@@ -370,7 +359,6 @@ def _fit_basis(kernel: KernelSpec, lam: float, data: TimeSeriesData,
                     h=ImpulseResponse(h.values[:horizon]),
                     g=ImpulseResponse(g_vals[:horizon]),
                     diagnostics=diag, kernel=kernel, rho=basis.rho)
-    raise SolverError("constraint-horizon loop failed to terminate")
 
 
 def identify(config: PositiveIdConfig, data: TimeSeriesData) -> PositiveIdModel:

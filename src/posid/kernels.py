@@ -20,6 +20,15 @@ gathered onto the grid, so the number of ``pow`` calls grows with the
 largest index, not with the number of entries.  The tables are computed
 by the same calls as the closed forms above, so the values are
 bit-identical to evaluating those forms entry by entry.
+
+Every family is also semiseparable (Chen & Andersen 2021, "On
+semiseparable kernels and efficient implementation for regularized
+system identification and function estimation", Automatica): for
+``s <= a < t`` the section ``k(t, s)`` is a sum of at most two geometric
+terms in ``t - a``.  So past the last section ``a`` of a residual
+``h = sum_j w[j] k(., J[j])``, ``h`` is exactly one geometric term (tc,
+dc) or two (ss), and :func:`section_tail` evaluates it in O(count) with
+no Gram.
 """
 from __future__ import annotations
 
@@ -162,6 +171,39 @@ def gram(kernel: KernelSpec, rows, cols) -> np.ndarray:
     if r.size and r.min() < 0 or c.size and c.min() < 0:
         raise ConfigError("gram indices must be nonnegative")
     return _eval_grid(kernel, r[:, None], c[None, :])
+
+
+def section_tail(kernel: KernelSpec, sections, w: np.ndarray,
+                 h_last: float, count: int) -> np.ndarray:
+    """Residual ``h(a + k)`` for ``k = 1 .. count`` past the last section.
+
+    ``h = sum_j w[j] k(., sections[j])``, ``a = max(sections)`` and
+    ``h_last = h(a)``.  tc and dc have rank one past ``a``:
+    ``k(a + k, s) = k(k, 0) * k(a, s)`` for ``s <= a``, so
+    ``h(a + k) = h_last * k(k, 0)``, with ``k(k, 0)`` from the family's
+    own power tables (dc as ``beta**(k/2) * gamma**k``: the rounded rate
+    ``sqrt(beta) * gamma`` would compound its error over ``k``).  ss has
+    two terms, anchored at ``a``::
+
+        h(a + k) = (beta**(2a + s) / 2 @ w) * beta**(2k)
+                   - (beta**(3a) / 6 * sum(w)) * beta**(3k)
+
+    A window zeroes the lags ``a + k >= support``.
+    """
+    s = np.asarray(sections, dtype=np.int64)
+    last = int(s.max())
+    lags = np.arange(1, count + 1, dtype=np.int64)
+    if kernel.kind == KIND_SS:
+        beta = kernel.beta
+        near = (np.power(beta, 2.0 * last + s) / 2.0) @ w
+        far = np.power(beta, 3.0 * last) / 6.0 * np.sum(w)
+        tail = (near * np.power(beta, 2.0 * lags)
+                - far * np.power(beta, 3.0 * lags))
+    else:
+        tail = h_last * _eval_grid(replace(kernel, support=None), lags, 0)
+    if kernel.support is not None:
+        tail[last + lags >= kernel.support] = 0.0
+    return tail
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,10 @@ _DECAYING = (KIND_TC, KIND_DC, KIND_SS)
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Disjoint index sets into the output samples of one experiment."""
+    """Disjoint index sets into the output samples of one experiment.
+
+    Each part is nonempty, nonnegative and strictly increasing.
+    """
 
     train_indices: np.ndarray
     validation_indices: np.ndarray
@@ -38,6 +41,10 @@ class SplitSpec:
         val = np.asarray(self.validation_indices, dtype=np.int64)
         if train.size == 0 or val.size == 0:
             raise ConfigError("both split parts must be nonempty")
+        for part in (train, val):
+            if part[0] < 0 or np.any(np.diff(part) <= 0):
+                raise ConfigError("split parts must be nonnegative and "
+                                  "strictly increasing")
         if np.intersect1d(train, val).size:
             raise ConfigError("split parts must be disjoint")
         object.__setattr__(self, "train_indices", train)
@@ -214,11 +221,16 @@ def tune(space: HyperparamSpace, data: TimeSeriesData,
     ``strategy`` is ``"grid"`` (default) or ``"random"``.  Candidates
     violating the decay/pole coupling are never evaluated.  Ties keep the
     earliest candidate, making the result deterministic for a fixed seed.
+    A split index past the data's samples raises ``ConfigError``.
     """
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
     if split is None:
         split = default_split(data.n_samples)
+    top = max(split.train_indices[-1], split.validation_indices[-1])
+    if top >= data.n_samples:
+        raise ConfigError(f"split index {top} is out of range for "
+                          f"{data.n_samples} samples")
     if strategy == "grid":
         candidates = [theta for theta in _grid_candidates(space, budget)
                       if _coupled(space, theta)]

@@ -2,9 +2,12 @@
 import numpy as np
 import pytest
 
+from posid.assembly import assemble_core
 from posid.errors import ConfigError
 from posid.kernels import (DominationBound, KernelSpec, decay_compatible,
-                           domination_bound, gram, window_kernel)
+                           domination_bound, gram, section_tail,
+                           window_kernel)
+from posid.signals import TimeSeriesData
 
 
 def _definitional(kernel, s, t):
@@ -272,3 +275,38 @@ def test_table_gram_equals_elementwise_closed_forms(kernel):
         oracle = _elementwise_eval_grid(kernel, r[:, None], c[None, :])
         assert out.shape == (r.size, c.size), name
         assert np.array_equal(out, oracle), name
+
+
+_TAIL_KERNELS = [
+    KernelSpec.tc(0.9), KernelSpec.tc(0.6),
+    KernelSpec.dc(0.9, 0.9), KernelSpec.dc(0.9, -0.5), KernelSpec.dc(0.9, 0.0),
+    KernelSpec.dc(0.9, 1.0), KernelSpec.dc(0.9, -1.0),
+    KernelSpec.ss(0.97), KernelSpec.ss(0.8),
+    KernelSpec.tc(0.0), KernelSpec.dc(0.0, 0.5), KernelSpec.ss(0.0),
+    window_kernel(KernelSpec.dc(0.8, -0.4), 150),
+]
+
+
+@pytest.mark.parametrize("n_sec", [12, 201, 801])
+@pytest.mark.parametrize(
+    "kernel", _TAIL_KERNELS,
+    ids=lambda k: "-".join(str(v) for v in (k.kind, k.beta, k.gamma, k.support)
+                           if v is not None))
+def test_section_tail_matches_the_gram_past_the_last_section(kernel, n_sec):
+    # the pivoted sections of a fit with n_sec candidate lags
+    rng = np.random.default_rng(n_sec)
+    u = rng.choice([-1.0, 1.0], size=12)
+    data = TimeSeriesData.at_rest(u, rng.standard_normal(12))
+    sections = assemble_core(kernel, data, n_sec - 1).sections
+    w = rng.standard_normal(sections.size)
+    last = int(sections.max())
+    h_last = float(gram(kernel, [last], sections)[0] @ w)
+    tail = section_tail(kernel, sections, w, h_last, 2000)
+    K = gram(kernel, np.arange(last + 1, last + 2001), sections)
+    # a few roundoffs of |k| |w| (the dc rate's powers compounded, not
+    # taken from the tables, miss this by an order of magnitude); far
+    # lags underflow, where the bound is the smallest normal
+    bound = 8 * np.finfo(float).eps * (np.abs(K) @ np.abs(w)) \
+        + np.finfo(float).tiny
+    assert tail.shape == (2000,)
+    assert np.all(np.abs(tail - K @ w) <= bound)

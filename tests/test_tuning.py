@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from posid import tuning
 from posid.errors import ConfigError
 from posid.estimator import PositiveIdConfig, identify
 from posid.kernels import KernelSpec, decay_compatible
@@ -41,6 +42,24 @@ def test_split_validation():
         SplitSpec(np.array([0, 1]), np.array([1, 2]))
     with pytest.raises(ConfigError, match="train fraction"):
         default_split(10, train_fraction=1.0)
+
+
+@pytest.mark.parametrize("train, val", [
+    (np.arange(30), np.array([-1, -2])),
+    (np.arange(30), np.array([30, 40])),
+    (np.arange(30)[::-1], np.arange(30, 40)),
+    (np.array([0, 0, 1]), np.arange(30, 40)),
+], ids=["negative", "past-the-samples", "unsorted", "repeated"])
+def test_tune_rejects_a_split_before_fitting(train, val, monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a candidate was fitted")
+
+    monkeypatch.setattr(tuning, "identify", no_fit)
+    data = _single_mode_data(np.random.default_rng(0), 40)
+    space = HyperparamSpace(kind="tc", rho_range=(0.9, 0.9),
+                            lam_range=(1e-2, 1e-2), beta_range=(0.5, 0.5))
+    with pytest.raises(ConfigError, match="split"):
+        tune(space, data, split=SplitSpec(train, val), budget=1)
 
 
 def test_budget_one_evaluates_single_candidate():
