@@ -76,7 +76,12 @@ def ls_clip(data: TimeSeriesData, n_g: int) -> ImpulseResponse:
 def nonneg_ls(data: TimeSeriesData, n_g: int) -> ImpulseResponse:
     """Least squares over the nonnegative orthant.
 
-    Raises :class:`SolverError` when the QP does not reach optimality.
+    Solved as the QP ``min |U g - y|^2`` subject to ``g >= 0`` by
+    :func:`posid.qp.solve`, whose block pivoting over active sets usually
+    ends on the exact NNLS face (the one Lawson-Hanson finds) without an
+    interior-point iteration; a rank-deficient ``U`` (more taps than
+    samples) is handled by the same minimum-norm KKT solves.  Raises
+    :class:`SolverError` when the QP does not reach optimality.
     """
     U = input_weight_matrix(data, n_g)
     problem = qp.ConvexQP(P=2.0 * (U.T @ U), q=-2.0 * (U.T @ data.outputs),

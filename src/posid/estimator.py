@@ -103,10 +103,11 @@ class PositiveIdConfig:
 class IdentifyDiagnostics:
     """Run-level diagnostics attached to every identified model.
 
-    ``iterations`` counts horizon-loop passes; ``qp_path`` and
-    ``qp_iterations`` are the last QP's solution path (``ipm`` or
-    ``polish``) and interior-point iterations (0 when its unconstrained
-    minimiser was certified without any).
+    ``iterations`` counts horizon-loop passes; ``qp_path``,
+    ``qp_iterations`` and ``qp_rounds`` are the last QP's solution path
+    (``ipm`` or ``polish``), interior-point iterations (0 when a pivoting
+    round was certified without any) and pivoting rounds (1 when its
+    unconstrained minimiser was certified).
     """
 
     m0: int
@@ -114,6 +115,7 @@ class IdentifyDiagnostics:
     qp_status: str
     qp_path: str
     qp_iterations: int
+    qp_rounds: int
     qp_primal: float
     qp_dual: float
     qp_gap: float
@@ -350,6 +352,7 @@ def _fit_basis(kernel: KernelSpec, lam: float, data: TimeSeriesData,
         diag = IdentifyDiagnostics(
             m0=m0, iterations=iterations, qp_status=sol.status,
             qp_path=sol.path, qp_iterations=sol.iterations,
+            qp_rounds=sol.rounds,
             qp_primal=sol.primal_residual, qp_dual=sol.dual_residual,
             qp_gap=sol.gap, objective=sol.objective + float(mats.y @ mats.y),
             c0=c0, h_norm=h_norm, min_g=float(g_vals.min()),

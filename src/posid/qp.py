@@ -10,22 +10,27 @@ positivity rows; a problem without rows is rejected).  Every solve works
 on a column-, row- and cost-scaled copy of the problem and tries its
 candidates in this order:
 
-1. The unconstrained minimiser: the active-set polish over the empty
-   active set, the solution of ``P z = -q``.  When ``P`` has full
-   numerical rank it comes from two triangular solves with the pivoted
-   Cholesky factor that :class:`ConvexQP` keeps from its PSD test; for a
-   rank-deficient ``P`` it is the minimum-norm least-squares solution
-   (every other polish solves the same way: a complete orthogonal
-   factorisation, LAPACK ``gelsy``, with numerical rank cut at
-   ``eps * max(shape)``).  When
-   no row binds at the optimum this is the optimum itself, the classic
-   start of the dual active-set method (Goldfarb & Idnani 1983).  It is
-   returned, with zero iterations, only when it certifies ``optimal`` in
-   the original units *and* meets every row in the scaled units,
+1. Block principal pivoting over active sets (Júdice & Pires 1994; Kim
+   & Park 2011).  Each round is one active-set polish: the KKT point
+   with the rows of the current active set held as equalities.  Round 0
+   is the polish over the empty active set, the unconstrained minimiser
+   ``P z = -q``: when ``P`` has full numerical rank it comes from two
+   triangular solves with the pivoted Cholesky factor that
+   :class:`ConvexQP` keeps from its PSD test, and otherwise, like every
+   later round, from a minimum-norm least-squares solve (a complete
+   orthogonal factorisation, LAPACK ``gelsy``, with numerical rank cut
+   at ``eps * max(shape)``).  A round is returned, with zero
+   interior-point iterations, when it certifies ``optimal`` in the
+   original units *and* meets every inactive row in the scaled units,
    ``Gs zs - ls >= 0``.  The second test is needed: the certificate
    allows a violation of ``tol_feas * (1 + |l|_inf)``, which a row scaled
    by a tiny factor can pass while it is violated by a macroscopic amount
    in its own units; row normalisation gives every row the same say.
+   Otherwise every infeasible row flips in one block: an active row with
+   a negative KKT multiplier leaves the active set, an inactive row with
+   a negative scaled slack joins it.  Pivoting stops when the number of
+   infeasible rows has not fallen below its best for two rounds in a
+   row, so it runs at most ``2 (k + 1)`` rounds for ``k`` rows.
 2. Otherwise a primal-dual interior-point method (Mehrotra
    predictor-corrector on the slack/multiplier pair) runs, and its best
    iterate gets one active-set polish, the active set guessed from that
@@ -35,8 +40,8 @@ candidates in this order:
 
 The returned status reflects the final certified residuals, which
 :func:`kkt_certificate` recomputes from the same residual builder, and
-the returned ``path`` names the candidate: ``polish`` for either polish,
-``ipm`` for the interior-point iterate.
+the returned ``path`` names the candidate: ``polish`` for a pivoting
+round or the exit polish, ``ipm`` for the interior-point iterate.
 """
 from __future__ import annotations
 
@@ -66,6 +71,13 @@ _REG_BUMPS = (1.0, 1e2, 1e4, 1e6)
 # boundary of the positive orthant taken by each iteration.
 _MAX_ITER = 200
 _STEP_FRACTION = 0.99
+# Pivoting stops, and the interior point takes over, at the second round
+# in a row whose infeasible-row count is not below its best so far.  One
+# such round is let pass because a block flip can overshoot and the next
+# round still finish; a second marks the cycling of degenerate QPs, which
+# the interior point handles.  So the best count falls at least every
+# second round, and pivoting ends within 2 (k + 1) rounds for k rows.
+_STALL_ROUNDS = 2
 
 
 @dataclass(frozen=True)
@@ -214,8 +226,10 @@ class QPSolution:
     ``lam`` are the inequality multipliers (nonnegative, one per row of
     ``G``).  ``path`` is ``ipm`` for an interior-point iterate and
     ``polish`` for an active-set polish; ``iterations`` counts the
-    interior-point iterations run before it, 0 when the unconstrained
-    minimiser was certified first.
+    interior-point iterations run before it, 0 when a pivoting round was
+    certified first, so a solve fell back to the interior point exactly
+    when it is positive.  ``rounds`` counts the pivoting rounds run,
+    round 0 (the unconstrained minimiser) included.
     """
 
     z: np.ndarray
@@ -227,6 +241,7 @@ class QPSolution:
     lam: np.ndarray = field(repr=False)
     iterations: int
     path: str
+    rounds: int
 
 
 @dataclass(frozen=True)
@@ -262,8 +277,10 @@ def _score(sol: QPSolution) -> float:
 
 
 def _finish(problem: ConvexQP, opt: SolveOptions, z, lam,
-            iterations: int, path: str) -> QPSolution:
-    """Assemble a solution record with residuals in original units."""
+            iterations: int, path: str, rounds: int) -> QPSolution:
+    """Assemble a solution record with residuals in original units.
+
+    Negative entries of ``lam`` are clipped to zero first."""
     z = np.asarray(z, dtype=float)
     lam = np.maximum(lam, 0.0)
     obj = problem.objective(z)
@@ -279,7 +296,8 @@ def _finish(problem: ConvexQP, opt: SolveOptions, z, lam,
     return QPSolution(z=z, objective=obj,
                       status=OPTIMAL if certified else MAX_ITERATIONS,
                       primal_residual=primal, dual_residual=dual, gap=gap,
-                      lam=lam, iterations=iterations, path=path)
+                      lam=lam, iterations=iterations, path=path,
+                      rounds=rounds)
 
 
 def _row_scale(mat: np.ndarray, vec: np.ndarray):
@@ -296,12 +314,21 @@ def _row_scale(mat: np.ndarray, vec: np.ndarray):
 def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
     """Solve one convex QP with at least one inequality row.
 
-    After the scaling, the unconstrained minimiser (the polish over the
-    empty active set) is tried first.  It is returned, with path
-    ``polish`` and zero iterations, when it certifies ``optimal`` and
-    meets every row in the scaled units, ``Gs zs - ls >= 0``.  Otherwise
-    the interior-point method runs, and the answer is the lower-residual
-    of its best iterate and that iterate's polish.
+    After the scaling, block principal pivoting runs over active sets,
+    starting from the empty one, whose polish is the unconstrained
+    minimiser.  A round is returned, with path ``polish`` and zero
+    iterations, when it certifies ``optimal`` and meets every inactive
+    row in the scaled units, ``Gs zs - ls >= 0``.  Otherwise every row
+    that is infeasible for the round flips: an active row with a
+    negative KKT multiplier leaves the active set, an inactive row with
+    a negative scaled slack joins it.  Once the infeasible count has not
+    fallen below its best for ``_STALL_ROUNDS`` (2) rounds in a row, or
+    a round has no row to flip, or its solve is not finite, the
+    interior-point method runs, and the answer is the lower-residual of
+    its best iterate and that iterate's polish.  The best count falls at
+    least every second round, from at most ``k`` for ``k`` rows, and a
+    count of 0 ends the pivoting, so it runs at most ``2 (k + 1)``
+    rounds.
 
     Returns a :class:`QPSolution` whose status is ``optimal`` only when
     the certified residuals meet the requested tolerances and
@@ -333,23 +360,38 @@ def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
     def certify(zs, lams, iterations, path):
         # A scaled iterate's solution record, in the original units.
         return _finish(problem, opt, col * zs, cost_scale * lams / g_norms,
-                       iterations, path)
+                       iterations, path, rounds)
 
-    # When no row binds, the unconstrained minimiser is the optimum.  The
-    # certificate alone would pass a violated row of tiny norm (it allows
-    # tol_feas * (1 + |l|_inf) in the original units), so the candidate
-    # must also meet every row in the scaled units.
-    def certify_free(zs, lams):
+    # One pivoting round's verdict on its KKT point.  The certificate
+    # alone would pass a violated row of tiny norm (it allows tol_feas *
+    # (1 + |l|_inf) in the original units), so the round must also meet
+    # every inactive row in the scaled units.  A rejected round leaves
+    # its infeasible rows, in the raw multipliers' signs and the scaled
+    # slacks, for the next flip.
+    def pivot(zs, lams):
+        nonlocal infeasible
+        infeasible = np.where(active, lams < 0.0, Gs @ zs - ls < 0.0)
         sol = certify(zs, lams, 0, POLISH)
-        if sol.status == OPTIMAL and np.all(Gs @ zs - ls >= 0.0):
+        if sol.status == OPTIMAL and not np.any(infeasible & ~active):
             return sol
         return None
 
     # With a full-rank factor, Ps zs = -qs is solved as Pc zs = -qc.
     free_solve = (lambda: factor.solve(-qc)) if factor.rank == d else None
-    free = _polish(scaled, np.zeros(k, dtype=bool), certify_free, free_solve)
-    if free is not None:
-        return free
+    active = np.zeros(k, dtype=bool)
+    fewest, stalled, rounds = k + 1, 0, 0
+    while True:
+        rounds += 1
+        infeasible = None
+        found = _polish(scaled, active, pivot, free_solve)
+        if found is not None:
+            return found
+        count = 0 if infeasible is None else int(infeasible.sum())
+        stalled = 0 if count < fewest else stalled + 1
+        fewest = min(fewest, count)
+        if count == 0 or stalled >= _STALL_ROUNDS:
+            break
+        active = active ^ infeasible
 
     reg = 1e-12 * (1.0 + float(np.trace(Ps)) / d)
 
@@ -468,9 +510,11 @@ def _polish(scaled, active: np.ndarray, certify,
     ``P`` from Gram assembly can be numerically singular:
     :func:`min_norm_lstsq`, a complete orthogonal factorisation with
     numerical rank cut at ``eps * max(kkt.shape)``.  ``certify(z, lam)``
-    maps the answer back, certifies it in the original units and returns
-    the solution record, or ``None`` to reject it.  Returns ``None`` also
-    when the solve is not finite.
+    gets the raw KKT multipliers, negative ones included (0 on inactive
+    rows), so pivoting can read their signs; it maps the answer back,
+    certifies it in the original units (:func:`_finish` clips the
+    multipliers at zero) and returns the solution record, or ``None`` to
+    reject it.  Returns ``None`` also when the solve is not finite.
     """
     Ps, qs, Gs, ls = scaled
     d = qs.size
@@ -488,7 +532,7 @@ def _polish(scaled, active: np.ndarray, certify,
     if not np.all(np.isfinite(sol)):
         return None
     lam_full = np.zeros(ls.size)
-    lam_full[active] = np.maximum(sol[d:], 0.0)
+    lam_full[active] = sol[d:]
     return certify(sol[:d], lam_full)
 
 

@@ -126,14 +126,25 @@ def _coupled(space: HyperparamSpace, theta: ThetaPoint) -> bool:
     return decay_compatible(theta.kernel(space.kind), theta.rho)
 
 
+def _check_split_range(split: SplitSpec, data: TimeSeriesData) -> None:
+    """Raise ``ConfigError`` when a split index is past the samples."""
+    top = max(split.train_indices[-1], split.validation_indices[-1])
+    if top >= data.n_samples:
+        raise ConfigError(f"split index {top} is out of range for "
+                          f"{data.n_samples} samples")
+
+
 def validation_score(theta: ThetaPoint, data: TimeSeriesData,
                      split: SplitSpec, kind: str,
                      **config_kwargs) -> float:
     """Mean squared hold-out prediction error of one candidate.
 
-    Failures (solver breakdowns, invalid configurations) score ``inf`` so
-    the search can move on; the cause is logged.
+    A split index past the data's samples raises ``ConfigError`` before
+    anything is fitted.  Failures of the candidate (solver breakdowns,
+    invalid configurations) score ``inf`` so the search can move on; the
+    cause is logged.
     """
+    _check_split_range(split, data)
     try:
         config = PositiveIdConfig(kernel=theta.kernel(kind), rho=theta.rho,
                                   lam=theta.lam, **config_kwargs)
@@ -227,10 +238,7 @@ def tune(space: HyperparamSpace, data: TimeSeriesData,
         raise ConfigError(f"budget must be >= 1, got {budget}")
     if split is None:
         split = default_split(data.n_samples)
-    top = max(split.train_indices[-1], split.validation_indices[-1])
-    if top >= data.n_samples:
-        raise ConfigError(f"split index {top} is out of range for "
-                          f"{data.n_samples} samples")
+    _check_split_range(split, data)
     if strategy == "grid":
         candidates = [theta for theta in _grid_candidates(space, budget)
                       if _coupled(space, theta)]

@@ -4,10 +4,13 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from posid import qp
-from posid.assembly import assemble_core, assemble_polynomial_blocks
-from posid.errors import ConfigError
+from posid.assembly import (assemble_core, assemble_polynomial_blocks,
+                            input_weight_matrix)
+from posid.baselines import nonneg_ls
+from posid.errors import ConfigError, SolverError
 from posid.estimator import (PositiveIdConfig, build_qp, identify,
                              initial_constraint_horizon)
 from posid.experiments import (McProtocol, add_noise, gen_binary_input,
@@ -16,6 +19,8 @@ from posid.kernels import KernelSpec
 from posid.qp import (ConvexQP, SolveOptions, dump_qp, kkt_certificate,
                       load_qp_dump, solve)
 from posid.signals import TimeSeriesData
+
+from test_extensions import _mis_specified_record
 
 
 def _random_strictly_convex(rng, d, n_ineq):
@@ -29,7 +34,7 @@ def _random_strictly_convex(rng, d, n_ineq):
 
 def _binding_random_qp(seed, d, n_ineq):
     """A random strictly convex QP whose first row cuts off its
-    unconstrained minimiser by 1, so its solve runs the interior point."""
+    unconstrained minimiser by 1, so round 0 of its solve is rejected."""
     problem = _random_strictly_convex(np.random.default_rng(seed), d, n_ineq)
     free = np.linalg.solve(problem.P, -problem.q)
     l = problem.l.copy()
@@ -77,16 +82,29 @@ def _active_set_oracle(problem):
 
 
 def test_matches_active_set_enumeration():
+    # the random draws and the QPs whose first row cuts their free
+    # minimiser off are all finished by pivoting: no interior-point
+    # iteration runs
     rng = np.random.default_rng(7)
     tight = SolveOptions(tol_feas=1e-11, tol_gap=1e-11)
-    for trial in range(30):
-        problem = _random_strictly_convex(rng, 5, 3)
+    problems = [_random_strictly_convex(rng, 5, 3) for _ in range(30)]
+    problems += [_binding_random_qp(seed, 5, 3) for seed in range(30)]
+    for trial, problem in enumerate(problems):
         z_star, obj_star = _active_set_oracle(problem)
         sol = solve(problem, tight)
         assert sol.status == "optimal", f"trial {trial}: {sol.status}"
+        assert (sol.path, sol.iterations) == ("polish", 0), f"trial {trial}"
+        # a binding QP needs at least one pivot
+        assert trial < 30 or sol.rounds > 1, f"trial {trial}"
         np.testing.assert_allclose(sol.z, z_star, atol=1e-7,
                                    err_msg=f"trial {trial}")
         assert sol.objective == pytest.approx(obj_star, abs=1e-7)
+
+
+def _ipm_only(monkeypatch):
+    """Stop pivoting after round 0, so a QP whose free minimiser is
+    rejected goes straight to the interior point."""
+    monkeypatch.setattr(qp, "_STALL_ROUNDS", 0)
 
 
 def _first_direction_nan(monkeypatch, dim):
@@ -109,6 +127,7 @@ def test_nonfinite_kkt_direction_ends_the_solve(monkeypatch):
     # give a non-finite Newton direction; the solve must then stop and
     # report a finite, uncertified answer instead of passing NaN on to the
     # next linear solve
+    _ipm_only(monkeypatch)
     problem = _binding_random_qp(9, 4, 3)
     calls = _first_direction_nan(monkeypatch, problem.dim)
     options = SolveOptions(tol_feas=1e-10, tol_gap=1e-10)
@@ -146,6 +165,7 @@ def test_nonfinite_newton_matrix_gets_no_factor():
 
 
 def test_nonfinite_newton_matrix_ends_the_solve(monkeypatch):
+    _ipm_only(monkeypatch)
     problem = _binding_random_qp(9, 4, 3)
     real = qp._regularised_cholesky
     calls = []
@@ -168,6 +188,7 @@ def test_failed_newton_factor_retries_with_a_larger_shift(monkeypatch):
     # near the optimum roundoff can leave the Newton matrix numerically
     # indefinite; the solve then raises its diagonal shift and goes on
     # instead of leaving the interior-point loop
+    _ipm_only(monkeypatch)
     problem = _binding_random_qp(9, 4, 3)
     real_cho_factor = scipy.linalg.cho_factor
     diagonals = []
@@ -208,7 +229,8 @@ def test_perturbed_point_fails_certificate():
     bumped = type(sol)(z=sol.z + 1e-3, objective=sol.objective,
                        status=sol.status, primal_residual=0.0,
                        dual_residual=0.0, gap=0.0, lam=sol.lam,
-                       iterations=sol.iterations, path=sol.path)
+                       iterations=sol.iterations, path=sol.path,
+                       rounds=sol.rounds)
     report = kkt_certificate(problem, bumped)
     assert report.stationarity > 1e-4
 
@@ -408,13 +430,22 @@ def test_answer_is_the_object_a_path_returned(monkeypatch):
     # the benchmark counts QP paths by wrapping _polish and matching the
     # answer of solve to its result by identity; the box's unconstrained
     # minimiser violates every row, so that first polish is rejected and
-    # the answer is the polish of the interior-point iterate
+    # the answer is the polish of round 1, where every row is active
     polish = _record_calls(monkeypatch, "_polish")
     sol = solve(_nonnegativity_box())
     assert len(polish) == 2
     assert polish[0][1] is None
     assert sol is polish[1][1]
-    assert sol.path == "polish" and sol.iterations > 0
+    assert (sol.path, sol.iterations, sol.rounds) == ("polish", 0, 2)
+    # without pivoting the answer is the polish of the interior-point
+    # iterate
+    _ipm_only(monkeypatch)
+    polish.clear()
+    sol = solve(_nonnegativity_box())
+    assert len(polish) == 2
+    assert polish[0][1] is None
+    assert sol is polish[1][1]
+    assert sol.path == "polish" and sol.iterations > 0 and sol.rounds == 1
 
 
 def test_inactive_rows_return_the_unconstrained_minimiser(monkeypatch):
@@ -432,8 +463,8 @@ def test_inactive_rows_return_the_unconstrained_minimiser(monkeypatch):
         polish.clear()
         sol = solve(problem, tight)
         z_star, _ = _active_set_oracle(problem)
-        assert (sol.status, sol.path, sol.iterations) == (
-            "optimal", "polish", 0), f"seed {seed}"
+        assert (sol.status, sol.path, sol.iterations, sol.rounds) == (
+            "optimal", "polish", 0, 1), f"seed {seed}"
         assert len(polish) == 1 and sol is polish[0][1]
         np.testing.assert_allclose(sol.z, z_star, atol=1e-9,
                                    err_msg=f"seed {seed}")
@@ -465,17 +496,34 @@ def test_free_minimiser_of_a_singular_p_is_minimum_norm(monkeypatch):
     assert [args[0].shape for args, _ in lstsq] == [(6, 6)]
 
 
-def test_tiny_row_violated_by_the_free_minimiser_runs_the_ipm():
+def _tiny_row_qp():
     # 1e-9 * z0 >= 1e-9 * 0.1 cuts the free minimiser 0 off by 0.1 in
     # its own units, but only by 1e-10 in the certificate's, inside
-    # tol_feas * (1 + |l|_inf); the scaled-units check sends it on to
-    # the interior point, which finds the face z0 = 0.1
-    problem = ConvexQP(P=np.eye(2), q=np.zeros(2),
-                       G=np.array([[1e-9, 0.0], [0.0, 1.0]]),
-                       l=np.array([1e-10, -1.0]))
-    sol = solve(problem)
+    # tol_feas * (1 + |l|_inf)
+    return ConvexQP(P=np.eye(2), q=np.zeros(2),
+                    G=np.array([[1e-9, 0.0], [0.0, 1.0]]),
+                    l=np.array([1e-10, -1.0]))
+
+
+def test_tiny_row_violated_by_the_free_minimiser_runs_the_ipm(monkeypatch):
+    # without pivoting, the scaled-units check sends the violated free
+    # minimiser on to the interior point, which finds the face z0 = 0.1
+    _ipm_only(monkeypatch)
+    sol = solve(_tiny_row_qp())
     assert sol.status == "optimal"
     assert sol.iterations > 0
+    np.testing.assert_allclose(sol.z, [0.1, 0.0], rtol=0, atol=1e-8)
+
+
+def test_tiny_row_violated_by_the_free_minimiser_joins_the_active_set(
+        monkeypatch):
+    # the scaled-units check rejects round 0 and flips the tiny row into
+    # the active set; round 1 is the face z0 = 0.1
+    polish = _record_calls(monkeypatch, "_polish")
+    sol = solve(_tiny_row_qp())
+    assert polish[0][1] is None
+    assert sol is polish[1][1]
+    assert (sol.status, sol.iterations, sol.rounds) == ("optimal", 0, 2)
     np.testing.assert_allclose(sol.z, [0.1, 0.0], rtol=0, atol=1e-8)
 
 
@@ -502,6 +550,75 @@ def test_identify_with_no_binding_row_runs_no_newton_step(monkeypatch):
     assert (diag.qp_status, diag.qp_path, diag.qp_iterations) == (
         "optimal", "polish", 0)
     assert newton == []
+
+
+def test_nonneg_ls_of_the_monte_carlo_record_needs_no_newton_step(
+        monkeypatch):
+    # baseline c on the seed-1 Monte Carlo record, 200 samples and 125
+    # taps: pivoting lands on the exact NNLS face, the one scipy's
+    # Lawson-Hanson solver finds, without a Newton matrix
+    _, data = _seed1_mc_record()
+    newton = _record_calls(monkeypatch, "_regularised_cholesky")
+    solves = _record_calls(monkeypatch, "solve")
+    g = nonneg_ls(data, 125).values
+    [((problem, _), sol)] = solves
+    assert (problem.dim, problem.n_ineq) == (125, 125)
+    assert (sol.status, sol.path, sol.iterations) == ("optimal", "polish", 0)
+    assert newton == []
+    oracle, _ = scipy.optimize.nnls(input_weight_matrix(data, 125),
+                                    data.outputs)
+    np.testing.assert_allclose(g, oracle, rtol=0, atol=1e-9)
+
+
+def _mis_specified_qps(fits):
+    """The QPs, options and solutions of mis-specified ``identify`` fits,
+    given as ``(seed, n)``, whether the fits succeed or not."""
+    with pytest.MonkeyPatch.context() as patch:
+        solves = _record_calls(patch, "solve")
+        for seed, n in fits:
+            base, data = _mis_specified_record(seed, n)
+            try:
+                identify(base, data)
+            except SolverError:
+                pass
+    return [(args[0], args[1], sol) for args, sol in solves]
+
+
+def test_stalled_pivoting_leaves_the_interior_point_answer_unchanged(
+        monkeypatch):
+    # the last QP of the mis-specified identify fit (seed 10, n 80), one
+    # that fails: pivoting stalls on its degenerate rows and the interior
+    # point runs from its usual start, so the answer is bit for bit the
+    # one it gives without pivoting
+    problem, options, sol = _mis_specified_qps([(10, 80)])[-1]
+    assert sol.status == "max_iterations"
+    assert sol.iterations > 0 and sol.rounds > 1
+    _ipm_only(monkeypatch)
+    ipm = solve(problem, options)
+    assert ipm.rounds == 1
+    assert (sol.status, sol.path, sol.iterations) == (
+        ipm.status, ipm.path, ipm.iterations)
+    np.testing.assert_array_equal(sol.z, ipm.z)
+    np.testing.assert_array_equal(sol.lam, ipm.lam)
+
+
+def test_pivoting_ends_within_its_round_bound(monkeypatch):
+    # the fewest infeasible rows so far falls at least every second
+    # round, so a solve with k rows pivots at most 2 (k + 1) rounds, one
+    # polish each, and then the interior point adds its exit polish
+    problems = [(problem, options) for problem, options, _
+                in _mis_specified_qps([(10, 80), (13, 50), (9, 80)])]
+    problems += [(_binding_random_qp(seed, 6, 5), None) for seed in range(60)]
+    polish = _record_calls(monkeypatch, "_polish")
+    stalled = 0
+    for problem, options in problems:
+        polish.clear()
+        sol = solve(problem, options)
+        assert 1 <= sol.rounds <= 2 * (problem.n_ineq + 1)
+        assert len(polish) == sol.rounds + (sol.iterations > 0)
+        stalled += sol.iterations > 0
+    # the binding QP of seed 37 and the failing fits' last QPs stall
+    assert stalled >= 3
 
 
 @pytest.mark.parametrize("row", [[1e-9, 1.0, 1.0], [1.0, 1e-7, 1e5]],

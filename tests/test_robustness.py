@@ -15,7 +15,8 @@ Seeded random draws of kernel, pole, regularisation and record then
 check what every returned model must satisfy, in every variant: an
 optimal QP, nonnegativity on ``[0, m0)`` unless acceptance was forced, a
 reconstruction equal to the checked response bit for bit, before and
-after a pickle round trip, and ``SolverError`` as the only failure.
+after a pickle round trip, and ``SolverError`` as the only failure.  The
+failures per estimator may not rise above their own bounds either.
 """
 import pickle
 
@@ -124,6 +125,9 @@ DRAW_FITS = {
     "finite": lambda base, data: identify_finite_response(
         FiniteResponseConfig(window_kernel(base.kernel, 30), base.lam), data),
 }
+# Failures of the 80 draws per estimator, with BLAS at one thread.
+DRAW_FAILURE_BOUNDS = {"identify": 0, "repeated": 0, "oscillating": 0,
+                       "finite": 3}
 
 
 def _random_draw(draw):
@@ -162,11 +166,13 @@ def _random_draw(draw):
 
 @pytest.mark.parametrize("name", sorted(DRAW_FITS))
 def test_random_draws_return_certified_replayable_models(name):
+    failed = []
     for draw in range(80):
         base, data = _random_draw(draw)
         try:
             model = DRAW_FITS[name](base, data)
         except SolverError:
+            failed.append(draw)
             continue
         diag = model.diagnostics
         assert diag.qp_status == "optimal", draw
@@ -179,3 +185,4 @@ def test_random_draws_return_certified_replayable_models(name):
         copy = pickle.loads(pickle.dumps(model))
         assert np.array_equal(copy.reconstruct(horizon).values,
                               model.g.values), draw
+    assert len(failed) <= DRAW_FAILURE_BOUNDS[name], failed

@@ -62,6 +62,22 @@ def test_tune_rejects_a_split_before_fitting(train, val, monkeypatch):
         tune(space, data, split=SplitSpec(train, val), budget=1)
 
 
+def test_validation_score_rejects_a_split_past_the_samples(monkeypatch):
+    # the range check tune makes also guards the public scoring function:
+    # an index past the data is a ConfigError, not an IndexError and not
+    # an infinite score
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a candidate was fitted")
+
+    monkeypatch.setattr(tuning, "identify", no_fit)
+    data = _single_mode_data(np.random.default_rng(0), 40)
+    for train, val in ((np.arange(30), np.array([38, 45])),
+                       (np.arange(41), np.array([50]))):
+        with pytest.raises(ConfigError, match="out of range for 40"):
+            validation_score(ThetaPoint(0.9, 1e-2, 0.5), data,
+                             SplitSpec(train, val), "tc")
+
+
 def test_budget_one_evaluates_single_candidate():
     rng = np.random.default_rng(0)
     data = _single_mode_data(rng, 40)
