@@ -30,13 +30,33 @@ them every functional above, by at most
 ``||h|| sqrt(S[t, t]) <= ||h|| sqrt(tol)``.  The QP, meanwhile, loses
 the ``N - |J|`` directions that only roundoff told apart.
 
-The Gram, its pivots ``J``, ``K[:, J]`` and ``K[J, J]`` depend only on
-``(kernel, N)``, never on the data.  They are built once per key per
-process and kept in a bounded LRU of 8 entries, read-only and shared
-by every fit with that key.  An entry holds ``N r + r**2`` doubles for
-``r = |J|``: at most twice the ``N**2`` Gram its miss builds, and about
-0.45 of it at ``N = 801`` (``r = 269``).  Each worker process of
-:func:`~posid.experiments.run_monte_carlo` keeps its own cache.
+The output block ``L = W K[:, J]``, with ``W`` the ``n x N`` input
+weights, is a near/far-field product.  The lags are cut into blocks of
+``b = 64``.  A section meets the lags of its own block through the
+kernel values themselves: the near field, ``n b r`` multiply-adds over
+all ``r = |J|`` sections.  Every other block reaches it through the
+kernels' semiseparable split (:func:`~posid.kernels.semiseparable_split`):
+anchored at the block's edge nearer the section, ``k(t, s)`` is a sum of
+one (tc, dc) or two (ss) products of a factor of the block's lag and a
+factor of the section, so the whole block enters through one or two
+weighted sums of its input columns: the far field.  A fit then costs
+``O(n N terms + n Q r + n b r)`` for ``Q = N / b`` blocks instead of the
+dense ``n N r``.  Each column block of ``W`` is gathered from the input,
+used and dropped, so no ``n x N`` array is formed.  With one block the
+near field is the whole product, bit for bit the dense one; otherwise
+the two agree to a few roundoffs of ``|W| |K[:, J]|`` entrywise.
+
+The Gram, its pivots ``J``, ``K[:, J]``, ``K[J, J]`` and the plan of
+the product depend only on ``(kernel, N)``, never on the data.  They
+are built once per key per process and kept in a bounded LRU of 8
+entries, read-only and shared by every fit with that key.  An entry
+holds ``N r + r**2`` doubles for the sections: at most twice the
+``N**2`` Gram its miss builds, and about 0.45 of it for dc(0.9, 0.9)
+at ``N = 801`` (``r = 269``).  The plan adds at most ``2 terms N``
+block weights and ``2 terms Q r`` far-field factors: at ``N = 801``,
+2% more for tc(0.9) and dc(0.9, 0.9) and 4% more for ss(0.97).  Each
+worker process of :func:`~posid.experiments.run_monte_carlo` keeps its
+own cache.
 
 Every convolution against the input is an exact finite sum: the
 input vanishes before its declared support start, so the weight of lag
@@ -52,7 +72,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigError
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec, gram, semiseparable_split
 from .signals import TimeSeriesData
 
 
@@ -122,10 +142,19 @@ def input_weight_matrix(data: TimeSeriesData, width: int) -> np.ndarray:
     """
     if width <= 0:
         raise ConfigError(f"weight width must be positive, got {width}")
+    return _input_windows(data, width)[data.sample_times - data.t_start]
+
+
+def _input_windows(data: TimeSeriesData, width: int) -> np.ndarray:
+    """Read-only view ``V[t - t_start, s] = u[t - s]`` for lags ``s < width``.
+
+    One row per time of the input span, all of them sharing one padded
+    copy of the input, so any rows and columns of the weight matrix can
+    be gathered from it without forming the whole matrix.
+    """
     span = required_width(data)
     padded = np.concatenate([np.zeros(width - 1), data.inputs[:span]])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, width)
-    return windows[:, ::-1][data.sample_times - data.t_start]
+    return np.lib.stride_tricks.sliding_window_view(padded, width)[:, ::-1]
 
 
 def required_width(data: TimeSeriesData) -> int:
@@ -141,27 +170,85 @@ def assemble_core(kernel: KernelSpec, data: TimeSeriesData,
     capped at a finite kernel's support: sections past it are the zero
     function.  The kept sections are the pivots of one ``dpstrf`` call
     at LAPACK's default tolerance, in increasing order, computed once
-    per kernel and ``N`` (see the module docstring).
+    per kernel and ``N``, and ``L`` is the near/far-field product (see
+    the module docstring).
     """
     if m < 0:
         raise ConfigError(f"constraint horizon must be nonnegative, got {m}")
     n_sec = max(required_width(data), m + 1)
     if kernel.support is not None:
         n_sec = min(n_sec, kernel.support)
-    sections, cols, K = _section_basis(kernel, n_sec)
-    return QPDataMatrices(L=input_weight_matrix(data, n_sec) @ cols,
-                          K=K, rows=cols[:m + 1], sections=sections,
+    basis = _section_basis(kernel, n_sec)
+    L = basis.times(_input_windows(data, n_sec),
+                    data.sample_times - data.t_start)
+    return QPDataMatrices(L=L, K=basis.K,
+                          rows=basis.cols[:m + 1], sections=basis.sections,
                           y=data.outputs.copy(), m=int(m))
 
 
+# Lags per column block of the near/far-field product.  A block costs
+# ``n b r`` in its near field and adds ``2 * terms`` far-field columns,
+# which cost ``n r`` each, so the optimum ``b ~ sqrt(2 terms N)`` is 40-90
+# for N = 800-2000; BLAS favours the wider blocks.  Measured on 2 vCPU
+# with BLAS at 1 thread (two runs each, the product with its gathers):
+# dc(0.9, 0.9) at N = 801 (r = 269, n = 800) takes 1.7-2.5 ms at
+# b = 32-64 and 2.0-3.3 ms at b = 96-128, against 8.6-10.9 ms for
+# building W and one dense product; at N = 2001, 8-11 ms at b = 64-96
+# against 54 ms; ss(0.97) is alike.  The optimum is flat over 32-96.
+_BLOCK = 64
+
+
+@dataclass(frozen=True)
+class _SectionBasis:
+    """Everything about the sections that depends on ``(kernel, N)`` only.
+
+    ``sections`` are the pivoted lags ``J``, ``cols = Kn[:, J]`` and
+    ``K = Kn[J, J]``.  The rest is the near/far-field plan for
+    ``L = W Kn[:, J]``: per column block ``start .. stop - 1`` of lags,
+    the slice ``lo .. hi`` of the sections inside it, whose near field
+    is ``cols[start:stop, lo:hi]``, and the block's far-field weights;
+    ``far`` turns the weighted block sums into section columns.
+    """
+
+    sections: np.ndarray
+    cols: np.ndarray
+    K: np.ndarray
+    blocks: tuple[tuple[int, int, int, int, np.ndarray], ...]
+    far: np.ndarray
+
+    def times(self, windows: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """``W @ cols`` for ``W = windows[rows]``, gathered by blocks of lags.
+
+        So the ``n x N`` weight matrix is never formed: each block of its
+        columns is gathered, used and dropped.
+        """
+        L = np.empty((rows.size, self.sections.size))
+        sums = np.empty((rows.size, self.far.shape[0]))
+        at = 0
+        for start, stop, lo, hi, weights in self.blocks:
+            block = windows[rows, start:stop]
+            np.matmul(block, self.cols[start:stop, lo:hi], out=L[:, lo:hi])
+            np.matmul(block, weights, out=sums[:, at:at + weights.shape[1]])
+            at += weights.shape[1]
+        L += sums @ self.far
+        return L
+
+
 @lru_cache(maxsize=8)
-def _section_basis(kernel: KernelSpec,
-                   n_sec: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pivoted sections ``J``, ``Kn[:, J]`` and ``Kn[J, J]`` of ``n_sec`` lags.
+def _section_basis(kernel: KernelSpec, n_sec: int) -> _SectionBasis:
+    """Pivoted sections of ``n_sec`` lags and the plan of their product.
 
     They depend on the kernel and ``n_sec`` only, so they are cached per
     key and returned read-only: every fit and model with the key shares
-    them.
+    them.  Lags in an earlier block than a section ``j`` reach it through
+    the split anchored at the block's last lag ``a``,
+    ``k(j, s) = sum_l p_l(j - a) q_l(a, s)``; lags in a later block
+    through the split anchored at its first lag ``a``,
+    ``k(s, j) = sum_l p_l(s - a) q_l(a, j)``
+    (:func:`~posid.kernels.semiseparable_split`).  So a block's weights
+    are ``q_l(a, .)`` on its lags for the sections after it and
+    ``p_l(. - a)`` for the sections before it, and ``far`` holds the
+    matching ``p_l(j - a)`` and ``q_l(a, j)``.
     """
     K = gram(kernel, np.arange(n_sec), np.arange(n_sec))
     _, piv, rank, _ = scipy.linalg.lapack.dpstrf(K, lower=1)
@@ -169,10 +256,38 @@ def _section_basis(kernel: KernelSpec,
     # take keeps C order, so a full-rank Gram gives the unpivoted blocks
     # bit for bit (fancy indexing would hand BLAS a Fortran-order copy)
     cols = K.take(sections, axis=1)
-    basis = (sections, cols, cols[sections])
-    for array in basis:
+    blocks, far = [], []
+    for start in range(0, n_sec, _BLOCK):
+        stop = min(start + _BLOCK, n_sec)
+        lags = np.arange(start, stop)
+        lo, hi = (int(i) for i in np.searchsorted(sections, (start, stop)))
+        weights = []
+        if hi < rank:
+            p, q = semiseparable_split(kernel, stop - 1, lags,
+                                       sections[hi:] - (stop - 1))
+            weights.append(_rows(q, lags.size).T)
+            far.append(np.zeros((len(p), rank)))
+            far[-1][:, hi:] = p
+        if lo > 0:
+            p, q = semiseparable_split(kernel, start, sections[:lo],
+                                       lags - start)
+            weights.append(p.T)
+            far.append(np.zeros((len(p), rank)))
+            far[-1][:, :lo] = _rows(q, lo)
+        weights = np.hstack(weights) if weights else np.zeros((len(lags), 0))
+        blocks.append((start, stop, lo, hi, weights))
+    basis = _SectionBasis(sections, cols, cols[sections], tuple(blocks),
+                          np.vstack(far) if far else np.zeros((0, rank)))
+    for array in (basis.sections, basis.cols, basis.K, basis.far,
+                  *(block[-1] for block in blocks)):
         array.flags.writeable = False
     return basis
+
+
+
+def _rows(factors: list[np.ndarray], size: int) -> np.ndarray:
+    """Split factors as rows of ``size`` entries; a 0-d one is repeated."""
+    return np.stack([np.broadcast_to(f, (size,)) for f in factors])
 
 
 def _check_pole(rho: float) -> None:

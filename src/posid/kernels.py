@@ -24,11 +24,17 @@ bit-identical to evaluating those forms entry by entry.
 Every family is also semiseparable (Chen & Andersen 2021, "On
 semiseparable kernels and efficient implementation for regularized
 system identification and function estimation", Automatica): for
-``s <= a < t`` the section ``k(t, s)`` is a sum of at most two geometric
-terms in ``t - a``.  So past the last section ``a`` of a residual
-``h = sum_j w[j] k(., J[j])``, ``h`` is exactly one geometric term (tc,
-dc) or two (ss), and :func:`section_tail` evaluates it in O(count) with
-no Gram.
+``s <= a <= t``, ``k(t, s)`` is a sum of one (tc, dc) or two (ss)
+products of a factor of ``t - a`` and a factor of ``(a, s)``, and
+:func:`semiseparable_split` is the one place that states them.  The
+identity is used in both directions.  Past the last section ``a`` of a
+residual ``h = sum_j w[j] k(., J[j])``, ``h`` is one or two terms in
+``t - a``, which :func:`section_tail` evaluates in O(count) with no
+Gram.  And :func:`~posid.assembly.assemble_core` anchors each block of
+lags at its last lag for the sections after it (``k(j, s)``, ``s`` in
+the block) and at its first lag for the sections before it
+(``k(s, j)`` by symmetry), so a whole block meets a distant section
+through one or two weighted sums.
 """
 from __future__ import annotations
 
@@ -173,34 +179,59 @@ def gram(kernel: KernelSpec, rows, cols) -> np.ndarray:
     return _eval_grid(kernel, r[:, None], c[None, :])
 
 
+def semiseparable_split(kernel: KernelSpec, anchor: int, lags,
+                        offsets) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Factors of ``k(anchor + d, s) = sum_l p[l, d] q[l](s)``, ``s <= anchor``.
+
+    Returns ``p`` on the ``offsets`` ``d >= 0``, one row per term, and
+    the list ``q`` of the terms' factors on the ``lags`` ``s``, for the
+    unwindowed family.  A factor that is the same for every lag is a 0-d
+    array.  tc and dc have one term, the kernel row at the anchor:
+    ``k(a + d, s) = k(d, 0) k(a, s)``, with ``k(d, 0)`` from the family's
+    own power tables (dc as ``beta**(d/2) * gamma**d``: the rounded rate
+    ``sqrt(beta) * gamma`` would compound its error over ``d``).  ss has
+    the two terms of its closed form::
+
+        k(a + d, s) = beta**(2d) * beta**(2a + s) / 2
+                      - beta**(3d) * beta**(3a) / 6
+
+    Every factor is a kernel value or a term of a closed form, with no
+    division by one, so none overflows at ``beta = 0`` or ``gamma = 0``.
+    """
+    family = replace(kernel, support=None)
+    s = np.asarray(lags, dtype=np.int64)
+    d = np.asarray(offsets, dtype=np.int64)
+    if kernel.kind != KIND_SS:
+        return _eval_grid(family, d, 0)[None], [_eval_grid(family, anchor, s)]
+    beta = kernel.beta
+    p = np.stack([np.power(beta, 2.0 * d), -np.power(beta, 3.0 * d)])
+    q = [np.power(beta, 2.0 * anchor + s) / 2.0,
+         np.asarray(np.power(beta, 3.0 * anchor) / 6.0)]
+    return p, q
+
+
 def section_tail(kernel: KernelSpec, sections, w: np.ndarray,
                  h_last: float, count: int) -> np.ndarray:
     """Residual ``h(a + k)`` for ``k = 1 .. count`` past the last section.
 
     ``h = sum_j w[j] k(., sections[j])``, ``a = max(sections)`` and
-    ``h_last = h(a)``.  tc and dc have rank one past ``a``:
-    ``k(a + k, s) = k(k, 0) * k(a, s)`` for ``s <= a``, so
-    ``h(a + k) = h_last * k(k, 0)``, with ``k(k, 0)`` from the family's
-    own power tables (dc as ``beta**(k/2) * gamma**k``: the rounded rate
-    ``sqrt(beta) * gamma`` would compound its error over ``k``).  ss has
-    two terms, anchored at ``a``::
-
-        h(a + k) = (beta**(2a + s) / 2 @ w) * beta**(2k)
-                   - (beta**(3a) / 6 * sum(w)) * beta**(3k)
-
-    A window zeroes the lags ``a + k >= support``.
+    ``h_last = h(a)``.  Every section lies at or before ``a``, so
+    :func:`semiseparable_split` anchored at ``a`` gives
+    ``h(a + k) = sum_l c[l] p[l, k]`` with ``c[l] = q[l] @ w``.  A single
+    term's factor is the kernel row at ``a`` (tc, dc), whose weight is
+    ``h_last`` itself.  A window zeroes the lags ``a + k >= support``.
     """
     s = np.asarray(sections, dtype=np.int64)
     last = int(s.max())
     lags = np.arange(1, count + 1, dtype=np.int64)
-    if kernel.kind == KIND_SS:
-        beta = kernel.beta
-        near = (np.power(beta, 2.0 * last + s) / 2.0) @ w
-        far = np.power(beta, 3.0 * last) / 6.0 * np.sum(w)
-        tail = (near * np.power(beta, 2.0 * lags)
-                - far * np.power(beta, 3.0 * lags))
+    p, q = semiseparable_split(kernel, last, s, lags)
+    if len(q) == 1:
+        weights = [h_last]
     else:
-        tail = h_last * _eval_grid(replace(kernel, support=None), lags, 0)
+        weights = [q_l @ w if q_l.ndim else q_l * np.sum(w) for q_l in q]
+    tail = weights[0] * p[0]
+    for c, p_l in zip(weights[1:], p[1:]):
+        tail += c * p_l
     if kernel.support is not None:
         tail[last + lags >= kernel.support] = 0.0
     return tail

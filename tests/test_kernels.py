@@ -6,6 +6,7 @@ from posid.assembly import assemble_core
 from posid.errors import ConfigError
 from posid.kernels import (DominationBound, KernelSpec, decay_compatible,
                            domination_bound, gram, section_tail,
+                           semiseparable_split,
                            window_kernel)
 from posid.signals import TimeSeriesData
 
@@ -285,6 +286,59 @@ _TAIL_KERNELS = [
     KernelSpec.tc(0.0), KernelSpec.dc(0.0, 0.5), KernelSpec.ss(0.0),
     window_kernel(KernelSpec.dc(0.8, -0.4), 150),
 ]
+
+
+@pytest.mark.parametrize(
+    "kernel", _TAIL_KERNELS,
+    ids=lambda k: "-".join(str(v) for v in (k.kind, k.beta, k.gamma, k.support)
+                           if v is not None))
+def test_semiseparable_split_factors_the_family(kernel):
+    # k(a + d, s) = sum_l p[l, d] q[l](s) for s <= a, to a few roundoffs
+    # of the terms' magnitudes; a single term's factor is the kernel row
+    # at the anchor
+    family = KernelSpec(kernel.kind, kernel.beta, kernel.gamma)
+    for anchor in (0, 1, 37, 400):
+        lags = np.arange(anchor + 1)
+        offsets = np.arange(300)
+        p, q = semiseparable_split(kernel, anchor, lags, offsets)
+        assert p.shape == (len(q), offsets.size) and len(q) in (1, 2)
+        rows = np.stack([np.broadcast_to(q_l, lags.shape) for q_l in q])
+        if len(q) == 1:
+            np.testing.assert_array_equal(q[0],
+                                          gram(family, [anchor], lags)[0])
+        exact = gram(family, anchor + offsets, lags)
+        bound = 4 * np.finfo(float).eps * (np.abs(p).T @ np.abs(rows)) \
+            + np.finfo(float).tiny
+        assert np.all(np.abs(p.T @ rows - exact) <= bound), (kernel, anchor)
+
+
+@pytest.mark.parametrize(
+    "kernel", _TAIL_KERNELS,
+    ids=lambda k: "-".join(str(v) for v in (k.kind, k.beta, k.gamma, k.support)
+                           if v is not None))
+def test_section_tail_is_the_closed_form_bit_for_bit(kernel):
+    # tc and dc continue h(a) by k(k, 0); ss is its two closed-form
+    # terms anchored at a, weighted by the residual's coefficients
+    rng = np.random.default_rng(3)
+    sections = np.sort(rng.choice(120, size=40, replace=False))
+    w = rng.standard_normal(sections.size)
+    last = int(sections.max())
+    lags = np.arange(1, 501)
+    if kernel.kind == "ss":
+        beta = kernel.beta
+        near = (np.power(beta, 2.0 * last + sections) / 2.0) @ w
+        far = np.power(beta, 3.0 * last) / 6.0 * np.sum(w)
+        expected = (near * np.power(beta, 2.0 * lags)
+                    - far * np.power(beta, 3.0 * lags))
+        h_last = np.nan
+    else:
+        h_last = 0.37
+        family = KernelSpec(kernel.kind, kernel.beta, kernel.gamma)
+        expected = h_last * gram(family, lags, [0])[:, 0]
+    if kernel.support is not None:
+        expected[last + lags >= kernel.support] = 0.0
+    tail = section_tail(kernel, sections, w, h_last, lags.size)
+    assert np.array_equal(tail, expected)
 
 
 @pytest.mark.parametrize("n_sec", [12, 201, 801])
