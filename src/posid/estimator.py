@@ -106,8 +106,9 @@ class IdentifyDiagnostics:
     ``iterations`` counts horizon-loop passes; ``qp_path``,
     ``qp_iterations`` and ``qp_rounds`` are the last QP's solution path
     (``ipm`` or ``polish``), interior-point iterations (0 when a pivoting
-    round was certified without any) and pivoting rounds (1 when its
-    unconstrained minimiser was certified).
+    round was certified without any) and pivoting rounds on both sides of
+    the interior point (1 when its unconstrained minimiser was
+    certified).
     """
 
     m0: int

@@ -7,46 +7,47 @@ Solves
 
 with at least one inequality row (every estimator's QP carries its
 positivity rows; a problem without rows is rejected).  Every solve works
-on a column-, row- and cost-scaled copy of the problem and tries its
-candidates in this order:
+on a column-, row- and cost-scaled copy of the problem.  One routine,
+:func:`_pivot`, runs block principal pivoting over active sets (Júdice
+& Pires 1994; Kim & Park 2011) on both sides of a primal-dual
+interior-point method:
 
-1. Block principal pivoting over active sets (Júdice & Pires 1994; Kim
-   & Park 2011).  Each round is one active-set polish: the KKT point
-   with the rows of the current active set held as equalities.  Round 0
-   is the polish over the empty active set, the unconstrained minimiser
-   ``P z = -q``: when ``P`` has full numerical rank it comes from two
-   triangular solves with the pivoted Cholesky factor that
-   :class:`ConvexQP` keeps from its PSD test, and otherwise, like every
-   later round, from a minimum-norm least-squares solve (a complete
-   orthogonal factorisation, LAPACK ``gelsy``, with numerical rank cut
-   at ``eps * max(shape)``).  A round is returned, with zero
-   interior-point iterations, when it certifies ``optimal`` in the
-   original units *and* meets every inactive row in the scaled units,
-   ``Gs zs - ls >= 0``.  The second test is needed: the certificate
-   allows a violation of ``tol_feas * (1 + |l|_inf)``, which a row scaled
-   by a tiny factor can pass while it is violated by a macroscopic amount
-   in its own units; row normalisation gives every row the same say.
-   Otherwise every infeasible row flips in one block: an active row with
-   a negative KKT multiplier leaves the active set, an inactive row with
-   a negative scaled slack joins it.  Pivoting stops when the number of
-   infeasible rows has not fallen below its best for two rounds in a
-   row, so it runs at most ``2 (k + 1)`` rounds for ``k`` rows.
-2. Otherwise a primal-dual interior-point method (Mehrotra
-   predictor-corrector on the slack/multiplier pair) runs, and its best
-   iterate gets one active-set polish, the active set guessed from that
-   iterate.  Both are certified in the original units, and the
-   lowest-residual certified one is returned (OSQP's rule: keep the
-   polish only when it certifies better).
+1. Before the interior point, pivoting starts from the empty active set.
+   Each round is one active-set polish: the KKT point with the rows of
+   the current active set held as equalities.  Round 0 is the polish
+   over the empty active set, the unconstrained minimiser ``P z = -q``:
+   when ``P`` has full numerical rank it comes from two triangular
+   solves with the pivoted Cholesky factor that :class:`ConvexQP` keeps
+   from its PSD test, and otherwise, like every later round, from a
+   minimum-norm least-squares solve (a complete orthogonal
+   factorisation, LAPACK ``gelsy``, with numerical rank cut at ``eps *
+   max(shape)``).
+2. When no round is accepted, the interior point (Mehrotra
+   predictor-corrector on the slack/multiplier pair) runs, and pivoting
+   starts again from the active set guessed at its best iterate.  The
+   answer is the first accepted round, or else that iterate.
+
+Both sides accept a round by one rule: it certifies ``optimal`` in the
+original units *and* meets every inactive row in the scaled units,
+``Gs zs - ls >= 0``.  The second test is needed: the certificate allows
+a violation of ``tol_feas * (1 + |l|_inf)``, which a row scaled by a
+tiny factor can pass while it is violated by a macroscopic amount in its
+own units; row normalisation gives every row the same say.  Otherwise
+every infeasible row flips in one block: an active row with a negative
+KKT multiplier leaves the active set, an inactive row with a negative
+scaled slack joins it.  Pivoting stops when the number of infeasible
+rows has not fallen below its best for two rounds in a row, so each side
+runs at most ``2 (k + 1)`` rounds for ``k`` rows.
 
 The returned status reflects the final certified residuals, which
 :func:`kkt_certificate` recomputes from the same residual builder, and
 the returned ``path`` names the candidate: ``polish`` for a pivoting
-round or the exit polish, ``ipm`` for the interior-point iterate.
+round, ``ipm`` for the interior-point iterate.
 """
 from __future__ import annotations
 
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -71,12 +72,12 @@ _REG_BUMPS = (1.0, 1e2, 1e4, 1e6)
 # boundary of the positive orthant taken by each iteration.
 _MAX_ITER = 200
 _STEP_FRACTION = 0.99
-# Pivoting stops, and the interior point takes over, at the second round
-# in a row whose infeasible-row count is not below its best so far.  One
-# such round is let pass because a block flip can overshoot and the next
-# round still finish; a second marks the cycling of degenerate QPs, which
-# the interior point handles.  So the best count falls at least every
-# second round, and pivoting ends within 2 (k + 1) rounds for k rows.
+# Pivoting gives up at the second round in a row whose infeasible-row
+# count is not below its best so far.  One such round is let pass because
+# a block flip can overshoot and the next round still finish; a second
+# marks the cycling of degenerate QPs, which the interior point handles.
+# So the best count falls at least every second round, and each pivoting
+# run ends within 2 (k + 1) rounds for k rows.
 _STALL_ROUNDS = 2
 
 
@@ -228,8 +229,9 @@ class QPSolution:
     ``polish`` for an active-set polish; ``iterations`` counts the
     interior-point iterations run before it, 0 when a pivoting round was
     certified first, so a solve fell back to the interior point exactly
-    when it is positive.  ``rounds`` counts the pivoting rounds run,
-    round 0 (the unconstrained minimiser) included.
+    when it is positive.  ``rounds`` counts the pivoting rounds run on
+    both sides of the interior point, one polish each, round 0 (the
+    unconstrained minimiser) included.
     """
 
     z: np.ndarray
@@ -272,10 +274,6 @@ def _residuals(problem: ConvexQP, z: np.ndarray, lam: np.ndarray):
     return grad, problem.G @ z - problem.l
 
 
-def _score(sol: QPSolution) -> float:
-    return max(sol.primal_residual, sol.dual_residual, sol.gap)
-
-
 def _finish(problem: ConvexQP, opt: SolveOptions, z, lam,
             iterations: int, path: str, rounds: int) -> QPSolution:
     """Assemble a solution record with residuals in original units.
@@ -314,21 +312,11 @@ def _row_scale(mat: np.ndarray, vec: np.ndarray):
 def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
     """Solve one convex QP with at least one inequality row.
 
-    After the scaling, block principal pivoting runs over active sets,
-    starting from the empty one, whose polish is the unconstrained
-    minimiser.  A round is returned, with path ``polish`` and zero
-    iterations, when it certifies ``optimal`` and meets every inactive
-    row in the scaled units, ``Gs zs - ls >= 0``.  Otherwise every row
-    that is infeasible for the round flips: an active row with a
-    negative KKT multiplier leaves the active set, an inactive row with
-    a negative scaled slack joins it.  Once the infeasible count has not
-    fallen below its best for ``_STALL_ROUNDS`` (2) rounds in a row, or
-    a round has no row to flip, or its solve is not finite, the
-    interior-point method runs, and the answer is the lower-residual of
-    its best iterate and that iterate's polish.  The best count falls at
-    least every second round, from at most ``k`` for ``k`` rows, and a
-    count of 0 ends the pivoting, so it runs at most ``2 (k + 1)``
-    rounds.
+    After the scaling, :func:`_pivot` runs from the empty active set,
+    whose polish is the unconstrained minimiser.  When it accepts no
+    round, the interior-point method runs, and :func:`_pivot` runs again
+    from the active set guessed at the best iterate; the answer is its
+    accepted round, or else that iterate.
 
     Returns a :class:`QPSolution` whose status is ``optimal`` only when
     the certified residuals meet the requested tolerances and
@@ -357,41 +345,18 @@ def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
 
     scaled = (Ps, qs, Gs, ls)
 
-    def certify(zs, lams, iterations, path):
+    def certify(zs, lams, iterations, path, rounds):
         # A scaled iterate's solution record, in the original units.
         return _finish(problem, opt, col * zs, cost_scale * lams / g_norms,
                        iterations, path, rounds)
 
-    # One pivoting round's verdict on its KKT point.  The certificate
-    # alone would pass a violated row of tiny norm (it allows tol_feas *
-    # (1 + |l|_inf) in the original units), so the round must also meet
-    # every inactive row in the scaled units.  A rejected round leaves
-    # its infeasible rows, in the raw multipliers' signs and the scaled
-    # slacks, for the next flip.
-    def pivot(zs, lams):
-        nonlocal infeasible
-        infeasible = np.where(active, lams < 0.0, Gs @ zs - ls < 0.0)
-        sol = certify(zs, lams, 0, POLISH)
-        if sol.status == OPTIMAL and not np.any(infeasible & ~active):
-            return sol
-        return None
-
     # With a full-rank factor, Ps zs = -qs is solved as Pc zs = -qc.
     free_solve = (lambda: factor.solve(-qc)) if factor.rank == d else None
-    active = np.zeros(k, dtype=bool)
-    fewest, stalled, rounds = k + 1, 0, 0
-    while True:
-        rounds += 1
-        infeasible = None
-        found = _polish(scaled, active, pivot, free_solve)
-        if found is not None:
-            return found
-        count = 0 if infeasible is None else int(infeasible.sum())
-        stalled = 0 if count < fewest else stalled + 1
-        fewest = min(fewest, count)
-        if count == 0 or stalled >= _STALL_ROUNDS:
-            break
-        active = active ^ infeasible
+    found, rounds = _pivot(scaled, np.zeros(k, dtype=bool),
+                           lambda zs, lams, r: certify(zs, lams, 0, POLISH, r),
+                           free_solve)
+    if found is not None:
+        return found
 
     reg = 1e-12 * (1.0 + float(np.trace(Ps)) / d)
 
@@ -404,11 +369,11 @@ def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
     best = None
     best_score = np.inf
     for iterations in range(1, _MAX_ITER + 1):
-        sol = certify(z, lam, iterations, IPM)
+        sol = certify(z, lam, iterations, IPM, rounds)
         if sol.status == OPTIMAL:
             best, best_iterate = sol, (z, lam)
             break
-        score = _score(sol)
+        score = max(sol.primal_residual, sol.dual_residual, sol.gap)
         if score < best_score:
             best, best_iterate, best_score = sol, (z, lam), score
 
@@ -450,24 +415,66 @@ def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
         s = s + alpha * ds
         lam = lam + alpha * dlam
 
-    # The interior point's exit.  Its best iterate gets one active-set
-    # polish, because on flat valleys the barrier stops inside the
-    # tolerance ball while the equality solve lands on the exact face.
-    # Rows that are (nearly) tight or carry a multiplier larger than their
-    # slack are held as equalities.  The lowest-residual certified
-    # candidate wins, the iterate on ties, so the polish is kept only when
-    # it certifies strictly better.
+    # Pivoting resumes from the best iterate, because on flat valleys the
+    # barrier stops inside the tolerance ball while the equality solve
+    # lands on the exact face.  Rows that are (nearly) tight or carry a
+    # multiplier larger than their slack start in the active set.
     zs, lams = best_iterate
     slack = Gs @ zs - ls
     scale = 1.0 + float(np.max(np.abs(ls), initial=0.0))
     active = (slack <= 1e-7 * scale) | (lams > np.maximum(slack, 0.0))
-    candidates = [best]
-    polished = _polish(scaled, active,
-                       lambda zp, lp: certify(zp, lp, iterations, POLISH))
-    if polished is not None:
-        candidates.append(polished)
-    optimal = [c for c in candidates if c.status == OPTIMAL]
-    return min(optimal or candidates, key=_score)
+    found, more = _pivot(
+        scaled, active,
+        lambda zp, lp, r: certify(zp, lp, iterations, POLISH, rounds + r))
+    return found or replace(best, rounds=rounds + more)
+
+
+def _pivot(scaled, active: np.ndarray, certify,
+           free_solve=None) -> tuple[QPSolution | None, int]:
+    """Block principal pivoting over active sets from the mask ``active``.
+
+    Each round polishes the current active set (:func:`_polish`, which
+    also takes ``free_solve``) and hands its raw KKT point and the number
+    of rounds run so far, this one included, to ``certify(zs, lams,
+    rounds)`` for its solution record.  The round is accepted when that
+    record is ``optimal`` and the point meets every inactive row in the
+    scaled units.  Otherwise every infeasible row flips: an active row
+    with a negative multiplier leaves the active set, an inactive row
+    with a negative scaled slack joins it.  Pivoting gives up once the
+    infeasible count has not fallen below its best for ``_STALL_ROUNDS``
+    (2) rounds in a row, or a round has no row to flip, or its solve is
+    not finite.  The best count falls at least every second round, from
+    at most ``k`` for ``k`` rows, and a count of 0 ends the loop, so it
+    runs at most ``2 (k + 1)`` rounds.  Returns the accepted record, or
+    ``None``, and the number of rounds run.
+    """
+    _, _, Gs, ls = scaled
+    fewest, stalled, rounds = ls.size + 1, 0, 0
+
+    # One round's verdict on its KKT point.  The certificate alone would
+    # pass a violated row of tiny norm (it allows tol_feas * (1 +
+    # |l|_inf) in the original units), so the round must also meet every
+    # inactive row in the scaled units.  A rejected round leaves its
+    # infeasible rows, in the raw multipliers' signs and the scaled
+    # slacks, for the next flip.
+    def verdict(zs, lams):
+        nonlocal infeasible
+        infeasible = np.where(active, lams < 0.0, Gs @ zs - ls < 0.0)
+        sol = certify(zs, lams, rounds)
+        if sol.status == OPTIMAL and not np.any(infeasible & ~active):
+            return sol
+        return None
+
+    while True:
+        rounds += 1
+        infeasible = None
+        found = _polish(scaled, active, verdict, free_solve)
+        count = 0 if infeasible is None else int(infeasible.sum())
+        stalled = 0 if count < fewest else stalled + 1
+        fewest = min(fewest, count)
+        if found is not None or count == 0 or stalled >= _STALL_ROUNDS:
+            return found, rounds
+        active = active ^ infeasible
 
 
 def _regularised_cholesky(h: np.ndarray, reg: float):

@@ -1,5 +1,6 @@
 """Interior-point QP solver tests against closed-form and enumeration oracles."""
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from posid.estimator import (PositiveIdConfig, build_qp, identify,
                              initial_constraint_horizon)
 from posid.experiments import (McProtocol, add_noise, gen_binary_input,
                                noise_variance, simulate_output, true_system)
+from posid.extensions import RepeatedPoleConfig, identify_repeated_pole
 from posid.kernels import KernelSpec
 from posid.qp import (ConvexQP, SolveOptions, dump_qp, kkt_certificate,
                       load_qp_dump, solve)
@@ -102,8 +104,9 @@ def test_matches_active_set_enumeration():
 
 
 def _ipm_only(monkeypatch):
-    """Stop pivoting after round 0, so a QP whose free minimiser is
-    rejected goes straight to the interior point."""
+    """Stop pivoting after one round on each side of the interior point:
+    a QP whose free minimiser is rejected goes straight to the interior
+    point, and its best iterate gets one polish."""
     monkeypatch.setattr(qp, "_STALL_ROUNDS", 0)
 
 
@@ -437,15 +440,15 @@ def test_answer_is_the_object_a_path_returned(monkeypatch):
     assert polish[0][1] is None
     assert sol is polish[1][1]
     assert (sol.path, sol.iterations, sol.rounds) == ("polish", 0, 2)
-    # without pivoting the answer is the polish of the interior-point
-    # iterate
+    # with one round on each side the answer is the polish of the
+    # interior-point iterate, the second round
     _ipm_only(monkeypatch)
     polish.clear()
     sol = solve(_nonnegativity_box())
     assert len(polish) == 2
     assert polish[0][1] is None
     assert sol is polish[1][1]
-    assert sol.path == "polish" and sol.iterations > 0 and sol.rounds == 1
+    assert sol.path == "polish" and sol.iterations > 0 and sol.rounds == 2
 
 
 def test_inactive_rows_return_the_unconstrained_minimiser(monkeypatch):
@@ -570,15 +573,16 @@ def test_nonneg_ls_of_the_monte_carlo_record_needs_no_newton_step(
     np.testing.assert_allclose(g, oracle, rtol=0, atol=1e-9)
 
 
-def _mis_specified_qps(fits):
-    """The QPs, options and solutions of mis-specified ``identify`` fits,
-    given as ``(seed, n)``, whether the fits succeed or not."""
+def _mis_specified_qps(fits, fit=identify):
+    """The QPs, options and solutions of mis-specified fits by ``fit``
+    (``identify`` unless given), the fits given as ``(seed, n)``, whether
+    they succeed or not."""
     with pytest.MonkeyPatch.context() as patch:
         solves = _record_calls(patch, "solve")
         for seed, n in fits:
             base, data = _mis_specified_record(seed, n)
             try:
-                identify(base, data)
+                fit(base, data)
             except SolverError:
                 pass
     return [(args[0], args[1], sol) for args, sol in solves]
@@ -589,23 +593,47 @@ def test_stalled_pivoting_leaves_the_interior_point_answer_unchanged(
     # the last QP of the mis-specified identify fit (seed 10, n 80), one
     # that fails: pivoting stalls on its degenerate rows and the interior
     # point runs from its usual start, so the answer is bit for bit the
-    # one it gives without pivoting
+    # one it gives with one round on each side
     problem, options, sol = _mis_specified_qps([(10, 80)])[-1]
     assert sol.status == "max_iterations"
-    assert sol.iterations > 0 and sol.rounds > 1
+    assert sol.iterations > 0 and sol.rounds > 2
     _ipm_only(monkeypatch)
     ipm = solve(problem, options)
-    assert ipm.rounds == 1
+    assert ipm.rounds == 2
     assert (sol.status, sol.path, sol.iterations) == (
         ipm.status, ipm.path, ipm.iterations)
     np.testing.assert_array_equal(sol.z, ipm.z)
     np.testing.assert_array_equal(sol.lam, ipm.lam)
 
 
+def _rounds_per_side(polish):
+    """Polishes per pivoting run, in the order of the runs: each run
+    hands its own verdict to every ``_polish`` call it makes."""
+    return list(Counter(args[2] for args, _ in polish).values())
+
+
+def test_pivoting_resumed_after_the_interior_point_certifies_its_qp(
+        monkeypatch):
+    # the last QP of the mis-specified repeated-pole fit (seed 9, n 80):
+    # pivoting stalls before the interior point, and the polish of the
+    # active set guessed at the best iterate is rejected, so the certified
+    # answer is a later round of the pivoting that polish starts
+    def repeated(base, data):
+        return identify_repeated_pole(RepeatedPoleConfig(base, 2), data)
+
+    problem, options, _ = _mis_specified_qps([(9, 80)], repeated)[-1]
+    polish = _record_calls(monkeypatch, "_polish")
+    sol = solve(problem, options)
+    assert (sol.status, sol.path) == ("optimal", "polish")
+    assert sol.iterations > 0
+    _, after = _rounds_per_side(polish)
+    assert after > 1
+
+
 def test_pivoting_ends_within_its_round_bound(monkeypatch):
     # the fewest infeasible rows so far falls at least every second
     # round, so a solve with k rows pivots at most 2 (k + 1) rounds, one
-    # polish each, and then the interior point adds its exit polish
+    # polish each, before the interior point and again after it
     problems = [(problem, options) for problem, options, _
                 in _mis_specified_qps([(10, 80), (13, 50), (9, 80)])]
     problems += [(_binding_random_qp(seed, 6, 5), None) for seed in range(60)]
@@ -614,10 +642,12 @@ def test_pivoting_ends_within_its_round_bound(monkeypatch):
     for problem, options in problems:
         polish.clear()
         sol = solve(problem, options)
-        assert 1 <= sol.rounds <= 2 * (problem.n_ineq + 1)
-        assert len(polish) == sol.rounds + (sol.iterations > 0)
+        sides = _rounds_per_side(polish)
+        assert len(polish) == sol.rounds == sum(sides)
+        assert len(sides) == 1 + (sol.iterations > 0)
+        assert 1 <= min(sides) and max(sides) <= 2 * (problem.n_ineq + 1)
         stalled += sol.iterations > 0
-    # the binding QP of seed 37 and the failing fits' last QPs stall
+    # the binding QP of seed 37 and the three fits' last QPs stall
     assert stalled >= 3
 
 
