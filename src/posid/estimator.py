@@ -49,8 +49,8 @@ logger = logging.getLogger(__name__)
 _NEG_TOL_SCALE = 1e-8
 # Constraint-horizon increment between loop iterations.
 _DELTA_M = 50
-# Default inner solve options, tighter than the library defaults: the
-# nonnegativity acceptance test must sit clearly above solver noise.
+# Solve options of the horizon loop, tighter than the library defaults:
+# the nonnegativity acceptance test must sit clearly above solver noise.
 _IDENTIFY_OPTIONS = qp.SolveOptions(tol_feas=1e-10, tol_gap=1e-9)
 
 
@@ -72,10 +72,6 @@ class PositiveIdConfig:
     horizon : int or None
         Reconstruction horizon of the returned response; default
         ``2 * (t_last - t_start + 1)``.
-    solve_options : qp.SolveOptions or None
-        Overrides for the inner QP solves.  Identification defaults to
-        tighter-than-library tolerances so the nonnegativity check sits
-        well above solver noise.
     """
 
     kernel: KernelSpec
@@ -83,7 +79,6 @@ class PositiveIdConfig:
     lam: float
     a_min: float = 1e-6
     horizon: int | None = None
-    solve_options: qp.SolveOptions | None = None
 
     def __post_init__(self) -> None:
         if self.lam <= 0.0:
@@ -304,8 +299,7 @@ def _solve_or_raise(problem: qp.ConvexQP,
 
 
 def _fit_basis(kernel: KernelSpec, lam: float, data: TimeSeriesData,
-               basis: DominantBasis, horizon: int | None,
-               options: qp.SolveOptions | None) -> dict:
+               basis: DominantBasis, horizon: int | None) -> dict:
     """The constraint-horizon loop shared by every estimator.
 
     Grows ``m`` from the data span in steps of ``_DELTA_M`` until the
@@ -317,13 +311,12 @@ def _fit_basis(kernel: KernelSpec, lam: float, data: TimeSeriesData,
     constraint rows past the support are zero.  Each rejected pass with
     ``m < m_0`` raises ``m``, and ``m >= m_0`` accepts, so the loop makes
     at most ``ceil(max(m_0 - m_start, 0) / _DELTA_M) + 1`` passes.
-    ``horizon`` and ``options`` default to twice the data span and
+    ``horizon`` defaults to twice the data span.  Every QP is solved at
     ``_IDENTIFY_OPTIONS``.
     Returns the model fields every estimator shares, among them the mode
     coefficients ``coeffs`` and the basis sampler ``modes`` that the
     acceptance check evaluated.
     """
-    options = options or _IDENTIFY_OPTIONS
     horizon = horizon or default_horizon(data)
     c0 = cap_misfit(basis, data.outputs)
     m0 = compute_m0(kernel, lam, basis, c0)
@@ -331,7 +324,7 @@ def _fit_basis(kernel: KernelSpec, lam: float, data: TimeSeriesData,
     m = initial_constraint_horizon(data) if p else m0 - 1
     for iterations in itertools.count(1):
         mats = assemble_core(kernel, data, m)
-        sol = _solve_or_raise(build_qp(lam, mats, basis), options)
+        sol = _solve_or_raise(build_qp(lam, mats, basis), _IDENTIFY_OPTIONS)
         coeffs, w = sol.z[:p], sol.z[p:]
         check_len = max(m0, horizon, m + 1)
         h = reconstruct_h(w, mats.sections, kernel, check_len)
@@ -373,8 +366,7 @@ def identify(config: PositiveIdConfig, data: TimeSeriesData) -> PositiveIdModel:
     basis = assemble_polynomial_blocks(data, config.rho, 1,
                                        a_min=config.a_min)
     return PositiveIdModel(config=config, **_fit_basis(
-        config.kernel, config.lam, data, basis, config.horizon,
-        config.solve_options))
+        config.kernel, config.lam, data, basis, config.horizon))
 
 
 def predict(model: FittedModel, data: TimeSeriesData, times) -> np.ndarray:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qp
 from .assembly import (assemble_oscillation_blocks,
                        assemble_polynomial_blocks, empty_basis)
 from .errors import ConfigError
@@ -77,7 +76,6 @@ class FiniteResponseConfig:
 
     kernel: KernelSpec
     lam: float
-    solve_options: qp.SolveOptions | None = None
 
     def __post_init__(self) -> None:
         if self.kernel.support is None:
@@ -152,8 +150,7 @@ def identify_repeated_pole(config: RepeatedPoleConfig,
                                        _EPSILON_FRACTION * base.lam,
                                        base.a_min)
     return RepeatedPoleModel(config=config, **_fit_basis(
-        base.kernel, base.lam, data, basis, base.horizon,
-        base.solve_options))
+        base.kernel, base.lam, data, basis, base.horizon))
 
 
 def identify_oscillating_poles(config: OscillatingPoleConfig,
@@ -171,8 +168,7 @@ def identify_oscillating_poles(config: OscillatingPoleConfig,
                                         _EPSILON_FRACTION * base.lam,
                                         base.a_min)
     return OscillatingPoleModel(config=config, **_fit_basis(
-        base.kernel, base.lam, data, basis, base.horizon,
-        base.solve_options))
+        base.kernel, base.lam, data, basis, base.horizon))
 
 
 def identify_finite_response(config: FiniteResponseConfig,
@@ -185,4 +181,4 @@ def identify_finite_response(config: FiniteResponseConfig,
     """
     return FittedModel(config=config, **_fit_basis(
         config.kernel, config.lam, data, empty_basis(data),
-        config.kernel.support, config.solve_options))
+        config.kernel.support))

@@ -64,10 +64,6 @@ POLISH = "polish"
 # Jacobi-scaled P, whose positive diagonal entries are 1, down to this
 # size are roundoff; a more negative one rejects P.
 _PSD_RTOL = 1e-8
-# Multiples of the Newton regularisation tried in turn until the Newton
-# matrix factors: near the optimum the active rows carry weights of 1e12
-# and more, and roundoff can leave the matrix numerically indefinite.
-_REG_BUMPS = (1.0, 1e2, 1e4, 1e6)
 # Interior-point iteration cap, and the fraction of the step to the
 # boundary of the positive orthant taken by each iteration.
 _MAX_ITER = 200
@@ -408,7 +404,6 @@ def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
         dlam = -lam - w * ds + center
         alpha = _STEP_FRACTION * min(_max_step(s, ds),
                                      _max_step(lam, dlam))
-        alpha = min(1.0, alpha)
         if alpha < 1e-10:
             break
         z = z + alpha * dz
@@ -478,22 +473,16 @@ def _pivot(scaled, active: np.ndarray, certify,
 
 
 def _regularised_cholesky(h: np.ndarray, reg: float):
-    """Cholesky factor of ``h + bump * reg * I`` for the first bump in
-    ``_REG_BUMPS`` that factors, or ``None`` if none does.
-
-    A non-finite ``h`` (a weight ``lam / s`` that overflowed) gets ``None``
-    at once, like a matrix no bump can factor."""
+    """Cholesky factor of ``h + reg * I``, or ``None`` when that is not
+    positive definite (near the optimum, roundoff on weights of 1e12 and
+    more) or ``h`` is not finite (a weight ``lam / s`` that overflowed)."""
     if not np.isfinite(h).all():
         return None
-    diag = np.diag_indices_from(h)
-    base = h[diag].copy()
-    for bump in _REG_BUMPS:
-        h[diag] = base + bump * reg
-        try:
-            return scipy.linalg.cho_factor(h, check_finite=False)
-        except np.linalg.LinAlgError:
-            pass
-    return None
+    h[np.diag_indices_from(h)] += reg
+    try:
+        return scipy.linalg.cho_factor(h, check_finite=False)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def _max_step(v: np.ndarray, dv: np.ndarray) -> float:

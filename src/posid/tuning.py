@@ -232,7 +232,9 @@ def tune(space: HyperparamSpace, data: TimeSeriesData,
     ``strategy`` is ``"grid"`` (default) or ``"random"``.  Candidates
     violating the decay/pole coupling are never evaluated.  Ties keep the
     earliest candidate, making the result deterministic for a fixed seed.
-    A split index past the data's samples raises ``ConfigError``.
+    A split index past the data's samples raises ``ConfigError``, and so
+    does a ``config_kwargs`` setting that :class:`PositiveIdConfig`
+    rejects, before any candidate is scored.
     """
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
@@ -250,6 +252,11 @@ def tune(space: HyperparamSpace, data: TimeSeriesData,
         candidates = _random_candidates(space, budget, seed)
     else:
         raise ConfigError(f"unknown strategy {strategy!r}")
+    # A bad run-level setting would fail every candidate alike, each
+    # scored inf; build one config here so its own error surfaces.
+    first = candidates[0]
+    PositiveIdConfig(kernel=first.kernel(space.kind), rho=first.rho,
+                     lam=first.lam, **config_kwargs)
     trace = []
     best_idx = -1
     best_score = math.inf

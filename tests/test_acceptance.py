@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from posid import estimator
 from posid.assembly import assemble_core, assemble_polynomial_blocks
 from posid.estimator import PositiveIdConfig, build_qp, identify, \
     reconstruct_h
@@ -169,9 +170,10 @@ def test_criterion_04_unconstrained_normal_equations():
     _report(4, f"3 instances, worst relative deviation {worst:.3e} <= 1e-8")
 
 
-def test_criterion_05_finite_support_coefficient_space():
+def test_criterion_05_finite_support_coefficient_space(monkeypatch):
     rng = np.random.default_rng(3)
     tight = SolveOptions(tol_feas=1e-11, tol_gap=1e-11)
+    monkeypatch.setattr(estimator, "_IDENTIFY_OPTIONS", tight)
     worst = 0.0
     for n_g in (8, 14, 20):
         n = 50
@@ -182,8 +184,7 @@ def test_criterion_05_finite_support_coefficient_space():
         kernel = window_kernel(KernelSpec.tc(0.7), n_g)
         lam = 1e-2
         est = identify_finite_response(
-            FiniteResponseConfig(kernel=kernel, lam=lam,
-                                 solve_options=tight), data)
+            FiniteResponseConfig(kernel=kernel, lam=lam), data)
         # direct QP over the response samples themselves
         T = scipy.linalg.toeplitz(u, np.zeros(n_g))
         K = gram(kernel, np.arange(n_g), np.arange(n_g))

@@ -306,16 +306,12 @@ def test_predict_unit_impulse_model():
 
 def test_predict_identity_system_returns_input():
     # y = u trains a near-unit-impulse response, so prediction on fresh
-    # inputs reproduces them.  The impulse sits on the positivity
-    # boundary at every lag, which stalls the dual residual just above
-    # the default tolerance; a looser tol_feas is fine for this check.
+    # inputs reproduces them
     rng = np.random.default_rng(13)
     n = 30
     u = _prbs(rng, n)
     data = TimeSeriesData.at_rest(u, u.copy())
-    config = PositiveIdConfig(kernel=KernelSpec.tc(0.5), rho=0.9, lam=1e-7,
-                              solve_options=SolveOptions(tol_feas=1e-6,
-                                                         tol_gap=1e-8))
+    config = PositiveIdConfig(kernel=KernelSpec.tc(0.5), rho=0.9, lam=1e-7)
     model = identify(config, data)
     fresh_u = _prbs(rng, 20)
     fresh = TimeSeriesData(np.arange(20), np.zeros(20), fresh_u)

@@ -54,15 +54,17 @@ def _same_loop(model, plain):
 
 @pytest.mark.parametrize("kernel", sorted(N1_KERNELS))
 @pytest.mark.parametrize("seed", [0, 3, 5])
-def test_repeated_pole_n1_matches_single_pole_estimator(seed, kernel):
+def test_repeated_pole_n1_matches_single_pole_estimator(seed, kernel,
+                                                        monkeypatch):
     # multiplicity one is the plain estimator: same modes, same QP.
     # Tight solve tolerances on both sides, otherwise each solver stops
     # at a slightly different point of the same flat valley.
+    monkeypatch.setattr(estimator, "_IDENTIFY_OPTIONS",
+                        SolveOptions(1e-12, 1e-12))
     rng = np.random.default_rng(seed)
     t = np.arange(40, dtype=float)
     data = _data_from_response(rng, 40, 0.9 ** t)
-    base = PositiveIdConfig(kernel=N1_KERNELS[kernel], rho=0.9, lam=1e-3,
-                            solve_options=SolveOptions(1e-12, 1e-12))
+    base = PositiveIdConfig(kernel=N1_KERNELS[kernel], rho=0.9, lam=1e-3)
     plain = identify(base, data)
     rep = identify_repeated_pole(RepeatedPoleConfig(base=base, n=1), data)
     _same_loop(rep, plain)
@@ -169,15 +171,16 @@ def test_reconstruct_replays_the_checked_response(fit):
 
 @pytest.mark.parametrize("kernel", sorted(N1_KERNELS))
 @pytest.mark.parametrize("seed", [0, 3, 5])
-def test_oscillating_n1_matches_single_pole_estimator(seed, kernel):
+def test_oscillating_n1_matches_single_pole_estimator(seed, kernel,
+                                                      monkeypatch):
     # a one-value period is the single pole: same modes, floor and zero
     # penalty, so the same QP and the same answer to the last bit
+    monkeypatch.setattr(estimator, "_IDENTIFY_OPTIONS",
+                        SolveOptions(tol_feas=1e-12, tol_gap=1e-12))
     rng = np.random.default_rng(seed)
     t = np.arange(40, dtype=float)
     data = _data_from_response(rng, 40, 0.9 ** t)
-    base = PositiveIdConfig(kernel=N1_KERNELS[kernel], rho=0.9, lam=1e-3,
-                            solve_options=SolveOptions(tol_feas=1e-12,
-                                                       tol_gap=1e-12))
+    base = PositiveIdConfig(kernel=N1_KERNELS[kernel], rho=0.9, lam=1e-3)
     plain = identify(base, data)
     osc = identify_oscillating_poles(OscillatingPoleConfig(base=base, n=1),
                                      data)
@@ -187,15 +190,16 @@ def test_oscillating_n1_matches_single_pole_estimator(seed, kernel):
     assert np.array_equal(osc.g.values, plain.g.values)
 
 
-def test_oscillating_n1_two_mode_record_at_tight_tolerances():
+def test_oscillating_n1_two_mode_record_at_tight_tolerances(monkeypatch):
     # a second, faster mode in the record leaves the pole mode a misfit
     # to trade against the kernel part; the phase basis used to stall on
     # it short of the 1e-12 tolerances that identify meets
+    monkeypatch.setattr(estimator, "_IDENTIFY_OPTIONS",
+                        SolveOptions(1e-12, 1e-12))
     rng = np.random.default_rng(5)
     t = np.arange(40, dtype=float)
     data = _data_from_response(rng, 40, 0.9 ** t + 0.5 * 0.5 ** t)
-    base = PositiveIdConfig(kernel=KernelSpec.tc(0.5), rho=0.9, lam=1e-3,
-                            solve_options=SolveOptions(1e-12, 1e-12))
+    base = PositiveIdConfig(kernel=KernelSpec.tc(0.5), rho=0.9, lam=1e-3)
     plain = identify(base, data)
     osc = identify_oscillating_poles(OscillatingPoleConfig(base=base, n=1),
                                      data)
@@ -233,7 +237,7 @@ def test_finite_support_kernel_with_dominant_pole(fit):
                                atol=1e-12)
 
 
-def test_finite_response_matches_nonneg_ls_oracle():
+def test_finite_response_matches_nonneg_ls_oracle(monkeypatch):
     # eliminate the kernel by hand: with g = K w the problem is
     # min ||T g - y||^2 + lam g' K^-1 g over g >= 0, an NNLS after
     # stacking sqrt(lam) R with R'R = K^-1
@@ -245,10 +249,9 @@ def test_finite_response_matches_nonneg_ls_oracle():
     data = TimeSeriesData.at_rest(u, y)
     kernel = window_kernel(KernelSpec.tc(0.7), n_g)
     lam = 1e-2
-    config = FiniteResponseConfig(
-        kernel=kernel, lam=lam,
-        solve_options=SolveOptions(tol_feas=1e-11, tol_gap=1e-11))
-    est = identify_finite_response(config, data)
+    monkeypatch.setattr(estimator, "_IDENTIFY_OPTIONS",
+                        SolveOptions(tol_feas=1e-11, tol_gap=1e-11))
+    est = identify_finite_response(FiniteResponseConfig(kernel, lam), data)
     T = scipy.linalg.toeplitz(u, np.zeros(n_g))
     K = gram(kernel, np.arange(n_g), np.arange(n_g))
     C = np.linalg.cholesky(K)

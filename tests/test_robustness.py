@@ -129,9 +129,11 @@ DRAW_FITS = {
     "finite": lambda base, data: identify_finite_response(
         FiniteResponseConfig(window_kernel(base.kernel, 30), base.lam), data),
 }
-# Failures of the 80 draws per estimator, with BLAS at one thread.
-DRAW_FAILURE_BOUNDS = {"identify": 0, "repeated": 0, "oscillating": 0,
-                       "finite": 3}
+# Failures of the 400 draws per estimator, with BLAS at one thread:
+# draw 341 (ss(0.967)) in the three pole estimators, and finite-response
+# draws 34, 58, 66, 156, 159, 175, 196, 227, 344, 346 and 371.
+DRAW_FAILURE_BOUNDS = {"identify": 1, "repeated": 1, "oscillating": 1,
+                       "finite": 11}
 
 
 def _random_draw(draw):
@@ -171,7 +173,7 @@ def _random_draw(draw):
 @pytest.mark.parametrize("name", sorted(DRAW_FITS))
 def test_random_draws_return_certified_replayable_models(name):
     failed = []
-    for draw in range(80):
+    for draw in range(400):
         base, data = _random_draw(draw)
         try:
             model = DRAW_FITS[name](base, data)

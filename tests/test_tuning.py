@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from posid import tuning
+from posid import estimator, tuning
 from posid.errors import ConfigError
 from posid.estimator import PositiveIdConfig, identify
 from posid.kernels import KernelSpec, decay_compatible
@@ -60,6 +60,25 @@ def test_tune_rejects_a_split_before_fitting(train, val, monkeypatch):
                             lam_range=(1e-2, 1e-2), beta_range=(0.5, 0.5))
     with pytest.raises(ConfigError, match="split"):
         tune(space, data, split=SplitSpec(train, val), budget=1)
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"a_min": -1.0}, "a_min must be positive"),
+    ({"horizon": 0}, "horizon must be positive"),
+])
+def test_tune_rejects_a_bad_run_level_setting_before_scoring(
+        setting, message, monkeypatch):
+    # a setting forwarded to every candidate fails them all alike; tune
+    # names it instead of scoring each candidate inf
+    def no_score(*args, **kwargs):
+        raise AssertionError("a candidate was scored")
+
+    monkeypatch.setattr(tuning, "validation_score", no_score)
+    data = _single_mode_data(np.random.default_rng(0), 40)
+    space = HyperparamSpace(kind="tc", rho_range=(0.9, 0.95),
+                            lam_range=(1e-2, 1.0), beta_range=(0.3, 0.5))
+    with pytest.raises(ConfigError, match=message):
+        tune(space, data, budget=4, **setting)
 
 
 def test_validation_score_rejects_a_split_past_the_samples(monkeypatch):
@@ -165,19 +184,22 @@ def test_validation_score_matches_convolution_loop():
     assert score == pytest.approx(oracle, abs=1e-10)
 
 
-def test_validation_score_zero_on_exact_reproduction():
+def test_validation_score_zero_on_exact_reproduction(monkeypatch):
+    monkeypatch.setattr(estimator, "_IDENTIFY_OPTIONS",
+                        SolveOptions(1e-12, 1e-12))
     rng = np.random.default_rng(5)
     data = _single_mode_data(rng, 40, noise=0.0)
     split = default_split(40)
     theta = ThetaPoint(rho=0.9, lam=1e-10, beta=0.5)
-    score = validation_score(theta, data, split, "tc",
-                             solve_options=SolveOptions(1e-12, 1e-12))
+    score = validation_score(theta, data, split, "tc")
     assert 0.0 <= score <= 1e-12
 
 
-def test_validation_score_amplitude_floor_formula():
+def test_validation_score_amplitude_floor_formula(monkeypatch):
     # zero outputs with a huge lambda pin the model at (a_min, h = 0),
     # so the score is the mean squared floor prediction
+    monkeypatch.setattr(estimator, "_IDENTIFY_OPTIONS",
+                        SolveOptions(1e-12, 1e-12))
     rng = np.random.default_rng(5)
     n = 40
     u = _prbs(rng, n)
@@ -185,8 +207,7 @@ def test_validation_score_amplitude_floor_formula():
     split = default_split(n)
     theta = ThetaPoint(rho=0.9, lam=1e8, beta=0.5)
     a_min = 0.01
-    score = validation_score(theta, data, split, "tc", a_min=a_min,
-                             solve_options=SolveOptions(1e-12, 1e-12))
+    score = validation_score(theta, data, split, "tc", a_min=a_min)
     b_full = np.convolve(0.9 ** np.arange(n, dtype=float), u)[:n]
     oracle = np.mean((a_min * b_full[split.validation_indices]) ** 2)
     assert score == pytest.approx(oracle, rel=1e-5)
