@@ -78,8 +78,8 @@ def nonneg_ls(data: TimeSeriesData, n_g: int) -> ImpulseResponse:
 
     Solved as the QP ``min |U g - y|^2`` subject to ``g >= 0`` by
     :func:`posid.qp.solve`, whose block pivoting over active sets usually
-    ends on the exact NNLS face (the one Lawson-Hanson finds) without an
-    interior-point iteration; a rank-deficient ``U`` (more taps than
+    ends on the exact NNLS face (the one Lawson-Hanson finds) without its
+    dual active-set fallback; a rank-deficient ``U`` (more taps than
     samples) is handled by the same minimum-norm KKT solves.  Raises
     :class:`SolverError` when the QP does not reach optimality.
     """

@@ -100,10 +100,9 @@ class IdentifyDiagnostics:
 
     ``iterations`` counts horizon-loop passes; ``qp_path``,
     ``qp_iterations`` and ``qp_rounds`` are the last QP's solution path
-    (``ipm`` or ``polish``), interior-point iterations (0 when a pivoting
-    round was certified without any) and pivoting rounds on both sides of
-    the interior point (1 when its unconstrained minimiser was
-    certified).
+    (``polish`` or ``dual``), dual active-set steps (0 when the first
+    pivoting run was certified) and pivoting rounds on both sides of the
+    dual method (1 when its unconstrained minimiser was certified).
     """
 
     m0: int

@@ -9,23 +9,20 @@ with at least one inequality row (every estimator's QP carries its
 positivity rows; a problem without rows is rejected).  Every solve works
 on a column-, row- and cost-scaled copy of the problem.  One routine,
 :func:`_pivot`, runs block principal pivoting over active sets (Júdice
-& Pires 1994; Kim & Park 2011) on both sides of a primal-dual
-interior-point method:
+& Pires 1994; Kim & Park 2011) on both sides of Goldfarb & Idnani's
+finite dual active-set method:
 
-1. Before the interior point, pivoting starts from the empty active set.
-   Each round is one active-set polish: the KKT point with the rows of
-   the current active set held as equalities.  Round 0 is the polish
-   over the empty active set, the unconstrained minimiser ``P z = -q``:
-   when ``P`` has full numerical rank it comes from two triangular
-   solves with the pivoted Cholesky factor that :class:`ConvexQP` keeps
-   from its PSD test, and otherwise, like every later round, from a
-   minimum-norm least-squares solve (a complete orthogonal
-   factorisation, LAPACK ``gelsy``, with numerical rank cut at ``eps *
-   max(shape)``).
-2. When no round is accepted, the interior point (Mehrotra
-   predictor-corrector on the slack/multiplier pair) runs, and pivoting
-   starts again from the active set guessed at its best iterate.  The
-   answer is the first accepted round, or else that iterate.
+1. Pivoting first starts from the empty active set.  Each round is one
+   active-set polish: the KKT point with the rows of the current active
+   set held as equalities.  Round 0 is the unconstrained minimiser ``P z
+   = -q``: at full numerical rank, two triangular solves with the
+   pivoted Cholesky factor that :class:`ConvexQP` keeps; otherwise, like
+   every later round, a minimum-norm least-squares solve (LAPACK
+   ``gelsy``, numerical rank cut at ``eps * max(shape)``).
+2. When no round is accepted, the dual method starts from the
+   unconstrained minimiser, and pivoting starts again from the rows it
+   holds with positive multipliers.  The answer is the first accepted
+   round, or else the dual method's last point.
 
 Both sides accept a round by one rule: it certifies ``optimal`` in the
 original units *and* meets every inactive row in the scaled units,
@@ -42,12 +39,13 @@ runs at most ``2 (k + 1)`` rounds for ``k`` rows.
 The returned status reflects the final certified residuals, which
 :func:`kkt_certificate` recomputes from the same residual builder, and
 the returned ``path`` names the candidate: ``polish`` for a pivoting
-round, ``ipm`` for the interior-point iterate.
+round, ``dual`` for the dual method's point.
 """
 from __future__ import annotations
 
 import zipfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -56,25 +54,38 @@ from .errors import ConfigError
 
 OPTIMAL = "optimal"
 MAX_ITERATIONS = "max_iterations"
-# Which candidate a solution is: an interior-point iterate or a polish.
-IPM = "ipm"
+# Which candidate a solution is: a pivoting round's polish, or the point
+# where the dual active-set method stopped.
 POLISH = "polish"
+DUAL = "dual"
 
 # Negative eigenvalues of the trailing Schur complement of the
 # Jacobi-scaled P, whose positive diagonal entries are 1, down to this
 # size are roundoff; a more negative one rejects P.
 _PSD_RTOL = 1e-8
-# Interior-point iteration cap, and the fraction of the step to the
-# boundary of the positive orthant taken by each iteration.
-_MAX_ITER = 200
-_STEP_FRACTION = 0.99
 # Pivoting gives up at the second round in a row whose infeasible-row
 # count is not below its best so far.  One such round is let pass because
 # a block flip can overshoot and the next round still finish; a second
-# marks the cycling of degenerate QPs, which the interior point handles.
+# marks the cycling of degenerate QPs, which the dual method handles.
 # So the best count falls at least every second round, and each pivoting
 # run ends within 2 (k + 1) rounds for k rows.
 _STALL_ROUNDS = 2
+# The dual method adds a scaled row (unit sup-norm) only when its slack
+# is below -_VIOLATION: at a degenerate point, roundoff gives the rows
+# through it that are not active slacks of either sign, and adding those
+# takes the zero-length steps on which dual methods cycle.
+_VIOLATION = 1e-12
+# The share below which the dual method takes a component as roundoff: a
+# row whose L^-1 n_p lies this close to the span of the active rows' gets
+# no primal step, and a multiplier falling at this share of the fastest
+# rate does not bound the step.  Without the cut, finite-response draw 58
+# of the robustness tests fails; any cut in [1e-12, 1e-6] gives the same
+# answers there.
+_DEPENDENT = 1e-10
+# Finite in exact arithmetic, the dual method can cycle in roundoff, so
+# it stops after this many steps per variable.  The robustness fits take
+# up to 0.52 d steps, and near-square NNLS QPs up to 1.2 d.
+_STEPS_PER_VARIABLE = 10
 
 
 @dataclass(frozen=True)
@@ -104,7 +115,8 @@ class _JacobiFactor:
     positive and 1 elsewhere.  ``Pc[piv][:, piv] = U' U`` on the leading
     ``rank`` rows of ``U`` (LAPACK ``dpstrf`` at its default tolerance
     ``d * eps * max diag Pc``); only those rows, in the upper triangle,
-    hold the factor.
+    hold the factor.  At full rank it gives the unconstrained minimiser
+    and drives the dual active-set method.
     """
 
     col: np.ndarray
@@ -153,8 +165,8 @@ class ConvexQP:
     """One convex QP instance with at least one inequality row.
 
     Every entry of ``P``, ``q``, ``G`` and ``l`` must be finite, and ``G``
-    must have at least one row: without rows the interior-point loop has
-    no slack to average (its barrier parameter divides by the row count).
+    must have at least one row: the certificate scales the primal
+    residual by ``1 + |l|_inf``, and every estimator's QP has rows.
     A zero row of ``G`` with a positive bound can never hold, so it is
     rejected too, and so is a problem without variables.
     ``P`` is symmetrised on construction and must be positive
@@ -221,13 +233,12 @@ class QPSolution:
 
     ``gap`` is the complementarity gap normalised by ``1 + |objective|``;
     ``lam`` are the inequality multipliers (nonnegative, one per row of
-    ``G``).  ``path`` is ``ipm`` for an interior-point iterate and
-    ``polish`` for an active-set polish; ``iterations`` counts the
-    interior-point iterations run before it, 0 when a pivoting round was
-    certified first, so a solve fell back to the interior point exactly
-    when it is positive.  ``rounds`` counts the pivoting rounds run on
-    both sides of the interior point, one polish each, round 0 (the
-    unconstrained minimiser) included.
+    ``G``).  ``path`` is ``polish`` for an active-set polish and
+    ``dual`` for the dual active-set method's point; ``iterations``
+    counts the dual method's steps (0 when the first pivoting run was
+    certified).  ``rounds`` counts the pivoting rounds run on both sides
+    of the dual method, one polish each, round 0 (the unconstrained
+    minimiser) included.
     """
 
     z: np.ndarray
@@ -310,9 +321,9 @@ def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
 
     After the scaling, :func:`_pivot` runs from the empty active set,
     whose polish is the unconstrained minimiser.  When it accepts no
-    round, the interior-point method runs, and :func:`_pivot` runs again
-    from the active set guessed at the best iterate; the answer is its
-    accepted round, or else that iterate.
+    round, :func:`_dual_active_set` runs, and :func:`_pivot` runs again
+    from the rows it holds with positive multipliers; the answer is its
+    accepted round, or else the dual method's point.
 
     Returns a :class:`QPSolution` whose status is ``optimal`` only when
     the certified residuals meet the requested tolerances and
@@ -321,25 +332,17 @@ def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
     detected: such a solve ends in ``max_iterations``.
     """
     opt = options or SolveOptions()
-    d = problem.dim
-    k = problem.n_ineq
-
     # Jacobi column scaling, on every problem: kernel-section curvature
-    # can span dozens of orders of magnitude along the diagonal, which
-    # stalls the Newton steps unless the variables are rebalanced first.
-    # The problem built it, and factored it, in its PSD test.
+    # can span dozens of orders of magnitude along the diagonal.  The
+    # problem built it, and factored it, in its PSD test.
     factor = problem._factor
     col, Pc = factor.col, factor.Pc
     qc = problem.q * col
 
     Gs, ls, g_norms = _row_scale(problem.G * col[None, :], problem.l)
-
     cost_scale = max(1.0, float(np.max(np.abs(Pc), initial=0.0)),
                      float(np.max(np.abs(qc), initial=0.0)))
-    Ps = Pc / cost_scale
-    qs = qc / cost_scale
-
-    scaled = (Ps, qs, Gs, ls)
+    scaled = (Pc / cost_scale, qc / cost_scale, Gs, ls)
 
     def certify(zs, lams, iterations, path, rounds):
         # A scaled iterate's solution record, in the original units.
@@ -347,81 +350,101 @@ def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
                        iterations, path, rounds)
 
     # With a full-rank factor, Ps zs = -qs is solved as Pc zs = -qc.
-    free_solve = (lambda: factor.solve(-qc)) if factor.rank == d else None
-    found, rounds = _pivot(scaled, np.zeros(k, dtype=bool),
+    full_rank = factor.rank == problem.dim
+    free_solve = (lambda: factor.solve(-qc)) if full_rank else None
+    found, rounds = _pivot(scaled, np.zeros(problem.n_ineq, dtype=bool),
                            lambda zs, lams, r: certify(zs, lams, 0, POLISH, r),
                            free_solve)
     if found is not None:
         return found
 
-    reg = 1e-12 * (1.0 + float(np.trace(Ps)) / d)
-
-    # Starting point: regularised unconstrained minimiser, slacks clipped
-    # away from the boundary, unit multipliers.
-    z = scipy.linalg.solve(Ps + np.eye(d), -qs)
-    s = np.maximum(Gs @ z - ls, 1.0)
-    lam = np.ones(k)
-
-    best = None
-    best_score = np.inf
-    for iterations in range(1, _MAX_ITER + 1):
-        sol = certify(z, lam, iterations, IPM, rounds)
-        if sol.status == OPTIMAL:
-            best, best_iterate = sol, (z, lam)
-            break
-        score = max(sol.primal_residual, sol.dual_residual, sol.gap)
-        if score < best_score:
-            best, best_iterate, best_score = sol, (z, lam), score
-
-        rd = Ps @ z + qs - Gs.T @ lam
-        rp = Gs @ z - s - ls
-        mu = float(s @ lam) / k
-        w = lam / s
-        cho = _regularised_cholesky(Ps + (Gs.T * w) @ Gs, reg)
-        if cho is None:
-            break
-
-        # Affine scaling direction.  A numerically singular Newton matrix
-        # can factor without error and still give a non-finite
-        # direction; that ends the loop like a failed factor.
-        rhs_z = -rd - Gs.T @ (lam + w * rp)
-        dz = scipy.linalg.cho_solve(cho, rhs_z)
-        if not np.isfinite(dz).all():
-            break
-        ds = Gs @ dz + rp
-        dlam = -lam - w * ds
-        alpha_aff = min(_max_step(s, ds), _max_step(lam, dlam))
-        mu_aff = float((s + alpha_aff * ds) @ (lam + alpha_aff * dlam)) / k
-        sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.0
-
-        # Corrected direction reusing the same factorisation.
-        center = (sigma * mu - ds * dlam) / s
-        rhs_z = -rd - Gs.T @ (lam + w * rp - center)
-        dz = scipy.linalg.cho_solve(cho, rhs_z)
-        if not np.isfinite(dz).all():
-            break
-        ds = Gs @ dz + rp
-        dlam = -lam - w * ds + center
-        alpha = _STEP_FRACTION * min(_max_step(s, ds),
-                                     _max_step(lam, dlam))
-        if alpha < 1e-10:
-            break
-        z = z + alpha * dz
-        s = s + alpha * ds
-        lam = lam + alpha * dlam
-
-    # Pivoting resumes from the best iterate, because on flat valleys the
-    # barrier stops inside the tolerance ball while the equality solve
-    # lands on the exact face.  Rows that are (nearly) tight or carry a
-    # multiplier larger than their slack start in the active set.
-    zs, lams = best_iterate
-    slack = Gs @ zs - ls
-    scale = 1.0 + float(np.max(np.abs(ls), initial=0.0))
-    active = (slack <= 1e-7 * scale) | (lams > np.maximum(slack, 0.0))
+    zs, lams, steps = _dual_active_set(scaled, factor, cost_scale)
     found, more = _pivot(
-        scaled, active,
-        lambda zp, lp, r: certify(zp, lp, iterations, POLISH, rounds + r))
-    return found or replace(best, rounds=rounds + more)
+        scaled, lams > 0.0,
+        lambda zp, lp, r: certify(zp, lp, steps, POLISH, rounds + r))
+    return found or certify(zs, lams, steps, DUAL, rounds + more)
+
+
+def _dual_active_set(scaled, factor: _JacobiFactor, cost_scale: float):
+    """Goldfarb & Idnani's dual active-set method on the scaled problem.
+
+    ``Ps = L L'`` with ``L^-1 b = scale U^-T b[piv]``: at full rank ``U``
+    is the problem's own factor and ``scale = sqrt(cost_scale)``, and
+    otherwise ``U`` is the Cholesky factor of ``Ps + reg I``.  From the
+    minimiser ``-Ps^-1 qs``, each step moves towards the most violated
+    inactive row ``p`` with every multiplier kept nonnegative (Math.
+    Programming 27, 1983).  The thin QR ``Q R`` of ``L^-1 N`` for the
+    active normals ``N``, redone whenever the active set changes, and ``v
+    = Q' L^-1 n_p`` give the primal direction ``L^-T Q2 v2`` and the fall
+    ``R^-1 v1`` of the active multipliers per unit of ``p``'s.  A full
+    step meets row ``p``, which joins; a partial step ends where an
+    active multiplier reaches zero, and that row leaves.  The method ends
+    when no row is violated, when no step exists, at the step cap or at a
+    non-finite direction.  Returns the last point, its multipliers (``p``'s
+    included) and the steps taken: the origin and 0 if it cannot start.
+    """
+    Ps, qs, Gs, ls = scaled
+    d = qs.size
+    z, lam = np.zeros(d), np.zeros(ls.size)
+    if factor.rank == d:
+        U, piv, scale = factor.U, factor.piv, np.sqrt(cost_scale)
+    else:
+        reg = 1e-12 * (1.0 + float(np.trace(Ps)) / d)
+        try:
+            U = scipy.linalg.cholesky(Ps + reg * np.eye(d), check_finite=False)
+        except np.linalg.LinAlgError:
+            # P passed the PSD test with an eigenvalue below -reg
+            return z, lam, 0
+        piv, scale = np.arange(d), 1.0
+    tri = partial(scipy.linalg.solve_triangular, U, check_finite=False)
+    back = np.argsort(piv)
+
+    def lsolve(b):
+        return scale * tri(b[piv], trans="T")  # L^-1 b
+
+    start = scale * tri(-lsolve(qs))[back]  # -L^-T L^-1 qs
+    if not np.isfinite(start).all():
+        return z, lam, 0
+    z, active, p = start, np.zeros(0, dtype=int), None
+    for steps in range(_STEPS_PER_VARIABLE * d):
+        if p is None:
+            slack = Gs @ z - ls
+            slack[active] = np.inf
+            p = int(np.argmin(slack))
+            if slack[p] >= -_VIOLATION:
+                break
+        a = active.size
+        B = lsolve(Gs[np.append(active, p)].T)
+        Q, R = np.linalg.qr(B[:, :a], mode="complete")
+        v = Q.T @ B[:, a]
+        dz = scale * tri(Q[:, a:] @ v[a:])[back]
+        r = scipy.linalg.solve_triangular(R[:a], v[:a], check_finite=False)
+        if not (np.isfinite(dz).all() and np.isfinite(r).all()):
+            break
+        # A full step meets row p unless its normal is in the active span;
+        # a partial step ends where an active multiplier reaches zero.
+        v2 = v[a:] @ v[a:]
+        t_full = ((ls[p] - Gs[p] @ z) / v2
+                  if v2 > _DEPENDENT ** 2 * (v @ v) else np.inf)
+        u = lam[active]
+        shrink = np.flatnonzero(r > _DEPENDENT * np.max(np.abs(r), initial=0))
+        ratios = u[shrink] / r[shrink]
+        t = min(t_full, np.min(ratios, initial=np.inf))
+        if t == np.inf:
+            break
+        if t_full < np.inf:
+            z = z + t * dz
+        lam[active] = np.maximum(u - t * r, 0.0)
+        lam[p] += t
+        if t == t_full:
+            active, p = np.append(active, p), None
+        else:
+            drop = shrink[np.argmin(ratios)]
+            lam[active[drop]] = 0.0
+            active = np.delete(active, drop)
+    else:
+        steps = _STEPS_PER_VARIABLE * d
+    return z, lam, steps
 
 
 def _pivot(scaled, active: np.ndarray, certify,
@@ -472,45 +495,20 @@ def _pivot(scaled, active: np.ndarray, certify,
         active = active ^ infeasible
 
 
-def _regularised_cholesky(h: np.ndarray, reg: float):
-    """Cholesky factor of ``h + reg * I``, or ``None`` when that is not
-    positive definite (near the optimum, roundoff on weights of 1e12 and
-    more) or ``h`` is not finite (a weight ``lam / s`` that overflowed)."""
-    if not np.isfinite(h).all():
-        return None
-    h[np.diag_indices_from(h)] += reg
-    try:
-        return scipy.linalg.cho_factor(h, check_finite=False)
-    except np.linalg.LinAlgError:
-        return None
-
-
-def _max_step(v: np.ndarray, dv: np.ndarray) -> float:
-    neg = dv < 0.0
-    if not np.any(neg):
-        return 1.0
-    return float(min(1.0, np.min(-v[neg] / dv[neg])))
-
-
 def _polish(scaled, active: np.ndarray, certify,
             free_solve=None) -> QPSolution | None:
     """Equality-KKT solve with the rows of the mask ``active`` held tight.
 
-    Works on the scaled problem ``scaled = (Ps, qs, Gs, ls)`` that the
-    interior-point loop iterates on, as OSQP polishes the problem its
-    iterations solve; in the original units ``P`` can span dozens of
-    orders of magnitude.  With no active row the KKT system is ``Ps zs =
-    -qs`` and the answer is the unconstrained minimiser; ``free_solve()``,
-    when given, returns it from the full-rank factor the problem keeps.
-    Every other system is solved by minimum-norm least squares, because
-    ``P`` from Gram assembly can be numerically singular:
-    :func:`min_norm_lstsq`, a complete orthogonal factorisation with
-    numerical rank cut at ``eps * max(kkt.shape)``.  ``certify(z, lam)``
-    gets the raw KKT multipliers, negative ones included (0 on inactive
-    rows), so pivoting can read their signs; it maps the answer back,
-    certifies it in the original units (:func:`_finish` clips the
-    multipliers at zero) and returns the solution record, or ``None`` to
-    reject it.  Returns ``None`` also when the solve is not finite.
+    Works on the scaled problem ``scaled = (Ps, qs, Gs, ls)``.  With no
+    active row the answer is the unconstrained minimiser, ``free_solve()``
+    when given (from the full-rank factor the problem keeps).  Every
+    other system is solved by :func:`min_norm_lstsq`, because ``P`` from
+    Gram assembly can be numerically singular.  ``certify(z, lam)`` gets
+    the raw KKT multipliers, negative ones included (0 on inactive rows),
+    so pivoting can read their signs; it maps the answer back, certifies
+    it in the original units (:func:`_finish` clips the multipliers at
+    zero) and returns the solution record, or ``None`` to reject it.
+    Returns ``None`` also when the solve is not finite.
     """
     Ps, qs, Gs, ls = scaled
     d = qs.size

@@ -56,7 +56,7 @@ def test_identify_g_writes_library_result(tmp_path):
     assert meta["qp_status"] == "optimal"
     # the noiseless single-mode record binds no positivity row, so the
     # QP's unconstrained minimiser, pivoting round 0, is certified
-    # without an IPM iteration
+    # without a dual active-set step
     assert (meta["qp_path"], meta["qp_iterations"], meta["qp_rounds"]) == (
         "polish", 0, 1)
     assert meta["a"] == pytest.approx(model.a)

@@ -1,4 +1,4 @@
-"""Interior-point QP solver tests against closed-form and enumeration oracles."""
+"""QP solver tests against closed-form and enumeration oracles."""
 import itertools
 from collections import Counter
 
@@ -16,13 +16,13 @@ from posid.estimator import (PositiveIdConfig, build_qp, identify,
                              initial_constraint_horizon)
 from posid.experiments import (McProtocol, add_noise, gen_binary_input,
                                noise_variance, simulate_output, true_system)
-from posid.extensions import RepeatedPoleConfig, identify_repeated_pole
 from posid.kernels import KernelSpec
 from posid.qp import (ConvexQP, SolveOptions, dump_qp, kkt_certificate,
                       load_qp_dump, solve)
 from posid.signals import TimeSeriesData
 
 from test_extensions import _mis_specified_record
+from test_robustness import DRAW_FITS, _random_draw
 
 
 def _random_strictly_convex(rng, d, n_ineq):
@@ -85,8 +85,8 @@ def _active_set_oracle(problem):
 
 def test_matches_active_set_enumeration():
     # the random draws and the QPs whose first row cuts their free
-    # minimiser off are all finished by pivoting: no interior-point
-    # iteration runs
+    # minimiser off are all finished by pivoting: the dual method takes
+    # no step
     rng = np.random.default_rng(7)
     tight = SolveOptions(tol_feas=1e-11, tol_gap=1e-11)
     problems = [_random_strictly_convex(rng, 5, 3) for _ in range(30)]
@@ -103,46 +103,61 @@ def test_matches_active_set_enumeration():
         assert sol.objective == pytest.approx(obj_star, abs=1e-7)
 
 
-def _ipm_only(monkeypatch):
-    """Stop pivoting after one round on each side of the interior point:
-    a QP whose free minimiser is rejected goes straight to the interior
-    point, and its best iterate gets one polish."""
+def _skip_to_fallback(monkeypatch):
+    """Stop pivoting after one round on each side of the dual method: a
+    QP whose free minimiser is rejected goes straight to the dual method,
+    and the rows it holds get one polish."""
     monkeypatch.setattr(qp, "_STALL_ROUNDS", 0)
 
 
-def _first_direction_nan(monkeypatch, dim):
-    """Make the first Newton direction non-finite; return the call log."""
-    real_cho_solve = scipy.linalg.cho_solve
-    calls = []
+def _fault_in_second_dual_step(monkeypatch, solve_number, fault):
+    """Hand triangular solve ``solve_number`` of the dual method's second
+    step to ``fault(real_solve, a, b, **kwargs)``; return the number of
+    solves in each step opened.  Solve 1 of a step is the one for the
+    normals of the active rows and the joining one, the only solve with a
+    matrix right-hand side; solve 2 gives the primal direction."""
+    real = scipy.linalg.solve_triangular
+    solves = []
 
-    def first_call_nan(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 1:
-            return np.full(dim, np.nan)
-        return real_cho_solve(*args, **kwargs)
+    def solve_triangular(a, b, **kwargs):
+        if np.ndim(b) == 2:
+            solves.append(0)
+        if solves:
+            solves[-1] += 1
+            if len(solves) == 2 and solves[-1] == solve_number:
+                return fault(real, a, b, **kwargs)
+        return real(a, b, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cho_solve", first_call_nan)
-    return calls
+    monkeypatch.setattr(scipy.linalg, "solve_triangular", solve_triangular)
+    return solves
 
 
-def test_nonfinite_kkt_direction_ends_the_solve(monkeypatch):
-    # a numerically singular KKT matrix can factor without error and still
-    # give a non-finite Newton direction; the solve must then stop and
-    # report a finite, uncertified answer instead of passing NaN on to the
-    # next linear solve
-    _ipm_only(monkeypatch)
-    problem = _binding_random_qp(9, 4, 3)
-    calls = _first_direction_nan(monkeypatch, problem.dim)
+def _assert_ends_at_the_faulty_step(monkeypatch, solve_number, fault):
+    # the box's free minimiser violates all five rows, so the dual method
+    # needs five steps; a fault in the second must end it after one, and
+    # the solve must report a finite, uncertified answer instead of
+    # passing NaN on to the next step
+    _skip_to_fallback(monkeypatch)
+    problem = _nonnegativity_box()
+    solves = _fault_in_second_dual_step(monkeypatch, solve_number, fault)
     options = SolveOptions(tol_feas=1e-10, tol_gap=1e-10)
     sol = solve(problem, options)
-    assert calls, "the Newton direction was not computed"
-    assert sol.iterations == 1
+    assert len(solves) == 2, "the dual method must end at the faulty step"
+    assert (sol.path, sol.iterations) == ("dual", 1)
     _assert_finite_with_honest_status(problem, sol, options)
 
 
+def test_nonfinite_kkt_direction_ends_the_solve(monkeypatch):
+    # a numerically singular factor can give a non-finite primal direction
+    # without raising an error
+    _assert_ends_at_the_faulty_step(
+        monkeypatch, 2,
+        lambda real, a, b, **kwargs: np.full(b.shape, np.nan))
+
+
 def _assert_finite_with_honest_status(problem, sol, options):
-    # the polish of the start point may still certify; the status must
-    # agree with the independently recomputed residuals either way
+    # the polish of the dual method's rows may still certify; the status
+    # must agree with the independently recomputed residuals either way
     report = kkt_certificate(problem, sol)
     slack = problem.G @ sol.z - problem.l
     gap = (np.abs(sol.lam) @ np.abs(slack)
@@ -159,33 +174,31 @@ def _assert_finite_with_honest_status(problem, sol, options):
                         sol.gap]).all()
 
 
-def test_nonfinite_newton_matrix_gets_no_factor():
-    # an overflowed weight lam / s puts inf into the Newton matrix, and
-    # roundoff can leave it indefinite; either is a failed factor, not an
-    # error escaping the solver
-    h = np.eye(3)
-    h[1, 1] = np.inf
-    assert qp._regularised_cholesky(h, 1e-12) is None
-    assert qp._regularised_cholesky(np.diag([1.0, -1.0]), 1e-12) is None
+def test_nonfinite_factor_ends_the_solve(monkeypatch):
+    # an overflowed entry in the triangular factor makes the solve's
+    # result non-finite
+    def overflowed(real, a, b, **kwargs):
+        a = a.copy()
+        a[0, -1] = np.inf
+        return real(a, b, **kwargs)
+
+    _assert_ends_at_the_faulty_step(monkeypatch, 1, overflowed)
 
 
-def test_nonfinite_newton_matrix_ends_the_solve(monkeypatch):
-    _ipm_only(monkeypatch)
-    problem = _binding_random_qp(9, 4, 3)
-    real = qp._regularised_cholesky
-    calls = []
-
-    def first_matrix_inf(h, reg):
-        calls.append(1)
-        if len(calls) == 1:
-            h[0, 0] = np.inf
-        return real(h, reg)
-
-    monkeypatch.setattr(qp, "_regularised_cholesky", first_matrix_inf)
-    options = SolveOptions(tol_feas=1e-10, tol_gap=1e-10)
+def test_dual_method_without_a_factor_gives_a_finite_answer(monkeypatch):
+    # P = diag(1, -1e-9) passes the PSD test (its negative eigenvalue is
+    # above -1e-8) but the ridge of the dual method, about 1.5e-12, does
+    # not make it definite: the dual method cannot start, and the solve
+    # reports its start, the origin, as a finite, uncertified answer
+    _skip_to_fallback(monkeypatch)
+    problem = ConvexQP(P=np.diag([1.0, -1e-9]), q=np.zeros(2),
+                       G=np.array([[1.0, 0.0]]), l=np.array([1.0]))
+    assert problem._factor.rank == 1
+    options = SolveOptions()
     sol = solve(problem, options)
-    assert calls == [1], "the loop must end at the first Newton matrix"
-    assert sol.iterations == 1
+    assert (sol.status, sol.path, sol.iterations) == (
+        "max_iterations", "dual", 0)
+    np.testing.assert_array_equal(sol.z, 0.0)
     _assert_finite_with_honest_status(problem, sol, options)
 
 
@@ -415,9 +428,9 @@ def test_answer_is_the_object_a_path_returned(monkeypatch):
     assert polish[0][1] is None
     assert sol is polish[1][1]
     assert (sol.path, sol.iterations, sol.rounds) == ("polish", 0, 2)
-    # with one round on each side the answer is the polish of the
-    # interior-point iterate, the second round
-    _ipm_only(monkeypatch)
+    # with one round on each side the answer is the polish of the rows the
+    # dual method holds, the second round
+    _skip_to_fallback(monkeypatch)
     polish.clear()
     sol = solve(_nonnegativity_box())
     assert len(polish) == 2
@@ -428,9 +441,9 @@ def test_answer_is_the_object_a_path_returned(monkeypatch):
 
 def test_inactive_rows_return_the_unconstrained_minimiser(monkeypatch):
     # no row binds: the first polish, over the empty active set, is
-    # certified and returned without any interior-point iteration
+    # certified and returned without the dual method
     polish = _record_calls(monkeypatch, "_polish")
-    newton = _record_calls(monkeypatch, "_regularised_cholesky")
+    dual = _record_calls(monkeypatch, "_dual_active_set")
     tight = SolveOptions(tol_feas=1e-11, tol_gap=1e-11)
     for seed in range(10):
         drawn = _random_strictly_convex(np.random.default_rng(seed), 5, 3)
@@ -447,7 +460,7 @@ def test_inactive_rows_return_the_unconstrained_minimiser(monkeypatch):
         np.testing.assert_allclose(sol.z, z_star, atol=1e-9,
                                    err_msg=f"seed {seed}")
         np.testing.assert_array_equal(sol.lam, 0.0)
-    assert newton == []
+    assert dual == []
 
 
 def test_free_minimiser_of_a_singular_p_is_minimum_norm(monkeypatch):
@@ -483,10 +496,12 @@ def _tiny_row_qp():
                     l=np.array([1e-10, -1.0]))
 
 
-def test_tiny_row_violated_by_the_free_minimiser_runs_the_ipm(monkeypatch):
+def test_tiny_row_violated_by_the_free_minimiser_reaches_the_dual_method(
+        monkeypatch):
     # without pivoting, the scaled-units check sends the violated free
-    # minimiser on to the interior point, which finds the face z0 = 0.1
-    _ipm_only(monkeypatch)
+    # minimiser on to the dual method, which adds the tiny row and so
+    # finds the face z0 = 0.1
+    _skip_to_fallback(monkeypatch)
     sol = solve(_tiny_row_qp())
     assert sol.status == "optimal"
     assert sol.iterations > 0
@@ -518,44 +533,42 @@ def _seed1_mc_record():
     return config, TimeSeriesData.at_rest(u, y)
 
 
-def test_identify_with_no_binding_row_runs_no_newton_step(monkeypatch):
+def test_identify_with_no_binding_row_takes_no_dual_step(monkeypatch):
     # the seed-1 n=200 dc(0.9, 0.9) Monte Carlo record ends with no
-    # active positivity row, so its fit factors no Newton matrix
+    # active positivity row, so its fit never runs the dual method
     config, data = _seed1_mc_record()
-    newton = _record_calls(monkeypatch, "_regularised_cholesky")
+    dual = _record_calls(monkeypatch, "_dual_active_set")
     model = identify(config, data)
     diag = model.diagnostics
     assert (diag.qp_status, diag.qp_path, diag.qp_iterations) == (
         "optimal", "polish", 0)
-    assert newton == []
+    assert dual == []
 
 
-def test_nonneg_ls_of_the_monte_carlo_record_needs_no_newton_step(
+def test_nonneg_ls_of_the_monte_carlo_record_needs_no_dual_step(
         monkeypatch):
     # baseline c on the seed-1 Monte Carlo record, 200 samples and 125
     # taps: pivoting lands on the exact NNLS face, the one scipy's
-    # Lawson-Hanson solver finds, without a Newton matrix
+    # Lawson-Hanson solver finds, without the dual method
     _, data = _seed1_mc_record()
-    newton = _record_calls(monkeypatch, "_regularised_cholesky")
+    dual = _record_calls(monkeypatch, "_dual_active_set")
     solves = _record_calls(monkeypatch, "solve")
     g = nonneg_ls(data, 125).values
     [((problem, _), sol)] = solves
     assert (problem.dim, problem.n_ineq) == (125, 125)
     assert (sol.status, sol.path, sol.iterations) == ("optimal", "polish", 0)
-    assert newton == []
+    assert dual == []
     oracle, _ = scipy.optimize.nnls(input_weight_matrix(data, 125),
                                     data.outputs)
     np.testing.assert_allclose(g, oracle, rtol=0, atol=1e-9)
 
 
-def _mis_specified_qps(fits, fit=identify):
-    """The QPs, options and solutions of mis-specified fits by ``fit``
-    (``identify`` unless given), the fits given as ``(seed, n)``, whether
-    they succeed or not."""
+def _qps_of(fit, records):
+    """The QPs, options and solutions of ``fit`` on each ``(base, data)``
+    record, whether the fit succeeds or not."""
     with pytest.MonkeyPatch.context() as patch:
         solves = _record_calls(patch, "solve")
-        for seed, n in fits:
-            base, data = _mis_specified_record(seed, n)
+        for base, data in records:
             try:
                 fit(base, data)
             except SolverError:
@@ -563,22 +576,28 @@ def _mis_specified_qps(fits, fit=identify):
     return [(args[0], args[1], sol) for args, sol in solves]
 
 
-def test_stalled_pivoting_leaves_the_interior_point_answer_unchanged(
-        monkeypatch):
-    # the last QP of the mis-specified identify fit (seed 10, n 80), one
-    # that fails: pivoting stalls on its degenerate rows and the interior
-    # point runs from its usual start, so the answer is bit for bit the
-    # one it gives with one round on each side
-    problem, options, sol = _mis_specified_qps([(10, 80)])[-1]
-    assert sol.status == "max_iterations"
+def _mis_specified_qps(fits, fit=identify):
+    """The QPs of mis-specified fits by ``fit`` (``identify`` unless
+    given), the fits given as ``(seed, n)``; see :func:`_qps_of`."""
+    return _qps_of(fit, [_mis_specified_record(seed, n) for seed, n in fits])
+
+
+def test_stalled_pivoting_leaves_the_dual_answer_unchanged(monkeypatch):
+    # the QP of finite-response draw 58: pivoting stalls on its degenerate
+    # rows before and after the dual method, and the dual method starts
+    # from the free minimiser however long pivoting ran first, so its
+    # answer is bit for bit the one it gives with one round on each side
+    [(problem, options, sol)] = _qps_of(DRAW_FITS["finite"],
+                                        [_random_draw(58)])
+    assert sol.path == "dual"
     assert sol.iterations > 0 and sol.rounds > 2
-    _ipm_only(monkeypatch)
-    ipm = solve(problem, options)
-    assert ipm.rounds == 2
+    _skip_to_fallback(monkeypatch)
+    dual = solve(problem, options)
+    assert dual.rounds == 2
     assert (sol.status, sol.path, sol.iterations) == (
-        ipm.status, ipm.path, ipm.iterations)
-    np.testing.assert_array_equal(sol.z, ipm.z)
-    np.testing.assert_array_equal(sol.lam, ipm.lam)
+        dual.status, dual.path, dual.iterations)
+    np.testing.assert_array_equal(sol.z, dual.z)
+    np.testing.assert_array_equal(sol.lam, dual.lam)
 
 
 def _rounds_per_side(polish):
@@ -587,16 +606,14 @@ def _rounds_per_side(polish):
     return list(Counter(args[2] for args, _ in polish).values())
 
 
-def test_pivoting_resumed_after_the_interior_point_certifies_its_qp(
+def test_pivoting_resumed_after_the_dual_method_certifies_its_qp(
         monkeypatch):
-    # the last QP of the mis-specified repeated-pole fit (seed 9, n 80):
-    # pivoting stalls before the interior point, and the polish of the
-    # active set guessed at the best iterate is rejected, so the certified
-    # answer is a later round of the pivoting that polish starts
-    def repeated(base, data):
-        return identify_repeated_pole(RepeatedPoleConfig(base, 2), data)
-
-    problem, options, _ = _mis_specified_qps([(9, 80)], repeated)[-1]
+    # the QP of finite-response draw 159: pivoting stalls before the dual
+    # method, and the polish of the rows the dual method holds is
+    # rejected, so the certified answer is a later round of the pivoting
+    # that polish starts
+    [(problem, options, _)] = _qps_of(DRAW_FITS["finite"],
+                                      [_random_draw(159)])
     polish = _record_calls(monkeypatch, "_polish")
     sol = solve(problem, options)
     assert (sol.status, sol.path) == ("optimal", "polish")
@@ -608,7 +625,7 @@ def test_pivoting_resumed_after_the_interior_point_certifies_its_qp(
 def test_pivoting_ends_within_its_round_bound(monkeypatch):
     # the fewest infeasible rows so far falls at least every second
     # round, so a solve with k rows pivots at most 2 (k + 1) rounds, one
-    # polish each, before the interior point and again after it
+    # polish each, before the dual method and again after it
     problems = [(problem, options) for problem, options, _
                 in _mis_specified_qps([(10, 80), (13, 50), (9, 80)])]
     problems += [(_binding_random_qp(seed, 6, 5), None) for seed in range(60)]
