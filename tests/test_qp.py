@@ -174,9 +174,27 @@ def _assert_finite_with_honest_status(problem, sol, options):
                         sol.gap]).all()
 
 
-def test_nonfinite_factor_ends_the_solve(monkeypatch):
-    # an overflowed entry in the triangular factor makes the solve's
-    # result non-finite
+def test_nonfinite_newton_matrix_gets_no_factor():
+    # the dual method factors the QP's Newton matrix, Ps + reg I when the
+    # problem's own factor is rank-deficient; an overflowed entry in it,
+    # or roundoff that leaves it indefinite, is a failed factor, not an
+    # error escaping the solver: the method returns the origin, zero
+    # multipliers and no step
+    factor = ConvexQP(P=np.diag([1.0, 0.0]), q=np.zeros(2),
+                      G=np.eye(2), l=np.ones(2))._factor
+    assert factor.rank == 1
+    overflowed = np.array([[1.0, np.inf], [np.inf, 1.0]])
+    for Ps in (overflowed, np.diag([1.0, -1.0])):
+        z, lam, steps = qp._dual_active_set(
+            (Ps, -np.ones(2), np.eye(2), np.ones(2)), factor, 1.0)
+        assert steps == 0
+        np.testing.assert_array_equal(z, 0.0)
+        np.testing.assert_array_equal(lam, 0.0)
+
+
+def test_nonfinite_newton_matrix_ends_the_solve(monkeypatch):
+    # an overflowed entry in the triangular factor of the Newton matrix
+    # makes the solve's result non-finite
     def overflowed(real, a, b, **kwargs):
         a = a.copy()
         a[0, -1] = np.inf
@@ -533,9 +551,10 @@ def _seed1_mc_record():
     return config, TimeSeriesData.at_rest(u, y)
 
 
-def test_identify_with_no_binding_row_takes_no_dual_step(monkeypatch):
+def test_identify_with_no_binding_row_runs_no_newton_step(monkeypatch):
     # the seed-1 n=200 dc(0.9, 0.9) Monte Carlo record ends with no
-    # active positivity row, so its fit never runs the dual method
+    # active positivity row, so its fit never runs the dual method, whose
+    # steps are Newton steps on the face of its active rows
     config, data = _seed1_mc_record()
     dual = _record_calls(monkeypatch, "_dual_active_set")
     model = identify(config, data)
@@ -545,7 +564,7 @@ def test_identify_with_no_binding_row_takes_no_dual_step(monkeypatch):
     assert dual == []
 
 
-def test_nonneg_ls_of_the_monte_carlo_record_needs_no_dual_step(
+def test_nonneg_ls_of_the_monte_carlo_record_needs_no_newton_step(
         monkeypatch):
     # baseline c on the seed-1 Monte Carlo record, 200 samples and 125
     # taps: pivoting lands on the exact NNLS face, the one scipy's
