@@ -284,7 +284,6 @@ def _section_basis(kernel: KernelSpec, n_sec: int) -> _SectionBasis:
     return basis
 
 
-
 def _rows(factors: list[np.ndarray], size: int) -> np.ndarray:
     """Split factors as rows of ``size`` entries; a 0-d one is repeated."""
     return np.stack([np.broadcast_to(f, (size,)) for f in factors])

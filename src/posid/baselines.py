@@ -55,8 +55,9 @@ class BaselineKind:
             raise ConfigError(
                 f"fir_length must be positive, got {self.fir_length}")
         if self.kind in (KIND_RIDGE_CLIP, KIND_NONNEG_RIDGE):
-            if self.lam <= 0.0:
-                raise ConfigError(f"lambda must be positive, got {self.lam}")
+            if not 0.0 < self.lam < np.inf:
+                raise ConfigError(
+                    f"lambda must be positive and finite, got {self.lam}")
             if self.kernel is None:
                 raise ConfigError(f"baseline {self.kind!r} needs a kernel")
 
@@ -77,10 +78,11 @@ def nonneg_ls(data: TimeSeriesData, n_g: int) -> ImpulseResponse:
     """Least squares over the nonnegative orthant.
 
     Solved as the QP ``min |U g - y|^2`` subject to ``g >= 0`` by
-    :func:`posid.qp.solve`, whose block pivoting over active sets usually
-    ends on the exact NNLS face (the one Lawson-Hanson finds) without its
-    dual active-set fallback; a rank-deficient ``U`` (more taps than
-    samples) is handled by the same minimum-norm KKT solves.  Raises
+    :func:`posid.qp.solve`: its dual active-set method and the block
+    pivoting from the rows it holds usually end on the exact NNLS face
+    (the one Lawson-Hanson finds); a rank-deficient ``U`` (more taps than
+    samples) gets a small ridge in the dual method and minimum-norm KKT
+    solves in the pivoting.  Raises
     :class:`SolverError` when the QP does not reach optimality.
     """
     U = input_weight_matrix(data, n_g)

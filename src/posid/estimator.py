@@ -81,10 +81,12 @@ class PositiveIdConfig:
     horizon: int | None = None
 
     def __post_init__(self) -> None:
-        if self.lam <= 0.0:
-            raise ConfigError(f"lambda must be positive, got {self.lam}")
-        if self.a_min <= 0.0:
-            raise ConfigError(f"a_min must be positive, got {self.a_min}")
+        if not 0.0 < self.lam < math.inf:
+            raise ConfigError(
+                f"lambda must be positive and finite, got {self.lam}")
+        if not 0.0 < self.a_min < math.inf:
+            raise ConfigError(
+                f"a_min must be positive and finite, got {self.a_min}")
         if self.horizon is not None and self.horizon <= 0:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
         if not decay_compatible(self.kernel, self.rho):
@@ -100,9 +102,9 @@ class IdentifyDiagnostics:
 
     ``iterations`` counts horizon-loop passes; ``qp_path``,
     ``qp_iterations`` and ``qp_rounds`` are the last QP's solution path
-    (``polish`` or ``dual``), dual active-set steps (0 when the first
-    pivoting run was certified) and pivoting rounds on both sides of the
-    dual method (1 when its unconstrained minimiser was certified).
+    (``polish`` or ``dual``), dual active-set steps (0 when the
+    unconstrained minimiser meets every row) and the pivoting rounds run
+    after the dual method (1 when its first round was certified).
     """
 
     m0: int

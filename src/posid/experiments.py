@@ -99,8 +99,9 @@ class McConfig:
                          horizon=self.horizon)
         for name in ("lam_g", "lam_fir", "n_g", "workers"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ConfigError(f"{name} must be positive, got {value}")
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(
+                    f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -169,19 +170,18 @@ def noise_variance(y: np.ndarray, snr_db: float) -> float:
     return float(y @ y) / y.size / 10.0 ** (snr_db / 10.0)
 
 
+def _values(g) -> np.ndarray:
+    return g.values if isinstance(g, ImpulseResponse) else \
+        np.asarray(g, dtype=float)
+
+
 def simulate_output(g, u: np.ndarray, n: int) -> np.ndarray:
     """First n outputs of the at-rest convolution of g with u.
 
     Exact whenever g covers lags 0..n-1; later taps never reach the
     requested window.
     """
-    values = g.values if isinstance(g, ImpulseResponse) else np.asarray(g)
-    return np.convolve(u, values)[:n]
-
-
-def _values(g) -> np.ndarray:
-    return g.values if isinstance(g, ImpulseResponse) else \
-        np.asarray(g, dtype=float)
+    return np.convolve(u, _values(g))[:n]
 
 
 def fit_impulse(g_hat, g_true) -> float:

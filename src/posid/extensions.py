@@ -82,8 +82,9 @@ class FiniteResponseConfig:
             raise ConfigError(
                 "finite-response estimation needs a finite-support kernel; "
                 "window a decaying kernel first")
-        if self.lam <= 0.0:
-            raise ConfigError(f"lambda must be positive, got {self.lam}")
+        if not 0.0 < self.lam < np.inf:
+            raise ConfigError(
+                f"lambda must be positive and finite, got {self.lam}")
 
 
 class RepeatedPoleModel(FittedModel):

@@ -7,34 +7,34 @@ Solves
 
 with at least one inequality row (every estimator's QP carries its
 positivity rows; a problem without rows is rejected).  Every solve works
-on a column-, row- and cost-scaled copy of the problem.  One routine,
-:func:`_pivot`, runs block principal pivoting over active sets (Júdice
-& Pires 1994; Kim & Park 2011) on both sides of Goldfarb & Idnani's
-finite dual active-set method:
+on a column-, row- and cost-scaled copy of the problem, in two stages:
 
-1. Pivoting first starts from the empty active set.  Each round is one
+1. Goldfarb & Idnani's finite dual active-set method starts from the
+   unconstrained minimiser and adds the most violated row at each step
+   until every row holds.
+2. One routine, :func:`_pivot`, runs block principal pivoting over
+   active sets (Júdice & Pires 1994; Kim & Park 2011) from the rows the
+   dual method holds with positive multipliers.  Each round is one
    active-set polish: the KKT point with the rows of the current active
-   set held as equalities.  Round 0 is the unconstrained minimiser ``P z
-   = -q``: at full numerical rank, two triangular solves with the
-   pivoted Cholesky factor that :class:`ConvexQP` keeps; otherwise, like
-   every later round, a minimum-norm least-squares solve (LAPACK
-   ``gelsy``, numerical rank cut at ``eps * max(shape)``).
-2. When no round is accepted, the dual method starts from the
-   unconstrained minimiser, and pivoting starts again from the rows it
-   holds with positive multipliers.  The answer is the first accepted
-   round, or else the dual method's last point.
+   set held as equalities.  A round over the empty active set is the
+   unconstrained minimiser ``P z = -q``: at full numerical rank, two
+   triangular solves with the pivoted Cholesky factor that
+   :class:`ConvexQP` keeps; otherwise, like every other round, a
+   minimum-norm least-squares solve (LAPACK ``gelsy``, numerical rank
+   cut at ``eps * max(shape)``).  The answer is the accepted round, or
+   else the dual method's last point.
 
-Both sides accept a round by one rule: it certifies ``optimal`` in the
-original units *and* meets every inactive row in the scaled units,
-``Gs zs - ls >= 0``.  The second test is needed: the certificate allows
-a violation of ``tol_feas * (1 + |l|_inf)``, which a row scaled by a
-tiny factor can pass while it is violated by a macroscopic amount in its
-own units; row normalisation gives every row the same say.  Otherwise
-every infeasible row flips in one block: an active row with a negative
-KKT multiplier leaves the active set, an inactive row with a negative
-scaled slack joins it.  Pivoting stops when the number of infeasible
-rows has not fallen below its best for two rounds in a row, so each side
-runs at most ``2 (k + 1)`` rounds for ``k`` rows.
+A round is accepted when it certifies ``optimal`` in the original units
+*and* meets every inactive row in the scaled units, ``Gs zs - ls >= 0``.
+The second test is needed: the certificate allows a violation of
+``tol_feas * (1 + |l|_inf)``, which a row scaled by a tiny factor can
+pass while it is violated by a macroscopic amount in its own units; row
+normalisation gives every row the same say.  Otherwise every infeasible
+row flips in one block: an active row with a negative KKT multiplier
+leaves the active set, an inactive row with a negative scaled slack
+joins it.  Pivoting stops when the number of infeasible rows has not
+fallen below its best for two rounds in a row, so it runs at most
+``2 (k + 1)`` rounds for ``k`` rows.
 
 The returned status reflects the final certified residuals, which
 :func:`kkt_certificate` recomputes from the same residual builder, and
@@ -66,9 +66,9 @@ _PSD_RTOL = 1e-8
 # Pivoting gives up at the second round in a row whose infeasible-row
 # count is not below its best so far.  One such round is let pass because
 # a block flip can overshoot and the next round still finish; a second
-# marks the cycling of degenerate QPs, which the dual method handles.
-# So the best count falls at least every second round, and each pivoting
-# run ends within 2 (k + 1) rounds for k rows.
+# marks the cycling of degenerate QPs, whose answer is then the dual
+# method's point.  So the best count falls at least every second round,
+# and pivoting ends within 2 (k + 1) rounds for k rows.
 _STALL_ROUNDS = 2
 # The dual method adds a scaled row (unit sup-norm) only when its slack
 # is below -_VIOLATION: at a degenerate point, roundoff gives the rows
@@ -102,8 +102,8 @@ class SolveOptions:
     tol_gap: float = 1e-7
 
     def __post_init__(self) -> None:
-        if self.tol_feas <= 0 or self.tol_gap <= 0:
-            raise ConfigError("solver tolerances must be positive")
+        if not (0.0 < self.tol_feas < np.inf and 0.0 < self.tol_gap < np.inf):
+            raise ConfigError("solver tolerances must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -235,10 +235,9 @@ class QPSolution:
     ``lam`` are the inequality multipliers (nonnegative, one per row of
     ``G``).  ``path`` is ``polish`` for an active-set polish and
     ``dual`` for the dual active-set method's point; ``iterations``
-    counts the dual method's steps (0 when the first pivoting run was
-    certified).  ``rounds`` counts the pivoting rounds run on both sides
-    of the dual method, one polish each, round 0 (the unconstrained
-    minimiser) included.
+    counts the dual method's steps (0 when the unconstrained minimiser
+    meets every row).  ``rounds`` counts the pivoting rounds run after
+    the dual method, one polish each.
     """
 
     z: np.ndarray
@@ -319,11 +318,11 @@ def _row_scale(mat: np.ndarray, vec: np.ndarray):
 def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
     """Solve one convex QP with at least one inequality row.
 
-    After the scaling, :func:`_pivot` runs from the empty active set,
-    whose polish is the unconstrained minimiser.  When it accepts no
-    round, :func:`_dual_active_set` runs, and :func:`_pivot` runs again
-    from the rows it holds with positive multipliers; the answer is its
-    accepted round, or else the dual method's point.
+    After the scaling, :func:`_dual_active_set` runs, and :func:`_pivot`
+    runs from the rows it holds with positive multipliers; the answer is
+    its accepted round, or else the dual method's point.  When no row
+    binds, the dual method takes no step and pivoting's first round, over
+    the empty active set, is the unconstrained minimiser.
 
     Returns a :class:`QPSolution` whose status is ``optimal`` only when
     the certified residuals meet the requested tolerances and
@@ -344,25 +343,18 @@ def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
                      float(np.max(np.abs(qc), initial=0.0)))
     scaled = (Pc / cost_scale, qc / cost_scale, Gs, ls)
 
-    def certify(zs, lams, iterations, path, rounds):
-        # A scaled iterate's solution record, in the original units.
-        return _finish(problem, opt, col * zs, cost_scale * lams / g_norms,
-                       iterations, path, rounds)
+    zs, lams, steps = _dual_active_set(scaled, factor, cost_scale)
+
+    def certify(zp, lp, rounds, path=POLISH):
+        # A scaled point's solution record, in the original units.
+        return _finish(problem, opt, col * zp, cost_scale * lp / g_norms,
+                       steps, path, rounds)
 
     # With a full-rank factor, Ps zs = -qs is solved as Pc zs = -qc.
     full_rank = factor.rank == problem.dim
     free_solve = (lambda: factor.solve(-qc)) if full_rank else None
-    found, rounds = _pivot(scaled, np.zeros(problem.n_ineq, dtype=bool),
-                           lambda zs, lams, r: certify(zs, lams, 0, POLISH, r),
-                           free_solve)
-    if found is not None:
-        return found
-
-    zs, lams, steps = _dual_active_set(scaled, factor, cost_scale)
-    found, more = _pivot(
-        scaled, lams > 0.0,
-        lambda zp, lp, r: certify(zp, lp, steps, POLISH, rounds + r))
-    return found or certify(zs, lams, steps, DUAL, rounds + more)
+    found, rounds = _pivot(scaled, lams > 0.0, certify, free_solve)
+    return found or certify(zs, lams, rounds, DUAL)
 
 
 def _dual_active_set(scaled, factor: _JacobiFactor, cost_scale: float):
@@ -448,7 +440,7 @@ def _dual_active_set(scaled, factor: _JacobiFactor, cost_scale: float):
 
 
 def _pivot(scaled, active: np.ndarray, certify,
-           free_solve=None) -> tuple[QPSolution | None, int]:
+           free_solve) -> tuple[QPSolution | None, int]:
     """Block principal pivoting over active sets from the mask ``active``.
 
     Each round polishes the current active set (:func:`_polish`, which
@@ -496,7 +488,7 @@ def _pivot(scaled, active: np.ndarray, certify,
 
 
 def _polish(scaled, active: np.ndarray, certify,
-            free_solve=None) -> QPSolution | None:
+            free_solve) -> QPSolution | None:
     """Equality-KKT solve with the rows of the mask ``active`` held tight.
 
     Works on the scaled problem ``scaled = (Ps, qs, Gs, ls)``.  With no

@@ -168,5 +168,6 @@ def test_baseline_kind_validation():
         BaselineKind(kind="b", fir_length=0)
     with pytest.raises(ConfigError, match="needs a kernel"):
         BaselineKind(kind="d", lam=1.0)
-    with pytest.raises(ConfigError, match="lambda"):
-        BaselineKind(kind="e", lam=0.0, kernel=KernelSpec.tc(0.5))
+    for lam in (0.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="lambda"):
+            BaselineKind(kind="e", lam=lam, kernel=KernelSpec.tc(0.5))

@@ -153,9 +153,12 @@ def test_dc_run_rebuilds_from_its_metadata(tmp_path, method):
     ("--beta", "1.5", "beta"),
     ("--rho", "0.9", "not strictly smaller than rho"),
     ("--lam-fir", "-1", "lam_fir must be positive"),
+    ("--lam-fir", "nan", "lam_fir must be positive and finite"),
+    ("--lam-g", "inf", "lam_g must be positive and finite"),
     ("--workers", "0", "workers must be positive"),
     ("--snr", "20 20", "duplicate SNR levels"),
-], ids=["n-g", "beta", "coupling", "lam-fir", "workers", "snr-repeated"])
+], ids=["n-g", "beta", "coupling", "lam-fir", "lam-fir-nan", "lam-g-inf",
+        "workers", "snr-repeated"])
 def test_montecarlo_rejects_bad_settings_before_any_run(
         tmp_path, capsys, monkeypatch, flag, value, message):
     def no_run(*args):
@@ -248,6 +251,21 @@ def test_identify_exit_codes(tmp_path, capsys):
     code = main(["identify", "--data", str(data_path),
                  "--method", "bogus", "--out-dir", str(out)])
     assert code == 2, "argparse rejection maps to the config exit code"
+
+
+@pytest.mark.parametrize("method", ["g", "d"])
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_identify_rejects_a_nonfinite_lambda(tmp_path, capsys, method, lam):
+    # the setting is refused before any fit: a NaN or infinite lambda
+    # breaks method g's m0 bound and makes method d's response all NaN
+    data_path = tmp_path / "data.csv"
+    _single_mode_csv(data_path)
+    out = tmp_path / "out"
+    code = main(["identify", "--data", str(data_path), "--method", method,
+                 "--beta", "0.5", "--lam", lam, "--out-dir", str(out)])
+    assert code == 2
+    assert "lambda must be positive and finite" in capsys.readouterr().err
+    assert not (out / "impulse.csv").exists()
 
 
 def test_montecarlo_outputs_are_byte_identical(tmp_path):

@@ -118,6 +118,19 @@ def test_incompatible_decay_rejected():
         PositiveIdConfig(kernel=KernelSpec.tc(0.81), rho=0.9, lam=1.0)
 
 
+@pytest.mark.parametrize("setting, name", [
+    ({"lam": np.nan}, "lambda"), ({"lam": np.inf}, "lambda"),
+    ({"lam": 0.0}, "lambda"), ({"a_min": np.nan}, "a_min"),
+    ({"a_min": np.inf}, "a_min"),
+], ids=["lam-nan", "lam-inf", "lam-zero", "a-min-nan", "a-min-inf"])
+def test_nonfinite_or_nonpositive_settings_rejected(setting, name):
+    # a NaN passes a `<= 0` test, so each setting must be shown finite
+    with pytest.raises(ConfigError, match=f"{name} must be positive and "
+                                          "finite"):
+        PositiveIdConfig(**{"kernel": KernelSpec.tc(0.5), "rho": 0.9,
+                            "lam": 1.0, **setting})
+
+
 def test_unconstrained_minimizer_is_normal_equations():
     # The representer-form coefficients are not unique (the representers
     # outnumber the samples), so the comparison with the section-form QP

@@ -372,9 +372,10 @@ def test_extension_config_validation():
         OscillatingPoleConfig(base=base, n=0)
     with pytest.raises(ConfigError, match="finite-support"):
         FiniteResponseConfig(kernel=KernelSpec.tc(0.5), lam=1.0)
-    with pytest.raises(ConfigError, match="lambda"):
-        FiniteResponseConfig(kernel=window_kernel(KernelSpec.tc(0.5), 5),
-                             lam=0.0)
+    for lam in (0.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="lambda"):
+            FiniteResponseConfig(kernel=window_kernel(KernelSpec.tc(0.5), 5),
+                                 lam=lam)
 
 
 def test_configs_holding_a_window_are_hashable_values():

@@ -85,8 +85,8 @@ def _active_set_oracle(problem):
 
 def test_matches_active_set_enumeration():
     # the random draws and the QPs whose first row cuts their free
-    # minimiser off are all finished by pivoting: the dual method takes
-    # no step
+    # minimiser off are all finished by the first polish of the rows the
+    # dual method holds
     rng = np.random.default_rng(7)
     tight = SolveOptions(tol_feas=1e-11, tol_gap=1e-11)
     problems = [_random_strictly_convex(rng, 5, 3) for _ in range(30)]
@@ -95,18 +95,18 @@ def test_matches_active_set_enumeration():
         z_star, obj_star = _active_set_oracle(problem)
         sol = solve(problem, tight)
         assert sol.status == "optimal", f"trial {trial}: {sol.status}"
-        assert (sol.path, sol.iterations) == ("polish", 0), f"trial {trial}"
-        # a binding QP needs at least one pivot
-        assert trial < 30 or sol.rounds > 1, f"trial {trial}"
+        assert (sol.path, sol.rounds) == ("polish", 1), f"trial {trial}"
+        # a binding QP needs at least one dual step
+        assert trial < 30 or sol.iterations > 0, f"trial {trial}"
         np.testing.assert_allclose(sol.z, z_star, atol=1e-7,
                                    err_msg=f"trial {trial}")
         assert sol.objective == pytest.approx(obj_star, abs=1e-7)
 
 
 def _skip_to_fallback(monkeypatch):
-    """Stop pivoting after one round on each side of the dual method: a
-    QP whose free minimiser is rejected goes straight to the dual method,
-    and the rows it holds get one polish."""
+    """Stop pivoting after its first round: the rows the dual method
+    holds get one polish, and when that is rejected the answer is the
+    dual method's point."""
     monkeypatch.setattr(qp, "_STALL_ROUNDS", 0)
 
 
@@ -368,8 +368,11 @@ def test_validation_errors():
         ConvexQP(P=np.eye(2), q=np.zeros(3), **rows)
     with pytest.raises(ConfigError):
         ConvexQP(P=np.eye(2), q=np.zeros(2), G=np.eye(2), l=np.zeros(3))
-    with pytest.raises(ConfigError):
-        SolveOptions(tol_feas=0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            SolveOptions(tol_feas=bad)
+        with pytest.raises(ConfigError, match="positive and finite"):
+            SolveOptions(tol_gap=bad)
     # indefinite P must be rejected
     with pytest.raises(ConfigError):
         ConvexQP(P=np.diag([1.0, -1.0]), q=np.zeros(2), **rows)
@@ -438,28 +441,19 @@ def _record_calls(monkeypatch, name, owner=qp):
 def test_answer_is_the_object_a_path_returned(monkeypatch):
     # the benchmark counts QP paths by wrapping _polish and matching the
     # answer of solve to its result by identity; the box's unconstrained
-    # minimiser violates every row, so that first polish is rejected and
-    # the answer is the polish of round 1, where every row is active
+    # minimiser violates all five rows, so the dual method adds each in
+    # one step, and the answer is the one polish of those rows
     polish = _record_calls(monkeypatch, "_polish")
     sol = solve(_nonnegativity_box())
-    assert len(polish) == 2
-    assert polish[0][1] is None
-    assert sol is polish[1][1]
-    assert (sol.path, sol.iterations, sol.rounds) == ("polish", 0, 2)
-    # with one round on each side the answer is the polish of the rows the
-    # dual method holds, the second round
-    _skip_to_fallback(monkeypatch)
-    polish.clear()
-    sol = solve(_nonnegativity_box())
-    assert len(polish) == 2
-    assert polish[0][1] is None
-    assert sol is polish[1][1]
-    assert sol.path == "polish" and sol.iterations > 0 and sol.rounds == 2
+    assert len(polish) == 1
+    assert sol is polish[0][1]
+    assert (sol.path, sol.iterations, sol.rounds) == ("polish", 5, 1)
 
 
 def test_inactive_rows_return_the_unconstrained_minimiser(monkeypatch):
-    # no row binds: the first polish, over the empty active set, is
-    # certified and returned without the dual method
+    # no row binds: the dual method takes no step and holds no row, so
+    # the first polish, over the empty active set, is certified and
+    # returned
     polish = _record_calls(monkeypatch, "_polish")
     dual = _record_calls(monkeypatch, "_dual_active_set")
     tight = SolveOptions(tol_feas=1e-11, tol_gap=1e-11)
@@ -478,7 +472,7 @@ def test_inactive_rows_return_the_unconstrained_minimiser(monkeypatch):
         np.testing.assert_allclose(sol.z, z_star, atol=1e-9,
                                    err_msg=f"seed {seed}")
         np.testing.assert_array_equal(sol.lam, 0.0)
-    assert dual == []
+    assert [steps for _, (_, _, steps) in dual] == [0] * 10
 
 
 def test_free_minimiser_of_a_singular_p_is_minimum_norm(monkeypatch):
@@ -516,26 +510,41 @@ def _tiny_row_qp():
 
 def test_tiny_row_violated_by_the_free_minimiser_reaches_the_dual_method(
         monkeypatch):
-    # without pivoting, the scaled-units check sends the violated free
-    # minimiser on to the dual method, which adds the tiny row and so
-    # finds the face z0 = 0.1
-    _skip_to_fallback(monkeypatch)
+    # the dual method works on the normalised rows, so it adds the tiny
+    # row, and the polish of that row is the face z0 = 0.1
+    polish = _record_calls(monkeypatch, "_polish")
     sol = solve(_tiny_row_qp())
-    assert sol.status == "optimal"
-    assert sol.iterations > 0
+    assert (sol.status, sol.path, sol.iterations, sol.rounds) == (
+        "optimal", "polish", 1, 1)
+    assert sol is polish[0][1]
     np.testing.assert_allclose(sol.z, [0.1, 0.0], rtol=0, atol=1e-8)
 
 
 def test_tiny_row_violated_by_the_free_minimiser_joins_the_active_set(
         monkeypatch):
-    # the scaled-units check rejects round 0 and flips the tiny row into
-    # the active set; round 1 is the face z0 = 0.1
+    # pivoting from the empty mask on the solve's own scaled data: round
+    # 1, the free minimiser, is certified in the original units, but the
+    # scaled-units check rejects it and flips the tiny row into the
+    # active set; round 2 is the face z0 = 0.1
+    pivot = _record_calls(monkeypatch, "_pivot")
+    solve(_tiny_row_qp())
+    [((scaled, _, certify, free_solve), _)] = pivot
+    records = []
+
+    def recording_certify(zs, lams, rounds):
+        records.append(certify(zs, lams, rounds))
+        return records[-1]
+
     polish = _record_calls(monkeypatch, "_polish")
-    sol = solve(_tiny_row_qp())
+    found, rounds = qp._pivot(scaled, np.zeros(2, dtype=bool),
+                              recording_certify, free_solve)
+    assert [(r.status, r.rounds) for r in records] == [
+        ("optimal", 1), ("optimal", 2)]
+    np.testing.assert_array_equal(records[0].z, 0.0)
     assert polish[0][1] is None
-    assert sol is polish[1][1]
-    assert (sol.status, sol.iterations, sol.rounds) == ("optimal", 0, 2)
-    np.testing.assert_allclose(sol.z, [0.1, 0.0], rtol=0, atol=1e-8)
+    assert found is polish[1][1] is records[1]
+    assert (found.path, rounds) == ("polish", 2)
+    np.testing.assert_allclose(found.z, [0.1, 0.0], rtol=0, atol=1e-8)
 
 
 def _seed1_mc_record():
@@ -553,30 +562,31 @@ def _seed1_mc_record():
 
 def test_identify_with_no_binding_row_runs_no_newton_step(monkeypatch):
     # the seed-1 n=200 dc(0.9, 0.9) Monte Carlo record ends with no
-    # active positivity row, so its fit never runs the dual method, whose
-    # steps are Newton steps on the face of its active rows
+    # active positivity row, so the dual method, whose steps are Newton
+    # steps on the face of its active rows, takes none in its fit
     config, data = _seed1_mc_record()
     dual = _record_calls(monkeypatch, "_dual_active_set")
     model = identify(config, data)
     diag = model.diagnostics
-    assert (diag.qp_status, diag.qp_path, diag.qp_iterations) == (
-        "optimal", "polish", 0)
-    assert dual == []
+    assert (diag.qp_status, diag.qp_path, diag.qp_iterations,
+            diag.qp_rounds) == ("optimal", "polish", 0, 1)
+    assert len(dual) == diag.iterations
+    assert [steps for _, (_, _, steps) in dual] == [0] * diag.iterations
 
 
-def test_nonneg_ls_of_the_monte_carlo_record_needs_no_newton_step(
+def test_nonneg_ls_of_the_monte_carlo_record_lands_on_the_nnls_face(
         monkeypatch):
     # baseline c on the seed-1 Monte Carlo record, 200 samples and 125
-    # taps: pivoting lands on the exact NNLS face, the one scipy's
-    # Lawson-Hanson solver finds, without the dual method
+    # taps: the dual method adds the binding taps and the polish of its
+    # rows is the exact NNLS face, the one scipy's Lawson-Hanson solver
+    # finds
     _, data = _seed1_mc_record()
-    dual = _record_calls(monkeypatch, "_dual_active_set")
     solves = _record_calls(monkeypatch, "solve")
     g = nonneg_ls(data, 125).values
     [((problem, _), sol)] = solves
     assert (problem.dim, problem.n_ineq) == (125, 125)
-    assert (sol.status, sol.path, sol.iterations) == ("optimal", "polish", 0)
-    assert dual == []
+    assert (sol.status, sol.path, sol.iterations, sol.rounds) == (
+        "optimal", "polish", 6, 1)
     oracle, _ = scipy.optimize.nnls(input_weight_matrix(data, 125),
                                     data.outputs)
     np.testing.assert_allclose(g, oracle, rtol=0, atol=1e-9)
@@ -602,64 +612,61 @@ def _mis_specified_qps(fits, fit=identify):
 
 
 def test_stalled_pivoting_leaves_the_dual_answer_unchanged(monkeypatch):
-    # the QP of finite-response draw 58: pivoting stalls on its degenerate
-    # rows before and after the dual method, and the dual method starts
-    # from the free minimiser however long pivoting ran first, so its
-    # answer is bit for bit the one it gives with one round on each side
+    # the QP of finite-response draw 58: pivoting from the dual method's
+    # rows stalls on its degenerate rows, and the dual point does not
+    # depend on how long pivoting ran, so the answer is bit for bit the
+    # one it gives with a single round
     [(problem, options, sol)] = _qps_of(DRAW_FITS["finite"],
                                         [_random_draw(58)])
     assert sol.path == "dual"
-    assert sol.iterations > 0 and sol.rounds > 2
+    assert sol.iterations > 0 and sol.rounds > 1
     _skip_to_fallback(monkeypatch)
     dual = solve(problem, options)
-    assert dual.rounds == 2
+    assert dual.rounds == 1
     assert (sol.status, sol.path, sol.iterations) == (
         dual.status, dual.path, dual.iterations)
     np.testing.assert_array_equal(sol.z, dual.z)
     np.testing.assert_array_equal(sol.lam, dual.lam)
 
 
-def _rounds_per_side(polish):
-    """Polishes per pivoting run, in the order of the runs: each run
-    hands its own verdict to every ``_polish`` call it makes."""
-    return list(Counter(args[2] for args, _ in polish).values())
-
-
 def test_pivoting_resumed_after_the_dual_method_certifies_its_qp(
         monkeypatch):
-    # the QP of finite-response draw 159: pivoting stalls before the dual
-    # method, and the polish of the rows the dual method holds is
-    # rejected, so the certified answer is a later round of the pivoting
-    # that polish starts
+    # the QP of finite-response draw 159: the polish of the rows the dual
+    # method holds is rejected, so the certified answer is a later round
+    # of the pivoting that polish starts
     [(problem, options, _)] = _qps_of(DRAW_FITS["finite"],
                                       [_random_draw(159)])
+    dual = _record_calls(monkeypatch, "_dual_active_set")
     polish = _record_calls(monkeypatch, "_polish")
     sol = solve(problem, options)
     assert (sol.status, sol.path) == ("optimal", "polish")
-    assert sol.iterations > 0
-    _, after = _rounds_per_side(polish)
-    assert after > 1
+    assert sol.iterations > 0 and len(dual) == 1
+    assert sol is polish[-1][1]
+    assert len(polish) == sol.rounds > 1
 
 
 def test_pivoting_ends_within_its_round_bound(monkeypatch):
     # the fewest infeasible rows so far falls at least every second
     # round, so a solve with k rows pivots at most 2 (k + 1) rounds, one
-    # polish each, before the dual method and again after it
+    # polish each, after its one run of the dual method
     problems = [(problem, options) for problem, options, _
                 in _mis_specified_qps([(10, 80), (13, 50), (9, 80)])]
+    problems += [(problem, options) for problem, options, _
+                 in _qps_of(DRAW_FITS["finite"],
+                            [_random_draw(58), _random_draw(159)])]
     problems += [(_binding_random_qp(seed, 6, 5), None) for seed in range(60)]
+    dual = _record_calls(monkeypatch, "_dual_active_set")
     polish = _record_calls(monkeypatch, "_polish")
-    stalled = 0
+    paths = Counter()
     for problem, options in problems:
+        dual.clear()
         polish.clear()
         sol = solve(problem, options)
-        sides = _rounds_per_side(polish)
-        assert len(polish) == sol.rounds == sum(sides)
-        assert len(sides) == 1 + (sol.iterations > 0)
-        assert 1 <= min(sides) and max(sides) <= 2 * (problem.n_ineq + 1)
-        stalled += sol.iterations > 0
-    # the binding QP of seed 37 and the three fits' last QPs stall
-    assert stalled >= 3
+        assert len(dual) == 1
+        assert 1 <= len(polish) == sol.rounds <= 2 * (problem.n_ineq + 1)
+        paths[sol.path, sol.rounds > 1] += 1
+    # draw 159 pivots past its first round, and draw 58 stalls
+    assert paths["polish", True] >= 1 and paths["dual", True] >= 1
 
 
 @pytest.mark.parametrize("row", [[1e-9, 1.0, 1.0], [1.0, 1e-7, 1e5]],
