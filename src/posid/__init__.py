@@ -14,7 +14,7 @@ from .experiments import (HeatingConfig, HeatingReport, McConfig,
                           true_system)
 from .kernels import (DominationBound, KernelSpec, decay_compatible,
                       domination_bound, window_kernel)
-from .qp import ConvexQP, QPSolution, SolveOptions
+from .qp import ConvexQP, QPSolution
 from .signals import (ImpulseResponse, TimeSeriesData, convolve,
                       read_impulse_csv, read_timeseries_csv,
                       write_impulse_csv)
@@ -31,7 +31,7 @@ __all__ = [
     "McConfig", "McProtocol", "MetricsReport", "OscillatingPoleConfig",
     "OscillatingPoleModel", "PosidError", "PositiveIdConfig",
     "PositiveIdModel", "QPSolution", "RepeatedPoleConfig",
-    "RepeatedPoleModel", "SolveOptions", "SolverError", "SplitSpec",
+    "RepeatedPoleModel", "SolverError", "SplitSpec",
     "ThetaPoint", "TimeSeriesData", "TuneResult", "compute_m0",
     "convolve", "decay_compatible", "default_split", "domination_bound",
     "fit_impulse", "fit_output", "identify", "identify_finite_response",

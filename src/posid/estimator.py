@@ -49,9 +49,6 @@ logger = logging.getLogger(__name__)
 _NEG_TOL_SCALE = 1e-8
 # Constraint-horizon increment between loop iterations.
 _DELTA_M = 50
-# Solve options of the horizon loop, tighter than the library defaults:
-# the nonnegativity acceptance test must sit clearly above solver noise.
-_IDENTIFY_OPTIONS = qp.SolveOptions(tol_feas=1e-10, tol_gap=1e-9)
 
 
 @dataclass(frozen=True)
@@ -288,9 +285,8 @@ def compute_m0(kernel: KernelSpec, lam: float, basis: DominantBasis,
                               basis.a_min, lam)
 
 
-def _solve_or_raise(problem: qp.ConvexQP,
-                    options: qp.SolveOptions) -> qp.QPSolution:
-    sol = qp.solve(problem, options)
+def _solve_or_raise(problem: qp.ConvexQP) -> qp.QPSolution:
+    sol = qp.solve(problem)
     if sol.status != qp.OPTIMAL:
         raise SolverError(
             f"inner QP did not converge: status {sol.status}, primal "
@@ -312,8 +308,7 @@ def _fit_basis(kernel: KernelSpec, lam: float, data: TimeSeriesData,
     constraint rows past the support are zero.  Each rejected pass with
     ``m < m_0`` raises ``m``, and ``m >= m_0`` accepts, so the loop makes
     at most ``ceil(max(m_0 - m_start, 0) / _DELTA_M) + 1`` passes.
-    ``horizon`` defaults to twice the data span.  Every QP is solved at
-    ``_IDENTIFY_OPTIONS``.
+    ``horizon`` defaults to twice the data span.
     Returns the model fields every estimator shares, among them the mode
     coefficients ``coeffs`` and the basis sampler ``modes`` that the
     acceptance check evaluated.
@@ -325,7 +320,7 @@ def _fit_basis(kernel: KernelSpec, lam: float, data: TimeSeriesData,
     m = initial_constraint_horizon(data) if p else m0 - 1
     for iterations in itertools.count(1):
         mats = assemble_core(kernel, data, m)
-        sol = _solve_or_raise(build_qp(lam, mats, basis), _IDENTIFY_OPTIONS)
+        sol = _solve_or_raise(build_qp(lam, mats, basis))
         coeffs, w = sol.z[:p], sol.z[p:]
         check_len = max(m0, horizon, m + 1)
         h = reconstruct_h(w, mats.sections, kernel, check_len)

@@ -60,12 +60,14 @@ class McProtocol:
     def __post_init__(self) -> None:
         if not (0.0 < self.rho_true < 1.0 and 0.0 < self.beta_true < 1.0):
             raise ConfigError("true decay rates must lie in (0, 1)")
-        if self.omega <= 0.0:
-            raise ConfigError("oscillation frequency must be positive")
+        if not 0.0 < self.omega < math.inf:
+            raise ConfigError("omega must be positive and finite")
         if self.runs < 1 or self.n_d < 1:
             raise ConfigError("runs and n_d must be at least 1")
         if not self.snr_levels_db:
             raise ConfigError("need at least one SNR level")
+        if not all(map(math.isfinite, self.snr_levels_db)):
+            raise ConfigError("SNR levels must be finite")
         if len(set(self.snr_levels_db)) != len(self.snr_levels_db):
             raise ConfigError("duplicate SNR levels")
 

@@ -17,22 +17,26 @@ on a column-, row- and cost-scaled copy of the problem, in two stages:
    dual method holds with positive multipliers.  Each round is one
    active-set polish: the KKT point with the rows of the current active
    set held as equalities.  A round over the empty active set is the
-   unconstrained minimiser ``P z = -q``: at full numerical rank, two
-   triangular solves with the pivoted Cholesky factor that
-   :class:`ConvexQP` keeps; otherwise, like every other round, a
-   minimum-norm least-squares solve (LAPACK ``gelsy``, numerical rank
-   cut at ``eps * max(shape)``).  The answer is the accepted round, or
-   else the dual method's last point.
+   unconstrained minimiser ``P z = -q``: at full numerical rank, the
+   dual method's start, solved once by two triangular solves with the
+   pivoted Cholesky factor that :class:`ConvexQP` keeps; otherwise,
+   like every other round, a minimum-norm least-squares solve (LAPACK
+   ``gelsy``, numerical rank cut at ``eps * max(shape)``).  The answer
+   is the accepted round, or else the dual method's last point.
 
-A round is accepted when it certifies ``optimal`` in the original units
-*and* meets every inactive row in the scaled units, ``Gs zs - ls >= 0``.
-The second test is needed: the certificate allows a violation of
-``tol_feas * (1 + |l|_inf)``, which a row scaled by a tiny factor can
-pass while it is violated by a macroscopic amount in its own units; row
-normalisation gives every row the same say.  Otherwise every infeasible
-row flips in one block: an active row with a negative KKT multiplier
-leaves the active set, an inactive row with a negative scaled slack
-joins it.  Pivoting stops when the number of infeasible rows has not
+Every solve has one certificate, in the original units: primal and dual
+residuals at most ``_TOL_FEAS`` (times ``1 + |l|_inf`` and ``1 +
+|q|_inf``) and a complementarity gap, normalised by ``1 + |objective|``,
+at most ``_TOL_GAP`` (see those constants for why they are tight).
+
+A round is accepted when it certifies ``optimal`` *and* meets every
+inactive row in the scaled units, ``Gs zs - ls >= 0``.  The second test
+is needed: the certificate allows a violation of ``_TOL_FEAS * (1 +
+|l|_inf)``, which a row scaled by a tiny factor can pass while it is
+violated by a macroscopic amount in its own units; row normalisation
+gives every row the same say.  Otherwise every infeasible row flips in
+one block: an active row with a negative KKT multiplier leaves the
+active set, an inactive row with a negative scaled slack joins it.  Pivoting stops when the number of infeasible rows has not
 fallen below its best for two rounds in a row, so it runs at most
 ``2 (k + 1)`` rounds for ``k`` rows.
 
@@ -86,24 +90,12 @@ _DEPENDENT = 1e-10
 # it stops after this many steps per variable.  The robustness fits take
 # up to 0.52 d steps, and near-square NNLS QPs up to 1.2 d.
 _STEPS_PER_VARIABLE = 10
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    """Termination controls for :func:`solve`.
-
-    ``tol_feas`` bounds the primal and dual residuals (scaled by
-    ``1 + |l|_inf`` and ``1 + |q|_inf`` respectively), ``tol_gap`` bounds
-    the complementarity gap normalised by ``1 + |objective|``.  A solution
-    is ``optimal`` only when all three bounds hold.
-    """
-
-    tol_feas: float = 1e-8
-    tol_gap: float = 1e-7
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.tol_feas < np.inf and 0.0 < self.tol_gap < np.inf):
-            raise ConfigError("solver tolerances must be positive and finite")
+# The one certificate of every solve (see the module docstring).  The
+# estimator's nonnegativity acceptance test must sit clearly above solver
+# noise, and the looser pair (1e-8, 1e-7) also certified near-square NNLS
+# answers up to 1.5e-2 |y|^2 above their optimum.
+_TOL_FEAS = 1e-10
+_TOL_GAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -280,11 +272,12 @@ def _residuals(problem: ConvexQP, z: np.ndarray, lam: np.ndarray):
     return grad, problem.G @ z - problem.l
 
 
-def _finish(problem: ConvexQP, opt: SolveOptions, z, lam,
-            iterations: int, path: str, rounds: int) -> QPSolution:
+def _finish(problem: ConvexQP, z, lam, iterations: int, path: str,
+            rounds: int) -> QPSolution:
     """Assemble a solution record with residuals in original units.
 
-    Negative entries of ``lam`` are clipped to zero first."""
+    Negative entries of ``lam`` are clipped to zero first; the status is
+    ``optimal`` when the residuals meet ``_TOL_FEAS`` and ``_TOL_GAP``."""
     z = np.asarray(z, dtype=float)
     lam = np.maximum(lam, 0.0)
     obj = problem.objective(z)
@@ -294,9 +287,9 @@ def _finish(problem: ConvexQP, opt: SolveOptions, z, lam,
     gap = float(np.abs(lam) @ np.abs(slack)) / (1.0 + abs(obj))
     l_scale = 1.0 + float(np.max(np.abs(problem.l)))
     q_scale = 1.0 + float(np.max(np.abs(problem.q), initial=0.0))
-    certified = (primal <= opt.tol_feas * l_scale
-                 and dual <= opt.tol_feas * q_scale
-                 and gap <= opt.tol_gap)
+    certified = (primal <= _TOL_FEAS * l_scale
+                 and dual <= _TOL_FEAS * q_scale
+                 and gap <= _TOL_GAP)
     return QPSolution(z=z, objective=obj,
                       status=OPTIMAL if certified else MAX_ITERATIONS,
                       primal_residual=primal, dual_residual=dual, gap=gap,
@@ -315,7 +308,7 @@ def _row_scale(mat: np.ndarray, vec: np.ndarray):
     return mat / norms[:, None], vec / norms, norms
 
 
-def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
+def solve(problem: ConvexQP) -> QPSolution:
     """Solve one convex QP with at least one inequality row.
 
     After the scaling, :func:`_dual_active_set` runs, and :func:`_pivot`
@@ -325,12 +318,11 @@ def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
     the empty active set, is the unconstrained minimiser.
 
     Returns a :class:`QPSolution` whose status is ``optimal`` only when
-    the certified residuals meet the requested tolerances and
+    the certified residuals meet the module's one certificate and
     ``max_iterations`` otherwise.
     Constraints that contradict each other through nonzero rows are not
     detected: such a solve ends in ``max_iterations``.
     """
-    opt = options or SolveOptions()
     # Jacobi column scaling, on every problem: kernel-section curvature
     # can span dozens of orders of magnitude along the diagonal.  The
     # problem built it, and factored it, in its PSD test.
@@ -343,37 +335,41 @@ def solve(problem: ConvexQP, options: SolveOptions | None = None) -> QPSolution:
                      float(np.max(np.abs(qc), initial=0.0)))
     scaled = (Pc / cost_scale, qc / cost_scale, Gs, ls)
 
-    zs, lams, steps = _dual_active_set(scaled, factor, cost_scale)
+    # With a full-rank factor, the unconstrained minimiser -Ps^-1 qs is
+    # -Pc^-1 qc, solved once: the dual method's start and pivoting's round
+    # over the empty mask.
+    free = factor.solve(-qc) if factor.rank == problem.dim else None
+    zs, lams, steps = _dual_active_set(scaled, factor, cost_scale, free)
 
     def certify(zp, lp, rounds, path=POLISH):
         # A scaled point's solution record, in the original units.
-        return _finish(problem, opt, col * zp, cost_scale * lp / g_norms,
+        return _finish(problem, col * zp, cost_scale * lp / g_norms,
                        steps, path, rounds)
 
-    # With a full-rank factor, Ps zs = -qs is solved as Pc zs = -qc.
-    full_rank = factor.rank == problem.dim
-    free_solve = (lambda: factor.solve(-qc)) if full_rank else None
-    found, rounds = _pivot(scaled, lams > 0.0, certify, free_solve)
+    found, rounds = _pivot(scaled, lams > 0.0, certify, free)
     return found or certify(zs, lams, rounds, DUAL)
 
 
-def _dual_active_set(scaled, factor: _JacobiFactor, cost_scale: float):
+def _dual_active_set(scaled, factor: _JacobiFactor, cost_scale: float,
+                     free: np.ndarray | None):
     """Goldfarb & Idnani's dual active-set method on the scaled problem.
 
     ``Ps = L L'`` with ``L^-1 b = scale U^-T b[piv]``: at full rank ``U``
     is the problem's own factor and ``scale = sqrt(cost_scale)``, and
     otherwise ``U`` is the Cholesky factor of ``Ps + reg I``.  From the
-    minimiser ``-Ps^-1 qs``, each step moves towards the most violated
-    inactive row ``p`` with every multiplier kept nonnegative (Math.
-    Programming 27, 1983).  The thin QR ``Q R`` of ``L^-1 N`` for the
-    active normals ``N``, redone whenever the active set changes, and ``v
-    = Q' L^-1 n_p`` give the primal direction ``L^-T Q2 v2`` and the fall
-    ``R^-1 v1`` of the active multipliers per unit of ``p``'s.  A full
-    step meets row ``p``, which joins; a partial step ends where an
-    active multiplier reaches zero, and that row leaves.  The method ends
-    when no row is violated, when no step exists, at the step cap or at a
-    non-finite direction.  Returns the last point, its multipliers (``p``'s
-    included) and the steps taken: the origin and 0 if it cannot start.
+    minimiser ``-Ps^-1 qs`` (at full rank the caller's ``free``, solved
+    with the problem's factor; ``None`` otherwise), each step moves
+    towards the most violated inactive row ``p`` with every multiplier
+    kept nonnegative (Math. Programming 27, 1983).  The thin QR ``Q R``
+    of ``L^-1 N`` for the active normals ``N``, redone whenever the
+    active set changes, and ``v = Q' L^-1 n_p`` give the primal
+    direction ``L^-T Q2 v2`` and the fall ``R^-1 v1`` of the active
+    multipliers per unit of ``p``'s.  A full step meets row ``p``, which
+    joins; a partial step ends where an active multiplier reaches zero,
+    and that row leaves.  The method ends when no row is violated, when
+    no step exists, at the step cap or at a non-finite direction.
+    Returns the last point, its multipliers (``p``'s included) and the
+    steps taken: the origin and 0 if it cannot start.
     """
     Ps, qs, Gs, ls = scaled
     d = qs.size
@@ -394,7 +390,8 @@ def _dual_active_set(scaled, factor: _JacobiFactor, cost_scale: float):
     def lsolve(b):
         return scale * tri(b[piv], trans="T")  # L^-1 b
 
-    start = scale * tri(-lsolve(qs))[back]  # -L^-T L^-1 qs
+    # -L^-T L^-1 qs, unless the caller solved it
+    start = scale * tri(-lsolve(qs))[back] if free is None else free
     if not np.isfinite(start).all():
         return z, lam, 0
     z, active, p = start, np.zeros(0, dtype=int), None
@@ -440,11 +437,11 @@ def _dual_active_set(scaled, factor: _JacobiFactor, cost_scale: float):
 
 
 def _pivot(scaled, active: np.ndarray, certify,
-           free_solve) -> tuple[QPSolution | None, int]:
+           free: np.ndarray | None) -> tuple[QPSolution | None, int]:
     """Block principal pivoting over active sets from the mask ``active``.
 
     Each round polishes the current active set (:func:`_polish`, which
-    also takes ``free_solve``) and hands its raw KKT point and the number
+    also takes ``free``) and hands its raw KKT point and the number
     of rounds run so far, this one included, to ``certify(zs, lams,
     rounds)`` for its solution record.  The round is accepted when that
     record is ``optimal`` and the point meets every inactive row in the
@@ -462,7 +459,7 @@ def _pivot(scaled, active: np.ndarray, certify,
     fewest, stalled, rounds = ls.size + 1, 0, 0
 
     # One round's verdict on its KKT point.  The certificate alone would
-    # pass a violated row of tiny norm (it allows tol_feas * (1 +
+    # pass a violated row of tiny norm (it allows _TOL_FEAS * (1 +
     # |l|_inf) in the original units), so the round must also meet every
     # inactive row in the scaled units.  A rejected round leaves its
     # infeasible rows, in the raw multipliers' signs and the scaled
@@ -478,7 +475,7 @@ def _pivot(scaled, active: np.ndarray, certify,
     while True:
         rounds += 1
         infeasible = None
-        found = _polish(scaled, active, verdict, free_solve)
+        found = _polish(scaled, active, verdict, free)
         count = 0 if infeasible is None else int(infeasible.sum())
         stalled = 0 if count < fewest else stalled + 1
         fewest = min(fewest, count)
@@ -488,12 +485,12 @@ def _pivot(scaled, active: np.ndarray, certify,
 
 
 def _polish(scaled, active: np.ndarray, certify,
-            free_solve) -> QPSolution | None:
+            free: np.ndarray | None) -> QPSolution | None:
     """Equality-KKT solve with the rows of the mask ``active`` held tight.
 
     Works on the scaled problem ``scaled = (Ps, qs, Gs, ls)``.  With no
-    active row the answer is the unconstrained minimiser, ``free_solve()``
-    when given (from the full-rank factor the problem keeps).  Every
+    active row the answer is the unconstrained minimiser, ``free`` when
+    given (solved with the full-rank factor the problem keeps).  Every
     other system is solved by :func:`min_norm_lstsq`, because ``P`` from
     Gram assembly can be numerically singular.  ``certify(z, lam)`` gets
     the raw KKT multipliers, negative ones included (0 on inactive rows),
@@ -504,8 +501,8 @@ def _polish(scaled, active: np.ndarray, certify,
     """
     Ps, qs, Gs, ls = scaled
     d = qs.size
-    if free_solve is not None and not active.any():
-        sol = free_solve()
+    if free is not None and not active.any():
+        sol = free
     else:
         Ga = Gs[active]
         ka = Ga.shape[0]

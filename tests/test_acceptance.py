@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from posid import estimator
 from posid.assembly import assemble_core, assemble_polynomial_blocks
 from posid.estimator import PositiveIdConfig, build_qp, identify, \
     reconstruct_h
@@ -26,7 +25,7 @@ from posid.extensions import (FiniteResponseConfig, OscillatingPoleConfig,
                               identify_oscillating_poles,
                               identify_repeated_pole)
 from posid.kernels import KernelSpec, domination_bound, gram, window_kernel
-from posid.qp import ConvexQP, SolveOptions, solve
+from posid.qp import ConvexQP, solve
 from posid.signals import ImpulseResponse, TimeSeriesData
 
 from test_estimator import representer_normal_equations
@@ -71,7 +70,6 @@ def test_criterion_01_tc_single_iteration():
 
 
 def test_criterion_02_constraint_horizon_stability():
-    opts = SolveOptions(tol_feas=1e-10, tol_gap=1e-9)
     worst = 0.0
     for seed in range(10):
         data, sigma2 = _mc_instance(100, 100 + seed)
@@ -81,7 +79,7 @@ def test_criterion_02_constraint_horizon_stability():
         solutions = []
         for m in (100, 150):
             mats = assemble_core(config.kernel, data, m)
-            sol = solve(build_qp(config.lam, mats, basis), opts)
+            sol = solve(build_qp(config.lam, mats, basis))
             assert sol.status == "optimal"
             h = reconstruct_h(sol.z[1:], mats.sections, config.kernel, 300)
             g = sol.z[0] * config.rho ** np.arange(300) + h.values
@@ -104,16 +102,16 @@ def _random_feasible_qp(rng, d, n_ineq):
     return ConvexQP(P=P, q=q, G=G, l=l)
 
 
-def test_criterion_03_solver_matches_enumeration():
+def test_criterion_03_solver_matches_enumeration(certificate):
     rng = np.random.default_rng(17)
-    tight = SolveOptions(tol_feas=1e-11, tol_gap=1e-11)
+    certificate(1e-11, 1e-11)
     worst_z = worst_obj = 0.0
     for trial in range(30):
         d = int(rng.integers(2, 9))
         n_ineq = int(rng.integers(1, 7))
         problem = _random_feasible_qp(rng, d, n_ineq)
         z_star, obj_star = _active_set_oracle(problem)
-        sol = solve(problem, tight)
+        sol = solve(problem)
         assert sol.status == "optimal", f"trial {trial}: {sol.status}"
         dz = float(np.max(np.abs(sol.z - z_star)))
         dobj = abs(sol.objective - obj_star)
@@ -170,10 +168,9 @@ def test_criterion_04_unconstrained_normal_equations():
     _report(4, f"3 instances, worst relative deviation {worst:.3e} <= 1e-8")
 
 
-def test_criterion_05_finite_support_coefficient_space(monkeypatch):
+def test_criterion_05_finite_support_coefficient_space(certificate):
     rng = np.random.default_rng(3)
-    tight = SolveOptions(tol_feas=1e-11, tol_gap=1e-11)
-    monkeypatch.setattr(estimator, "_IDENTIFY_OPTIONS", tight)
+    certificate(1e-11, 1e-11)
     worst = 0.0
     for n_g in (8, 14, 20):
         n = 50
@@ -192,7 +189,7 @@ def test_criterion_05_finite_support_coefficient_space(monkeypatch):
         K_inv = 0.5 * (K_inv + K_inv.T)
         direct = solve(ConvexQP(P=2.0 * (T.T @ T + lam * K_inv),
                                 q=-2.0 * (T.T @ y), G=np.eye(n_g),
-                                l=np.zeros(n_g)), tight)
+                                l=np.zeros(n_g)))
         assert direct.status == "optimal"
         diff = float(np.max(np.abs(est.g.values - direct.z)))
         worst = max(worst, diff)

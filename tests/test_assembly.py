@@ -358,8 +358,7 @@ def _unpivoted_g(config, data, basis, m, horizon):
     mats = QPDataMatrices(L=input_weight_matrix(data, n_sec) @ K, K=K,
                           rows=K[:m + 1], sections=np.arange(n_sec),
                           y=data.outputs.copy(), m=m)
-    sol = solve(estimator.build_qp(config.lam, mats, basis),
-                estimator._IDENTIFY_OPTIONS)
+    sol = solve(estimator.build_qp(config.lam, mats, basis))
     assert sol.status == "optimal"
     h = estimator.reconstruct_h(sol.z[1:], mats.sections, config.kernel,
                                 horizon)

@@ -79,7 +79,7 @@ def test_nonneg_ls_objective_never_worse_than_clipping():
 def test_nonneg_ls_matches_scipy_nnls(seed):
     # scipy's Lawson-Hanson NNLS is exact; the QP route must reach its
     # objective and the NNLS optimality conditions to within the duality
-    # gap the solver certifies, tol_gap * (1 + |objective|), where the QP
+    # gap the solver certifies, _TOL_GAP * (1 + |objective|), where the QP
     # objective is |U g - y|^2 - |y|^2; the last two records have more
     # taps than samples
     rng = np.random.default_rng(100 + seed)
@@ -91,12 +91,12 @@ def test_nonneg_ls_matches_scipy_nnls(seed):
     y = data.outputs
     g = nonneg_ls(data, n_g).values
     oracle, _ = scipy.optimize.nnls(U, y)
-    gap = qp.SolveOptions().tol_gap * (1.0 + float(y @ y))
+    gap = qp._TOL_GAP * (1.0 + float(y @ y))
     obj = float(np.sum((U @ g - y) ** 2))
     assert obj <= float(np.sum((U @ oracle - y) ** 2)) + gap
     assert g.min() >= 0.0
     grad = U.T @ (U @ g - y)
-    tol = qp.SolveOptions().tol_feas * (1.0 + float(np.max(np.abs(U.T @ y))))
+    tol = qp._TOL_FEAS * (1.0 + float(np.max(np.abs(U.T @ y))))
     assert grad.min() >= -tol
     assert np.max(np.abs(g * grad)) <= gap
 
@@ -108,8 +108,8 @@ def test_nonneg_ls_raises_when_the_qp_does_not_converge(monkeypatch):
     data = _fir_data(rng, 50, np.array([0.8, 0.4, 0.1]), noise=0.5)
     real_solve = qp.solve
 
-    def stalled(problem, options=None):
-        return dataclasses.replace(real_solve(problem, options),
+    def stalled(problem):
+        return dataclasses.replace(real_solve(problem),
                                    status=qp.MAX_ITERATIONS)
 
     monkeypatch.setattr(qp, "solve", stalled)

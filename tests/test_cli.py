@@ -157,8 +157,9 @@ def test_dc_run_rebuilds_from_its_metadata(tmp_path, method):
     ("--lam-g", "inf", "lam_g must be positive and finite"),
     ("--workers", "0", "workers must be positive"),
     ("--snr", "20 20", "duplicate SNR levels"),
+    ("--snr", "nan", "SNR levels must be finite"),
 ], ids=["n-g", "beta", "coupling", "lam-fir", "lam-fir-nan", "lam-g-inf",
-        "workers", "snr-repeated"])
+        "workers", "snr-repeated", "snr-nan"])
 def test_montecarlo_rejects_bad_settings_before_any_run(
         tmp_path, capsys, monkeypatch, flag, value, message):
     def no_run(*args):
@@ -172,6 +173,7 @@ def test_montecarlo_rejects_bad_settings_before_any_run(
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (out / "metrics.csv").exists()
+    assert not (out / "fits.csv").exists()
 
 
 def test_identify_dump_qp(tmp_path):

@@ -12,7 +12,7 @@ from posid.estimator import (PositiveIdConfig, _m0_from_constants, build_qp,
                              initial_constraint_horizon, predict,
                              reconstruct_h)
 from posid.kernels import KernelSpec, gram, window_kernel
-from posid.qp import SolveOptions, solve
+from posid.qp import solve
 from posid.signals import TimeSeriesData, convolve
 
 
@@ -207,8 +207,7 @@ def test_m_stability_of_solution():
     # same QP with 50 extra constraint rows, solved at the same tolerances
     mats = assemble_core(config.kernel, data, model.m + 50)
     basis = assemble_polynomial_blocks(data, config.rho, 1)
-    sol = solve(build_qp(config.lam, mats, basis),
-                SolveOptions(tol_feas=1e-10, tol_gap=1e-9))
+    sol = solve(build_qp(config.lam, mats, basis))
     a2 = float(sol.z[0])
     h2 = reconstruct_h(sol.z[1:], mats.sections, config.kernel,
                        model.g.horizon)

@@ -153,6 +153,13 @@ def test_monte_carlo_method_validation():
         run_monte_carlo(protocol, methods=("b", "b"))
     with pytest.raises(ConfigError, match="decay rates"):
         McProtocol(rho_true=1.0)
+    # the checks are range tests that NaN fails, not bounds it slips past
+    for omega in (math.nan, math.inf, 0.0):
+        with pytest.raises(ConfigError, match="omega must be positive"):
+            McProtocol(omega=omega)
+    for level in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError, match="SNR levels must be finite"):
+            McProtocol(snr_levels_db=(20.0, level))
     with pytest.raises(DataError, match="zero-power"):
         add_noise(np.zeros(10), 20.0, 0)
     with pytest.raises(ConfigError, match="horizon"):

@@ -15,7 +15,7 @@ from posid.extensions import (FiniteResponseConfig, OscillatingPoleConfig,
                               identify_repeated_pole)
 from posid.assembly import assemble_core, required_width
 from posid.kernels import KernelSpec, gram, window_kernel
-from posid.qp import ConvexQP, SolveOptions, solve
+from posid.qp import ConvexQP, solve
 from posid.signals import TimeSeriesData
 
 from test_assembly import oscillation_tables
@@ -55,12 +55,11 @@ def _same_loop(model, plain):
 @pytest.mark.parametrize("kernel", sorted(N1_KERNELS))
 @pytest.mark.parametrize("seed", [0, 3, 5])
 def test_repeated_pole_n1_matches_single_pole_estimator(seed, kernel,
-                                                        monkeypatch):
+                                                        certificate):
     # multiplicity one is the plain estimator: same modes, same QP.
     # Tight solve tolerances on both sides, otherwise each solver stops
     # at a slightly different point of the same flat valley.
-    monkeypatch.setattr(estimator, "_IDENTIFY_OPTIONS",
-                        SolveOptions(1e-12, 1e-12))
+    certificate(1e-12, 1e-12)
     rng = np.random.default_rng(seed)
     t = np.arange(40, dtype=float)
     data = _data_from_response(rng, 40, 0.9 ** t)
@@ -172,11 +171,10 @@ def test_reconstruct_replays_the_checked_response(fit):
 @pytest.mark.parametrize("kernel", sorted(N1_KERNELS))
 @pytest.mark.parametrize("seed", [0, 3, 5])
 def test_oscillating_n1_matches_single_pole_estimator(seed, kernel,
-                                                      monkeypatch):
+                                                      certificate):
     # a one-value period is the single pole: same modes, floor and zero
     # penalty, so the same QP and the same answer to the last bit
-    monkeypatch.setattr(estimator, "_IDENTIFY_OPTIONS",
-                        SolveOptions(tol_feas=1e-12, tol_gap=1e-12))
+    certificate(1e-12, 1e-12)
     rng = np.random.default_rng(seed)
     t = np.arange(40, dtype=float)
     data = _data_from_response(rng, 40, 0.9 ** t)
@@ -190,12 +188,11 @@ def test_oscillating_n1_matches_single_pole_estimator(seed, kernel,
     assert np.array_equal(osc.g.values, plain.g.values)
 
 
-def test_oscillating_n1_two_mode_record_at_tight_tolerances(monkeypatch):
+def test_oscillating_n1_two_mode_record_at_tight_tolerances(certificate):
     # a second, faster mode in the record leaves the pole mode a misfit
     # to trade against the kernel part; the phase basis used to stall on
     # it short of the 1e-12 tolerances that identify meets
-    monkeypatch.setattr(estimator, "_IDENTIFY_OPTIONS",
-                        SolveOptions(1e-12, 1e-12))
+    certificate(1e-12, 1e-12)
     rng = np.random.default_rng(5)
     t = np.arange(40, dtype=float)
     data = _data_from_response(rng, 40, 0.9 ** t + 0.5 * 0.5 ** t)
@@ -237,7 +234,7 @@ def test_finite_support_kernel_with_dominant_pole(fit):
                                atol=1e-12)
 
 
-def test_finite_response_matches_nonneg_ls_oracle(monkeypatch):
+def test_finite_response_matches_nonneg_ls_oracle(certificate):
     # eliminate the kernel by hand: with g = K w the problem is
     # min ||T g - y||^2 + lam g' K^-1 g over g >= 0, an NNLS after
     # stacking sqrt(lam) R with R'R = K^-1
@@ -249,8 +246,7 @@ def test_finite_response_matches_nonneg_ls_oracle(monkeypatch):
     data = TimeSeriesData.at_rest(u, y)
     kernel = window_kernel(KernelSpec.tc(0.7), n_g)
     lam = 1e-2
-    monkeypatch.setattr(estimator, "_IDENTIFY_OPTIONS",
-                        SolveOptions(tol_feas=1e-11, tol_gap=1e-11))
+    certificate(1e-11, 1e-11)
     est = identify_finite_response(FiniteResponseConfig(kernel, lam), data)
     T = scipy.linalg.toeplitz(u, np.zeros(n_g))
     K = gram(kernel, np.arange(n_g), np.arange(n_g))
@@ -321,7 +317,7 @@ def test_finite_response_loop_is_the_hand_built_qp(record, kernel, n_g,
                                    atol=0.0, err_msg=name)
     np.testing.assert_array_equal(problem.G, oracle.G)
     np.testing.assert_array_equal(problem.l, oracle.l)
-    sol = solve(oracle, estimator._IDENTIFY_OPTIONS)
+    sol = solve(oracle)
     g_oracle = estimator.reconstruct_h(sol.z, sections, config.kernel,
                                        n_g).values
     scale = np.max(np.abs(g_oracle))

@@ -1,4 +1,5 @@
-"""Every import in the package and in its tests is used.
+"""Every import in the package and in its tests is used, and importing
+the package stays cheap.
 
 A static check with :mod:`ast`: a name an import binds must be read
 somewhere in the same module, or be listed in its ``__all__``.  A dotted
@@ -6,6 +7,9 @@ somewhere in the same module, or be listed in its ``__all__``.  A dotted
 import kept only for a sibling submodule is still reported.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,3 +69,17 @@ def test_checker_reports_unused_names_only():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_importing_the_package_leaves_scipy_optimize_unloaded():
+    # scipy.optimize adds about 20 MB to the peak RSS of every process
+    # that loads it, and the package needs none of it.  Tests import it
+    # in this process, so a fresh interpreter checks.
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src if not path else os.pathsep.join([src, path])}
+    code = ("import sys, posid\n"
+            "sys.exit('scipy.optimize' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode \
+        == 0

@@ -57,16 +57,16 @@ def runs():
 
     Returns ``(outcomes, solves)``: ``outcomes`` maps ``(estimator, seed,
     n)`` to the model, or ``None`` on SolverError; ``solves`` lists
-    ``(key, problem, options, solution)`` for each ``qp.solve`` call.
+    ``(key, problem, solution)`` for each ``qp.solve`` call.
     """
     out = {}
     solves = []
     real_solve = qp.solve
     key = None
 
-    def recording(problem, options=None):
-        solution = real_solve(problem, options)
-        solves.append((key, problem, options or qp.SolveOptions(), solution))
+    def recording(problem):
+        solution = real_solve(problem)
+        solves.append((key, problem, solution))
         return solution
 
     with pytest.MonkeyPatch.context() as patch:
@@ -116,15 +116,15 @@ def test_every_success_is_certified(outcomes):
 
 def test_every_optimal_solve_meets_its_tolerances(runs):
     certified = 0
-    for key, problem, options, solution in runs[1]:
+    for key, problem, solution in runs[1]:
         if solution.status != qp.OPTIMAL:
             continue
         certified += 1
         report = qp.kkt_certificate(problem, solution)
         q_scale = 1.0 + np.max(np.abs(problem.q))
         l_scale = 1.0 + np.max(np.abs(problem.l))
-        assert report.stationarity <= options.tol_feas * q_scale, key
-        assert report.primal <= options.tol_feas * l_scale, key
+        assert report.stationarity <= qp._TOL_FEAS * q_scale, key
+        assert report.primal <= qp._TOL_FEAS * l_scale, key
         assert report.dual_feasibility == 0.0, key
     # every successful fit contributes at least its last solve
     assert certified >= sum(model is not None

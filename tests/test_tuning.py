@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from posid import estimator, tuning
+from posid import tuning
 from posid.errors import ConfigError
 from posid.estimator import PositiveIdConfig, identify
 from posid.kernels import KernelSpec, decay_compatible
-from posid.qp import SolveOptions
 from posid.signals import TimeSeriesData
 from posid.tuning import (HyperparamSpace, SplitSpec, ThetaPoint,
                           default_split, tune, validation_score)
@@ -184,9 +183,8 @@ def test_validation_score_matches_convolution_loop():
     assert score == pytest.approx(oracle, abs=1e-10)
 
 
-def test_validation_score_zero_on_exact_reproduction(monkeypatch):
-    monkeypatch.setattr(estimator, "_IDENTIFY_OPTIONS",
-                        SolveOptions(1e-12, 1e-12))
+def test_validation_score_zero_on_exact_reproduction(certificate):
+    certificate(1e-12, 1e-12)
     rng = np.random.default_rng(5)
     data = _single_mode_data(rng, 40, noise=0.0)
     split = default_split(40)
@@ -195,11 +193,10 @@ def test_validation_score_zero_on_exact_reproduction(monkeypatch):
     assert 0.0 <= score <= 1e-12
 
 
-def test_validation_score_amplitude_floor_formula(monkeypatch):
+def test_validation_score_amplitude_floor_formula(certificate):
     # zero outputs with a huge lambda pin the model at (a_min, h = 0),
     # so the score is the mean squared floor prediction
-    monkeypatch.setattr(estimator, "_IDENTIFY_OPTIONS",
-                        SolveOptions(1e-12, 1e-12))
+    certificate(1e-12, 1e-12)
     rng = np.random.default_rng(5)
     n = 40
     u = _prbs(rng, n)
