@@ -2,9 +2,14 @@
 
 Subcommands cover single-dataset identification, hyperparameter tuning,
 the synthetic Monte Carlo study, the heating evaluation, prediction from
-a stored impulse response, and kernel diagnostics.  Every artifact is
-written to a temporary file and renamed into place, so failed runs never
-leave partial outputs.
+a stored impulse response, and kernel diagnostics.  A command writes
+its artifacts in one step after its run, through :func:`_write_outputs`,
+each to a temporary file renamed into place, so a run that fails leaves
+neither an artifact nor its output directory behind.  Two writes come
+before the run: the ``--dump-qp`` archive, a debugging aid that is most
+useful when the fit then fails, and the record that ``heating --format
+daisy`` converts, which the run reads.  An output path that cannot be
+written is a configuration error.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 solver
 did not reach optimality.
@@ -15,9 +20,11 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
+import pathlib
 import sys
 
 from .assembly import assemble_core, assemble_polynomial_blocks
@@ -43,37 +50,53 @@ def _write_atomic(path: str, write) -> None:
     """Let ``write`` fill ``path + ".tmp"``, then rename it to ``path``.
 
     A failed write removes the temporary file and leaves ``path`` as it
-    was.
+    was; an ``OSError`` becomes a :class:`ConfigError` naming ``path``.
     """
     tmp = path + ".tmp"
     try:
         write(tmp)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
         raise
-    os.replace(tmp, path)
 
 
-def _write_text_atomic(path: str, text: str) -> None:
-    def write(tmp):
-        with open(tmp, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
-    _write_atomic(path, write)
+def _write_outputs(out_dir: str, files: dict) -> None:
+    """Make ``out_dir`` and write each of its artifacts.
+
+    ``files`` maps each file name to a ``write(tmp)`` that fills the
+    file's temporary path (see :func:`_write_atomic`).
+    """
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make directory {out_dir}: {exc}") from exc
+    for name, write in files.items():
+        _write_atomic(os.path.join(out_dir, name), write)
 
 
-def _write_json_atomic(path: str, payload: dict) -> None:
-    _write_text_atomic(path, json.dumps(payload, indent=2,
-                                        sort_keys=True) + "\n")
+def _text(text: str):
+    """A writer of ``text`` as an ASCII file."""
+    return lambda tmp: pathlib.Path(tmp).write_text(text, encoding="ascii",
+                                                    newline="")
 
 
-def _csv_text(header: list[str], rows) -> str:
+def _json(payload: dict):
+    """A writer of ``payload`` as an indented JSON file."""
+    return _text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _csv(header: list[str], rows):
+    """A writer of the CSV table ``header`` over ``rows``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow(row)
-    return buf.getvalue()
+    return _text(buf.getvalue())
 
 
 def _fmt(value) -> str:
@@ -142,7 +165,6 @@ _METHODS = {"g": (_positive, ("rho", *_KERNEL)),
 
 def _identify_cmd(args) -> int:
     data = read_timeseries_csv(args.data)
-    os.makedirs(args.out_dir, exist_ok=True)
     method = args.method
     if args.dump_qp and method != "g":
         raise ConfigError("--dump-qp applies to method g only")
@@ -157,9 +179,9 @@ def _identify_cmd(args) -> int:
     if isinstance(result, FittedModel):
         g = result.g
         meta.update(m=int(result.m), **dataclasses.asdict(result.diagnostics))
-    _write_atomic(os.path.join(args.out_dir, "impulse.csv"),
-                  lambda tmp: write_impulse_csv(tmp, g))
-    _write_json_atomic(os.path.join(args.out_dir, "metadata.json"), meta)
+    _write_outputs(args.out_dir,
+                   {"impulse.csv": lambda tmp: write_impulse_csv(tmp, g),
+                    "metadata.json": _json(meta)})
     print(f"method {method}: wrote impulse.csv ({g.horizon} samples) "
           f"and metadata.json to {args.out_dir}")
     return 0
@@ -167,7 +189,6 @@ def _identify_cmd(args) -> int:
 
 def _tune_cmd(args) -> int:
     data = read_timeseries_csv(args.data)
-    os.makedirs(args.out_dir, exist_ok=True)
     gamma_range = tuple(args.gamma_range) if args.gamma_range else None
     space = HyperparamSpace(kind=args.kernel,
                             rho_range=tuple(args.rho_range),
@@ -183,13 +204,13 @@ def _tune_cmd(args) -> int:
         gamma = "" if theta.gamma is None else _fmt(theta.gamma)
         rows.append([_fmt(theta.rho), _fmt(theta.lam), _fmt(theta.beta),
                      gamma, _fmt(score)])
-    _write_text_atomic(os.path.join(args.out_dir, "tune_trace.csv"),
-                       _csv_text(["rho", "lam", "beta", "gamma", "score"],
-                                 rows))
     best = {"rho": result.theta.rho, "lam": result.theta.lam,
             "beta": result.theta.beta, "gamma": result.theta.gamma,
             "score": result.score, "kernel": args.kernel}
-    _write_json_atomic(os.path.join(args.out_dir, "tuned.json"), best)
+    _write_outputs(args.out_dir, {
+        "tune_trace.csv": _csv(["rho", "lam", "beta", "gamma", "score"],
+                               rows),
+        "tuned.json": _json(best)})
     print(f"evaluated {len(result.trace)} candidates; best score "
           f"{result.score!r} at rho={result.theta.rho!r} "
           f"lam={result.theta.lam!r} beta={result.theta.beta!r}")
@@ -197,7 +218,6 @@ def _tune_cmd(args) -> int:
 
 
 def _montecarlo_cmd(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     protocol = McProtocol(runs=args.runs, n_d=args.n_d,
                           snr_levels_db=tuple(args.snr), seed=args.seed)
     config = McConfig(rho=args.rho, beta=args.beta, gamma=args.gamma,
@@ -207,20 +227,17 @@ def _montecarlo_cmd(args) -> int:
     report = run_monte_carlo(protocol, tuple(args.methods), config)
     metrics_rows = [[s.method, _fmt(s.snr_db), _fmt(s.bias),
                      _fmt(s.variance), _fmt(s.mse)] for s in report.stats]
-    _write_text_atomic(os.path.join(args.out_dir, "metrics.csv"),
-                       _csv_text(["method", "snr", "bias", "var", "mse"],
-                                 metrics_rows))
     fit_rows = [[method, _fmt(snr), run, _fmt(fit)]
                 for method, snr, run, fit in report.fit_rows]
-    _write_text_atomic(os.path.join(args.out_dir, "fits.csv"),
-                       _csv_text(["method", "snr", "run", "fit"],
-                                 fit_rows))
+    files = {"metrics.csv": _csv(["method", "snr", "bias", "var", "mse"],
+                                 metrics_rows),
+             "fits.csv": _csv(["method", "snr", "run", "fit"], fit_rows)}
     if report.failures:
         fail_rows = [[method, _fmt(snr), run, message]
                      for method, snr, run, message in report.failures]
-        _write_text_atomic(os.path.join(args.out_dir, "failures.csv"),
-                           _csv_text(["method", "snr", "run", "message"],
-                                     fail_rows))
+        files["failures.csv"] = _csv(["method", "snr", "run", "message"],
+                                     fail_rows)
+    _write_outputs(args.out_dir, files)
     for s in report.stats:
         print(f"snr {s.snr_db:g} dB method {s.method}: "
               f"mse {s.mse:.6g}, bias {s.bias:.6g}, var {s.variance:.6g}"
@@ -229,24 +246,23 @@ def _montecarlo_cmd(args) -> int:
 
 
 def _heating_cmd(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
-    path = args.data
-    if args.format == "daisy":
-        converted = os.path.join(args.out_dir, "heating_converted.csv")
-        _write_atomic(converted,
-                      lambda tmp: convert_daisy_whitespace(path, tmp))
-        path = converted
     config = HeatingConfig(rho=args.rho, beta=args.beta, lam=args.lam,
                            n_g=args.n_g, tune_budget=args.budget,
                            a_min=args.a_min)
+    path = args.data
+    if args.format == "daisy":
+        # the run reads the converted record, so it is written first
+        name = "heating_converted.csv"
+        _write_outputs(args.out_dir, {
+            name: lambda tmp: convert_daisy_whitespace(args.data, tmp)})
+        path = os.path.join(args.out_dir, name)
     report = run_heating(path, tuple(args.methods), config)
     rows = [[method, _fmt(fit)] for method, fit in report.fits]
-    _write_text_atomic(os.path.join(args.out_dir, "heating_fits.csv"),
-                       _csv_text(["method", "fit"], rows))
     meta = {"n_train": report.n_train, "n_test": report.n_test,
             "hyperparams": dict(report.hyperparams)}
-    _write_json_atomic(os.path.join(args.out_dir, "heating_meta.json"),
-                       meta)
+    _write_outputs(args.out_dir, {
+        "heating_fits.csv": _csv(["method", "fit"], rows),
+        "heating_meta.json": _json(meta)})
     for method, fit in report.fits:
         print(f"method {method}: test fit {fit:.1f}")
     return 0
@@ -255,12 +271,11 @@ def _heating_cmd(args) -> int:
 def _predict_cmd(args) -> int:
     g = read_impulse_csv(args.impulse)
     data = read_timeseries_csv(args.data)
-    os.makedirs(args.out_dir, exist_ok=True)
     times = args.times or data.sample_times
     rows = [[int(t), _fmt(y)]
             for t, y in zip(times, convolve(g, data, times))]
-    _write_text_atomic(os.path.join(args.out_dir, "predictions.csv"),
-                       _csv_text(["t", "y"], rows))
+    _write_outputs(args.out_dir,
+                   {"predictions.csv": _csv(["t", "y"], rows)})
     print(f"wrote {len(rows)} predictions to "
           f"{os.path.join(args.out_dir, 'predictions.csv')}")
     return 0
@@ -304,11 +319,16 @@ def _add_common(p) -> None:
 
 def build_parser():
     """``(parser, subparsers)`` for the ``posid`` command line."""
+    # No parser takes an abbreviated flag, so the scan of argv for
+    # --config sees every spelling that argparse accepts.
     parser = argparse.ArgumentParser(
-        prog="posid",
+        prog="posid", allow_abbrev=False,
         description="impulse response estimation with positivity "
                     "side-information")
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser,
+                                       allow_abbrev=False))
 
     p = subs.add_parser("identify",
                         help="estimate an impulse response from one "

@@ -246,7 +246,10 @@ def _m0_from_constants(c0: float, c: float, rho_d: float, rho: float,
     """
     if c0 <= 0.0:
         return 0
-    value = 0.5 * (math.log(c0 * c) - math.log(a_min ** 2 * lam)) \
+    if rho_d == 0.0:
+        # k(t, t) = 0 at every t >= 1, so only lag 0 can need the bound
+        return int(c0 * c > a_min ** 2 * lam)
+    value =0.5 * (math.log(c0 * c) - math.log(a_min ** 2 * lam)) \
         / (math.log(rho) - math.log(rho_d))
     return max(0, math.ceil(value))
 

@@ -158,10 +158,9 @@ def gen_binary_input(n: int, seed) -> np.ndarray:
 def add_noise(y: np.ndarray, snr_db: float, seed) -> np.ndarray:
     """Add white Gaussian noise at the requested signal-to-noise ratio."""
     y = np.asarray(y, dtype=float)
-    power = float(y @ y) / y.size
-    if power <= 0.0:
+    sigma2 = noise_variance(y, snr_db)
+    if sigma2 <= 0.0:
         raise DataError("cannot set an SNR against a zero-power signal")
-    sigma2 = power / 10.0 ** (snr_db / 10.0)
     rng = np.random.default_rng(seed)
     return y + rng.normal(0.0, math.sqrt(sigma2), size=y.size)
 

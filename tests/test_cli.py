@@ -172,8 +172,66 @@ def test_montecarlo_rejects_bad_settings_before_any_run(
                  str(out)])
     assert code == 2
     assert message in capsys.readouterr().err
-    assert not (out / "metrics.csv").exists()
-    assert not (out / "fits.csv").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["identify", "--data", "{data}", "--lam", "nan"], 2),
+    (["identify", "--data", "{data}", "--beta", "0.95", "--rho", "0.9"], 2),
+    (["tune", "--data", "{data}", "--rho-range", "0.9", "0.5"], 2),
+    (["montecarlo", "--runs", "2", "--n-d", "30", "--snr", "nan",
+      "--workers", "1", "--methods", "b"], 2),
+    (["heating", "--data", "{short}", "--methods", "b"], 3),
+    (["predict", "--impulse", "{impulse}", "--data", "{data}",
+      "--times", "500"], 3),
+], ids=["identify-lam-nan", "identify-coupling", "tune-rho-range",
+        "montecarlo-snr-nan", "heating-short-record", "predict-times"])
+def test_rejected_run_leaves_no_output_dir(tmp_path, argv, code):
+    # artifacts are written only after the run, so a run refused for its
+    # settings or its data does not make its output directory
+    paths = {"data": tmp_path / "data.csv", "short": tmp_path / "short.csv",
+             "impulse": tmp_path / "impulse.csv"}
+    _single_mode_csv(paths["data"])
+    _single_mode_csv(paths["short"], n=60)
+    write_impulse_csv(paths["impulse"], ImpulseResponse(np.ones(5)))
+    out = tmp_path / "out"
+    argv = [arg.format(**paths) for arg in argv]
+    assert main(argv + ["--out-dir", str(out)]) == code
+    assert not out.exists()
+
+
+def test_out_dir_naming_a_file_is_a_config_error(tmp_path, capsys):
+    data_path = tmp_path / "data.csv"
+    _single_mode_csv(data_path)
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    code = main(["identify", "--data", str(data_path), "--method", "b",
+                 "--n-g", "10", "--out-dir", str(out)])
+    assert code == 2
+    assert f"cannot make directory {out}" in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"
+
+
+def test_out_dir_under_a_file_is_a_config_error(tmp_path, capsys):
+    data_path = tmp_path / "data.csv"
+    _single_mode_csv(data_path)
+    out = data_path / "out"
+    code = main(["identify", "--data", str(data_path), "--method", "b",
+                 "--n-g", "10", "--out-dir", str(out)])
+    assert code == 2
+    assert f"cannot make directory {out}" in capsys.readouterr().err
+
+
+def test_dump_qp_into_a_missing_directory_is_a_config_error(tmp_path,
+                                                            capsys):
+    data_path = tmp_path / "data.csv"
+    _single_mode_csv(data_path)
+    dump = tmp_path / "missing" / "qp.npz"
+    code = main(["identify", "--data", str(data_path), "--beta", "0.5",
+                 "--dump-qp", str(dump), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert f"cannot write {dump}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_identify_dump_qp(tmp_path):
@@ -436,6 +494,21 @@ def test_config_file_defaults_and_overrides(tmp_path):
     assert meta["n_g"] == 10
     est = read_impulse_csv(out / "impulse.csv")
     assert est.horizon == 10
+
+
+def test_abbreviated_config_flag_is_rejected(tmp_path, capsys):
+    # argparse would take --conf for --config, but the config file is
+    # found by its full flag only, so no flag may be abbreviated
+    data_path = tmp_path / "data.csv"
+    _single_mode_csv(data_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"method": "b", "n_g": 7}))
+    out = tmp_path / "out"
+    code = main(["identify", "--data", str(data_path), "--conf",
+                 str(config_path), "--out-dir", str(out)])
+    assert code == 2
+    assert "unrecognized arguments: --conf" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):

@@ -70,6 +70,14 @@ def test_m0_formula_example():
                               a_min=0.01, lam=1.0) == 59
 
 
+def test_m0_at_a_zero_domination_rate():
+    # k(t, t) = 0 for every t >= 1, so only lag 0 can need the bound
+    assert _m0_from_constants(c0=100.0, c=1.0, rho_d=0.0, rho=0.9,
+                              a_min=0.01, lam=1.0) == 1
+    assert _m0_from_constants(c0=1e-6, c=1.0, rho_d=0.0, rho=0.9,
+                              a_min=0.01, lam=1.0) == 0
+
+
 def test_m0_zero_when_single_mode_fits_exactly():
     rng = np.random.default_rng(0)
     data = _single_mode_data(rng, 40, a=1.0, rho=0.9)

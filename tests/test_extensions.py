@@ -168,6 +168,31 @@ def test_reconstruct_replays_the_checked_response(fit):
                               model.g.values)
 
 
+@pytest.mark.parametrize("fit", [
+    identify,
+    lambda base, data: identify_repeated_pole(RepeatedPoleConfig(base, 2),
+                                              data),
+    lambda base, data: identify_oscillating_poles(
+        OscillatingPoleConfig(base, 2), data),
+], ids=["identify", "repeated2", "oscillating2"])
+@pytest.mark.parametrize("kernel", [
+    KernelSpec.tc(0.0), KernelSpec.dc(0.0, 0.5), KernelSpec.ss(0.0)],
+    ids=["tc", "dc", "ss"])
+def test_zero_beta_kernel_fits(kernel, fit):
+    # beta = 0 dominates at rate 0: k(t, t) vanishes past lag 0, so the
+    # certified horizon is 1 and the fit is nonnegative far past the data
+    rng = np.random.default_rng(0)
+    u = _prbs(rng, 40)
+    y = np.convolve(u, 0.9 ** np.arange(40.0))[:40] \
+        + 0.01 * rng.standard_normal(40)
+    data = TimeSeriesData.at_rest(u, y)
+    base = PositiveIdConfig(kernel=kernel, rho=0.9, lam=1.0)
+    model = fit(base, data)
+    assert model.diagnostics.qp_status == "optimal"
+    assert model.diagnostics.m0 == 1
+    assert model.reconstruct(1000).values.min() >= 0.0
+
+
 @pytest.mark.parametrize("kernel", sorted(N1_KERNELS))
 @pytest.mark.parametrize("seed", [0, 3, 5])
 def test_oscillating_n1_matches_single_pole_estimator(seed, kernel,
