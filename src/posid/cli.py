@@ -9,7 +9,8 @@ neither an artifact nor its output directory behind.  Two writes come
 before the run: the ``--dump-qp`` archive, a debugging aid that is most
 useful when the fit then fails, and the record that ``heating --format
 daisy`` converts, which the run reads.  An output path that cannot be
-written is a configuration error.
+written is a configuration error, and an output directory that cannot
+be made is found before the run (see :func:`_check_out_dir`).
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 solver
 did not reach optimality.
@@ -62,6 +63,21 @@ def _write_atomic(path: str, write) -> None:
         if isinstance(exc, OSError):
             raise ConfigError(f"cannot write {path}: {exc}") from exc
         raise
+
+
+def _check_out_dir(out_dir: str) -> None:
+    """Raise :func:`_write_outputs`' error now if ``out_dir`` cannot be
+    made: the nearest existing path at or above it is not a directory.
+
+    Makes nothing, so a refused run still leaves no directory; what this
+    cannot see (permissions, say) fails in :func:`_write_outputs`.
+    """
+    path = os.path.abspath(out_dir)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"cannot make directory {out_dir}: {path} is "
+                          f"not a directory")
 
 
 def _write_outputs(out_dir: str, files: dict) -> None:
@@ -310,9 +326,13 @@ def _add_kernel_args(p, default_beta: float = 0.8) -> None:
                    help="dc relaxation parameter in [-1, 1]")
 
 
-def _add_common(p) -> None:
+def _add_config(p) -> None:
     p.add_argument("--config", default=None,
                    help="JSON file of option defaults (flags override)")
+
+
+def _add_common(p) -> None:
+    _add_config(p)
     p.add_argument("--out-dir", default=".",
                    help="directory for output artifacts")
 
@@ -354,7 +374,8 @@ def build_parser():
                    help="response length for zsr and the baselines")
     p.add_argument("--dump-qp", default=None, metavar="PATH",
                    help="write the first quadratic program to PATH as an "
-                        ".npz archive of P, q, G and l")
+                        ".npz archive of P, q, G and l; "
+                        "ConvexQP(**np.load(PATH)) rebuilds it")
     _add_common(p)
 
     p = subs.add_parser("tune", help="hold-out hyperparameter search")
@@ -441,7 +462,7 @@ def build_parser():
     _add_kernel_args(p)
     p.add_argument("--rho", type=float, default=None,
                    help="check decay compatibility against this pole")
-    _add_common(p)
+    _add_config(p)
 
     return parser, subs
 
@@ -554,6 +575,9 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
+        # every command but kernels writes to --out-dir
+        if hasattr(args, "out_dir"):
+            _check_out_dir(args.out_dir)
         return _COMMANDS[args.command](args)
     except PosidError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,7 +32,6 @@ METHOD_POSITIVE = "g"
 MC_METHODS = ("b", "c", "d", "e", METHOD_POSITIVE)
 
 _HEATING_RAW_ROWS = 801
-_HEATING_DROP = 101
 _HEATING_TRAIN = 500
 _HEATING_TEST = 200
 # Search ranges of the heating hyperparameters left unset.
@@ -43,6 +42,8 @@ _HEATING_BETA_RANGE = (0.3, 0.99)
 # variance, floored at _LAM_FLOOR.
 _LAM_SCALE = 10.0
 _LAM_FLOOR = 1e-8
+# Oscillation frequency of the synthetic study's true system.
+_OMEGA_TRUE = math.pi ** 2 / 10.0
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,6 @@ class McProtocol:
 
     rho_true: float = 0.98
     beta_true: float = 0.92
-    omega: float = math.pi ** 2 / 10.0
     runs: int = 30
     n_d: int = 200
     snr_levels_db: tuple[float, ...] = (10.0, 20.0, 30.0)
@@ -60,8 +60,6 @@ class McProtocol:
     def __post_init__(self) -> None:
         if not (0.0 < self.rho_true < 1.0 and 0.0 < self.beta_true < 1.0):
             raise ConfigError("true decay rates must lie in (0, 1)")
-        if not 0.0 < self.omega < math.inf:
-            raise ConfigError("omega must be positive and finite")
         if self.runs < 1 or self.n_d < 1:
             raise ConfigError("runs and n_d must be at least 1")
         if not self.snr_levels_db:
@@ -123,7 +121,6 @@ class MethodStats:
 class MetricsReport:
     """Outcome of a Monte Carlo study: per-method statistics and raw rows."""
 
-    protocol: McProtocol
     methods: tuple[str, ...]
     stats: tuple[MethodStats, ...]
     # (method, snr_db, run, fit) rows for box plots
@@ -135,15 +132,15 @@ class MetricsReport:
 def true_system(protocol: McProtocol, horizon: int) -> ImpulseResponse:
     """Decaying oscillation around a dominant geometric mode.
 
-    g_t = rho^t (1 + beta^t cos(2 pi omega t)); strictly positive since
-    beta < 1.
+    g_t = rho^t (1 + beta^t cos(2 pi omega t)) with omega = pi^2 / 10;
+    strictly positive since beta < 1.
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     t = np.arange(horizon, dtype=float)
     values = protocol.rho_true ** t * (
         1.0 + protocol.beta_true ** t
-        * np.cos(2.0 * math.pi * protocol.omega * t))
+        * np.cos(2.0 * math.pi * _OMEGA_TRUE * t))
     return ImpulseResponse(values)
 
 
@@ -325,9 +322,8 @@ def run_monte_carlo(protocol: McProtocol, methods=MC_METHODS,
                 bias = variance = mse = math.nan
             stats.append(MethodStats(method, snr, bias, variance, mse,
                                      tuple(fits), n_failed))
-    return MetricsReport(protocol=protocol, methods=methods,
-                         stats=tuple(stats), fit_rows=tuple(fit_rows),
-                         failures=tuple(failures))
+    return MetricsReport(methods=methods, stats=tuple(stats),
+                         fit_rows=tuple(fit_rows), failures=tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -360,16 +356,13 @@ class HeatingReport:
 
 
 def load_heating_data(path) -> TimeSeriesData:
-    """Read the 801-sample record and drop the final 101 samples."""
+    """Read the 801-sample record and keep its training and test windows,
+    the first 700 samples."""
     data = read_timeseries_csv(path)
-    if data.n_samples == _HEATING_RAW_ROWS:
-        data = data.restrict(np.arange(_HEATING_RAW_ROWS - _HEATING_DROP))
-    elif data.n_samples != _HEATING_RAW_ROWS - _HEATING_DROP:
-        raise DataError(
-            f"heating record must have {_HEATING_RAW_ROWS} rows "
-            f"(or {_HEATING_RAW_ROWS - _HEATING_DROP} already trimmed), "
-            f"got {data.n_samples}")
-    return data
+    if data.n_samples != _HEATING_RAW_ROWS:
+        raise DataError(f"heating record must have {_HEATING_RAW_ROWS} "
+                        f"rows, got {data.n_samples}")
+    return data.restrict(np.arange(_HEATING_TRAIN + _HEATING_TEST))
 
 
 def _axis_range(fixed: float | None,
@@ -425,8 +418,6 @@ def run_heating(path, methods=MC_METHODS,
     config = config or HeatingConfig()
     methods = _checked_methods(methods)
     data = load_heating_data(path)
-    if data.n_samples != _HEATING_TRAIN + _HEATING_TEST:
-        raise DataError("unexpected trimmed length")
     train = data.restrict(np.arange(_HEATING_TRAIN))
     test_times = data.sample_times[_HEATING_TRAIN:]
     test_truth = data.outputs[_HEATING_TRAIN:]

@@ -94,10 +94,6 @@ class RepeatedPoleModel(FittedModel):
     """
 
     @property
-    def n(self) -> int:
-        return self.coeffs.size
-
-    @property
     def a(self) -> float:
         return float(self.coeffs[-1])
 

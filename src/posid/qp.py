@@ -47,7 +47,6 @@ round, ``dual`` for the dual method's point.
 """
 from __future__ import annotations
 
-import zipfile
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -209,10 +208,6 @@ class ConvexQP:
     @property
     def dim(self) -> int:
         return int(self.q.size)
-
-    @property
-    def n_ineq(self) -> int:
-        return int(self.G.shape[0])
 
     def objective(self, z) -> float:
         z = np.asarray(z, dtype=float)
@@ -538,34 +533,9 @@ def dump_qp(problem: ConvexQP, path) -> None:
 
     The archive holds exactly the arrays ``P``, ``q``, ``G`` and ``l``.
     It is written through an open file handle, so ``path`` is used as
-    given: NumPy appends no ``.npz`` suffix.
+    given: NumPy appends no ``.npz`` suffix.  ``with np.load(path) as
+    arrays: ConvexQP(**arrays)`` rebuilds the problem; :class:`ConvexQP`
+    validates it, and a missing or extra array fails the keyword binding.
     """
     with open(path, "wb") as fh:
         np.savez(fh, P=problem.P, q=problem.q, G=problem.G, l=problem.l)
-
-
-def load_qp_dump(path) -> ConvexQP:
-    """Rebuild a QP from a :func:`dump_qp` archive.
-
-    Raises :class:`ConfigError` when the file is not a readable ``.npz``
-    archive (a truncated or foreign file included), when the archive does
-    not hold exactly ``P``, ``q``, ``G`` and ``l``, and when
-    :class:`ConvexQP` rejects the data, so a file never loads as a
-    different problem.
-    """
-    # The handle is opened here because np.load leaks its own when the
-    # archive is truncated.
-    try:
-        with open(path, "rb") as fh:
-            archive = np.load(fh, allow_pickle=False)
-            if not isinstance(archive, np.lib.npyio.NpzFile):
-                raise ConfigError(
-                    f"{path}: a single array, not an .npz archive")
-            if sorted(archive.files) != ["G", "P", "l", "q"]:
-                raise ConfigError(
-                    f"{path}: expected arrays P, q, G and l, got "
-                    f"{', '.join(archive.files) or 'none'}")
-            arrays = {name: archive[name] for name in archive.files}
-        return ConvexQP(**arrays)
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise ConfigError(f"{path}: unreadable QP dump: {exc}") from exc

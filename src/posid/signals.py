@@ -201,7 +201,7 @@ def _check_finite(value: float, path, lineno: int, field: str,
 def write_impulse_csv(path, g: ImpulseResponse) -> None:
     """Write an impulse response as an ``s,g`` CSV file."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["s", "g"])
         for s, value in enumerate(g.values):
             writer.writerow([s, repr(float(value))])

@@ -9,12 +9,12 @@ import pytest
 from posid import cli, experiments
 from posid.assembly import assemble_core, assemble_polynomial_blocks
 from posid.cli import main
-from posid.errors import ConfigError
+from posid.errors import ConfigError, SolverError
 from posid.estimator import (IdentifyDiagnostics, PositiveIdConfig, build_qp,
                              identify, initial_constraint_horizon)
 from posid.extensions import FiniteResponseConfig, identify_finite_response
 from posid.kernels import KernelSpec, window_kernel
-from posid.qp import load_qp_dump
+from posid.qp import ConvexQP
 from posid.signals import (ImpulseResponse, TimeSeriesData, convolve,
                            read_impulse_csv, read_timeseries_csv,
                            write_impulse_csv)
@@ -243,7 +243,8 @@ def test_identify_dump_qp(tmp_path):
                  "--lam", "0.01", "--dump-qp", str(dump),
                  "--out-dir", str(out)])
     assert code == 0
-    problem = load_qp_dump(dump)
+    with np.load(dump) as arrays:
+        problem = ConvexQP(**arrays)
     # 1 amplitude + max(width 30, m_init + 1 = 31) section coefficients
     assert problem.P.shape == (32, 32)
     assert problem.G.shape[0] == 32
@@ -266,7 +267,8 @@ def test_dump_qp_runs_over_the_pivoted_sections(tmp_path):
     data = TimeSeriesData.at_rest(u, y)
     mats = assemble_core(KernelSpec.tc(0.5), data,
                          initial_constraint_horizon(data))
-    problem = load_qp_dump(dump)
+    with np.load(dump) as arrays:
+        problem = ConvexQP(**arrays)
     assert problem.dim == 1 + mats.sections.size < 1 + 81
     built = build_qp(0.01, mats, assemble_polynomial_blocks(data, 0.9, 1))
     for name in ("P", "q", "G", "l"):
@@ -293,6 +295,31 @@ def test_failed_dump_qp_leaves_no_file(tmp_path, monkeypatch):
     assert code == 2
     assert not dump.exists()
     assert not (tmp_path / "qp.txt.tmp").exists()
+
+
+@pytest.mark.parametrize("argv, module, run", [
+    (["identify", "--data", "{data}"], cli, "identify"),
+    (["tune", "--data", "{data}"], cli, "tune"),
+    (["montecarlo", "--runs", "30", "--n-d", "200", "--snr", "20",
+      "--workers", "1"], experiments, "_mc_single_run"),
+    (["heating", "--data", "{data}"], cli, "run_heating"),
+    (["predict", "--impulse", "{impulse}", "--data", "{data}"], cli,
+     "convolve"),
+], ids=["identify", "tune", "montecarlo", "heating", "predict"])
+def test_out_dir_that_cannot_be_made_is_refused_before_the_run(
+        tmp_path, capsys, monkeypatch, argv, module, run):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(module, run, no_run)
+    paths = {"data": tmp_path / "data.csv",
+             "impulse": tmp_path / "impulse.csv"}
+    _single_mode_csv(paths["data"])
+    write_impulse_csv(paths["impulse"], ImpulseResponse(np.ones(5)))
+    out = paths["data"] / "sub" / "deeper"
+    argv = [arg.format(**paths) for arg in argv]
+    assert main(argv + ["--out-dir", str(out)]) == 2
+    assert f"cannot make directory {out}" in capsys.readouterr().err
 
 
 def test_identify_exit_codes(tmp_path, capsys):
@@ -344,6 +371,52 @@ def test_montecarlo_outputs_are_byte_identical(tmp_path):
     assert header == "method,snr,bias,var,mse"
     assert (first / "fits.csv").read_text().splitlines()[0] \
         == "method,snr,run,fit"
+
+
+def test_montecarlo_reports_failed_runs(tmp_path, capsys, monkeypatch):
+    # a method that fails in every run gets a failures.csv row per run
+    # and nan statistics, and the others are scored as usual
+    baseline = experiments.run_baseline
+
+    def failing_c(kind, data):
+        if kind.kind == "c":
+            raise SolverError("simulated solver failure")
+        return baseline(kind, data)
+
+    monkeypatch.setattr(experiments, "run_baseline", failing_c)
+    out = tmp_path / "out"
+    assert main(["montecarlo", "--runs", "2", "--n-d", "30", "--snr", "20",
+                 "--workers", "1", "--methods", "b", "c",
+                 "--out-dir", str(out)]) == 0
+    assert "method c: mse nan, bias nan, var nan, 2 failures" \
+        in capsys.readouterr().out
+    lines = (out / "failures.csv").read_text().splitlines()
+    assert lines == ["method,snr,run,message",
+                     "c,20.0,0,simulated solver failure",
+                     "c,20.0,1,simulated solver failure"]
+    metrics = {line.split(",")[0]: line.split(",")[2:]
+               for line in (out / "metrics.csv").read_text().splitlines()}
+    assert metrics["c"] == ["nan", "nan", "nan"]
+    assert "nan" not in metrics["b"]
+
+
+def test_artifacts_end_lines_with_newline_only(tmp_path):
+    data_path = tmp_path / "data.csv"
+    _single_mode_csv(data_path, n=30, noise=0.01)
+    runs = {"g": ["identify", "--data", str(data_path), "--beta", "0.5"],
+            "b": ["identify", "--data", str(data_path), "--method", "b",
+                  "--n-g", "10"],
+            "tune": ["tune", "--data", str(data_path), "--budget", "2"],
+            "montecarlo": ["montecarlo", "--runs", "1", "--n-d", "30",
+                           "--snr", "20", "--workers", "1", "--methods",
+                           "b"],
+            "predict": ["predict", "--impulse",
+                        str(tmp_path / "g" / "impulse.csv"), "--data",
+                        str(data_path)]}
+    for name, argv in runs.items():
+        assert main(argv + ["--out-dir", str(tmp_path / name)]) == 0, name
+        for path in (tmp_path / name).iterdir():
+            assert b"\r" not in path.read_bytes(), path
 
 
 def test_montecarlo_single_run_smoke_budget(tmp_path):
@@ -574,6 +647,17 @@ def test_config_file_values_parse_as_their_flags(tmp_path, capsys, command,
     (key,) = payload
     assert f"config key {key}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_kernels_takes_a_config_file_but_no_out_dir(tmp_path, capsys):
+    # kernels writes nothing, so an output directory is an unknown flag
+    assert main(["kernels", "--out-dir", str(tmp_path / "out")]) == 2
+    assert "unrecognized arguments: --out-dir" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    config = tmp_path / "kernels.json"
+    config.write_text(json.dumps({"beta": 0.81, "rho": 0.9}))
+    assert main(["kernels", "--config", str(config)]) == 0
+    assert "compatible with rho=0.9: no" in capsys.readouterr().out
 
 
 def test_kernels_command_reports_domination(capsys):

@@ -313,6 +313,22 @@ def test_predict_training_consistency():
     np.testing.assert_allclose(got, oracle, atol=1e-8)
 
 
+def test_predict_past_the_fitted_horizon_and_at_no_times():
+    # later samples reconstruct the response out to the furthest lag
+    # they need, so they equal a convolution with that reconstruction
+    rng = np.random.default_rng(9)
+    data = _single_mode_data(rng, 25, rho=0.85)
+    config = PositiveIdConfig(kernel=KernelSpec.tc(0.6), rho=0.85, lam=0.2,
+                              horizon=10)
+    model = identify(config, data)
+    assert model.g.horizon == 10
+    times = np.arange(10, 25)
+    np.testing.assert_array_equal(
+        predict(model, data, times),
+        convolve(model.reconstruct(25), data, times))
+    assert predict(model, data, []).shape == (0,)
+
+
 def test_predict_unit_impulse_model():
     rng = np.random.default_rng(10)
     data = _single_mode_data(rng, 10)

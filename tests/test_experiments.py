@@ -12,6 +12,7 @@ from posid.experiments import (HeatingConfig, McConfig, McProtocol, add_noise,
                                load_heating_data, noise_variance,
                                run_heating, run_monte_carlo, simulate_output,
                                true_system)
+from posid.kernels import KernelSpec, decay_compatible
 from posid.signals import TimeSeriesData, convolve, read_timeseries_csv
 
 
@@ -154,9 +155,6 @@ def test_monte_carlo_method_validation():
     with pytest.raises(ConfigError, match="decay rates"):
         McProtocol(rho_true=1.0)
     # the checks are range tests that NaN fails, not bounds it slips past
-    for omega in (math.nan, math.inf, 0.0):
-        with pytest.raises(ConfigError, match="omega must be positive"):
-            McProtocol(omega=omega)
     for level in (math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError, match="SNR levels must be finite"):
             McProtocol(snr_levels_db=(20.0, level))
@@ -186,9 +184,11 @@ def test_heating_loader_trims_and_validates(tmp_path):
     assert data.n_samples == 700
     assert data.t_start == 0
     short = tmp_path / "short.csv"
-    _write_heating_csv(short, n=10)
-    with pytest.raises(DataError, match="801"):
-        load_heating_data(short)
+    # a record of the trimmed length is rejected too
+    for n in (10, 700):
+        _write_heating_csv(short, n=n)
+        with pytest.raises(DataError, match="801"):
+            load_heating_data(short)
 
 
 def test_heating_run_splits_and_scores(tmp_path):
@@ -205,6 +205,28 @@ def test_heating_run_splits_and_scores(tmp_path):
     assert params["d"] == params["e"], "d and e share the tuned grid point"
     with pytest.raises(ConfigError, match="unknown method"):
         run_heating(path, methods=("q",))
+
+
+def test_heating_positive_method_pinned_and_tuned(tmp_path):
+    # method g's branch: the pinned run fits with the given theta, and a
+    # tuned run searches lam and beta inside their ranges and the coupling
+    path = tmp_path / "heating.csv"
+    _write_heating_csv(path)
+    pinned = run_heating(path, methods=("g",), config=HeatingConfig(
+        rho=0.95, beta=0.8, lam=1e-2, n_g=50))
+    tuned = run_heating(path, methods=("g",), config=HeatingConfig(
+        rho=0.95, n_g=50, tune_budget=4))
+    for report in (pinned, tuned):
+        [(method, fit)] = report.fits
+        assert method == "g" and fit >= 50.0, fit
+    assert pinned.hyperparams == (("g", "rho=0.95 lam=0.01 beta=0.8"),)
+    [(_, note)] = tuned.hyperparams
+    theta = {key: float(value)
+             for key, value in (item.split("=") for item in note.split())}
+    assert theta["rho"] == 0.95
+    assert 1e-6 <= theta["lam"] <= 1e4
+    assert 0.3 <= theta["beta"] <= 0.99
+    assert decay_compatible(KernelSpec.tc(theta["beta"]), theta["rho"])
 
 
 def test_heating_rejects_duplicate_methods(tmp_path):
