@@ -4,7 +4,7 @@ All four estimate a finitely supported response of length ``n_g``:
 
 * ``b``: unregularised least squares, clipped to be nonnegative;
 * ``c``: least squares constrained to the nonnegative orthant, solved
-  as a QP by :func:`posid.qp.solve`;
+  by Lawson & Hanson's NNLS method;
 * ``d``: kernel ridge regression, clipped to be nonnegative;
 * ``e``: kernel ridge constrained to the nonnegative orthant, i.e. the
   main estimator's horizon loop with no dominant part.
@@ -20,8 +20,7 @@ import numpy as np
 
 from . import qp
 from .assembly import input_weight_matrix
-from .errors import ConfigError
-from .estimator import _solve_or_raise
+from .errors import ConfigError, SolverError
 from .extensions import FiniteResponseConfig, identify_finite_response
 from .kernels import KernelSpec, gram, window_kernel
 from .signals import ImpulseResponse, TimeSeriesData
@@ -77,20 +76,52 @@ def ls_clip(data: TimeSeriesData, n_g: int) -> ImpulseResponse:
 def nonneg_ls(data: TimeSeriesData, n_g: int) -> ImpulseResponse:
     """Least squares over the nonnegative orthant.
 
-    Solved as the QP ``min |U g - y|^2`` subject to ``g >= 0`` by
-    :func:`posid.qp.solve`: its dual active-set method and the block
-    pivoting from the rows it holds usually end on the exact NNLS face
-    (the one Lawson-Hanson finds); a rank-deficient ``U`` (more taps than
-    samples) gets a small ridge in the dual method and minimum-norm KKT
-    solves in the pivoting.  Raises :class:`SolverError` when the solve
-    cannot certify the QP, as on 48 of the solver tests' 750 near-square
-    records (``n_g`` within 5 taps of the sample count).
+    Lawson & Hanson's active-set method (*Solving Least Squares
+    Problems*, 1974, ch. 23), warm-started.  The least-squares solve on
+    every tap, re-solved without its nonpositive taps until it is
+    positive, is feasible and stationary on its free taps, so the method
+    starts there rather than at ``g = 0``.  Each outer step frees the zero
+    tap with the largest gradient ``U'(y - U g)``, if that exceeds a
+    tolerance proportional to ``|U|_1 |y|_inf`` (so it does not depend on
+    the units of ``u`` or ``y``); inner steps then move back towards the
+    last point until the solve on the free taps is positive.  Every solve
+    is :func:`posid.qp.min_norm_lstsq` on the free taps.  With more taps
+    than samples (``n_g > n``) the minimisers form a polyhedron, and the
+    answer is a vertex of it, not its minimum-norm point.  Raises
+    :class:`SolverError` after ``3 n_g`` outer steps.
     """
     U = input_weight_matrix(data, n_g)
-    problem = qp.ConvexQP(P=2.0 * (U.T @ U), q=-2.0 * (U.T @ data.outputs),
-                          G=np.eye(n_g), l=np.zeros(n_g))
-    sol = _solve_or_raise(problem)
-    return ImpulseResponse(np.maximum(sol.z, 0.0))
+    y = data.outputs
+
+    def solve_on(free):
+        g = np.zeros(n_g)
+        g[free] = qp.min_norm_lstsq(U[:, free], y)
+        return g
+
+    free = np.ones(n_g, dtype=bool)
+    g = solve_on(free)
+    while np.any(free & (g <= 0.0)):
+        free &= g > 0.0
+        g = solve_on(free)
+    tol = (10.0 * np.finfo(float).eps * max(U.shape)
+           * np.linalg.norm(U, 1) * np.linalg.norm(y, np.inf))
+    for _ in range(3 * n_g):
+        grad = np.where(free, -np.inf, U.T @ (y - U @ g))
+        j = int(np.argmax(grad))
+        if grad[j] <= tol:
+            return ImpulseResponse(g)
+        free[j] = True
+        s = solve_on(free)
+        while np.any(free & (s <= 0.0)):
+            # back along g -> s to where the first free tap reaches zero
+            neg = np.flatnonzero(free & (s <= 0.0))
+            step = g[neg] / (g[neg] - s[neg])
+            g = g + step.min() * (s - g)
+            g[neg[np.argmin(step)]] = 0.0
+            free &= g > 0.0
+            s = solve_on(free)
+        g = s
+    raise SolverError(f"NNLS did not converge in {3 * n_g} outer steps")
 
 
 def ridge_clip(data: TimeSeriesData, n_g: int, lam: float,

@@ -5,10 +5,11 @@ the synthetic Monte Carlo study, the heating evaluation, prediction from
 a stored impulse response, and kernel diagnostics.  A command writes
 its artifacts in one step after its run, through :func:`_write_outputs`,
 each to a temporary file renamed into place, so a run that fails leaves
-neither an artifact nor its output directory behind.  Two writes come
+neither an artifact nor its output directory behind.  One write comes
 before the run: the ``--dump-qp`` archive, a debugging aid that is most
-useful when the fit then fails, and the record that ``heating --format
-daisy`` converts, which the run reads.  An output path that cannot be
+useful when the fit then fails.  The record that ``heating --format
+daisy`` converts is read by the run from a temporary directory and
+written with the run's artifacts.  An output path that cannot be
 written is a configuration error, and an output directory that cannot
 be made is found before the run (see :func:`_check_out_dir`).
 
@@ -27,6 +28,7 @@ import json
 import os
 import pathlib
 import sys
+import tempfile
 
 from .assembly import assemble_core, assemble_polynomial_blocks
 from .baselines import BaselineKind, run_baseline
@@ -265,19 +267,22 @@ def _heating_cmd(args) -> int:
     config = HeatingConfig(rho=args.rho, beta=args.beta, lam=args.lam,
                            n_g=args.n_g, tune_budget=args.budget,
                            a_min=args.a_min)
-    path = args.data
-    if args.format == "daisy":
-        # the run reads the converted record, so it is written first
-        name = "heating_converted.csv"
-        _write_outputs(args.out_dir, {
-            name: lambda tmp: convert_daisy_whitespace(args.data, tmp)})
-        path = os.path.join(args.out_dir, name)
-    report = run_heating(path, tuple(args.methods), config)
+    files = {}
+    with tempfile.TemporaryDirectory() as work:
+        path = args.data
+        if args.format == "daisy":
+            # the run reads the converted record, which is kept with its
+            # artifacts
+            path = os.path.join(work, "heating_converted.csv")
+            convert_daisy_whitespace(args.data, path)
+            files["heating_converted.csv"] = _text(
+                pathlib.Path(path).read_text(encoding="ascii"))
+        report = run_heating(path, tuple(args.methods), config)
     rows = [[method, _fmt(fit)] for method, fit in report.fits]
     meta = {"n_train": report.n_train, "n_test": report.n_test,
             "hyperparams": dict(report.hyperparams)}
     _write_outputs(args.out_dir, {
-        "heating_fits.csv": _csv(["method", "fit"], rows),
+        **files, "heating_fits.csv": _csv(["method", "fit"], rows),
         "heating_meta.json": _json(meta)})
     for method, fit in report.fits:
         print(f"method {method}: test fit {fit:.1f}")

@@ -288,16 +288,6 @@ def compute_m0(kernel: KernelSpec, lam: float, basis: DominantBasis,
                               basis.a_min, lam)
 
 
-def _solve_or_raise(problem: qp.ConvexQP) -> qp.QPSolution:
-    sol = qp.solve(problem)
-    if sol.status != qp.OPTIMAL:
-        raise SolverError(
-            f"inner QP did not converge: status {sol.status}, primal "
-            f"{sol.primal_residual:.3e}, dual {sol.dual_residual:.3e}, "
-            f"gap {sol.gap:.3e}")
-    return sol
-
-
 def _fit_basis(kernel: KernelSpec, lam: float, data: TimeSeriesData,
                basis: DominantBasis, horizon: int | None) -> dict:
     """The constraint-horizon loop shared by every estimator.
@@ -323,7 +313,12 @@ def _fit_basis(kernel: KernelSpec, lam: float, data: TimeSeriesData,
     m = initial_constraint_horizon(data) if p else m0 - 1
     for iterations in itertools.count(1):
         mats = assemble_core(kernel, data, m)
-        sol = _solve_or_raise(build_qp(lam, mats, basis))
+        sol = qp.solve(build_qp(lam, mats, basis))
+        if sol.status != qp.OPTIMAL:
+            raise SolverError(
+                f"inner QP did not converge: status {sol.status}, primal "
+                f"{sol.primal_residual:.3e}, dual {sol.dual_residual:.3e}, "
+                f"gap {sol.gap:.3e}")
         coeffs, w = sol.z[:p], sol.z[p:]
         check_len = max(m0, horizon, m + 1)
         h = reconstruct_h(w, mats.sections, kernel, check_len)

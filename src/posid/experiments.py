@@ -333,7 +333,7 @@ class HeatingConfig:
     Any of ``rho``/``beta``/``lam`` left as ``None`` triggers a hold-out
     grid search over the missing axes before the final training pass,
     with ``rho`` in (0.5, 0.999), ``lam`` in (1e-6, 1e4) and ``beta`` in
-    (0.3, 0.99).
+    (0.3, 0.99).  Every setting is checked here, before any run starts.
     """
 
     rho: float | None = None
@@ -342,6 +342,17 @@ class HeatingConfig:
     n_g: int = 200
     tune_budget: int = 24
     a_min: float = 1e-6
+
+    def __post_init__(self) -> None:
+        if self.rho is not None and not 0.0 < self.rho < 1.0:
+            raise ConfigError(f"rho must lie in (0, 1), got {self.rho}")
+        if self.beta is not None:
+            KernelSpec.tc(self.beta)
+        for name in ("lam", "n_g", "tune_budget", "a_min"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(
+                    f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)

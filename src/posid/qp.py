@@ -5,9 +5,10 @@ Solves
     minimize    0.5 * z' P z + q' z
     subject to  G z >= l
 
-with at least one inequality row (every estimator's QP carries its
-positivity rows; a problem without rows is rejected).  Every solve works
-on a column-, row- and cost-scaled copy of the problem, in two stages:
+with ``P`` positive definite and at least one inequality row (every
+estimator's QP carries its positivity rows; a problem without rows is
+rejected).  Every solve works on a column-, row- and cost-scaled copy of
+the problem, in two stages:
 
 1. Goldfarb & Idnani's finite dual active-set method starts from the
    unconstrained minimiser and adds the most violated row at each step
@@ -17,12 +18,12 @@ on a column-, row- and cost-scaled copy of the problem, in two stages:
    dual method holds with positive multipliers.  Each round is one
    active-set polish: the KKT point with the rows of the current active
    set held as equalities.  A round over the empty active set is the
-   unconstrained minimiser ``P z = -q``: at full numerical rank, the
-   dual method's start, solved once by two triangular solves with the
-   pivoted Cholesky factor that :class:`ConvexQP` keeps; otherwise,
-   like every other round, a minimum-norm least-squares solve (LAPACK
-   ``gelsy``, numerical rank cut at ``eps * max(shape)``).  The answer
-   is the accepted round, or else the dual method's last point.
+   unconstrained minimiser ``P z = -q``, the dual method's start, solved
+   once by two triangular solves with the pivoted Cholesky factor that
+   :class:`ConvexQP` keeps.  Every other round is a minimum-norm
+   least-squares solve (LAPACK ``gelsy``, numerical rank cut at ``eps *
+   max(shape)``), since flips can make the active rows dependent.  The
+   answer is the accepted round, or else the dual method's last point.
 
 Every solve has one certificate, in the original units: primal and dual
 residuals at most ``_TOL_FEAS`` (times ``1 + |l|_inf`` and ``1 +
@@ -62,10 +63,6 @@ MAX_ITERATIONS = "max_iterations"
 POLISH = "polish"
 DUAL = "dual"
 
-# Negative eigenvalues of the trailing Schur complement of the
-# Jacobi-scaled P, whose positive diagonal entries are 1, down to this
-# size are roundoff; a more negative one rejects P.
-_PSD_RTOL = 1e-8
 # Pivoting gives up at the second round in a row whose infeasible-row
 # count is not below its best so far.  One such round is let pass because
 # a block flip can overshoot and the next round still finish; a second
@@ -103,46 +100,37 @@ class _JacobiFactor:
     Cholesky factor.
 
     ``col`` is the diagonal of ``D``: ``P[i, i] ** -0.5`` where that is
-    positive and 1 elsewhere.  ``Pc[piv][:, piv] = U' U`` on the leading
-    ``rank`` rows of ``U`` (LAPACK ``dpstrf`` at its default tolerance
-    ``d * eps * max diag Pc``); only those rows, in the upper triangle,
-    hold the factor.  At full rank it gives the unconstrained minimiser
-    and drives the dual active-set method.
+    positive and 1 elsewhere.  ``Pc[piv][:, piv] = U' U`` with ``U`` in
+    the upper triangle (LAPACK ``dpstrf`` at its default tolerance ``d *
+    eps * max diag Pc``).  It gives the unconstrained minimiser and drives
+    the dual active-set method.
     """
 
     col: np.ndarray
     Pc: np.ndarray
     U: np.ndarray
     piv: np.ndarray
-    rank: int
 
     @classmethod
     def of(cls, P: np.ndarray) -> "_JacobiFactor":
-        """Scale and factor a symmetric ``P``; raise unless it is PSD.
+        """Scale and factor a symmetric ``P``; raise unless the factor
+        has full rank, which proves ``P`` positive definite.
 
-        A full-rank factor proves ``P`` positive definite.  Otherwise the
-        trailing Schur complement ``S = Pc[t, t] - U12' U12`` of the
-        unpivoted indices ``t`` decides: ``P`` is rejected when an
-        eigenvalue of ``S`` is below ``-_PSD_RTOL``.  ``D`` and the
-        pivoting are congruences, so they keep the inertia of ``P``.
+        ``D`` and the pivoting are congruences, so they keep the inertia
+        of ``P``.
         """
         pdiag = np.diag(P)
         col = np.where(pdiag > 0.0, pdiag, 1.0) ** -0.5
         Pc = P * (col[:, None] * col[None, :])
         U, piv, rank, _ = scipy.linalg.lapack.dpstrf(Pc)
-        piv = piv - 1
         if rank < P.shape[0]:
-            t = piv[rank:]
-            U12 = U[:rank, rank:]
-            low = np.linalg.eigvalsh(Pc[np.ix_(t, t)] - U12.T @ U12)[0]
-            if low < -_PSD_RTOL:
-                raise ConfigError(
-                    f"P is not positive semidefinite (Jacobi-scaled Schur "
-                    f"complement eigenvalue {low:.3e})")
-        return cls(col=col, Pc=Pc, U=U, piv=piv, rank=int(rank))
+            raise ConfigError(
+                f"P is not positive definite (Jacobi-scaled pivoted "
+                f"Cholesky rank {rank} of {P.shape[0]})")
+        return cls(col=col, Pc=Pc, U=U, piv=piv - 1)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """``Pc^-1 b`` by two triangular solves; needs full rank."""
+        """``Pc^-1 b`` by two triangular solves."""
         y = scipy.linalg.solve_triangular(self.U, b[self.piv], trans="T",
                                           check_finite=False)
         x = np.empty_like(b)
@@ -160,12 +148,10 @@ class ConvexQP:
     residual by ``1 + |l|_inf``, and every estimator's QP has rows.
     A zero row of ``G`` with a positive bound can never hold, so it is
     rejected too, and so is a problem without variables.
-    ``P`` is symmetrised on construction and must be positive
-    semidefinite up to roundoff.  The test is scale-free: ``P`` is
-    Jacobi-scaled to ``Pc = D P D`` (unit diagonal where ``P``'s is
-    positive) and factored by one pivoted Cholesky; a full-rank factor
-    accepts ``P``, and otherwise ``P`` is rejected when its trailing Schur
-    complement has an eigenvalue below ``-1e-8`` (see
+    ``P`` is symmetrised on construction and must be positive definite.
+    The test is scale-free: ``P`` is Jacobi-scaled to ``Pc = D P D``
+    (unit diagonal where ``P``'s is positive) and factored by one pivoted
+    Cholesky, and a factor of rank below ``d`` rejects ``P`` (see
     :class:`_JacobiFactor`).  The instance keeps the scaling and the
     factor for :func:`solve`, so ``P`` must not be rebound or written
     after construction.
@@ -320,7 +306,7 @@ def solve(problem: ConvexQP) -> QPSolution:
     """
     # Jacobi column scaling, on every problem: kernel-section curvature
     # can span dozens of orders of magnitude along the diagonal.  The
-    # problem built it, and factored it, in its PSD test.
+    # problem built it, and factored it, in its definiteness test.
     factor = problem._factor
     col, Pc = factor.col, factor.Pc
     qc = problem.q * col
@@ -330,10 +316,9 @@ def solve(problem: ConvexQP) -> QPSolution:
                      float(np.max(np.abs(qc), initial=0.0)))
     scaled = (Pc / cost_scale, qc / cost_scale, Gs, ls)
 
-    # With a full-rank factor, the unconstrained minimiser -Ps^-1 qs is
-    # -Pc^-1 qc, solved once: the dual method's start and pivoting's round
-    # over the empty mask.
-    free = factor.solve(-qc) if factor.rank == problem.dim else None
+    # The unconstrained minimiser -Ps^-1 qs is -Pc^-1 qc, solved once: the
+    # dual method's start and pivoting's round over the empty mask.
+    free = factor.solve(-qc)
     zs, lams, steps = _dual_active_set(scaled, factor, cost_scale, free)
 
     def certify(zp, lp, rounds, path=POLISH):
@@ -346,16 +331,14 @@ def solve(problem: ConvexQP) -> QPSolution:
 
 
 def _dual_active_set(scaled, factor: _JacobiFactor, cost_scale: float,
-                     free: np.ndarray | None):
+                     free: np.ndarray):
     """Goldfarb & Idnani's dual active-set method on the scaled problem.
 
-    ``Ps = L L'`` with ``L^-1 b = scale U^-T b[piv]``: at full rank ``U``
-    is the problem's own factor and ``scale = sqrt(cost_scale)``, and
-    otherwise ``U`` is the Cholesky factor of ``Ps + reg I``.  From the
-    minimiser ``-Ps^-1 qs`` (at full rank the caller's ``free``, solved
-    with the problem's factor; ``None`` otherwise), each step moves
-    towards the most violated inactive row ``p`` with every multiplier
-    kept nonnegative (Math. Programming 27, 1983).  The thin QR ``Q R``
+    ``Ps = L L'`` with ``L^-1 b = scale U^-T b[piv]``, where ``U`` is the
+    problem's own factor and ``scale = sqrt(cost_scale)``.  From the
+    caller's minimiser ``free = -Ps^-1 qs``, each step moves towards the
+    most violated inactive row ``p`` with every multiplier kept
+    nonnegative (Math. Programming 27, 1983).  The thin QR ``Q R``
     of ``L^-1 N`` for the active normals ``N``, redone whenever the
     active set changes, and ``v = Q' L^-1 n_p`` give the primal
     direction ``L^-T Q2 v2`` and the fall ``R^-1 v1`` of the active
@@ -364,32 +347,21 @@ def _dual_active_set(scaled, factor: _JacobiFactor, cost_scale: float,
     and that row leaves.  The method ends when no row is violated, when
     no step exists, at the step cap or at a non-finite direction.
     Returns the last point, its multipliers (``p``'s included) and the
-    steps taken: the origin and 0 if it cannot start.
+    steps taken: the origin and 0 if ``free`` is not finite.
     """
-    Ps, qs, Gs, ls = scaled
+    _, qs, Gs, ls = scaled
     d = qs.size
     z, lam = np.zeros(d), np.zeros(ls.size)
-    if factor.rank == d:
-        U, piv, scale = factor.U, factor.piv, np.sqrt(cost_scale)
-    else:
-        reg = 1e-12 * (1.0 + float(np.trace(Ps)) / d)
-        try:
-            U = scipy.linalg.cholesky(Ps + reg * np.eye(d), check_finite=False)
-        except np.linalg.LinAlgError:
-            # P passed the PSD test with an eigenvalue below -reg
-            return z, lam, 0
-        piv, scale = np.arange(d), 1.0
+    if not np.isfinite(free).all():
+        return z, lam, 0
+    U, piv, scale = factor.U, factor.piv, np.sqrt(cost_scale)
     tri = partial(scipy.linalg.solve_triangular, U, check_finite=False)
     back = np.argsort(piv)
 
     def lsolve(b):
         return scale * tri(b[piv], trans="T")  # L^-1 b
 
-    # -L^-T L^-1 qs, unless the caller solved it
-    start = scale * tri(-lsolve(qs))[back] if free is None else free
-    if not np.isfinite(start).all():
-        return z, lam, 0
-    z, active, p = start, np.zeros(0, dtype=int), None
+    z, active, p = free, np.zeros(0, dtype=int), None
     for steps in range(_STEPS_PER_VARIABLE * d):
         if p is None:
             slack = Gs @ z - ls
@@ -432,7 +404,7 @@ def _dual_active_set(scaled, factor: _JacobiFactor, cost_scale: float,
 
 
 def _pivot(scaled, active: np.ndarray, certify,
-           free: np.ndarray | None) -> tuple[QPSolution | None, int]:
+           free: np.ndarray) -> tuple[QPSolution | None, int]:
     """Block principal pivoting over active sets from the mask ``active``.
 
     Each round polishes the current active set (:func:`_polish`, which
@@ -480,23 +452,22 @@ def _pivot(scaled, active: np.ndarray, certify,
 
 
 def _polish(scaled, active: np.ndarray, certify,
-            free: np.ndarray | None) -> QPSolution | None:
+            free: np.ndarray) -> QPSolution | None:
     """Equality-KKT solve with the rows of the mask ``active`` held tight.
 
     Works on the scaled problem ``scaled = (Ps, qs, Gs, ls)``.  With no
-    active row the answer is the unconstrained minimiser, ``free`` when
-    given (solved with the full-rank factor the problem keeps).  Every
-    other system is solved by :func:`min_norm_lstsq`, because ``P`` from
-    Gram assembly can be numerically singular.  ``certify(z, lam)`` gets
-    the raw KKT multipliers, negative ones included (0 on inactive rows),
-    so pivoting can read their signs; it maps the answer back, certifies
+    active row the answer is the unconstrained minimiser ``free``.  Every
+    other system is solved by :func:`min_norm_lstsq`, because the active
+    rows can be dependent.  ``certify(z, lam)`` gets the raw KKT
+    multipliers, negative ones included (0 on inactive rows), so
+    pivoting can read their signs; it maps the answer back, certifies
     it in the original units (:func:`_finish` clips the multipliers at
     zero) and returns the solution record, or ``None`` to reject it.
     Returns ``None`` also when the solve is not finite.
     """
     Ps, qs, Gs, ls = scaled
     d = qs.size
-    if free is not None and not active.any():
+    if not active.any():
         sol = free
     else:
         Ga = Gs[active]

@@ -136,7 +136,7 @@ def _check_split_range(split: SplitSpec, data: TimeSeriesData) -> None:
 
 def validation_score(theta: ThetaPoint, data: TimeSeriesData,
                      split: SplitSpec, kind: str,
-                     **config_kwargs) -> float:
+                     a_min: float = 1e-6) -> float:
     """Mean squared hold-out prediction error of one candidate.
 
     A split index past the data's samples raises ``ConfigError`` before
@@ -147,7 +147,7 @@ def validation_score(theta: ThetaPoint, data: TimeSeriesData,
     _check_split_range(split, data)
     try:
         config = PositiveIdConfig(kernel=theta.kernel(kind), rho=theta.rho,
-                                  lam=theta.lam, **config_kwargs)
+                                  lam=theta.lam, a_min=a_min)
         train = data.restrict(split.train_indices)
         model = identify(config, train)
         times = data.sample_times[split.validation_indices]
@@ -226,15 +226,15 @@ def _random_candidates(space: HyperparamSpace, budget: int,
 
 def tune(space: HyperparamSpace, data: TimeSeriesData,
          split: SplitSpec | None = None, budget: int = 16,
-         strategy: str = "grid", seed=0, **config_kwargs) -> TuneResult:
+         strategy: str = "grid", seed=0, a_min: float = 1e-6) -> TuneResult:
     """Search the space and return the best-scoring candidate.
 
     ``strategy`` is ``"grid"`` (default) or ``"random"``.  Candidates
     violating the decay/pole coupling are never evaluated.  Ties keep the
     earliest candidate, making the result deterministic for a fixed seed.
     A split index past the data's samples raises ``ConfigError``, and so
-    does a ``config_kwargs`` setting that :class:`PositiveIdConfig`
-    rejects, before any candidate is scored.
+    does an ``a_min`` that :class:`PositiveIdConfig` rejects, before any
+    candidate is scored; every candidate is fitted with that ``a_min``.
     """
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
@@ -252,17 +252,16 @@ def tune(space: HyperparamSpace, data: TimeSeriesData,
         candidates = _random_candidates(space, budget, seed)
     else:
         raise ConfigError(f"unknown strategy {strategy!r}")
-    # A bad run-level setting would fail every candidate alike, each
-    # scored inf; build one config here so its own error surfaces.
+    # A bad a_min would fail every candidate alike, each scored inf;
+    # build one config here so its own error surfaces.
     first = candidates[0]
     PositiveIdConfig(kernel=first.kernel(space.kind), rho=first.rho,
-                     lam=first.lam, **config_kwargs)
+                     lam=first.lam, a_min=a_min)
     trace = []
     best_idx = -1
     best_score = math.inf
     for i, theta in enumerate(candidates):
-        score = validation_score(theta, data, split, space.kind,
-                                 **config_kwargs)
+        score = validation_score(theta, data, split, space.kind, a_min)
         trace.append((theta, score))
         if score < best_score:
             best_idx, best_score = i, score

@@ -1,6 +1,4 @@
 """Baseline estimator tests against closed-form least-squares oracles."""
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -77,9 +75,9 @@ def test_nonneg_ls_objective_never_worse_than_clipping():
 
 @pytest.mark.parametrize("seed", range(22))
 def test_nonneg_ls_matches_scipy_nnls(seed):
-    # scipy's Lawson-Hanson NNLS is exact; the QP route must reach its
-    # objective and the NNLS optimality conditions to within the duality
-    # gap the solver certifies, _TOL_GAP * (1 + |objective|), where the QP
+    # scipy's Lawson-Hanson NNLS is exact; nonneg_ls must reach its
+    # objective and the NNLS optimality conditions to within the gap the
+    # QP solver certifies, _TOL_GAP * (1 + |objective|), where the QP
     # objective is |U g - y|^2 - |y|^2; the last two records have more
     # taps than samples
     rng = np.random.default_rng(100 + seed)
@@ -102,19 +100,43 @@ def test_nonneg_ls_matches_scipy_nnls(seed):
 
 
 def test_nonneg_ls_raises_when_the_qp_does_not_converge(monkeypatch):
-    # an unconverged iterate must not be clipped and returned as an
-    # estimate
+    # an unconverged iterate must not be returned as an estimate: with
+    # least-squares solves that make no progress, each outer step frees
+    # the same tap and drops it again, and the method stops at its cap of
+    # 3 n_g outer steps, after two solves each and two to warm-start
     rng = np.random.default_rng(2)
     data = _fir_data(rng, 50, np.array([0.8, 0.4, 0.1]), noise=0.5)
-    real_solve = qp.solve
+    solves = []
 
-    def stalled(problem):
-        return dataclasses.replace(real_solve(problem),
-                                   status=qp.MAX_ITERATIONS)
+    def no_progress(a, b):
+        solves.append(a.shape)
+        return -np.ones(a.shape[1])
 
-    monkeypatch.setattr(qp, "solve", stalled)
-    with pytest.raises(SolverError, match="max_iterations"):
+    monkeypatch.setattr(qp, "min_norm_lstsq", no_progress)
+    with pytest.raises(SolverError, match="9 outer steps"):
         nonneg_ls(data, 3)
+    assert len(solves) == 2 + 2 * 9
+
+
+def test_nonneg_ls_matches_scipy_nnls_on_near_square_records():
+    # 750 records of 25-39 samples whose binary Toeplitz U has within 5
+    # taps as many columns, so U'U is singular or nearly so: every answer
+    # is nonnegative and within 1e-6 |y|^2 of scipy's Lawson-Hanson NNLS,
+    # compared on the residuals
+    rng = np.random.default_rng(2024)
+    for draw in range(750):
+        n = int(rng.integers(25, 40))
+        n_g = n + int(rng.integers(-5, 6))
+        u = _prbs(rng, n)
+        U = scipy.linalg.toeplitz(u, np.zeros(n_g))
+        g = np.abs(rng.standard_normal(n_g)) * 0.8 ** np.arange(n_g)
+        g[rng.random(n_g) < 0.3] = 0.0
+        y = U @ g + 0.3 * rng.standard_normal(n)
+        z = nonneg_ls(TimeSeriesData.at_rest(u, y), n_g).values
+        oracle, _ = scipy.optimize.nnls(U, y)
+        excess = np.sum((U @ z - y) ** 2) - np.sum((U @ oracle - y) ** 2)
+        assert z.min() >= 0.0, f"draw {draw}"
+        assert excess <= 1e-6 * (y @ y), f"draw {draw}: {excess:.3e}"
 
 
 def test_ridge_matches_normal_equations():

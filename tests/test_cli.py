@@ -175,6 +175,30 @@ def test_montecarlo_rejects_bad_settings_before_any_run(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n-g", "0", "n_g must be positive"),
+    ("--budget", "0", "tune_budget must be positive"),
+    ("--a-min", "-1", "a_min must be positive"),
+    ("--rho", "1.5", "rho must lie in (0, 1)"),
+    ("--beta", "1.0", "beta must lie in [0, 1)"),
+    ("--lam", "0", "lam must be positive"),
+], ids=["n-g", "budget", "a-min", "rho", "beta", "lam"])
+def test_heating_rejects_bad_settings_before_any_run(
+        tmp_path, capsys, monkeypatch, flag, value, message):
+    def no_run(*args):
+        raise AssertionError("the heating run started")
+
+    monkeypatch.setattr(cli, "run_heating", no_run)
+    data = tmp_path / "data.csv"
+    _single_mode_csv(data)
+    out = tmp_path / "out"
+    code = main(["heating", "--data", str(data), "--methods", "g", "b",
+                 flag, value, "--out-dir", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, code", [
     (["identify", "--data", "{data}", "--lam", "nan"], 2),
     (["identify", "--data", "{data}", "--beta", "0.95", "--rho", "0.9"], 2),
@@ -182,18 +206,26 @@ def test_montecarlo_rejects_bad_settings_before_any_run(
     (["montecarlo", "--runs", "2", "--n-d", "30", "--snr", "nan",
       "--workers", "1", "--methods", "b"], 2),
     (["heating", "--data", "{short}", "--methods", "b"], 3),
+    (["heating", "--data", "{wide}", "--format", "daisy"], 3),
+    (["heating", "--data", "{table}", "--format", "daisy", "--methods", "b",
+      "b"], 2),
     (["predict", "--impulse", "{impulse}", "--data", "{data}",
       "--times", "500"], 3),
 ], ids=["identify-lam-nan", "identify-coupling", "tune-rho-range",
-        "montecarlo-snr-nan", "heating-short-record", "predict-times"])
+        "montecarlo-snr-nan", "heating-short-record", "heating-daisy-columns",
+        "heating-daisy-methods", "predict-times"])
 def test_rejected_run_leaves_no_output_dir(tmp_path, argv, code):
     # artifacts are written only after the run, so a run refused for its
-    # settings or its data does not make its output directory
+    # settings or its data does not make its output directory; the record
+    # that heating converts from a daisy table is one of them
     paths = {"data": tmp_path / "data.csv", "short": tmp_path / "short.csv",
-             "impulse": tmp_path / "impulse.csv"}
+             "impulse": tmp_path / "impulse.csv",
+             "wide": tmp_path / "wide.dat", "table": tmp_path / "table.dat"}
     _single_mode_csv(paths["data"])
     _single_mode_csv(paths["short"], n=60)
     write_impulse_csv(paths["impulse"], ImpulseResponse(np.ones(5)))
+    paths["wide"].write_text("1 2 3 4\n5 6 7 8\n", encoding="ascii")
+    paths["table"].write_text("1 2\n3 4\n", encoding="ascii")
     out = tmp_path / "out"
     argv = [arg.format(**paths) for arg in argv]
     assert main(argv + ["--out-dir", str(out)]) == code

@@ -173,24 +173,6 @@ def _assert_finite_with_honest_status(problem, sol):
                         sol.gap]).all()
 
 
-def test_nonfinite_newton_matrix_gets_no_factor():
-    # the dual method factors the QP's Newton matrix, Ps + reg I when the
-    # problem's own factor is rank-deficient; an overflowed entry in it,
-    # or roundoff that leaves it indefinite, is a failed factor, not an
-    # error escaping the solver: the method returns the origin, zero
-    # multipliers and no step
-    factor = ConvexQP(P=np.diag([1.0, 0.0]), q=np.zeros(2),
-                      G=np.eye(2), l=np.ones(2))._factor
-    assert factor.rank == 1
-    overflowed = np.array([[1.0, np.inf], [np.inf, 1.0]])
-    for Ps in (overflowed, np.diag([1.0, -1.0])):
-        z, lam, steps = qp._dual_active_set(
-            (Ps, -np.ones(2), np.eye(2), np.ones(2)), factor, 1.0, None)
-        assert steps == 0
-        np.testing.assert_array_equal(z, 0.0)
-        np.testing.assert_array_equal(lam, 0.0)
-
-
 def test_nonfinite_newton_matrix_ends_the_solve(monkeypatch):
     # an overflowed entry in the triangular factor of the Newton matrix
     # makes the solve's result non-finite
@@ -200,22 +182,6 @@ def test_nonfinite_newton_matrix_ends_the_solve(monkeypatch):
         return real(a, b, **kwargs)
 
     _assert_ends_at_the_faulty_step(monkeypatch, 1, overflowed)
-
-
-def test_dual_method_without_a_factor_gives_a_finite_answer(monkeypatch):
-    # P = diag(1, -1e-9) passes the PSD test (its negative eigenvalue is
-    # above -1e-8) but the ridge of the dual method, about 1.5e-12, does
-    # not make it definite: the dual method cannot start, and the solve
-    # reports its start, the origin, as a finite, uncertified answer
-    _skip_to_fallback(monkeypatch)
-    problem = ConvexQP(P=np.diag([1.0, -1e-9]), q=np.zeros(2),
-                       G=np.array([[1.0, 0.0]]), l=np.array([1.0]))
-    assert problem._factor.rank == 1
-    sol = solve(problem)
-    assert (sol.status, sol.path, sol.iterations) == (
-        "max_iterations", "dual", 0)
-    np.testing.assert_array_equal(sol.z, 0.0)
-    _assert_finite_with_honest_status(problem, sol)
 
 
 def test_kkt_certificate_small_residuals():
@@ -331,6 +297,13 @@ def test_validation_errors():
     # indefinite P must be rejected
     with pytest.raises(ConfigError):
         ConvexQP(P=np.diag([1.0, -1.0]), q=np.zeros(2), **rows)
+    # so must a singular one, with the rank of its factor named
+    B = np.random.default_rng(3).standard_normal((5, 2))
+    rows5 = {"G": np.eye(5), "l": np.full(5, -1.0)}
+    for P, rank in ((B @ B.T, 2), (np.zeros((5, 5)), 0)):
+        with pytest.raises(ConfigError,
+                           match=f"not positive definite .*rank {rank} of 5"):
+            ConvexQP(P=P, q=np.zeros(5), **rows5)
     # a QP without variables is rejected
     with pytest.raises(ConfigError, match="at least one variable"):
         ConvexQP(P=np.zeros((0, 0)), q=np.zeros(0), G=np.zeros((1, 0)),
@@ -340,9 +313,9 @@ def test_validation_errors():
         ConvexQP(P=np.eye(2), q=np.zeros(2), G=np.zeros((0, 2)),
                  l=np.zeros(0))
     # non-symmetric P is accepted but symmetrised
-    problem = ConvexQP(P=np.array([[1.0, 2.0], [0.0, 1.0]]), q=np.zeros(2),
+    problem = ConvexQP(P=np.array([[2.0, 2.0], [0.0, 2.0]]), q=np.zeros(2),
                        **rows)
-    np.testing.assert_allclose(problem.P, [[1.0, 1.0], [1.0, 1.0]])
+    np.testing.assert_allclose(problem.P, [[2.0, 1.0], [1.0, 2.0]])
 
 
 def _nonnegativity_box():
@@ -431,30 +404,6 @@ def test_inactive_rows_return_the_unconstrained_minimiser(monkeypatch,
     assert [steps for _, (_, _, steps) in dual] == [0] * 10
 
 
-def test_free_minimiser_of_a_singular_p_is_minimum_norm(monkeypatch):
-    # P = B B' has rank 3 and a unit diagonal, so the Jacobi column
-    # scaling is the identity and the polish's minimum-norm solve is the
-    # minimum-norm minimiser in the original units; q lies in the range
-    # of P and every row is slack by 1 or more there
-    rng = np.random.default_rng(5)
-    B = rng.standard_normal((6, 3))
-    B /= np.linalg.norm(B, axis=1, keepdims=True)
-    P = B @ B.T
-    q = P @ rng.standard_normal(6)
-    z_star = -np.linalg.pinv(P) @ q
-    G = rng.standard_normal((4, 6))
-    l = G @ z_star - 1.0 - rng.random(4)
-    problem = ConvexQP(P=P, q=q, G=G, l=l)
-    assert problem._factor.rank == 3
-    lstsq = _record_calls(monkeypatch, "min_norm_lstsq")
-    sol = solve(problem)
-    assert (sol.status, sol.path, sol.iterations) == ("optimal", "polish", 0)
-    np.testing.assert_allclose(sol.z, z_star,
-                               rtol=0, atol=1e-10 * np.linalg.norm(z_star))
-    # a rank-deficient factor leaves the minimiser to min_norm_lstsq
-    assert [args[0].shape for args, _ in lstsq] == [(6, 6)]
-
-
 def _tiny_row_qp():
     # 1e-9 * z0 >= 1e-9 * 0.1 cuts the free minimiser 0 off by 0.1 in
     # its own units, but only by 1e-10 in the certificate's, inside
@@ -530,59 +479,21 @@ def test_identify_with_no_binding_row_runs_no_newton_step(monkeypatch):
     assert [steps for _, (_, _, steps) in dual] == [0] * diag.iterations
 
 
-def test_nonneg_ls_of_the_monte_carlo_record_lands_on_the_nnls_face(
-        monkeypatch):
+def test_nonneg_ls_of_the_monte_carlo_record_lands_on_the_nnls_face():
     # baseline c on the seed-1 Monte Carlo record, 200 samples and 125
-    # taps: the dual method adds the binding taps and the polish of its
-    # rows is the exact NNLS face, the one scipy's Lawson-Hanson solver
-    # finds
+    # taps, and the same problem as the QP (2 U'U, -2 U'y, I, 0): the
+    # dual method adds the binding taps, and the polish of its rows is
+    # the exact NNLS face, the one scipy's Lawson-Hanson solver finds
     _, data = _seed1_mc_record()
-    solves = _record_calls(monkeypatch, "solve")
-    g = nonneg_ls(data, 125).values
-    [((problem,), sol)] = solves
-    assert problem.G.shape == (125, 125)
+    U = input_weight_matrix(data, 125)
+    sol = solve(ConvexQP(P=2.0 * (U.T @ U), q=-2.0 * (U.T @ data.outputs),
+                         G=np.eye(125), l=np.zeros(125)))
     assert (sol.status, sol.path, sol.iterations, sol.rounds) == (
         "optimal", "polish", 6, 1)
-    oracle, _ = scipy.optimize.nnls(input_weight_matrix(data, 125),
-                                    data.outputs)
-    np.testing.assert_allclose(g, oracle, rtol=0, atol=1e-9)
-
-
-# Uncertified answers of the near-square NNLS fuzz below, a ratchet: a
-# change that certifies more of them lowers it.
-NNLS_FUZZ_UNCERTIFIED = 48
-
-
-def test_certified_near_square_nnls_answers_match_scipy_nnls():
-    # 750 NNLS QPs (2 U'U, -2 U'y, I, 0), where U is the binary Toeplitz
-    # matrix of 25-39 samples and has within 5 taps as many columns, so
-    # U'U is singular or nearly so.  A dual residual within tolerance
-    # does not bound the objective on such a P: every answer certified
-    # optimal must still be within 1e-6 |y|^2 of scipy's Lawson-Hanson
-    # NNLS, which is exact
-    rng = np.random.default_rng(2024)
-    uncertified = 0
-    for draw in range(750):
-        n = int(rng.integers(25, 40))
-        n_g = n + int(rng.integers(-5, 6))
-        u = rng.choice([-1.0, 1.0], size=n)
-        U = scipy.linalg.toeplitz(u, np.zeros(n_g))
-        g = np.abs(rng.standard_normal(n_g)) * 0.8 ** np.arange(n_g)
-        g[rng.random(n_g) < 0.3] = 0.0
-        y = U @ g + 0.3 * rng.standard_normal(n)
-        problem = ConvexQP(P=2.0 * (U.T @ U), q=-2.0 * (U.T @ y),
-                           G=np.eye(n_g), l=np.zeros(n_g))
-        sol = solve(problem)
-        if sol.status != "optimal":
-            uncertified += 1
-            continue
-        oracle, _ = scipy.optimize.nnls(U, y)
-        # compared on the residuals: the objective through P cancels
-        # badly on the large null-space coefficients of a square U
-        excess = (np.sum((U @ sol.z - y) ** 2)
-                  - np.sum((U @ oracle - y) ** 2))
-        assert excess <= 1e-6 * (y @ y), f"draw {draw}: {excess:.3e}"
-    assert uncertified <= NNLS_FUZZ_UNCERTIFIED
+    oracle, _ = scipy.optimize.nnls(U, data.outputs)
+    np.testing.assert_allclose(sol.z, oracle, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(nonneg_ls(data, 125).values, oracle,
+                               rtol=0, atol=1e-9)
 
 
 def _qps_of(fit, records):
@@ -676,22 +587,19 @@ def test_row_scaling_leaves_the_answer_unchanged(row):
 
 
 def test_full_rank_identify_qp_factors_p_once(monkeypatch):
-    # the first QP of the seed-1 n=200 fit has a full-rank P and no
-    # binding row: one pivoted Cholesky both proves P definite and gives
-    # the certified minimiser, with no eigenvalue or least-squares solve
+    # the first QP of the seed-1 n=200 fit has no binding row: one
+    # pivoted Cholesky both proves P definite and gives the certified
+    # minimiser, with no least-squares solve
     config, data = _seed1_mc_record()
     mats = assemble_core(config.kernel, data,
                          initial_constraint_horizon(data))
     basis = assemble_polynomial_blocks(data, config.rho, 1,
                                        a_min=config.a_min)
     dpstrf = _record_calls(monkeypatch, "dpstrf", scipy.linalg.lapack)
-    eigvalsh = _record_calls(monkeypatch, "eigvalsh", np.linalg)
     lstsq = _record_calls(monkeypatch, "min_norm_lstsq")
     problem = build_qp(config.lam, mats, basis)
     sol = solve(problem)
     assert [args[0].shape for args, _ in dpstrf] == [(problem.dim,) * 2]
-    assert problem._factor.rank == problem.dim
-    assert eigvalsh == []
     assert (sol.status, sol.path, sol.iterations) == ("optimal", "polish", 0)
     assert lstsq == []
 
@@ -705,22 +613,13 @@ _ROWS = {"G": np.eye(2), "l": np.full(2, -1.0)}
     [[2.0, 0.0], [0.0, -0.5]],
 ], ids=["diag", "zero-diagonal", "negative-diagonal"])
 def test_indefinite_p_is_rejected(P, tmp_path):
-    with pytest.raises(ConfigError, match="not positive semidefinite"):
+    with pytest.raises(ConfigError, match="not positive definite"):
         ConvexQP(P=np.array(P), q=np.zeros(2), **_ROWS)
     # a dump of it does not load either
     path = tmp_path / "problem.qp"
     _write_archive(path, {"P": np.array(P), "q": np.zeros(2), **_ROWS})
-    with pytest.raises(ConfigError, match="not positive semidefinite"):
+    with pytest.raises(ConfigError, match="not positive definite"):
         _load_dump(path)
-
-
-def test_singular_psd_p_is_accepted():
-    B = np.random.default_rng(3).standard_normal((5, 2))
-    rows = {"G": np.eye(5), "l": np.full(5, -1.0)}
-    low_rank = ConvexQP(P=B @ B.T, q=np.zeros(5), **rows)
-    assert low_rank._factor.rank == 2
-    zero = ConvexQP(P=np.zeros((5, 5)), q=np.zeros(5), **rows)
-    assert zero._factor.rank == 0
 
 
 def _old_rule_accepts(P):
@@ -739,7 +638,7 @@ def test_indefinite_p_the_scale_bound_rule_accepted_is_rejected(P):
     # Jacobi-scaled P, not against max(largest eigenvalue, 1)
     P = np.array(P)
     assert _old_rule_accepts(P)
-    with pytest.raises(ConfigError, match="not positive semidefinite"):
+    with pytest.raises(ConfigError, match="not positive definite"):
         ConvexQP(P=P, q=np.zeros(2), **_ROWS)
 
 
@@ -770,15 +669,14 @@ def test_psd_verdict_matches_a_scaled_eigenvalue_oracle():
         P = _random_symmetric(rng, kind)
         col = np.diag(P) ** -0.5
         oracle = np.linalg.eigvalsh(P * (col[:, None] * col[None, :]))[0]
-        # every case lies well clear of the -1e-8 threshold
-        if kind == "indefinite":
-            assert oracle <= -1e-3, f"trial {trial}"
-        else:
-            assert oracle >= -1e-12, f"trial {trial}"
         d = P.shape[0]
         rows = {"q": np.zeros(d), "G": np.eye(d), "l": np.full(d, -1.0)}
-        if oracle < -1e-8:
-            with pytest.raises(ConfigError, match="not positive semidef"):
-                ConvexQP(P=P, **rows)
-        else:
+        # every case lies well clear of zero, where definiteness ends:
+        # the low-rank and indefinite ones are rejected
+        if kind == "psd":
+            assert oracle >= 1e-3, f"trial {trial}"
             ConvexQP(P=P, **rows)
+        else:
+            assert oracle <= 1e-12, f"trial {trial}"
+            with pytest.raises(ConfigError, match="not positive definite"):
+                ConvexQP(P=P, **rows)

@@ -63,7 +63,6 @@ def test_tune_rejects_a_split_before_fitting(train, val, monkeypatch):
 
 @pytest.mark.parametrize("setting, message", [
     ({"a_min": -1.0}, "a_min must be positive"),
-    ({"horizon": 0}, "horizon must be positive"),
 ])
 def test_tune_rejects_a_bad_run_level_setting_before_scoring(
         setting, message, monkeypatch):
