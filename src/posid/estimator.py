@@ -97,11 +97,11 @@ class PositiveIdConfig:
 class IdentifyDiagnostics:
     """Run-level diagnostics attached to every identified model.
 
-    ``iterations`` counts horizon-loop passes; ``qp_path``,
-    ``qp_iterations`` and ``qp_rounds`` are the last QP's solution path
-    (``polish`` or ``dual``), dual active-set steps (0 when the
-    unconstrained minimiser meets every row) and the pivoting rounds run
-    after the dual method (1 when its first round was certified).
+    ``iterations`` counts horizon-loop passes; ``qp_path`` and
+    ``qp_iterations`` are the last QP's solution path (``polish`` for the
+    active-set polish after the dual method, ``dual`` for the dual
+    method's own point) and its dual active-set steps (0 when the
+    unconstrained minimiser meets every row).
     """
 
     m0: int
@@ -109,7 +109,6 @@ class IdentifyDiagnostics:
     qp_status: str
     qp_path: str
     qp_iterations: int
-    qp_rounds: int
     qp_primal: float
     qp_dual: float
     qp_gap: float
@@ -301,7 +300,10 @@ def _fit_basis(kernel: KernelSpec, lam: float, data: TimeSeriesData,
     constraint rows past the support are zero.  Each rejected pass with
     ``m < m_0`` raises ``m``, and ``m >= m_0`` accepts, so the loop makes
     at most ``ceil(max(m_0 - m_start, 0) / _DELTA_M) + 1`` passes.
-    ``horizon`` defaults to twice the data span.
+    ``horizon`` defaults to twice the data span.  A QP that
+    :class:`~posid.qp.ConvexQP` refuses, such as one whose ``P`` has a
+    rank-deficient factor at a small ``lam`` near the coupling boundary,
+    raises ``ConfigError`` naming ``lam``, ``rho`` and the kernel.
     Returns the model fields every estimator shares, among them the mode
     coefficients ``coeffs`` and the basis sampler ``modes`` that the
     acceptance check evaluated.
@@ -313,7 +315,15 @@ def _fit_basis(kernel: KernelSpec, lam: float, data: TimeSeriesData,
     m = initial_constraint_horizon(data) if p else m0 - 1
     for iterations in itertools.count(1):
         mats = assemble_core(kernel, data, m)
-        sol = qp.solve(build_qp(lam, mats, basis))
+        try:
+            problem = build_qp(lam, mats, basis)
+        except ConfigError as err:
+            raise ConfigError(
+                f"{err} in the fit at lam={lam:g}, rho={basis.rho:g}, "
+                f"kernel {kernel}: raise lam, or move the kernel's decay "
+                f"rate further below rho, away from the coupling "
+                f"boundary") from err
+        sol = qp.solve(problem)
         if sol.status != qp.OPTIMAL:
             raise SolverError(
                 f"inner QP did not converge: status {sol.status}, primal "
@@ -340,7 +350,6 @@ def _fit_basis(kernel: KernelSpec, lam: float, data: TimeSeriesData,
         diag = IdentifyDiagnostics(
             m0=m0, iterations=iterations, qp_status=sol.status,
             qp_path=sol.path, qp_iterations=sol.iterations,
-            qp_rounds=sol.rounds,
             qp_primal=sol.primal_residual, qp_dual=sol.dual_residual,
             qp_gap=sol.gap, objective=sol.objective + float(mats.y @ mats.y),
             c0=c0, h_norm=h_norm, min_g=float(g_vals.min()),

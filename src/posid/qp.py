@@ -13,38 +13,32 @@ the problem, in two stages:
 1. Goldfarb & Idnani's finite dual active-set method starts from the
    unconstrained minimiser and adds the most violated row at each step
    until every row holds.
-2. One routine, :func:`_pivot`, runs block principal pivoting over
-   active sets (Júdice & Pires 1994; Kim & Park 2011) from the rows the
-   dual method holds with positive multipliers.  Each round is one
-   active-set polish: the KKT point with the rows of the current active
-   set held as equalities.  A round over the empty active set is the
-   unconstrained minimiser ``P z = -q``, the dual method's start, solved
-   once by two triangular solves with the pivoted Cholesky factor that
-   :class:`ConvexQP` keeps.  Every other round is a minimum-norm
-   least-squares solve (LAPACK ``gelsy``, numerical rank cut at ``eps *
-   max(shape)``), since flips can make the active rows dependent.  The
-   answer is the accepted round, or else the dual method's last point.
+2. One active-set polish, :func:`_polish`, solves the KKT system with the
+   rows the dual method holds with positive multipliers as equalities.
+   Over the empty active set that is the unconstrained minimiser ``P z =
+   -q``, the dual method's start, solved once by two triangular solves
+   with the pivoted Cholesky factor that :class:`ConvexQP` keeps.  Every
+   other polish is a minimum-norm least-squares solve (LAPACK ``gelsy``,
+   numerical rank cut at ``eps * max(shape)``), since the held rows can
+   be dependent.
 
 Every solve has one certificate, in the original units: primal and dual
 residuals at most ``_TOL_FEAS`` (times ``1 + |l|_inf`` and ``1 +
 |q|_inf``) and a complementarity gap, normalised by ``1 + |objective|``,
 at most ``_TOL_GAP`` (see those constants for why they are tight).
 
-A round is accepted when it certifies ``optimal`` *and* meets every
+The polish is accepted when it certifies ``optimal`` *and* meets every
 inactive row in the scaled units, ``Gs zs - ls >= 0``.  The second test
 is needed: the certificate allows a violation of ``_TOL_FEAS * (1 +
 |l|_inf)``, which a row scaled by a tiny factor can pass while it is
 violated by a macroscopic amount in its own units; row normalisation
-gives every row the same say.  Otherwise every infeasible row flips in
-one block: an active row with a negative KKT multiplier leaves the
-active set, an inactive row with a negative scaled slack joins it.  Pivoting stops when the number of infeasible rows has not
-fallen below its best for two rounds in a row, so it runs at most
-``2 (k + 1)`` rounds for ``k`` rows.
+gives every row the same say.  Otherwise the answer is the dual
+method's point.
 
 The returned status reflects the final certified residuals, which
 :func:`kkt_certificate` recomputes from the same residual builder, and
-the returned ``path`` names the candidate: ``polish`` for a pivoting
-round, ``dual`` for the dual method's point.
+the returned ``path`` names the candidate: ``polish`` for the polish,
+``dual`` for the dual method's point.
 """
 from __future__ import annotations
 
@@ -58,18 +52,11 @@ from .errors import ConfigError
 
 OPTIMAL = "optimal"
 MAX_ITERATIONS = "max_iterations"
-# Which candidate a solution is: a pivoting round's polish, or the point
+# Which candidate a solution is: the active-set polish, or the point
 # where the dual active-set method stopped.
 POLISH = "polish"
 DUAL = "dual"
 
-# Pivoting gives up at the second round in a row whose infeasible-row
-# count is not below its best so far.  One such round is let pass because
-# a block flip can overshoot and the next round still finish; a second
-# marks the cycling of degenerate QPs, whose answer is then the dual
-# method's point.  So the best count falls at least every second round,
-# and pivoting ends within 2 (k + 1) rounds for k rows.
-_STALL_ROUNDS = 2
 # The dual method adds a scaled row (unit sup-norm) only when its slack
 # is below -_VIOLATION: at a degenerate point, roundoff gives the rows
 # through it that are not active slacks of either sign, and adding those
@@ -209,8 +196,7 @@ class QPSolution:
     ``G``).  ``path`` is ``polish`` for an active-set polish and
     ``dual`` for the dual active-set method's point; ``iterations``
     counts the dual method's steps (0 when the unconstrained minimiser
-    meets every row).  ``rounds`` counts the pivoting rounds run after
-    the dual method, one polish each.
+    meets every row).
     """
 
     z: np.ndarray
@@ -222,7 +208,6 @@ class QPSolution:
     lam: np.ndarray = field(repr=False)
     iterations: int
     path: str
-    rounds: int
 
 
 @dataclass(frozen=True)
@@ -253,8 +238,8 @@ def _residuals(problem: ConvexQP, z: np.ndarray, lam: np.ndarray):
     return grad, problem.G @ z - problem.l
 
 
-def _finish(problem: ConvexQP, z, lam, iterations: int, path: str,
-            rounds: int) -> QPSolution:
+def _finish(problem: ConvexQP, z, lam, iterations: int,
+            path: str) -> QPSolution:
     """Assemble a solution record with residuals in original units.
 
     Negative entries of ``lam`` are clipped to zero first; the status is
@@ -274,8 +259,7 @@ def _finish(problem: ConvexQP, z, lam, iterations: int, path: str,
     return QPSolution(z=z, objective=obj,
                       status=OPTIMAL if certified else MAX_ITERATIONS,
                       primal_residual=primal, dual_residual=dual, gap=gap,
-                      lam=lam, iterations=iterations, path=path,
-                      rounds=rounds)
+                      lam=lam, iterations=iterations, path=path)
 
 
 def _row_scale(mat: np.ndarray, vec: np.ndarray):
@@ -292,10 +276,10 @@ def _row_scale(mat: np.ndarray, vec: np.ndarray):
 def solve(problem: ConvexQP) -> QPSolution:
     """Solve one convex QP with at least one inequality row.
 
-    After the scaling, :func:`_dual_active_set` runs, and :func:`_pivot`
-    runs from the rows it holds with positive multipliers; the answer is
-    its accepted round, or else the dual method's point.  When no row
-    binds, the dual method takes no step and pivoting's first round, over
+    After the scaling, :func:`_dual_active_set` runs, and :func:`_polish`
+    runs once over the rows it holds with positive multipliers; the answer
+    is that polish if it is accepted, or else the dual method's point.
+    When no row binds, the dual method takes no step and the polish, over
     the empty active set, is the unconstrained minimiser.
 
     Returns a :class:`QPSolution` whose status is ``optimal`` only when
@@ -317,17 +301,17 @@ def solve(problem: ConvexQP) -> QPSolution:
     scaled = (Pc / cost_scale, qc / cost_scale, Gs, ls)
 
     # The unconstrained minimiser -Ps^-1 qs is -Pc^-1 qc, solved once: the
-    # dual method's start and pivoting's round over the empty mask.
+    # dual method's start and the polish over the empty mask.
     free = factor.solve(-qc)
     zs, lams, steps = _dual_active_set(scaled, factor, cost_scale, free)
 
-    def certify(zp, lp, rounds, path=POLISH):
+    def certify(zp, lp, path=POLISH):
         # A scaled point's solution record, in the original units.
         return _finish(problem, col * zp, cost_scale * lp / g_norms,
-                       steps, path, rounds)
+                       steps, path)
 
-    found, rounds = _pivot(scaled, lams > 0.0, certify, free)
-    return found or certify(zs, lams, rounds, DUAL)
+    return (_polish(scaled, lams > 0.0, certify, free)
+            or certify(zs, lams, DUAL))
 
 
 def _dual_active_set(scaled, factor: _JacobiFactor, cost_scale: float,
@@ -403,54 +387,6 @@ def _dual_active_set(scaled, factor: _JacobiFactor, cost_scale: float,
     return z, lam, steps
 
 
-def _pivot(scaled, active: np.ndarray, certify,
-           free: np.ndarray) -> tuple[QPSolution | None, int]:
-    """Block principal pivoting over active sets from the mask ``active``.
-
-    Each round polishes the current active set (:func:`_polish`, which
-    also takes ``free``) and hands its raw KKT point and the number
-    of rounds run so far, this one included, to ``certify(zs, lams,
-    rounds)`` for its solution record.  The round is accepted when that
-    record is ``optimal`` and the point meets every inactive row in the
-    scaled units.  Otherwise every infeasible row flips: an active row
-    with a negative multiplier leaves the active set, an inactive row
-    with a negative scaled slack joins it.  Pivoting gives up once the
-    infeasible count has not fallen below its best for ``_STALL_ROUNDS``
-    (2) rounds in a row, or a round has no row to flip, or its solve is
-    not finite.  The best count falls at least every second round, from
-    at most ``k`` for ``k`` rows, and a count of 0 ends the loop, so it
-    runs at most ``2 (k + 1)`` rounds.  Returns the accepted record, or
-    ``None``, and the number of rounds run.
-    """
-    _, _, Gs, ls = scaled
-    fewest, stalled, rounds = ls.size + 1, 0, 0
-
-    # One round's verdict on its KKT point.  The certificate alone would
-    # pass a violated row of tiny norm (it allows _TOL_FEAS * (1 +
-    # |l|_inf) in the original units), so the round must also meet every
-    # inactive row in the scaled units.  A rejected round leaves its
-    # infeasible rows, in the raw multipliers' signs and the scaled
-    # slacks, for the next flip.
-    def verdict(zs, lams):
-        nonlocal infeasible
-        infeasible = np.where(active, lams < 0.0, Gs @ zs - ls < 0.0)
-        sol = certify(zs, lams, rounds)
-        if sol.status == OPTIMAL and not np.any(infeasible & ~active):
-            return sol
-        return None
-
-    while True:
-        rounds += 1
-        infeasible = None
-        found = _polish(scaled, active, verdict, free)
-        count = 0 if infeasible is None else int(infeasible.sum())
-        stalled = 0 if count < fewest else stalled + 1
-        fewest = min(fewest, count)
-        if found is not None or count == 0 or stalled >= _STALL_ROUNDS:
-            return found, rounds
-        active = active ^ infeasible
-
-
 def _polish(scaled, active: np.ndarray, certify,
             free: np.ndarray) -> QPSolution | None:
     """Equality-KKT solve with the rows of the mask ``active`` held tight.
@@ -459,11 +395,11 @@ def _polish(scaled, active: np.ndarray, certify,
     active row the answer is the unconstrained minimiser ``free``.  Every
     other system is solved by :func:`min_norm_lstsq`, because the active
     rows can be dependent.  ``certify(z, lam)`` gets the raw KKT
-    multipliers, negative ones included (0 on inactive rows), so
-    pivoting can read their signs; it maps the answer back, certifies
+    multipliers (0 on inactive rows), maps the answer back and certifies
     it in the original units (:func:`_finish` clips the multipliers at
-    zero) and returns the solution record, or ``None`` to reject it.
-    Returns ``None`` also when the solve is not finite.
+    zero).  Returns that solution record when it is ``optimal`` and the
+    point meets every inactive row in the scaled units; ``None`` when it
+    does not, or when the solve is not finite.
     """
     Ps, qs, Gs, ls = scaled
     d = qs.size
@@ -480,9 +416,15 @@ def _polish(scaled, active: np.ndarray, certify,
         sol = min_norm_lstsq(kkt, rhs)
     if not np.all(np.isfinite(sol)):
         return None
+    # The certificate alone would pass a violated row of tiny norm (it
+    # allows _TOL_FEAS * (1 + |l|_inf) in the original units), so the
+    # polish must also meet every inactive row in the scaled units.
+    if np.any((Gs @ sol[:d] - ls < 0.0) & ~active):
+        return None
     lam_full = np.zeros(ls.size)
     lam_full[active] = sol[d:]
-    return certify(sol[:d], lam_full)
+    found = certify(sol[:d], lam_full)
+    return found if found.status == OPTIMAL else None
 
 
 def min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -55,10 +55,9 @@ def test_identify_g_writes_library_result(tmp_path):
     assert meta["method"] == "g"
     assert meta["qp_status"] == "optimal"
     # the noiseless single-mode record binds no positivity row, so the
-    # QP's unconstrained minimiser, pivoting round 0, is certified
+    # QP's unconstrained minimiser, the polish over no row, is certified
     # without a dual active-set step
-    assert (meta["qp_path"], meta["qp_iterations"], meta["qp_rounds"]) == (
-        "polish", 0, 1)
+    assert (meta["qp_path"], meta["qp_iterations"]) == ("polish", 0)
     assert meta["a"] == pytest.approx(model.a)
     assert meta["m"] == model.m
     diag = dataclasses.asdict(model.diagnostics)

@@ -14,6 +14,7 @@ from posid.estimator import (PositiveIdConfig, _m0_from_constants, build_qp,
 from posid.kernels import KernelSpec, gram, window_kernel
 from posid.qp import solve
 from posid.signals import TimeSeriesData, convolve
+from posid.tuning import default_split
 
 
 def _prbs(rng, n):
@@ -137,6 +138,31 @@ def test_nonfinite_or_nonpositive_settings_rejected(setting, name):
                                           "finite"):
         PositiveIdConfig(**{"kernel": KernelSpec.tc(0.5), "rho": 0.9,
                             "lam": 1.0, **setting})
+
+
+def test_rank_deficient_fit_names_its_settings():
+    # the heating reconstruction: 801 samples of a dithered level from
+    # default_rng(1), noise drawn after the input, the 500-sample training
+    # window and its 350 inner-train samples; at lam 1e-6 near the
+    # coupling boundary, lam K no longer lifts P above the roundoff of
+    # M'M, and the fit is refused with the settings to change
+    rng = np.random.default_rng(1)
+    u = 3.0 + 0.5 * rng.choice([-1.0, 1.0], size=801)
+    y = (np.convolve(u, 0.4 * 0.85 ** np.arange(60.0))[:801]
+         + 0.01 * rng.standard_normal(801))
+    data = TimeSeriesData.at_rest(u, y).restrict(np.arange(500))
+    data = data.restrict(default_split(500).train_indices)
+    assert data.n_samples == 350
+    config = PositiveIdConfig(kernel=KernelSpec.tc(0.99), rho=0.999,
+                              lam=1e-6)
+    with pytest.raises(ConfigError) as err:
+        identify(config, data)
+    message = str(err.value)
+    for part in ("not positive definite", "rank 322 of 352", "lam=1e-06",
+                 "rho=0.999", "kind='tc', beta=0.99", "raise lam",
+                 "coupling boundary"):
+        assert part in message, part
+    assert err.value.exit_code == 2
 
 
 def test_unconstrained_minimizer_is_normal_equations():

@@ -443,9 +443,8 @@ def test_horizon_loop_grows_m_in_steps_within_its_pass_bound():
         OscillatingPoleConfig(base=base, n=2), data)),
 ], ids=["identify-4", "oscillating2-13"])
 def test_mis_specified_short_record_converges(seed, fit):
-    # degenerate QPs on which pivoting from the empty active set stalls;
-    # the dual active-set method, and pivoting resumed from the rows it
-    # holds, finish them
+    # degenerate QPs; the dual active-set method, and the polish of the
+    # rows it holds, finish them
     model = fit(*_mis_specified_record(seed))
     diag = model.diagnostics
     assert diag.qp_status == "optimal"

@@ -94,19 +94,12 @@ def test_matches_active_set_enumeration(certificate):
         z_star, obj_star = _active_set_oracle(problem)
         sol = solve(problem)
         assert sol.status == "optimal", f"trial {trial}: {sol.status}"
-        assert (sol.path, sol.rounds) == ("polish", 1), f"trial {trial}"
+        assert sol.path == "polish", f"trial {trial}"
         # a binding QP needs at least one dual step
         assert trial < 30 or sol.iterations > 0, f"trial {trial}"
         np.testing.assert_allclose(sol.z, z_star, atol=1e-7,
                                    err_msg=f"trial {trial}")
         assert sol.objective == pytest.approx(obj_star, abs=1e-7)
-
-
-def _skip_to_fallback(monkeypatch):
-    """Stop pivoting after its first round: the rows the dual method
-    holds get one polish, and when that is rejected the answer is the
-    dual method's point."""
-    monkeypatch.setattr(qp, "_STALL_ROUNDS", 0)
 
 
 def _fault_in_second_dual_step(monkeypatch, solve_number, fault):
@@ -136,7 +129,6 @@ def _assert_ends_at_the_faulty_step(monkeypatch, solve_number, fault):
     # needs five steps; a fault in the second must end it after one, and
     # the solve must report a finite, uncertified answer instead of
     # passing NaN on to the next step
-    _skip_to_fallback(monkeypatch)
     problem = _nonnegativity_box()
     solves = _fault_in_second_dual_step(monkeypatch, solve_number, fault)
     sol = solve(problem)
@@ -202,8 +194,7 @@ def test_perturbed_point_fails_certificate():
     bumped = type(sol)(z=sol.z + 1e-3, objective=sol.objective,
                        status=sol.status, primal_residual=0.0,
                        dual_residual=0.0, gap=0.0, lam=sol.lam,
-                       iterations=sol.iterations, path=sol.path,
-                       rounds=sol.rounds)
+                       iterations=sol.iterations, path=sol.path)
     report = kkt_certificate(problem, bumped)
     assert report.stationarity > 1e-4
 
@@ -375,14 +366,13 @@ def test_answer_is_the_object_a_path_returned(monkeypatch):
     sol = solve(_nonnegativity_box())
     assert len(polish) == 1
     assert sol is polish[0][1]
-    assert (sol.path, sol.iterations, sol.rounds) == ("polish", 5, 1)
+    assert (sol.path, sol.iterations) == ("polish", 5)
 
 
 def test_inactive_rows_return_the_unconstrained_minimiser(monkeypatch,
                                                           certificate):
     # no row binds: the dual method takes no step and holds no row, so
-    # the first polish, over the empty active set, is certified and
-    # returned
+    # the polish, over the empty active set, is certified and returned
     polish = _record_calls(monkeypatch, "_polish")
     dual = _record_calls(monkeypatch, "_dual_active_set")
     certificate(1e-11, 1e-11)
@@ -395,8 +385,8 @@ def test_inactive_rows_return_the_unconstrained_minimiser(monkeypatch,
         polish.clear()
         sol = solve(problem)
         z_star, _ = _active_set_oracle(problem)
-        assert (sol.status, sol.path, sol.iterations, sol.rounds) == (
-            "optimal", "polish", 0, 1), f"seed {seed}"
+        assert (sol.status, sol.path, sol.iterations) == (
+            "optimal", "polish", 0), f"seed {seed}"
         assert len(polish) == 1 and sol is polish[0][1]
         np.testing.assert_allclose(sol.z, z_star, atol=1e-9,
                                    err_msg=f"seed {seed}")
@@ -419,37 +409,25 @@ def test_tiny_row_violated_by_the_free_minimiser_reaches_the_dual_method(
     # row, and the polish of that row is the face z0 = 0.1
     polish = _record_calls(monkeypatch, "_polish")
     sol = solve(_tiny_row_qp())
-    assert (sol.status, sol.path, sol.iterations, sol.rounds) == (
-        "optimal", "polish", 1, 1)
+    assert (sol.status, sol.path, sol.iterations) == ("optimal", "polish", 1)
     assert sol is polish[0][1]
     np.testing.assert_allclose(sol.z, [0.1, 0.0], rtol=0, atol=1e-8)
 
 
-def test_tiny_row_violated_by_the_free_minimiser_joins_the_active_set(
-        monkeypatch):
-    # pivoting from the empty mask on the solve's own scaled data: round
-    # 1, the free minimiser, is certified in the original units, but the
-    # scaled-units check rejects it and flips the tiny row into the
-    # active set; round 2 is the face z0 = 0.1
-    pivot = _record_calls(monkeypatch, "_pivot")
-    solve(_tiny_row_qp())
-    [((scaled, _, certify, free), _)] = pivot
-    records = []
+def test_tiny_row_violated_by_the_polish_rejects_it(monkeypatch):
+    # with the dual method patched to hold no row, the polish is the free
+    # minimiser 0; the certificate in the original units passes it, but
+    # it violates the tiny row in the scaled units, so it is rejected and
+    # the answer is the dual method's point
+    def no_row(scaled, factor, cost_scale, free):
+        return free, np.zeros(scaled[3].size), 0
 
-    def recording_certify(zs, lams, rounds):
-        records.append(certify(zs, lams, rounds))
-        return records[-1]
-
+    monkeypatch.setattr(qp, "_dual_active_set", no_row)
     polish = _record_calls(monkeypatch, "_polish")
-    found, rounds = qp._pivot(scaled, np.zeros(2, dtype=bool),
-                              recording_certify, free)
-    assert [(r.status, r.rounds) for r in records] == [
-        ("optimal", 1), ("optimal", 2)]
-    np.testing.assert_array_equal(records[0].z, 0.0)
-    assert polish[0][1] is None
-    assert found is polish[1][1] is records[1]
-    assert (found.path, rounds) == ("polish", 2)
-    np.testing.assert_allclose(found.z, [0.1, 0.0], rtol=0, atol=1e-8)
+    sol = solve(_tiny_row_qp())
+    assert [result for _, result in polish] == [None]
+    assert (sol.status, sol.path, sol.iterations) == ("optimal", "dual", 0)
+    np.testing.assert_array_equal(sol.z, 0.0)
 
 
 def _seed1_mc_record():
@@ -473,8 +451,8 @@ def test_identify_with_no_binding_row_runs_no_newton_step(monkeypatch):
     dual = _record_calls(monkeypatch, "_dual_active_set")
     model = identify(config, data)
     diag = model.diagnostics
-    assert (diag.qp_status, diag.qp_path, diag.qp_iterations,
-            diag.qp_rounds) == ("optimal", "polish", 0, 1)
+    assert (diag.qp_status, diag.qp_path, diag.qp_iterations) == (
+        "optimal", "polish", 0)
     assert len(dual) == diag.iterations
     assert [steps for _, (_, _, steps) in dual] == [0] * diag.iterations
 
@@ -488,8 +466,7 @@ def test_nonneg_ls_of_the_monte_carlo_record_lands_on_the_nnls_face():
     U = input_weight_matrix(data, 125)
     sol = solve(ConvexQP(P=2.0 * (U.T @ U), q=-2.0 * (U.T @ data.outputs),
                          G=np.eye(125), l=np.zeros(125)))
-    assert (sol.status, sol.path, sol.iterations, sol.rounds) == (
-        "optimal", "polish", 6, 1)
+    assert (sol.status, sol.path, sol.iterations) == ("optimal", "polish", 6)
     oracle, _ = scipy.optimize.nnls(U, data.outputs)
     np.testing.assert_allclose(sol.z, oracle, rtol=0, atol=1e-9)
     np.testing.assert_allclose(nonneg_ls(data, 125).values, oracle,
@@ -515,42 +492,18 @@ def _mis_specified_qps(fits, fit=identify):
     return _qps_of(fit, [_mis_specified_record(seed, n) for seed, n in fits])
 
 
-def test_stalled_pivoting_leaves_the_dual_answer_unchanged(monkeypatch):
-    # the QP of finite-response draw 58: pivoting from the dual method's
-    # rows stalls on its degenerate rows, and the dual point does not
-    # depend on how long pivoting ran, so the answer is bit for bit the
-    # one it gives with a single round
-    [(problem, sol)] = _qps_of(DRAW_FITS["finite"], [_random_draw(58)])
-    assert sol.path == "dual"
-    assert sol.iterations > 0 and sol.rounds > 1
-    _skip_to_fallback(monkeypatch)
-    dual = solve(problem)
-    assert dual.rounds == 1
-    assert (sol.status, sol.path, sol.iterations) == (
-        dual.status, dual.path, dual.iterations)
-    np.testing.assert_array_equal(sol.z, dual.z)
-    np.testing.assert_array_equal(sol.lam, dual.lam)
+def test_finite_response_draw_159_is_certified_on_the_dual_path():
+    # the polish of the rows the dual method holds is rejected on the QP
+    # of finite-response draw 159, and the dual method's own point is
+    # certified
+    [(_, sol)] = _qps_of(DRAW_FITS["finite"], [_random_draw(159)])
+    assert (sol.status, sol.path) == ("optimal", "dual")
+    assert sol.iterations > 0
 
 
-def test_pivoting_resumed_after_the_dual_method_certifies_its_qp(
-        monkeypatch):
-    # the QP of finite-response draw 159: the polish of the rows the dual
-    # method holds is rejected, so the certified answer is a later round
-    # of the pivoting that polish starts
-    [(problem, _)] = _qps_of(DRAW_FITS["finite"], [_random_draw(159)])
-    dual = _record_calls(monkeypatch, "_dual_active_set")
-    polish = _record_calls(monkeypatch, "_polish")
-    sol = solve(problem)
-    assert (sol.status, sol.path) == ("optimal", "polish")
-    assert sol.iterations > 0 and len(dual) == 1
-    assert sol is polish[-1][1]
-    assert len(polish) == sol.rounds > 1
-
-
-def test_pivoting_ends_within_its_round_bound(monkeypatch):
-    # the fewest infeasible rows so far falls at least every second
-    # round, so a solve with k rows pivots at most 2 (k + 1) rounds, one
-    # polish each, after its one run of the dual method
+def test_every_solve_runs_the_dual_method_and_one_polish(monkeypatch):
+    # mis-specified fits, finite-response draws 58 (degenerate, answered
+    # by the dual point) and 159, and random QPs whose first row binds
     problems = [problem for problem, _
                 in _mis_specified_qps([(10, 80), (13, 50), (9, 80)])]
     problems += [problem for problem, _
@@ -564,11 +517,10 @@ def test_pivoting_ends_within_its_round_bound(monkeypatch):
         dual.clear()
         polish.clear()
         sol = solve(problem)
-        assert len(dual) == 1
-        assert 1 <= len(polish) == sol.rounds <= 2 * (problem.G.shape[0] + 1)
-        paths[sol.path, sol.rounds > 1] += 1
-    # draw 159 pivots past its first round, and draw 58 stalls
-    assert paths["polish", True] >= 1 and paths["dual", True] >= 1
+        assert (len(dual), len(polish)) == (1, 1)
+        assert sol is polish[0][1] or sol.path == "dual"
+        paths[sol.path] += 1
+    assert paths["polish"] >= 1 and paths["dual"] >= 2
 
 
 @pytest.mark.parametrize("row", [[1e-9, 1.0, 1.0], [1.0, 1e-7, 1e5]],
