@@ -71,7 +71,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError
+from .errors import check_count, check_unit_interval
 from .kernels import KernelSpec, gram, semiseparable_split
 from .signals import TimeSeriesData
 
@@ -140,8 +140,7 @@ def input_weight_matrix(data: TimeSeriesData, width: int) -> np.ndarray:
     input support are zero.  These are the rows ``t_i - t_start`` of the
     lower-triangular Toeplitz matrix of the input.
     """
-    if width <= 0:
-        raise ConfigError(f"weight width must be positive, got {width}")
+    check_count("weight width", width)
     return _input_windows(data, width)[data.sample_times - data.t_start]
 
 
@@ -173,8 +172,7 @@ def assemble_core(kernel: KernelSpec, data: TimeSeriesData,
     per kernel and ``N``, and ``L`` is the near/far-field product (see
     the module docstring).
     """
-    if m < 0:
-        raise ConfigError(f"constraint horizon must be nonnegative, got {m}")
+    check_count("constraint horizon", m, least=0)
     n_sec = max(required_width(data), m + 1)
     if kernel.support is not None:
         n_sec = min(n_sec, kernel.support)
@@ -289,11 +287,6 @@ def _rows(factors: list[np.ndarray], size: int) -> np.ndarray:
     return np.stack([np.broadcast_to(f, (size,)) for f in factors])
 
 
-def _check_pole(rho: float) -> None:
-    if not 0.0 < rho < 1.0:
-        raise ConfigError(f"rho must lie in (0, 1), got {rho}")
-
-
 def _input_convolved(data: TimeSeriesData, modes) -> np.ndarray:
     """Modes convolved with the input at every sample time."""
     width = required_width(data)
@@ -322,9 +315,8 @@ def assemble_polynomial_blocks(data: TimeSeriesData, rho: float, n: int,
     ``epsilon`` penalises the lower-degree ones.  ``n = 1`` is the simple
     pole of the base estimator.
     """
-    if n < 1:
-        raise ConfigError(f"pole multiplicity must be >= 1, got {n}")
-    _check_pole(rho)
+    check_count("pole multiplicity", n)
+    check_unit_interval("rho", rho)
     modes = partial(polynomial_modes, rho, n)
     penalty = epsilon * np.diag(np.r_[np.ones(n - 1), 0.0])
     return DominantBasis(B=_input_convolved(data, modes), modes=modes,
@@ -356,9 +348,8 @@ def assemble_oscillation_blocks(data: TimeSeriesData, rho: float, n: int,
     ``x'x / n - (sum x)**2 / n**2``.  The constant phase, the mode
     ``rho**t`` itself, sets the horizon cap.
     """
-    _check_pole(rho)
-    if n < 1:
-        raise ConfigError(f"period must be >= 1, got {n}")
+    check_unit_interval("rho", rho)
+    check_count("period", n)
     modes = partial(periodic_modes, rho, n)
     penalty = epsilon * (np.eye(n) / n - np.full((n, n), 1.0 / n ** 2))
     return DominantBasis(B=_input_convolved(data, modes), modes=modes,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import qp
 from .assembly import input_weight_matrix
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, SolverError, check_count, check_positive
 from .extensions import FiniteResponseConfig, identify_finite_response
 from .kernels import KernelSpec, gram, window_kernel
 from .signals import ImpulseResponse, TimeSeriesData
@@ -50,13 +50,9 @@ class BaselineKind:
         if self.kind not in _KINDS:
             raise ConfigError(
                 f"baseline kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.fir_length <= 0:
-            raise ConfigError(
-                f"fir_length must be positive, got {self.fir_length}")
+        check_count("fir_length", self.fir_length)
         if self.kind in (KIND_RIDGE_CLIP, KIND_NONNEG_RIDGE):
-            if not 0.0 < self.lam < np.inf:
-                raise ConfigError(
-                    f"lambda must be positive and finite, got {self.lam}")
+            check_positive("lambda", self.lam)
             if self.kernel is None:
                 raise ConfigError(f"baseline {self.kind!r} needs a kernel")
 

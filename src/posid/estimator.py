@@ -38,7 +38,7 @@ import numpy as np
 from . import qp
 from .assembly import (DominantBasis, QPDataMatrices, assemble_core,
                        assemble_polynomial_blocks, required_width)
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, SolverError, check_count, check_positive
 from .kernels import (KernelSpec, decay_compatible, domination_bound, gram,
                       section_tail)
 from .signals import ImpulseResponse, TimeSeriesData, convolve
@@ -78,14 +78,10 @@ class PositiveIdConfig:
     horizon: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.lam < math.inf:
-            raise ConfigError(
-                f"lambda must be positive and finite, got {self.lam}")
-        if not 0.0 < self.a_min < math.inf:
-            raise ConfigError(
-                f"a_min must be positive and finite, got {self.a_min}")
-        if self.horizon is not None and self.horizon <= 0:
-            raise ConfigError(f"horizon must be positive, got {self.horizon}")
+        check_positive("lambda", self.lam)
+        check_positive("a_min", self.a_min)
+        if self.horizon is not None:
+            check_count("horizon", self.horizon)
         if not decay_compatible(self.kernel, self.rho):
             bound = domination_bound(self.kernel)
             raise ConfigError(

@@ -19,7 +19,8 @@ import numpy as np
 
 from .baselines import (KIND_NONNEG_RIDGE, KIND_RIDGE_CLIP, BaselineKind,
                         run_baseline)
-from .errors import ConfigError, DataError, PosidError
+from .errors import (ConfigError, DataError, PosidError, check_count,
+                     check_positive, check_unit_interval)
 from .estimator import PositiveIdConfig, identify, predict
 from .kernels import KIND_TC, KernelSpec
 from .signals import ImpulseResponse, TimeSeriesData, convolve, \
@@ -58,10 +59,11 @@ class McProtocol:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rho_true < 1.0 and 0.0 < self.beta_true < 1.0):
-            raise ConfigError("true decay rates must lie in (0, 1)")
-        if self.runs < 1 or self.n_d < 1:
-            raise ConfigError("runs and n_d must be at least 1")
+        for name in ("rho_true", "beta_true"):
+            check_unit_interval(f"{name} of the true decay rates",
+                                getattr(self, name))
+        check_count("runs", self.runs)
+        check_count("n_d", self.n_d)
         if not self.snr_levels_db:
             raise ConfigError("need at least one SNR level")
         if not all(map(math.isfinite, self.snr_levels_db)):
@@ -97,11 +99,12 @@ class McConfig:
         # the positive estimator's config, as every run builds it
         PositiveIdConfig(KernelSpec.dc(self.beta, self.gamma), self.rho, 1.0,
                          horizon=self.horizon)
-        for name in ("lam_g", "lam_fir", "n_g", "workers"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise ConfigError(
-                    f"{name} must be positive and finite, got {value}")
+        for name in ("lam_g", "lam_fir"):
+            if getattr(self, name) is not None:
+                check_positive(name, getattr(self, name))
+        check_count("n_g", self.n_g)
+        if self.workers is not None:
+            check_count("workers", self.workers)
 
 
 @dataclass(frozen=True)
@@ -135,8 +138,7 @@ def true_system(protocol: McProtocol, horizon: int) -> ImpulseResponse:
     g_t = rho^t (1 + beta^t cos(2 pi omega t)) with omega = pi^2 / 10;
     strictly positive since beta < 1.
     """
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    check_count("horizon", horizon)
     t = np.arange(horizon, dtype=float)
     values = protocol.rho_true ** t * (
         1.0 + protocol.beta_true ** t
@@ -146,8 +148,7 @@ def true_system(protocol: McProtocol, horizon: int) -> ImpulseResponse:
 
 def gen_binary_input(n: int, seed) -> np.ndarray:
     """Seeded symmetric binary sequence with values in {-1, +1}."""
-    if n < 1:
-        raise ConfigError(f"input length must be >= 1, got {n}")
+    check_count("input length", n)
     rng = np.random.default_rng(seed)
     return rng.integers(0, 2, size=n).astype(float) * 2.0 - 1.0
 
@@ -344,15 +345,15 @@ class HeatingConfig:
     a_min: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.rho is not None and not 0.0 < self.rho < 1.0:
-            raise ConfigError(f"rho must lie in (0, 1), got {self.rho}")
+        if self.rho is not None:
+            check_unit_interval("rho", self.rho)
         if self.beta is not None:
             KernelSpec.tc(self.beta)
-        for name in ("lam", "n_g", "tune_budget", "a_min"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < math.inf:
-                raise ConfigError(
-                    f"{name} must be positive and finite, got {value}")
+        if self.lam is not None:
+            check_positive("lam", self.lam)
+        check_count("n_g", self.n_g)
+        check_count("tune_budget", self.tune_budget)
+        check_positive("a_min", self.a_min)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .assembly import (assemble_oscillation_blocks,
                        assemble_polynomial_blocks, empty_basis)
-from .errors import ConfigError
+from .errors import ConfigError, check_count, check_positive
 from .estimator import FittedModel, PositiveIdConfig, _fit_basis
 from .kernels import KernelSpec
 from .signals import TimeSeriesData
@@ -47,8 +47,7 @@ class RepeatedPoleConfig:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigError(f"pole multiplicity must be >= 1, got {self.n}")
+        check_count("pole multiplicity", self.n)
 
 
 @dataclass(frozen=True)
@@ -62,8 +61,7 @@ class OscillatingPoleConfig:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigError(f"pole count must be >= 1, got {self.n}")
+        check_count("pole count", self.n)
 
 
 @dataclass(frozen=True)
@@ -82,9 +80,7 @@ class FiniteResponseConfig:
             raise ConfigError(
                 "finite-response estimation needs a finite-support kernel; "
                 "window a decaying kernel first")
-        if not 0.0 < self.lam < np.inf:
-            raise ConfigError(
-                f"lambda must be positive and finite, got {self.lam}")
+        check_positive("lambda", self.lam)
 
 
 class RepeatedPoleModel(FittedModel):

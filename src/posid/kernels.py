@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_count, check_unit_interval
 
 KIND_TC = "tc"
 KIND_DC = "dc"
@@ -89,8 +89,8 @@ class KernelSpec:
                     f"dc kernel needs gamma in [-1, 1], got {self.gamma}")
         elif self.gamma is not None:
             raise ConfigError(f"{self.kind} kernel takes no gamma")
-        if self.support is not None and self.support <= 0:
-            raise ConfigError(f"support must be positive, got {self.support}")
+        if self.support is not None:
+            check_count("support", self.support)
 
     @classmethod
     def tc(cls, beta: float) -> "KernelSpec":
@@ -123,8 +123,8 @@ def _integer_power(base: float, lag: np.ndarray) -> np.ndarray:
 def _eval_grid(kernel: KernelSpec, s: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Kernel values on the grid of broadcast index arrays ``s`` and ``t``.
 
-    Gathered from per-lag power tables (see the module docstring).  Each
-    N x N lag array is freed before the next one is built.
+    Gathered from per-lag power tables (see the module docstring), with
+    2 result-sized grids alive at the peak for tc and 3 for dc and ss.
     """
     s = np.asarray(s, dtype=np.int64)
     t = np.asarray(t, dtype=np.int64)
@@ -284,6 +284,5 @@ def decay_compatible(kernel: KernelSpec, rho: float) -> bool:
     Windowed kernels are compatible with every ``rho`` in ``(0, 1)``
     because their diagonal vanishes beyond the support.
     """
-    if not 0.0 < rho < 1.0:
-        raise ConfigError(f"rho must lie in (0, 1), got {rho}")
+    check_unit_interval("rho", rho)
     return kernel.support is not None or domination_bound(kernel).rho_d < rho

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, PosidError
+from .errors import (ConfigError, PosidError, check_count, check_positive,
+                     check_unit_interval)
 from .estimator import PositiveIdConfig, identify, predict
 from .kernels import KIND_DC, KIND_SS, KIND_TC, KernelSpec, decay_compatible
 from .signals import TimeSeriesData
@@ -53,9 +54,7 @@ class SplitSpec:
 
 def default_split(n_samples: int, train_fraction: float = 0.7) -> SplitSpec:
     """Temporal split: the first ``train_fraction`` of samples train."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigError(
-            f"train fraction must lie in (0, 1), got {train_fraction}")
+    check_unit_interval("train fraction", train_fraction)
     cut = int(math.floor(train_fraction * n_samples))
     cut = min(max(cut, 1), n_samples - 1)
     return SplitSpec(np.arange(cut), np.arange(cut, n_samples))
@@ -233,11 +232,10 @@ def tune(space: HyperparamSpace, data: TimeSeriesData,
     violating the decay/pole coupling are never evaluated.  Ties keep the
     earliest candidate, making the result deterministic for a fixed seed.
     A split index past the data's samples raises ``ConfigError``, and so
-    does an ``a_min`` that :class:`PositiveIdConfig` rejects, before any
+    does an ``a_min`` that is not positive and finite, before any
     candidate is scored; every candidate is fitted with that ``a_min``.
     """
-    if budget < 1:
-        raise ConfigError(f"budget must be >= 1, got {budget}")
+    check_count("budget", budget)
     if split is None:
         split = default_split(data.n_samples)
     _check_split_range(split, data)
@@ -252,11 +250,8 @@ def tune(space: HyperparamSpace, data: TimeSeriesData,
         candidates = _random_candidates(space, budget, seed)
     else:
         raise ConfigError(f"unknown strategy {strategy!r}")
-    # A bad a_min would fail every candidate alike, each scored inf;
-    # build one config here so its own error surfaces.
-    first = candidates[0]
-    PositiveIdConfig(kernel=first.kernel(space.kind), rho=first.rho,
-                     lam=first.lam, a_min=a_min)
+    # A bad a_min would fail every candidate alike, each scored inf.
+    check_positive("a_min", a_min)
     trace = []
     best_idx = -1
     best_score = math.inf

@@ -148,13 +148,13 @@ def test_dc_run_rebuilds_from_its_metadata(tmp_path, method):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--n-g", "0", "n_g must be positive"),
+    ("--n-g", "0", "n_g must be an integer >= 1"),
     ("--beta", "1.5", "beta"),
     ("--rho", "0.9", "not strictly smaller than rho"),
     ("--lam-fir", "-1", "lam_fir must be positive"),
     ("--lam-fir", "nan", "lam_fir must be positive and finite"),
     ("--lam-g", "inf", "lam_g must be positive and finite"),
-    ("--workers", "0", "workers must be positive"),
+    ("--workers", "0", "workers must be an integer >= 1"),
     ("--snr", "20 20", "duplicate SNR levels"),
     ("--snr", "nan", "SNR levels must be finite"),
 ], ids=["n-g", "beta", "coupling", "lam-fir", "lam-fir-nan", "lam-g-inf",
@@ -175,8 +175,8 @@ def test_montecarlo_rejects_bad_settings_before_any_run(
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--n-g", "0", "n_g must be positive"),
-    ("--budget", "0", "tune_budget must be positive"),
+    ("--n-g", "0", "n_g must be an integer >= 1"),
+    ("--budget", "0", "tune_budget must be an integer >= 1"),
     ("--a-min", "-1", "a_min must be positive"),
     ("--rho", "1.5", "rho must lie in (0, 1)"),
     ("--beta", "1.0", "beta must lie in [0, 1)"),
@@ -353,7 +353,7 @@ def test_out_dir_that_cannot_be_made_is_refused_before_the_run(
     assert f"cannot make directory {out}" in capsys.readouterr().err
 
 
-def test_identify_exit_codes(tmp_path, capsys):
+def test_identify_exit_codes(tmp_path, capsys, certificate):
     out = tmp_path / "out"
     code = main(["identify", "--data", str(tmp_path / "missing.csv"),
                  "--out-dir", str(out)])
@@ -369,6 +369,15 @@ def test_identify_exit_codes(tmp_path, capsys):
     code = main(["identify", "--data", str(data_path),
                  "--method", "bogus", "--out-dir", str(out)])
     assert code == 2, "argparse rejection maps to the config exit code"
+    # zero tolerances certify no QP, so the fit ends in SolverError
+    _single_mode_csv(data_path, n=40, noise=0.01)
+    certificate(0.0, 0.0)
+    code = main(["identify", "--data", str(data_path), "--beta", "0.5",
+                 "--rho", "0.9", "--lam", "0.1", "--out-dir", str(out)])
+    assert code == 4
+    assert "inner QP did not converge: status max_iterations" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("method", ["g", "d"])
@@ -689,6 +698,8 @@ def test_kernels_takes_a_config_file_but_no_out_dir(tmp_path, capsys):
     config.write_text(json.dumps({"beta": 0.81, "rho": 0.9}))
     assert main(["kernels", "--config", str(config)]) == 0
     assert "compatible with rho=0.9: no" in capsys.readouterr().out
+    assert main(["kernels", f"--config={config}"]) == 0
+    assert "compatible with rho=0.9: no" in capsys.readouterr().out
 
 
 def test_kernels_command_reports_domination(capsys):
@@ -699,4 +710,10 @@ def test_kernels_command_reports_domination(capsys):
     assert "compatible with rho=0.9: no" in text
     assert main(["kernels", "--kernel", "tc", "--beta", "0.81",
                  "--rho", "0.95"]) == 0
-    assert "compatible with rho=0.95: yes" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "compatible with rho=0.95: yes" in text
+    assert "gamma" not in text
+    assert main(["kernels", "--kernel", "dc", "--beta", "0.81",
+                 "--gamma", "-0.5"]) == 0
+    text = capsys.readouterr().out
+    assert "gamma: -0.5\n" in text and "domination rate: 0.9" in text

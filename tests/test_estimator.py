@@ -1,4 +1,7 @@
 """Core estimator tests: QP construction, certified horizon, recovery."""
+import logging
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,7 +9,7 @@ import scipy.linalg
 from posid import estimator
 from posid.assembly import (assemble_core, assemble_polynomial_blocks,
                             input_weight_matrix, required_width)
-from posid.errors import ConfigError
+from posid.errors import ConfigError, SolverError
 from posid.estimator import (PositiveIdConfig, _m0_from_constants, build_qp,
                              cap_misfit, compute_m0, default_horizon, identify,
                              initial_constraint_horizon, predict,
@@ -431,6 +434,48 @@ def test_short_noisy_mis_specified_record_converges():
     assert diag.m0 > model.m
     head = model.reconstruct(max(diag.m0, model.g.horizon)).values
     assert head[:diag.m0].min() >= -diag.neg_tol
+
+
+def _noisy_single_mode_record():
+    # 40 samples of 0.9**t driven by +-1, noise 0.01 N(0, 1) drawn after
+    # the input: m starts at 40, and tc(0.5), rho 0.9, lam 0.1 give m0 50
+    rng = np.random.default_rng(0)
+    u = _prbs(rng, 40)
+    y = np.convolve(u, 0.9 ** np.arange(40.0))[:40] \
+        + 0.01 * rng.standard_normal(40)
+    return TimeSeriesData.at_rest(u, y)
+
+
+_NOISY_RECORD_CONFIG = PositiveIdConfig(KernelSpec.tc(0.5), 0.9, 0.1)
+
+
+def test_uncertified_qp_ends_the_fit_with_solver_error(certificate):
+    # zero tolerances certify no solve, so the first pass raises, naming
+    # the status and the three residuals
+    certificate(0.0, 0.0)
+    with pytest.raises(SolverError, match=r"inner QP did not converge: "
+                       r"status max_iterations, primal \S+, dual \S+, "
+                       r"gap \S+$"):
+        identify(_NOISY_RECORD_CONFIG, _noisy_single_mode_record())
+
+
+def test_acceptance_is_forced_at_the_certified_horizon(monkeypatch, caplog):
+    # a negative tolerance fails every pass's nonnegativity check, so the
+    # loop grows m to m0 and accepts there, within the passes the
+    # _fit_basis docstring bounds, warning once
+    monkeypatch.setattr(estimator, "_NEG_TOL_SCALE", -1.0)
+    data = _noisy_single_mode_record()
+    with caplog.at_level(logging.WARNING, logger="posid.estimator"):
+        model = identify(_NOISY_RECORD_CONFIG, data)
+    diag = model.diagnostics
+    assert diag.forced_accept and diag.qp_status == "optimal"
+    assert (model.m, diag.m0, diag.iterations) == (50, 50, 2)
+    assert diag.iterations == math.ceil(
+        (diag.m0 - initial_constraint_horizon(data)) / estimator._DELTA_M) + 1
+    warnings = [record.getMessage() for record in caplog.records
+                if record.levelno >= logging.WARNING]
+    assert len(warnings) == 1
+    assert "accepting at the certified horizon m=50" in warnings[0]
 
 
 def test_default_horizon_and_initial_m():

@@ -176,6 +176,39 @@ def test_nonfinite_newton_matrix_ends_the_solve(monkeypatch):
     _assert_ends_at_the_faulty_step(monkeypatch, 1, overflowed)
 
 
+def test_nonfinite_free_minimiser_ends_at_the_origin(monkeypatch):
+    # a non-finite unconstrained minimiser starts no dual step, and its
+    # polish over the empty active set is not finite either, so the
+    # answer is the dual method's start: the origin, with no multiplier
+    monkeypatch.setattr(qp._JacobiFactor, "solve",
+                        lambda self, b: np.full_like(b, np.inf))
+    polish = _record_calls(monkeypatch, "_polish")
+    problem = _binding_random_qp(0, 5, 10)
+    sol = solve(problem)
+    assert [result for _, result in polish] == [None]
+    assert (sol.status, sol.path, sol.iterations) == (
+        "max_iterations", "dual", 0)
+    np.testing.assert_array_equal(sol.z, 0.0)
+    np.testing.assert_array_equal(sol.lam, 0.0)
+    _assert_finite_with_honest_status(problem, sol)
+
+
+def test_dual_method_stops_at_its_step_cap(monkeypatch):
+    # this binding QP takes 9 dual steps on 5 variables; a cap of one
+    # step per variable stops the method after 5, and the polish of the
+    # rows it holds then is rejected, so the answer is the dual point
+    problem = _binding_random_qp(0, 5, 10)
+    assert solve(problem).iterations == 9
+    monkeypatch.setattr(qp, "_STEPS_PER_VARIABLE", 1)
+    dual = _record_calls(monkeypatch, "_dual_active_set")
+    sol = solve(problem)
+    [(_, (zs, _, steps))] = dual
+    assert steps == sol.iterations == 5
+    assert (sol.status, sol.path) == ("max_iterations", "dual")
+    np.testing.assert_array_equal(sol.z, problem._factor.col * zs)
+    _assert_finite_with_honest_status(problem, sol)
+
+
 def test_kkt_certificate_small_residuals():
     rng = np.random.default_rng(9)
     problem = _random_strictly_convex(rng, 4, 2)

@@ -3,6 +3,8 @@
 Also home to two oracles other test modules import: the Toeplitz
 operator of at-rest data and the numerical rank of a Hankel window.
 """
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -159,6 +161,16 @@ def test_data_validation():
         TimeSeriesData(np.array([0]), np.zeros(1), np.zeros(1), t_start=1)
     with pytest.raises(DataError):
         TimeSeriesData(np.array([0]), np.array([np.nan]), np.zeros(1))
+    with pytest.raises(DataError, match="must be 1-d"):
+        TimeSeriesData(np.zeros((1, 1)), np.zeros(1), np.zeros(1))
+    with pytest.raises(DataError, match="at least one output sample"):
+        TimeSeriesData(np.zeros(0), np.zeros(0), np.zeros(1))
+    with pytest.raises(DataError, match="2 sample times but 1 outputs"):
+        TimeSeriesData(np.arange(2), np.zeros(1), np.zeros(2))
+    with pytest.raises(DataError, match="precedes the input support"):
+        TimeSeriesData(np.array([-2]), np.zeros(1), np.zeros(3), t_start=-1)
+    with pytest.raises(DataError, match="nonempty vector"):
+        ImpulseResponse(np.zeros(0))
     data = TimeSeriesData.at_rest(np.arange(4.0), np.zeros(4))
     assert data.t_start == 0
     np.testing.assert_array_equal(data.sample_times, np.arange(4))
@@ -172,6 +184,8 @@ def test_restrict_keeps_input_history():
     np.testing.assert_allclose(sub.sample_times, [2, 5, 7])
     np.testing.assert_allclose(sub.outputs, [4.0, 25.0, 49.0])
     assert sub.inputs.size == 10
+    with pytest.raises(DataError, match="at least one sample"):
+        data.restrict([])
 
 
 def test_timeseries_csv_roundtrip(tmp_path):
@@ -195,6 +209,50 @@ def test_timeseries_csv_errors(tmp_path):
     nohdr.write_text("0,1.0,1.0\n")
     with pytest.raises(DataError, match="header"):
         read_timeseries_csv(nohdr)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "d.csv: expected header 't,u,y', got None"),
+    ("t,u,y\n0,1.0,1.0\n\n,,\n3\n", "d.csv:5: expected t,u[,y] fields"),
+    ("t,u,y\n0,x,1.0\n", "d.csv:2: bad t or u field"),
+    ("t,u,y\n0.5,1.0,1.0\n", "d.csv:2: bad t or u field"),
+    ("t,u,y\n0,1.0,1.0\n1,1.0,y\n", "d.csv:3: bad y field"),
+    ("t,u,y\n\n", "d.csv: no data rows"),
+    ("t,u,y\n0,1.0,\n1,1.0\n", "d.csv: no output samples"),
+], ids=["empty", "short-row-after-blank-rows", "bad-u", "bad-t", "bad-y",
+        "no-rows", "no-outputs"])
+def test_timeseries_csv_refusals_name_the_file_and_line(tmp_path, text,
+                                                        message):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as info:
+        read_timeseries_csv(path)
+    assert str(info.value).startswith(f"{tmp_path}{os.sep}{message}")
+
+
+def test_timeseries_csv_skips_blank_rows(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("t,u,y\n0,1.0,2.0\n\n , \n1,-1.5,0.25\n")
+    data = read_timeseries_csv(path)
+    np.testing.assert_array_equal(data.sample_times, [0, 1])
+    np.testing.assert_array_equal(data.inputs, [1.0, -1.5])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("t,g\n0,1.0\n", "g.csv: expected header 's,g', got ['t', 'g']"),
+    ("s,g\n0,0.5\n\n1\n", "g.csv:4: bad impulse row"),
+    ("s,g\n0,x\n", "g.csv:2: bad impulse row"),
+    ("s,g\n0,0.5\n2,0.25\n", "g.csv:3: lag 2 out of order"),
+    ("s,g\n\n", "g.csv: no impulse samples"),
+], ids=["header", "short-row-after-a-blank-row", "bad-value", "lag-gap",
+        "no-rows"])
+def test_impulse_csv_refusals_name_the_file_and_line(tmp_path, text,
+                                                     message):
+    path = tmp_path / "g.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as info:
+        read_impulse_csv(path)
+    assert str(info.value).startswith(f"{tmp_path}{os.sep}{message}")
 
 
 def test_impulse_csv_roundtrip(tmp_path):
