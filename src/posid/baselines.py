@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
-from . import qp
 from .assembly import input_weight_matrix
 from .errors import ConfigError, SolverError, check_count, check_positive
 from .extensions import FiniteResponseConfig, identify_finite_response
@@ -57,15 +57,27 @@ class BaselineKind:
                 raise ConfigError(f"baseline {self.kind!r} needs a kernel")
 
 
+def min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution of ``a x = b``.
+
+    LAPACK ``gelsy``: a complete orthogonal factorisation built on QR with
+    column pivoting.  The numerical rank is the largest leading triangle
+    whose estimated condition number stays below ``1 / (eps *
+    max(a.shape))``, numpy's default ``lstsq`` cutoff; the
+    trailing columns are treated as null directions.
+    """
+    x, *_ = scipy.linalg.lstsq(a, b, cond=np.finfo(float).eps * max(a.shape),
+                               lapack_driver="gelsy", check_finite=False)
+    return x
+
+
 def ls_clip(data: TimeSeriesData, n_g: int) -> ImpulseResponse:
     """Least squares (minimum-norm on rank deficiency), clipped at zero.
 
-    Solved by :func:`posid.qp.min_norm_lstsq`: LAPACK ``gelsy``, a
-    complete orthogonal factorisation, with numerical rank cut at
-    ``eps * max(U.shape)``, numpy's default ``lstsq`` cutoff.
+    Solved by :func:`min_norm_lstsq`.
     """
     U = input_weight_matrix(data, n_g)
-    g = qp.min_norm_lstsq(U, data.outputs)
+    g = min_norm_lstsq(U, data.outputs)
     return ImpulseResponse(np.maximum(g, 0.0))
 
 
@@ -81,9 +93,9 @@ def nonneg_ls(data: TimeSeriesData, n_g: int) -> ImpulseResponse:
     tolerance proportional to ``|U|_1 |y|_inf`` (so it does not depend on
     the units of ``u`` or ``y``); inner steps then move back towards the
     last point until the solve on the free taps is positive.  Every solve
-    is :func:`posid.qp.min_norm_lstsq` on the free taps.  With more taps
-    than samples (``n_g > n``) the minimisers form a polyhedron, and the
-    answer is a vertex of it, not its minimum-norm point.  Raises
+    is :func:`min_norm_lstsq` on the free taps.  With more taps than
+    samples (``n_g > n``) the minimisers form a polyhedron, and the answer
+    is a vertex of it, not its minimum-norm point.  Raises
     :class:`SolverError` after ``3 n_g`` outer steps.
     """
     U = input_weight_matrix(data, n_g)
@@ -91,7 +103,7 @@ def nonneg_ls(data: TimeSeriesData, n_g: int) -> ImpulseResponse:
 
     def solve_on(free):
         g = np.zeros(n_g)
-        g[free] = qp.min_norm_lstsq(U[:, free], y)
+        g[free] = min_norm_lstsq(U[:, free], y)
         return g
 
     free = np.ones(n_g, dtype=bool)

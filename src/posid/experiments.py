@@ -64,6 +64,7 @@ class McProtocol:
                                 getattr(self, name))
         check_count("runs", self.runs)
         check_count("n_d", self.n_d)
+        check_count("seed", self.seed, least=0)
         if not self.snr_levels_db:
             raise ConfigError("need at least one SNR level")
         if not all(map(math.isfinite, self.snr_levels_db)):

@@ -7,20 +7,20 @@ Solves
 
 with ``P`` positive definite and at least one inequality row (every
 estimator's QP carries its positivity rows; a problem without rows is
-rejected).  Every solve works on a column-, row- and cost-scaled copy of
-the problem, in two stages:
+rejected).  Every solve works on a column- and row-scaled copy of the
+problem, and its only linear algebra is the pivoted Cholesky factor of
+the scaled ``P`` that :class:`ConvexQP` keeps, in two stages:
 
 1. Goldfarb & Idnani's finite dual active-set method starts from the
    unconstrained minimiser and adds the most violated row at each step
    until every row holds.
 2. One active-set polish, :func:`_polish`, solves the KKT system with the
-   rows the dual method holds with positive multipliers as equalities.
-   Over the empty active set that is the unconstrained minimiser ``P z =
-   -q``, the dual method's start, solved once by two triangular solves
-   with the pivoted Cholesky factor that :class:`ConvexQP` keeps.  Every
-   other polish is a minimum-norm least-squares solve (LAPACK ``gelsy``,
-   numerical rank cut at ``eps * max(shape)``), since the held rows can
-   be dependent.
+   rows the dual method holds with positive multipliers as equalities,
+   by a range-space solve on the same factor.  Over the empty active set
+   that is the unconstrained minimiser, the dual method's start.
+
+The cost is not scaled: every test of the dual method compares ratios
+that do not change with the scale of ``P`` and ``q``.
 
 Every solve has one certificate, in the original units: primal and dual
 residuals at most ``_TOL_FEAS`` (times ``1 + |l|_inf`` and ``1 +
@@ -43,7 +43,6 @@ the returned ``path`` names the candidate: ``polish`` for the polish,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 import scipy.linalg
@@ -83,18 +82,18 @@ _TOL_GAP = 1e-9
 
 @dataclass(frozen=True)
 class _JacobiFactor:
-    """Jacobi scaling ``Pc = D P D`` of a QP's ``P`` and its pivoted
-    Cholesky factor.
+    """Jacobi scaling ``D P D`` of a QP's ``P`` and its pivoted Cholesky
+    factor ``D P D = L L'``, the only linear algebra of :func:`solve`.
 
     ``col`` is the diagonal of ``D``: ``P[i, i] ** -0.5`` where that is
-    positive and 1 elsewhere.  ``Pc[piv][:, piv] = U' U`` with ``U`` in
-    the upper triangle (LAPACK ``dpstrf`` at its default tolerance ``d *
-    eps * max diag Pc``).  It gives the unconstrained minimiser and drives
-    the dual active-set method.
+    positive and 1 elsewhere.  ``(D P D)[piv][:, piv] = U' U`` with ``U``
+    in the upper triangle (LAPACK ``dpstrf`` at its default tolerance
+    ``d * eps * max diag``), so ``L^-1 b = U^-T b[piv]``, and
+    ``x = L^-T c`` has ``x[piv] = U^-1 c``.  These two solves give the
+    unconstrained minimiser, every dual step and the polish.
     """
 
     col: np.ndarray
-    Pc: np.ndarray
     U: np.ndarray
     piv: np.ndarray
 
@@ -108,22 +107,29 @@ class _JacobiFactor:
         """
         pdiag = np.diag(P)
         col = np.where(pdiag > 0.0, pdiag, 1.0) ** -0.5
-        Pc = P * (col[:, None] * col[None, :])
-        U, piv, rank, _ = scipy.linalg.lapack.dpstrf(Pc)
+        U, piv, rank, _ = scipy.linalg.lapack.dpstrf(
+            P * (col[:, None] * col[None, :]))
         if rank < P.shape[0]:
             raise ConfigError(
                 f"P is not positive definite (Jacobi-scaled pivoted "
                 f"Cholesky rank {rank} of {P.shape[0]})")
-        return cls(col=col, Pc=Pc, U=U, piv=piv - 1)
+        return cls(col=col, U=U, piv=piv - 1)
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """``Pc^-1 b`` by two triangular solves."""
-        y = scipy.linalg.solve_triangular(self.U, b[self.piv], trans="T",
-                                          check_finite=False)
-        x = np.empty_like(b)
-        x[self.piv] = scipy.linalg.solve_triangular(self.U, y,
+    def lsolve(self, b: np.ndarray) -> np.ndarray:
+        """``L^-1 b`` for a vector or a matrix ``b``."""
+        return scipy.linalg.solve_triangular(self.U, b[self.piv], trans="T",
+                                             check_finite=False)
+
+    def ltsolve(self, c: np.ndarray) -> np.ndarray:
+        """``L^-T c`` for a vector ``c``."""
+        x = np.empty_like(c)
+        x[self.piv] = scipy.linalg.solve_triangular(self.U, c,
                                                     check_finite=False)
         return x
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """``(D P D)^-1 b = L^-T L^-1 b``."""
+        return self.ltsolve(self.lsolve(b))
 
 
 @dataclass
@@ -136,7 +142,7 @@ class ConvexQP:
     A zero row of ``G`` with a positive bound can never hold, so it is
     rejected too, and so is a problem without variables.
     ``P`` is symmetrised on construction and must be positive definite.
-    The test is scale-free: ``P`` is Jacobi-scaled to ``Pc = D P D``
+    The test is scale-free: ``P`` is Jacobi-scaled to ``D P D``
     (unit diagonal where ``P``'s is positive) and factored by one pivoted
     Cholesky, and a factor of rank below ``d`` rejects ``P`` (see
     :class:`_JacobiFactor`).  The instance keeps the scaling and the
@@ -292,79 +298,68 @@ def solve(problem: ConvexQP) -> QPSolution:
     # can span dozens of orders of magnitude along the diagonal.  The
     # problem built it, and factored it, in its definiteness test.
     factor = problem._factor
-    col, Pc = factor.col, factor.Pc
-    qc = problem.q * col
-
+    col = factor.col
     Gs, ls, g_norms = _row_scale(problem.G * col[None, :], problem.l)
-    cost_scale = max(1.0, float(np.max(np.abs(Pc), initial=0.0)),
-                     float(np.max(np.abs(qc), initial=0.0)))
-    scaled = (Pc / cost_scale, qc / cost_scale, Gs, ls)
-
-    # The unconstrained minimiser -Ps^-1 qs is -Pc^-1 qc, solved once: the
-    # dual method's start and the polish over the empty mask.
-    free = factor.solve(-qc)
-    zs, lams, steps = _dual_active_set(scaled, factor, cost_scale, free)
+    # The unconstrained minimiser, solved once: the dual method's start
+    # and the polish over the empty mask.
+    free = factor.solve(-problem.q * col)
+    zs, lams, steps = _dual_active_set(factor, Gs, ls, free)
 
     def certify(zp, lp, path=POLISH):
         # A scaled point's solution record, in the original units.
-        return _finish(problem, col * zp, cost_scale * lp / g_norms,
-                       steps, path)
+        return _finish(problem, col * zp, lp / g_norms, steps, path)
 
-    return (_polish(scaled, lams > 0.0, certify, free)
+    return (_polish(factor, Gs, ls, lams > 0.0, certify, free)
             or certify(zs, lams, DUAL))
 
 
-def _dual_active_set(scaled, factor: _JacobiFactor, cost_scale: float,
+def _dual_active_set(factor: _JacobiFactor, Gs: np.ndarray, ls: np.ndarray,
                      free: np.ndarray):
     """Goldfarb & Idnani's dual active-set method on the scaled problem.
 
-    ``Ps = L L'`` with ``L^-1 b = scale U^-T b[piv]``, where ``U`` is the
-    problem's own factor and ``scale = sqrt(cost_scale)``.  From the
-    caller's minimiser ``free = -Ps^-1 qs``, each step moves towards the
-    most violated inactive row ``p`` with every multiplier kept
-    nonnegative (Math. Programming 27, 1983).  The thin QR ``Q R``
-    of ``L^-1 N`` for the active normals ``N``, redone whenever the
-    active set changes, and ``v = Q' L^-1 n_p`` give the primal
-    direction ``L^-T Q2 v2`` and the fall ``R^-1 v1`` of the active
-    multipliers per unit of ``p``'s.  A full step meets row ``p``, which
-    joins; a partial step ends where an active multiplier reaches zero,
-    and that row leaves.  The method ends when no row is violated, when
-    no step exists, at the step cap or at a non-finite direction.
+    The scaled problem has ``D P D = L L'`` (see :class:`_JacobiFactor`)
+    and the rows ``Gs z >= ls``.  From the caller's minimiser ``free``,
+    each step moves towards the most violated inactive row ``p`` with
+    every multiplier kept nonnegative (Math. Programming 27, 1983).  The
+    thin QR ``Q R`` of ``L^-1 N`` for the active normals ``N``, redone
+    whenever the active set changes, and ``v = Q' L^-1 n_p`` give the
+    primal direction ``L^-T Q2 v2`` and the fall ``R^-1 v1`` of the
+    active multipliers per unit of ``p``'s.  A full step meets row ``p``,
+    which joins; a partial step ends where an active multiplier reaches
+    zero, and that row leaves.  Row ``p`` joins only when its ``L^-1 n_p``
+    has a part ``v2`` outside the active rows' span, so the active rows
+    stay independent.  The method ends when no row is violated, when no
+    step exists, at the step cap or at a non-finite direction.
     Returns the last point, its multipliers (``p``'s included) and the
     steps taken: the origin and 0 if ``free`` is not finite.
     """
-    _, qs, Gs, ls = scaled
-    d = qs.size
+    d = free.size
     z, lam = np.zeros(d), np.zeros(ls.size)
     if not np.isfinite(free).all():
         return z, lam, 0
-    U, piv, scale = factor.U, factor.piv, np.sqrt(cost_scale)
-    tri = partial(scipy.linalg.solve_triangular, U, check_finite=False)
-    back = np.argsort(piv)
-
-    def lsolve(b):
-        return scale * tri(b[piv], trans="T")  # L^-1 b
-
     z, active, p = free, np.zeros(0, dtype=int), None
     for steps in range(_STEPS_PER_VARIABLE * d):
+        # One slack picks row p and sizes the step to it: a second sum
+        # can differ from it in sign by roundoff near _VIOLATION, and the
+        # method then cycles between two nearly parallel rows.
+        slack = Gs @ z - ls
         if p is None:
-            slack = Gs @ z - ls
             slack[active] = np.inf
             p = int(np.argmin(slack))
             if slack[p] >= -_VIOLATION:
                 break
         a = active.size
-        B = lsolve(Gs[np.append(active, p)].T)
+        B = factor.lsolve(Gs[np.append(active, p)].T)
         Q, R = np.linalg.qr(B[:, :a], mode="complete")
         v = Q.T @ B[:, a]
-        dz = scale * tri(Q[:, a:] @ v[a:])[back]
+        dz = factor.ltsolve(Q[:, a:] @ v[a:])
         r = scipy.linalg.solve_triangular(R[:a], v[:a], check_finite=False)
         if not (np.isfinite(dz).all() and np.isfinite(r).all()):
             break
         # A full step meets row p unless its normal is in the active span;
         # a partial step ends where an active multiplier reaches zero.
         v2 = v[a:] @ v[a:]
-        t_full = ((ls[p] - Gs[p] @ z) / v2
+        t_full = (-slack[p] / v2
                   if v2 > _DEPENDENT ** 2 * (v @ v) else np.inf)
         u = lam[active]
         shrink = np.flatnonzero(r > _DEPENDENT * np.max(np.abs(r), initial=0))
@@ -387,58 +382,42 @@ def _dual_active_set(scaled, factor: _JacobiFactor, cost_scale: float,
     return z, lam, steps
 
 
-def _polish(scaled, active: np.ndarray, certify,
+def _polish(factor: _JacobiFactor, Gs: np.ndarray, ls: np.ndarray,
+            active: np.ndarray, certify,
             free: np.ndarray) -> QPSolution | None:
-    """Equality-KKT solve with the rows of the mask ``active`` held tight.
+    """Range-space KKT solve with the rows of the mask ``active`` held
+    tight, on the scaled problem of :func:`_dual_active_set`.
 
-    Works on the scaled problem ``scaled = (Ps, qs, Gs, ls)``.  With no
-    active row the answer is the unconstrained minimiser ``free``.  Every
-    other system is solved by :func:`min_norm_lstsq`, because the active
-    rows can be dependent.  ``certify(z, lam)`` gets the raw KKT
-    multipliers (0 on inactive rows), maps the answer back and certifies
-    it in the original units (:func:`_finish` clips the multipliers at
-    zero).  Returns that solution record when it is ``optimal`` and the
-    point meets every inactive row in the scaled units; ``None`` when it
-    does not, or when the solve is not finite.
+    With no active row the answer is the unconstrained minimiser
+    ``free``.  Otherwise, with ``B = L^-1 Ga'`` for the held rows
+    ``Ga z >= la`` and ``R`` the triangle of its QR, the multipliers
+    solve ``R'R mult = la - Ga free`` and the point is
+    ``free + L^-T B mult``.  The held rows are independent, since the
+    dual method admits only rows independent of its active ones; only
+    the row it was adding when it stopped early may not be, and a
+    singular ``R`` then makes the solve non-finite.  ``certify(z, lam)``
+    gets the raw KKT multipliers (0 on inactive rows) and certifies the
+    answer in the original units (:func:`_finish` clips the multipliers
+    at zero).  Returns that solution record when it is ``optimal`` and
+    the point meets every inactive row in the scaled units; ``None``
+    when it does not, or when the solve is not finite.
     """
-    Ps, qs, Gs, ls = scaled
-    d = qs.size
-    if not active.any():
-        sol = free
-    else:
-        Ga = Gs[active]
-        ka = Ga.shape[0]
-        kkt = np.zeros((d + ka, d + ka))
-        kkt[:d, :d] = Ps
-        kkt[:d, d:] = -Ga.T
-        kkt[d:, :d] = Ga
-        rhs = np.concatenate([-qs, ls[active]])
-        sol = min_norm_lstsq(kkt, rhs)
-    if not np.all(np.isfinite(sol)):
+    z, lam = free, np.zeros(ls.size)
+    if active.any():
+        B = factor.lsolve(Gs[active].T)
+        R = np.linalg.qr(B, mode="r")
+        lam[active] = scipy.linalg.cho_solve(
+            (R, False), ls[active] - Gs[active] @ free, check_finite=False)
+        z = free + factor.ltsolve(B @ lam[active])
+    if not (np.isfinite(z).all() and np.isfinite(lam).all()):
         return None
     # The certificate alone would pass a violated row of tiny norm (it
     # allows _TOL_FEAS * (1 + |l|_inf) in the original units), so the
     # polish must also meet every inactive row in the scaled units.
-    if np.any((Gs @ sol[:d] - ls < 0.0) & ~active):
+    if np.any((Gs @ z - ls < 0.0) & ~active):
         return None
-    lam_full = np.zeros(ls.size)
-    lam_full[active] = sol[d:]
-    found = certify(sol[:d], lam_full)
+    found = certify(z, lam)
     return found if found.status == OPTIMAL else None
-
-
-def min_norm_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution of ``a x = b``.
-
-    LAPACK ``gelsy``: a complete orthogonal factorisation built on QR with
-    column pivoting.  The numerical rank is the largest leading triangle
-    whose estimated condition number stays below ``1 / (eps *
-    max(a.shape))``, numpy's default ``lstsq`` cutoff; the
-    trailing columns are treated as null directions.
-    """
-    x, *_ = scipy.linalg.lstsq(a, b, cond=np.finfo(float).eps * max(a.shape),
-                               lapack_driver="gelsy", check_finite=False)
-    return x
 
 
 def dump_qp(problem: ConvexQP, path) -> None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +33,8 @@ class TimeSeriesData:
         least ``[t_start, sample_times[-1]]``; it may extend further (for
         prediction beyond the last measurement).
     t_start : int
-        First time with possibly nonzero input; must satisfy
-        ``t_start <= 0`` and ``t_start <= sample_times[0]``.
+        First time with possibly nonzero input; an integer, not a
+        ``bool``, with ``t_start <= 0`` and ``t_start <= sample_times[0]``.
     """
 
     sample_times: np.ndarray
@@ -54,6 +55,10 @@ class TimeSeriesData:
                 f"{times.size} sample times but {outs.size} outputs")
         if np.any(np.diff(times) <= 0):
             raise DataError("sample times must be strictly increasing")
+        if (isinstance(self.t_start, bool)
+                or not isinstance(self.t_start, numbers.Integral)):
+            raise DataError(
+                f"t_start must be an integer, got {self.t_start!r}")
         if self.t_start > 0:
             raise DataError(
                 f"input support must start at or before 0, got {self.t_start}")

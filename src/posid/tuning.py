@@ -230,12 +230,14 @@ def tune(space: HyperparamSpace, data: TimeSeriesData,
 
     ``strategy`` is ``"grid"`` (default) or ``"random"``.  Candidates
     violating the decay/pole coupling are never evaluated.  Ties keep the
-    earliest candidate, making the result deterministic for a fixed seed.
-    A split index past the data's samples raises ``ConfigError``, and so
-    does an ``a_min`` that is not positive and finite, before any
-    candidate is scored; every candidate is fitted with that ``a_min``.
+    earliest candidate, making the result deterministic for a fixed seed,
+    which must be an integer ``>= 0``.  A split index past the data's
+    samples raises ``ConfigError``, and so does an ``a_min`` that is not
+    positive and finite, before any candidate is scored; every candidate
+    is fitted with that ``a_min``.
     """
     check_count("budget", budget)
+    check_count("seed", seed, least=0)
     if split is None:
         split = default_split(data.n_samples)
     _check_split_range(split, data)

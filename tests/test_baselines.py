@@ -4,7 +4,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from posid import qp
+from posid import baselines, qp
 from posid.assembly import input_weight_matrix
 from posid.baselines import (BaselineKind, ls_clip, nonneg_ls, ridge_clip,
                              ridge_pre_clip, run_baseline)
@@ -112,27 +112,32 @@ def test_nonneg_ls_raises_when_the_qp_does_not_converge(monkeypatch):
         solves.append(a.shape)
         return -np.ones(a.shape[1])
 
-    monkeypatch.setattr(qp, "min_norm_lstsq", no_progress)
+    monkeypatch.setattr(baselines, "min_norm_lstsq", no_progress)
     with pytest.raises(SolverError, match="9 outer steps"):
         nonneg_ls(data, 3)
     assert len(solves) == 2 + 2 * 9
 
 
-def test_nonneg_ls_matches_scipy_nnls_on_near_square_records():
-    # 750 records of 25-39 samples whose binary Toeplitz U has within 5
-    # taps as many columns, so U'U is singular or nearly so: every answer
-    # is nonnegative and within 1e-6 |y|^2 of scipy's Lawson-Hanson NNLS,
-    # compared on the residuals
+def _near_square_records():
+    """750 records of 25-39 samples whose binary Toeplitz ``U`` has
+    within 5 taps as many columns, so ``U'U`` is singular or nearly so;
+    yields ``(u, U, y)``."""
     rng = np.random.default_rng(2024)
-    for draw in range(750):
+    for _ in range(750):
         n = int(rng.integers(25, 40))
         n_g = n + int(rng.integers(-5, 6))
         u = _prbs(rng, n)
         U = scipy.linalg.toeplitz(u, np.zeros(n_g))
         g = np.abs(rng.standard_normal(n_g)) * 0.8 ** np.arange(n_g)
         g[rng.random(n_g) < 0.3] = 0.0
-        y = U @ g + 0.3 * rng.standard_normal(n)
-        z = nonneg_ls(TimeSeriesData.at_rest(u, y), n_g).values
+        yield u, U, U @ g + 0.3 * rng.standard_normal(n)
+
+
+def test_nonneg_ls_matches_scipy_nnls_on_near_square_records():
+    # every answer on the near-square records is nonnegative and within
+    # 1e-6 |y|^2 of scipy's Lawson-Hanson NNLS, compared on the residuals
+    for draw, (u, U, y) in enumerate(_near_square_records()):
+        z = nonneg_ls(TimeSeriesData.at_rest(u, y), U.shape[1]).values
         oracle, _ = scipy.optimize.nnls(U, y)
         excess = np.sum((U @ z - y) ** 2) - np.sum((U @ oracle - y) ** 2)
         assert z.min() >= 0.0, f"draw {draw}"

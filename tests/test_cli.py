@@ -157,8 +157,9 @@ def test_dc_run_rebuilds_from_its_metadata(tmp_path, method):
     ("--workers", "0", "workers must be an integer >= 1"),
     ("--snr", "20 20", "duplicate SNR levels"),
     ("--snr", "nan", "SNR levels must be finite"),
+    ("--seed", "-1", "seed must be an integer >= 0"),
 ], ids=["n-g", "beta", "coupling", "lam-fir", "lam-fir-nan", "lam-g-inf",
-        "workers", "snr-repeated", "snr-nan"])
+        "workers", "snr-repeated", "snr-nan", "seed"])
 def test_montecarlo_rejects_bad_settings_before_any_run(
         tmp_path, capsys, monkeypatch, flag, value, message):
     def no_run(*args):
@@ -202,6 +203,7 @@ def test_heating_rejects_bad_settings_before_any_run(
     (["identify", "--data", "{data}", "--lam", "nan"], 2),
     (["identify", "--data", "{data}", "--beta", "0.95", "--rho", "0.9"], 2),
     (["tune", "--data", "{data}", "--rho-range", "0.9", "0.5"], 2),
+    (["tune", "--data", "{data}", "--strategy", "random", "--seed", "-1"], 2),
     (["montecarlo", "--runs", "2", "--n-d", "30", "--snr", "nan",
       "--workers", "1", "--methods", "b"], 2),
     (["heating", "--data", "{short}", "--methods", "b"], 3),
@@ -211,8 +213,8 @@ def test_heating_rejects_bad_settings_before_any_run(
     (["predict", "--impulse", "{impulse}", "--data", "{data}",
       "--times", "500"], 3),
 ], ids=["identify-lam-nan", "identify-coupling", "tune-rho-range",
-        "montecarlo-snr-nan", "heating-short-record", "heating-daisy-columns",
-        "heating-daisy-methods", "predict-times"])
+        "tune-seed", "montecarlo-snr-nan", "heating-short-record",
+        "heating-daisy-columns", "heating-daisy-methods", "predict-times"])
 def test_rejected_run_leaves_no_output_dir(tmp_path, argv, code):
     # artifacts are written only after the run, so a run refused for its
     # settings or its data does not make its output directory; the record

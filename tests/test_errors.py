@@ -1,8 +1,9 @@
 """Every count, positive real and (0, 1) setting fails with ConfigError.
 
-A count is an integer that is not a ``bool``: a fractional or NaN count
-must be refused where it enters, not escape later as a ``TypeError`` or
-be taken as it is.  The real settings are range tests that NaN fails.
+A count is an integer that is not a ``bool``: a fractional, NaN or
+negative count must be refused where it enters, not escape later as a
+``TypeError`` or be taken as it is.  The real settings are range tests
+that NaN fails.
 """
 import math
 
@@ -37,6 +38,7 @@ _COUNTS = [
     ("BaselineKind.fir_length", "fir_length", lambda v: BaselineKind("b", v)),
     ("McProtocol.runs", "runs", lambda v: McProtocol(runs=v)),
     ("McProtocol.n_d", "n_d", lambda v: McProtocol(n_d=v)),
+    ("McProtocol.seed", "seed", lambda v: McProtocol(seed=v)),
     ("McConfig.n_g", "n_g", lambda v: McConfig(n_g=v)),
     ("McConfig.horizon", "horizon", lambda v: McConfig(horizon=v)),
     ("McConfig.workers", "workers", lambda v: McConfig(workers=v)),
@@ -56,6 +58,8 @@ _COUNTS = [
      lambda v: assemble_core(_TC, _DATA, v)),
     ("tune", "budget",
      lambda v: tune(HyperparamSpace(kind="tc"), _DATA, budget=v)),
+    ("tune.seed", "seed", lambda v: tune(HyperparamSpace(kind="tc"), _DATA,
+                                         strategy="random", seed=v)),
 ]
 _REALS = [
     ("PositiveIdConfig.lam", "lambda",
@@ -87,7 +91,7 @@ _REALS = [
 
 @pytest.mark.parametrize("name, call, value", [
     pytest.param(name, call, value, id=f"{case}-{value}")
-    for cases, values in ((_COUNTS, (2.5, math.nan, True)),
+    for cases, values in ((_COUNTS, (2.5, math.nan, True, -1)),
                           (_REALS, (math.nan,)))
     for case, name, call in cases for value in values])
 def test_a_bad_setting_raises_config_error_naming_it(name, call, value):

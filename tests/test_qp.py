@@ -1,5 +1,6 @@
 """QP solver tests against closed-form and enumeration oracles."""
 import itertools
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -20,6 +21,7 @@ from posid.kernels import KernelSpec
 from posid.qp import ConvexQP, dump_qp, kkt_certificate, solve
 from posid.signals import TimeSeriesData
 
+from test_baselines import _near_square_records
 from test_extensions import _mis_specified_record
 from test_robustness import DRAW_FITS, _random_draw
 
@@ -107,20 +109,31 @@ def _fault_in_second_dual_step(monkeypatch, solve_number, fault):
     step to ``fault(real_solve, a, b, **kwargs)``; return the number of
     solves in each step opened.  Solve 1 of a step is the one for the
     normals of the active rows and the joining one, the only solve with a
-    matrix right-hand side; solve 2 gives the primal direction."""
+    matrix right-hand side; solve 2 gives the primal direction.  Only the
+    dual method's solves count: the polish's come after it."""
     real = scipy.linalg.solve_triangular
+    real_dual = qp._dual_active_set
     solves = []
+    in_dual = []
 
     def solve_triangular(a, b, **kwargs):
-        if np.ndim(b) == 2:
+        if in_dual and np.ndim(b) == 2:
             solves.append(0)
-        if solves:
+        if in_dual and solves:
             solves[-1] += 1
             if len(solves) == 2 and solves[-1] == solve_number:
                 return fault(real, a, b, **kwargs)
         return real(a, b, **kwargs)
 
+    def dual_active_set(*args):
+        in_dual.append(True)
+        try:
+            return real_dual(*args)
+        finally:
+            in_dual.clear()
+
     monkeypatch.setattr(scipy.linalg, "solve_triangular", solve_triangular)
+    monkeypatch.setattr(qp, "_dual_active_set", dual_active_set)
     return solves
 
 
@@ -452,8 +465,8 @@ def test_tiny_row_violated_by_the_polish_rejects_it(monkeypatch):
     # minimiser 0; the certificate in the original units passes it, but
     # it violates the tiny row in the scaled units, so it is rejected and
     # the answer is the dual method's point
-    def no_row(scaled, factor, cost_scale, free):
-        return free, np.zeros(scaled[3].size), 0
+    def no_row(factor, Gs, ls, free):
+        return free, np.zeros(ls.size), 0
 
     monkeypatch.setattr(qp, "_dual_active_set", no_row)
     polish = _record_calls(monkeypatch, "_polish")
@@ -461,6 +474,22 @@ def test_tiny_row_violated_by_the_polish_rejects_it(monkeypatch):
     assert [result for _, result in polish] == [None]
     assert (sol.status, sol.path, sol.iterations) == ("optimal", "dual", 0)
     np.testing.assert_array_equal(sol.z, 0.0)
+
+
+def test_polish_of_dependent_rows_returns_none():
+    # two equal held rows make the triangle R of the polish singular: the
+    # solve is not finite, and the polish returns None before certifying,
+    # with no exception or warning
+    problem = ConvexQP(P=np.eye(2), q=np.zeros(2),
+                       G=np.array([[1.0, 0.0], [1.0, 0.0]]), l=np.ones(2))
+
+    def certify(z, lam):
+        raise AssertionError("a non-finite polish was certified")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert qp._polish(problem._factor, problem.G, problem.l,
+                          np.ones(2, dtype=bool), certify, np.zeros(2)) is None
 
 
 def _seed1_mc_record():
@@ -506,6 +535,29 @@ def test_nonneg_ls_of_the_monte_carlo_record_lands_on_the_nnls_face():
                                rtol=0, atol=1e-9)
 
 
+def test_near_square_nnls_qps_are_refused_or_certified():
+    # the QPs (2 U'U, -2 U'y, I, 0) of the near-square NNLS records have a
+    # singular or near-singular P, on which the polish's QR of L^-1 Ga'
+    # is least accurate: ConvexQP refuses the 356 whose factor is
+    # rank-deficient, and every QP it accepts is certified within
+    # 1e-6 |y|^2 of scipy's Lawson-Hanson NNLS, compared on the residuals
+    refused = 0
+    for draw, (_, U, y) in enumerate(_near_square_records()):
+        n_g = U.shape[1]
+        try:
+            problem = ConvexQP(P=2.0 * (U.T @ U), q=-2.0 * (U.T @ y),
+                               G=np.eye(n_g), l=np.zeros(n_g))
+        except ConfigError:
+            refused += 1
+            continue
+        sol = solve(problem)
+        oracle, _ = scipy.optimize.nnls(U, y)
+        excess = np.sum((U @ sol.z - y) ** 2) - np.sum((U @ oracle - y) ** 2)
+        assert sol.status == "optimal", f"draw {draw}"
+        assert excess <= 1e-6 * (y @ y), f"draw {draw}: {excess:.3e}"
+    assert refused == 356
+
+
 def _qps_of(fit, records):
     """The QPs and solutions of ``fit`` on each ``(base, data)`` record,
     whether the fit succeeds or not."""
@@ -532,6 +584,16 @@ def test_finite_response_draw_159_is_certified_on_the_dual_path():
     [(_, sol)] = _qps_of(DRAW_FITS["finite"], [_random_draw(159)])
     assert (sol.status, sol.path) == ("optimal", "dual")
     assert sol.iterations > 0
+
+
+def test_finite_response_draw_58_ends_well_before_the_step_cap():
+    # draw 58 is degenerate: two nearly parallel rows are violated by
+    # about _VIOLATION in turn, and when the step length came from
+    # another sum than the slack that chose the row, the signs could
+    # disagree and the method cycled between the two to its step cap
+    [(problem, sol)] = _qps_of(DRAW_FITS["finite"], [_random_draw(58)])
+    assert (sol.status, sol.path) == ("optimal", "dual")
+    assert 0 < sol.iterations < problem.dim
 
 
 def test_every_solve_runs_the_dual_method_and_one_polish(monkeypatch):
@@ -574,19 +636,19 @@ def test_row_scaling_leaves_the_answer_unchanged(row):
 def test_full_rank_identify_qp_factors_p_once(monkeypatch):
     # the first QP of the seed-1 n=200 fit has no binding row: one
     # pivoted Cholesky both proves P definite and gives the certified
-    # minimiser, with no least-squares solve
+    # minimiser, with no QR of held rows
     config, data = _seed1_mc_record()
     mats = assemble_core(config.kernel, data,
                          initial_constraint_horizon(data))
     basis = assemble_polynomial_blocks(data, config.rho, 1,
                                        a_min=config.a_min)
     dpstrf = _record_calls(monkeypatch, "dpstrf", scipy.linalg.lapack)
-    lstsq = _record_calls(monkeypatch, "min_norm_lstsq")
+    qr = _record_calls(monkeypatch, "qr", np.linalg)
     problem = build_qp(config.lam, mats, basis)
     sol = solve(problem)
     assert [args[0].shape for args, _ in dpstrf] == [(problem.dim,) * 2]
     assert (sol.status, sol.path, sol.iterations) == ("optimal", "polish", 0)
-    assert lstsq == []
+    assert qr == []
 
 
 _ROWS = {"G": np.eye(2), "l": np.full(2, -1.0)}

@@ -169,6 +169,12 @@ def test_data_validation():
         TimeSeriesData(np.arange(2), np.zeros(1), np.zeros(2))
     with pytest.raises(DataError, match="precedes the input support"):
         TimeSeriesData(np.array([-2]), np.zeros(1), np.zeros(3), t_start=-1)
+    # a fractional or bool start is refused as data, not left to fail
+    # later as a setting of an internal weight width
+    for t_start in (-0.5, True, False):
+        with pytest.raises(DataError, match="t_start must be an integer"):
+            TimeSeriesData(np.arange(3), np.ones(3), np.ones(4),
+                           t_start=t_start)
     with pytest.raises(DataError, match="nonempty vector"):
         ImpulseResponse(np.zeros(0))
     data = TimeSeriesData.at_rest(np.arange(4.0), np.zeros(4))
